@@ -17,12 +17,10 @@ import numpy as np
 from . import classify, fixtures, homo, isometry, net, spaces, train
 from .spaces import SolvCoords, SpaceId
 
-FORMAT_VERSION = "v1"
-
 
 def _write_json(path, doc):
     doc = dict(doc)
-    doc["format"] = FORMAT_VERSION
+    doc["format"] = net.FORMAT_VERSION
     text = json.dumps(doc, sort_keys=True, indent=1) + "\n"
     if path is None:
         sys.stdout.write(text)
@@ -268,6 +266,8 @@ def _net_config_from(cfg):
 
 
 def cmd_train(args):
+    if args.out is None:
+        raise SystemExit2("train requires --out")
     cfg = _load_config(args.config)
     try:
         config = _net_config_from(cfg)
@@ -284,8 +284,6 @@ def cmd_train(args):
     except (KeyError, ValueError, OSError) as exc:
         raise SystemExit2(f"bad train config: {exc}")
     params, history = train.train_loop(tc, config, dataset)
-    if args.out is None:
-        raise SystemExit2("train requires --out")
     net.save_model(args.out, config, params)
     metrics_path = cfg.get("metrics_out", str(args.out) + ".metrics.jsonl")
     with open(metrics_path, "w") as fh:

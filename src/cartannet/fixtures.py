@@ -28,7 +28,6 @@ __all__ = [
     "phi_canonical",
     "phi_family_11",
     "phi_restriction_W3",
-    "appendix_fixtures",
 ]
 
 _SL4 = SpaceId.sl(4)
@@ -229,16 +228,3 @@ def phi_restriction_W3(alpha, upsilon) -> SolvCoords:
     w[2] = 0.5 * (-2.0 * a4 * u[3] - a3)
     return SolvCoords(_H3, w)
 
-
-def appendix_fixtures() -> dict:
-    """All fixture constructors keyed by name, for the verification CLI."""
-    return {
-        "W_canonical": W_canonical,
-        "W_family_11": W_family_11,
-        "W_family_12": W_family_12,
-        "restriction_W1": restriction_W1,
-        "restriction_W2": restriction_W2,
-        "restriction_W3": restriction_W3,
-        "restriction_W7": restriction_W7,
-        "restriction_W10": restriction_W10,
-    }

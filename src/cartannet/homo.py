@@ -30,6 +30,7 @@ __all__ = [
     "residual",
     "solve_numeric",
     "r1_homomorphism",
+    "r1_homomorphism_batch",
     "coframe",
     "integrate_coordinate_map",
     "integrate_along_path",
@@ -423,6 +424,15 @@ def solve_numeric(system: ConstraintSystem, seeds: int, seed: int = 0):
 # ---------------------------------------------------------------------------
 
 
+def r1_homomorphism_batch(W, b, values) -> np.ndarray:
+    """Closed-form group homomorphism between r=1 layers on a batch (..., d)
+    of raw coordinates: (Y1, Y2) -> (Y1, W Y2 + (1 - e^{-Y1}) b).
+    Complex inputs propagate analytically."""
+    y1 = values[..., :1]
+    sub = values[..., 1:] @ np.swapaxes(np.atleast_2d(W), -1, -2)
+    return np.concatenate([y1, sub + (1.0 - np.exp(-y1)) * b], axis=-1)
+
+
 def r1_homomorphism(W: np.ndarray, b: np.ndarray, coords: SolvCoords,
                     target: SpaceId | None = None) -> SolvCoords:
     """Closed-form group homomorphism between r=1 layers:
@@ -440,9 +450,7 @@ def r1_homomorphism(W: np.ndarray, b: np.ndarray, coords: SolvCoords,
         target = SpaceId.so(1, s2)
     elif target.subpaint_dim != s2:
         raise ValueError("target space inconsistent with W")
-    y1 = coords.values[0]
-    sub = W @ coords.values[1:] + (1.0 - np.exp(-y1)) * b
-    return SolvCoords(target, np.concatenate([[y1], sub]))
+    return SolvCoords(target, r1_homomorphism_batch(W, b, coords.values))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,16 @@
 """Isometry-group actions on the solvable coordinate patch.
 
-Every action routes through the compensator-free pipeline: coordinates are
-exponentiated to a triangular element, pushed to the symmetric coset matrix
-M, acted on as M -> g M g^T, refactored by the triangular Cholesky-Crout
-algorithm, and read back as coordinates.
+A single-point action routes through the compensator-free pipeline:
+coordinates are exponentiated to a triangular element, pushed to the
+symmetric coset matrix M, acted on as M -> g M g^T, refactored by the
+triangular Cholesky-Crout algorithm, and read back as coordinates.  It
+serves every space and is the oracle for the batched r=1 kernel.
+
+The fiber rotations of an r=1 space have a batched vector kernel,
+:func:`fiber_rotate`, that forms no matrix.  For r=1 the coset matrix is
+M = eta + v v^T with v = L(e_0 - e_{N-1}) on the hyperboloid <v, v> = -2,
+so an isometry g acts as v -> g v, and a fiber rotation is one Givens
+rotation of that vector in the diagonal eta basis.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ __all__ = [
     "bias_translate",
     "build_fiber_generators",
     "fiber_rotation",
+    "fiber_rotate",
     "classify_element",
 ]
 
@@ -94,22 +102,6 @@ def isometry_action(g: GroupElement, coords: SolvCoords) -> SolvCoords:
     return spaces.sigma_inv(spaces.cholesky_crout(M2))
 
 
-def _action_matrix_batch(g_matrix: np.ndarray, space: SpaceId,
-                         values: np.ndarray) -> np.ndarray:
-    """Batched pipeline on raw coordinate arrays (dtype preserved)."""
-    L = (
-        spaces.r1_matrix(space, values)
-        if space.is_r1
-        else spaces.sl_matrix(space, values)
-    )
-    M = L @ np.swapaxes(L, -1, -2)
-    M2 = g_matrix @ M @ np.swapaxes(g_matrix, -1, -2)
-    L2 = spaces.cholesky_crout_matrix(M2)
-    if space.is_r1:
-        return spaces.r1_coords_from_matrix(space, L2)
-    return spaces.sl_coords_from_matrix(space, L2)
-
-
 def embedded_paint(rot: PaintRotation) -> GroupElement:
     """Embed O into the isometry group as blockdiag(1, O, 1)."""
     n = rot.space.N
@@ -157,6 +149,50 @@ def fiber_rotation(gen: FiberGenerator, angle: float) -> GroupElement:
     """One-parameter compact subgroup element exp(angle * F)."""
     g = scipy.linalg.expm(angle * gen.matrix)
     return GroupElement(gen.space, g, "grassmannian")
+
+
+def fiber_rotate(space: SpaceId, values, angles) -> np.ndarray:
+    """Fiber rotations of a batch (..., d) of r=1 coordinates, without
+    forming a matrix.
+
+    Angle j acts as ``fiber_rotation(build_fiber_generators(space)[j],
+    angles[j])``, in index order (later angles act on the left).  For r=1
+    the coset matrix is M = eta + v v^T, so an isometry acts as v -> g v on
+    the hyperboloid vector v = (e^{w1} (1 + s.s/4), s/sqrt2, -e^{-w1}).  In
+    the diagonal eta basis, scaled by sqrt2, its components are
+    R = v_0 - v_{N-1} (invariant), P = v_0 + v_{N-1} and s, and angle j is
+    the Givens rotation of (P, s_{1+j}).  The Cartan coordinate is read back
+    from T = e^{-w1} = (R - P)/2 or, where P > 0, from the equal
+    (4 + s.s) / (2 (R + P)) (since R^2 - P^2 - s.s = 4), so neither form
+    cancels.  Only exp, log, cos and sin are used: complex inputs and
+    angles propagate analytically, which keeps complex-step derivatives
+    exact."""
+    fibers = space.fiber_dim  # raises unless r = 1
+    values = np.asarray(values)
+    angles = np.asarray(angles)
+    spaces._check_cartan_bound(np.real(values[..., 0]))
+    if angles.shape != (fibers,):
+        raise ValueError(
+            f"expected {fibers} fiber angles for {space}, "
+            f"got shape {angles.shape}"
+        )
+    if fibers == 0:
+        return values
+    cols = np.array(values.T, dtype=np.result_type(values, angles, float),
+                    order="C")
+    w1, s = cols[0], cols[1:]
+    up = np.exp(w1) * (1.0 + 0.25 * np.sum(s * s, axis=0))
+    down = np.exp(-w1)
+    R, P = up + down, up - down
+    cos, sin = np.cos(angles), np.sin(angles)
+    for j in range(fibers):
+        x = s[1 + j]
+        P, s[1 + j] = cos[j] * P + sin[j] * x, cos[j] * x - sin[j] * P
+    upper = np.real(P) > 0
+    T = (np.where(upper, 4.0 + np.sum(s * s, axis=0), R - P)
+         / np.where(upper, 2.0 * (R + P), 2.0))
+    cols[0] = -np.log(T)
+    return cols.T
 
 
 def _is_eta_orthogonal(g: np.ndarray, eta: np.ndarray, tol=1e-10) -> bool:

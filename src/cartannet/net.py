@@ -5,6 +5,13 @@ features into the solvable coordinates of the first layer, followed per
 transition by the closed-form group homomorphism (matrix W and translation
 b) and a product of compact fiber rotations.  There is no pointwise
 activation; all nonlinearity comes from the group structure.
+
+Every stage works on a whole batch of raw coordinate arrays: the fiber
+rotations run as the hyperboloid-vector kernel ``isometry.fiber_rotate``
+(no matrices, no Crout refactorization), which also checks the Cartan
+bound on each stage input, and the homomorphism as
+``homo.r1_homomorphism_batch``.  ``inject`` and ``layer_forward`` are
+single-point wrappers over the same kernels.
 """
 
 from __future__ import annotations
@@ -13,10 +20,9 @@ import dataclasses
 import json
 
 import numpy as np
-import scipy.linalg
 
-from . import homo, isometry, spaces
-from .spaces import CartanBoundError, SolvCoords, SpaceId
+from . import homo, isometry
+from .spaces import SolvCoords, SpaceId
 
 __all__ = [
     "LayerSpec",
@@ -35,6 +41,7 @@ __all__ = [
     "load_model",
 ]
 
+#: Version tag of every persisted document (models and CLI JSON output).
 FORMAT_VERSION = "v1"
 
 
@@ -232,52 +239,6 @@ def _named_blocks(params: ParamSet) -> dict:
 # Forward evaluation
 # ---------------------------------------------------------------------------
 
-_FIBER_CACHE: dict = {}
-
-
-def _fiber_generators(space: SpaceId):
-    if space not in _FIBER_CACHE:
-        _FIBER_CACHE[space] = [
-            g.matrix for g in isometry.build_fiber_generators(space)
-        ]
-    return _FIBER_CACHE[space]
-
-
-def _fiber_matrix(space: SpaceId, angles: np.ndarray) -> np.ndarray | None:
-    """Product of the one-parameter fiber rotations, applied in index
-    order (later generators multiply on the left)."""
-    gens = _fiber_generators(space)
-    if len(gens) == 0 or len(angles) == 0:
-        return None
-    g = None
-    for a, F in zip(angles, gens):
-        step = scipy.linalg.expm(a * F)
-        g = step if g is None else step @ g
-    return g
-
-
-def _check_bound(values: np.ndarray):
-    w1 = np.max(np.abs(np.real(values[..., 0]))) if values.size else 0.0
-    if w1 > spaces.CARTAN_BOUND:
-        raise CartanBoundError(
-            f"Cartan coordinate {w1:.3g} exceeds bound {spaces.CARTAN_BOUND}"
-        )
-
-
-def _apply_fiber(space: SpaceId, values: np.ndarray, angles) -> np.ndarray:
-    angles = np.asarray(angles)
-    g = _fiber_matrix(space, angles)
-    if g is None:
-        return values
-    return isometry._action_matrix_batch(g, space, values)
-
-
-def _homo_batch(W, b, values):
-    y1 = values[..., :1]
-    sub = values[..., 1:] @ np.swapaxes(np.atleast_2d(W), -1, -2)
-    sub = sub + (1.0 - np.exp(-y1)) * np.reshape(b, (1,) * (sub.ndim - 1) + (-1,))
-    return np.concatenate([y1, sub], axis=-1)
-
 
 def forward_batch(config: NetworkConfig, params: ParamSet, X: np.ndarray) -> np.ndarray:
     """Coordinates of the last hidden layer for a batch of inputs.
@@ -290,14 +251,10 @@ def forward_batch(config: NetworkConfig, params: ParamSet, X: np.ndarray) -> np.
     if X.ndim == 1:
         X = X[None, :]
     values = X @ np.swapaxes(np.atleast_2d(params.Q), -1, -2)
-    sp0 = config.layers[0].space
-    _check_bound(values)
-    values = _apply_fiber(sp0, values, params.lam)
-    for i in range(len(config.layers) - 1):
-        sp_next = config.layers[i + 1].space
-        values = _homo_batch(params.Ws[i], params.bs[i], values)
-        _check_bound(values)
-        values = _apply_fiber(sp_next, values, params.psis[i])
+    values = isometry.fiber_rotate(config.layers[0].space, values, params.lam)
+    for i, layer in enumerate(config.layers[1:]):
+        values = homo.r1_homomorphism_batch(params.Ws[i], params.bs[i], values)
+        values = isometry.fiber_rotate(layer.space, values, params.psis[i])
     return values
 
 
@@ -307,8 +264,7 @@ def inject(space: SpaceId, Q: np.ndarray, lam, x) -> SolvCoords:
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite input vector")
     values = np.asarray(Q, dtype=float) @ x
-    values = _apply_fiber(space, values[None, :], lam)[0]
-    return SolvCoords(space, values)
+    return SolvCoords(space, isometry.fiber_rotate(space, values, lam))
 
 
 def layer_forward(W, b, psi, coords: SolvCoords,
@@ -316,8 +272,7 @@ def layer_forward(W, b, psi, coords: SolvCoords,
     """One transition: homomorphism, then the fiber rotations of the
     target layer.  No separate Paint rotation — it is absorbed into W."""
     out = homo.r1_homomorphism(W, b, coords, target)
-    values = _apply_fiber(out.space, out.values[None, :], np.asarray(psi))[0]
-    return SolvCoords(out.space, values)
+    return SolvCoords(out.space, isometry.fiber_rotate(out.space, out.values, psi))
 
 
 def forward(config: NetworkConfig, params: ParamSet, x) -> SolvCoords:

@@ -28,7 +28,6 @@ __all__ = [
     "hyperbolic",
     "build_eta",
     "solvable_generators",
-    "compact_complement",
     "sigma",
     "sigma_inv",
     "cholesky_crout",
@@ -235,13 +234,6 @@ def build_eta(space: SpaceId) -> EtaForm:
     return EtaForm(n=n, entries=eta, basis="triangular", omega=omega)
 
 
-def eta_b_signature(space: SpaceId) -> np.ndarray:
-    """Diagonal of eta in the diagonal basis: r+q entries +1, then r -1."""
-    return np.concatenate(
-        [np.ones(space.r + space.q), -np.ones(space.r)]
-    )
-
-
 # ---------------------------------------------------------------------------
 # Generators and structure constants
 # ---------------------------------------------------------------------------
@@ -352,43 +344,6 @@ def solvable_generators(space: SpaceId) -> SolvAlgebraSpec:
     return spec
 
 
-def compact_complement(space: SpaceId):
-    """Basis (H_list, K_list) of the Cartan-involution eigenspaces:
-    H antisymmetric (compact subalgebra), K symmetric (coset directions),
-    both inside the matrix algebra preserving eta_t."""
-    if space.family == "sl":
-        n = space.N
-        hs = [
-            _unit(n, i, j) - _unit(n, j, i)
-            for i in range(n)
-            for j in range(i + 1, n)
-        ]
-        ks = [
-            _unit(n, i, j) + _unit(n, j, i)
-            for i in range(n)
-            for j in range(i + 1, n)
-        ]
-        ks += [
-            _unit(n, j, j) - _unit(n, 0, 0) + (_unit(n, j, j) - _unit(n, 0, 0)).T
-            for j in range(1, n)
-        ]
-        return hs, ks
-    eta = build_eta(space)
-    omega = eta.omega
-    n = space.N
-    sig = eta_b_signature(space)
-    hs, ks = [], []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if sig[i] == sig[j]:  # rotation: antisymmetric in both bases
-                jb = _unit(n, i, j) - _unit(n, j, i)
-                hs.append(omega.T @ jb @ omega)
-            else:  # boost: symmetric generator
-                jb = _unit(n, i, j) + _unit(n, j, i)
-                ks.append(omega.T @ jb @ omega)
-    return hs, ks
-
-
 # ---------------------------------------------------------------------------
 # Exponential map sigma and its inverse
 # ---------------------------------------------------------------------------
@@ -420,15 +375,6 @@ def r1_matrix(space: SpaceId, values: np.ndarray) -> np.ndarray:
     L[..., 1 : n - 1, n - 1] = -sub / SQRT2
     L[..., 0, n - 1] = -0.25 * e * np.sum(sub * sub, axis=-1)
     return L
-
-
-def _sl_chart_factors(space: SpaceId):
-    """Chart data for the sl family: the ordered-exponential generators are
-    the Cartans -H_j/2 and root operators -E_{k-1,k-1+h}.  Under this
-    normalization the r=1 closed forms arise as restrictions of the sl
-    chart through the canonical subgroup embeddings."""
-    n = space.N
-    return _sl_root_labels(n)
 
 
 def sl_matrix(space: SpaceId, values: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ import dataclasses
 import numpy as np
 
 from . import classify, net
+from .spaces import CartanBoundError
 
 __all__ = [
     "Dataset",
@@ -243,8 +244,7 @@ def train_loop(tc: TrainConfig, config: net.NetworkConfig, dataset: Dataset,
             train_loss = loss(config, params, train.features, train.labels)
             if not np.isfinite(train_loss) or train_loss > DIVERGENCE_LIMIT:
                 raise DivergenceError(f"loss diverged at epoch {epoch}")
-        except (DivergenceError, FloatingPointError,
-                net.spaces.FactorizationError, net.spaces.CartanBoundError):
+        except (DivergenceError, CartanBoundError):
             flat = last_good
             params = net.unflatten(config, flat.vector)
             break
@@ -317,18 +317,31 @@ def gen_synthetic(kind: str, n: int, dim: int, seed: int = 0,
     return Dataset(X, y, split)
 
 
+def _label_token(y) -> str:
+    return str(int(y)) if isinstance(y, (int, np.integer)) else repr(float(y))
+
+
 def save_csv(path, dataset: Dataset):
-    """Write features and labels as CSV with header f0,...,f{d-1},label."""
+    """Write features and labels as CSV with header f0,...,f{d-1},label.
+    Integer labels are written as integers, others with ``repr(float)``."""
     d = dataset.features.shape[1]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"f{j}" for j in range(d)] + ["label"])
         for x, y in zip(dataset.features, dataset.labels):
-            writer.writerow([repr(float(v)) for v in x] + [int(y)])
+            writer.writerow([repr(float(v)) for v in x] + [_label_token(y)])
+
+
+def _parse_label(token: str):
+    try:
+        return int(token)
+    except ValueError:
+        return float(token)
 
 
 def load_csv(path) -> Dataset:
-    """Read a dataset CSV (no split tags: deterministic 80/20 assignment)."""
+    """Read a dataset CSV (no split tags: deterministic 80/20 assignment).
+    A label token that is an integer is read as an int, else as a float."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -336,6 +349,6 @@ def load_csv(path) -> Dataset:
             raise ValueError("unexpected CSV header")
         rows = [row for row in reader if row]
     X = np.array([[float(v) for v in row[:-1]] for row in rows])
-    y = np.array([int(row[-1]) for row in rows])
+    y = np.array([_parse_label(row[-1]) for row in rows])
     split = np.array(["train" if i % 5 else "test" for i in range(len(rows))])
     return Dataset(X, y, split)

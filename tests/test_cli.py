@@ -168,6 +168,17 @@ class TestDataTrainEval:
         n_test = doc["n"]
         assert abs(doc["nll"] * n_test - last["test_loss"]) <= 1e-9
 
+    def test_train_without_out_exit_2_before_training(self, tmp_path,
+                                                       monkeypatch):
+        _, tcfg = self.setup_files(tmp_path)
+
+        def must_not_train(*args, **kwargs):
+            raise AssertionError("trained without --out")
+
+        monkeypatch.setattr(train, "train_loop", must_not_train)
+        assert run(["train", "--config", tcfg, "--seed", "0"]) == 2
+        assert not list(tmp_path.glob("*.jsonl"))
+
     def test_bad_train_config_exit_2(self, tmp_path):
         tcfg = write_json(tmp_path / "t.json", {"net": {"input_dim": 2}})
         assert run(["train", "--config", tcfg, "--out",

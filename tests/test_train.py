@@ -239,6 +239,25 @@ class TestCsv:
         assert np.array_equal(back.features, ds.features)
         assert np.array_equal(back.labels.astype(int), ds.labels.astype(int))
 
+    def test_float_labels_roundtrip(self, tmp_path):
+        rng = np.random.default_rng(5)
+        labels = np.array([0.5, -1.25, 3.0, 1e-3, 2.0 / 3.0, -0.0, 7.0, 1e20])
+        ds = train.Dataset(rng.normal(size=(8, 2)), labels, ["train"] * 8)
+        path = tmp_path / "reg.csv"
+        train.save_csv(path, ds)
+        back = train.load_csv(path)
+        assert back.labels.dtype == float
+        assert np.array_equal(back.labels, labels)
+
+    def test_integer_labels_written_as_integers(self, tmp_path):
+        ds = train.gen_synthetic("blobs", n=30, dim=2, seed=4, classes=3)
+        path = tmp_path / "data.csv"
+        train.save_csv(path, ds)
+        tokens = [line.rsplit(",", 1)[1]
+                  for line in path.read_text().splitlines()[1:]]
+        assert tokens == [str(int(y)) for y in ds.labels]
+        assert train.load_csv(path).labels.dtype.kind == "i"
+
     def test_header_validation(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
