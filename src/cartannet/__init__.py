@@ -7,7 +7,7 @@ Subpackages:
 - ``isometry``: paint rotations, fiber rotations and the compensator-free
   adjoint action pipeline.
 - ``homo``: Maurer-Cartan structures, homomorphism constraint systems,
-  numeric solving and coordinate-map integration.
+  numeric solving and closed-form coordinate maps.
 - ``fixtures``: the exact reference solution families between the Borel
   algebra of sl(4) and the so(1,2) solvable algebra.
 - ``net``: activation-free hyperbolic networks.

@@ -31,8 +31,6 @@ __all__ = [
     "find_surface_point",
 ]
 
-PROB_CLAMP = 1e-12
-
 
 class DegenerateSeparatorError(ValueError):
     """The separator's normalization or admissibility bound fails."""
@@ -131,44 +129,47 @@ def binary_prob(sep: Separator, p):
     return sigmoid(signed_distance(sep, p))
 
 
-def _clamp(prob):
-    prob = np.asarray(prob)
-    lo = np.real(prob) < PROB_CLAMP
-    hi = np.real(prob) > 1.0 - PROB_CLAMP
-    prob = np.where(lo, PROB_CLAMP, prob)
-    return np.where(hi, 1.0 - PROB_CLAMP, prob)
+def _logsumexp(d):
+    """log sum_k e^{d_k} over the last axis, shifted by the (constant)
+    maximum of the real parts so that it neither overflows nor underflows
+    and stays complex-analytic."""
+    shift = np.max(np.real(d), axis=-1)
+    return shift + np.log(np.sum(np.exp(d - shift[..., None]), axis=-1))
 
 
 def binary_nll(points, labels, sep: Separator):
-    """Negative log likelihood of binary labels (0/1) under the
-    sigmoid head, with probabilities clamped away from {0, 1}."""
+    """Negative log likelihood of binary labels (0/1) under the sigmoid
+    head: the sum of softplus(d) - y d over the signed distances d."""
     labels = np.asarray(labels)
     if labels.size == 0:
         raise ValueError("empty data")
-    prob = _clamp(binary_prob(sep, points))
-    y = labels.astype(float)
-    return -np.sum(y * np.log(prob) + (1.0 - y) * np.log(1.0 - prob))
+    d = signed_distance(sep, points)
+    softplus = _logsumexp(np.stack([np.zeros_like(d), d], axis=-1))
+    return np.sum(softplus - labels.astype(float) * d)
+
+
+def _distances(bank: SeparatorBank, p):
+    return np.stack([signed_distance(s, p) for s in bank.separators], axis=-1)
 
 
 def softmax_probs(bank: SeparatorBank, p):
     """Softmax over the K signed distances, stabilized by subtracting the
     (constant) maximum of their real parts."""
-    d = np.stack([signed_distance(s, p) for s in bank.separators], axis=-1)
-    shift = np.max(np.real(d), axis=-1, keepdims=True)
-    e = np.exp(d - shift)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    d = _distances(bank, p)
+    return np.exp(d - _logsumexp(d)[..., None])
 
 
 def multiclass_nll(points, labels, bank: SeparatorBank):
-    """Negative log likelihood of labels in 0..K-1 under the softmax head."""
+    """Negative log likelihood of labels in 0..K-1 under the softmax head:
+    the sum of logsumexp(d) - d_y over the signed distances d."""
     labels = np.asarray(labels)
     if labels.size == 0:
         raise ValueError("empty data")
     if labels.min() < 0 or labels.max() >= len(bank):
         raise ValueError("label out of range")
-    prob = _clamp(softmax_probs(bank, points))
-    picked = np.take_along_axis(prob, labels.reshape(-1, 1), axis=-1)[..., 0]
-    return -np.sum(np.log(picked))
+    d = _distances(bank, points)
+    picked = np.take_along_axis(d, labels.reshape(-1, 1), axis=-1)[..., 0]
+    return np.sum(_logsumexp(d) - picked)
 
 
 def find_surface_point(sep: Separator, space: SpaceId, seed: int = 0) -> SolvCoords:

@@ -108,6 +108,22 @@ def _suite_isometry(seed):
         err_paint = max(err_paint, float(np.max(np.abs(a - b))))
     checks.append(("distance-invariance[H3]", err_dist, 1e-8))
     checks.append(("paint-equivalence[H3]", err_paint, 1e-10))
+    # the batched r=1 fiber kernel against the single-point Crout pipeline,
+    # kept to |coords| <= 1 where that oracle is accurate
+    for n in (5, 17):
+        space = spaces.hyperbolic(n)
+        gens = isometry.build_fiber_generators(space)
+        err = 0.0
+        for _ in range(50):
+            x = rng.uniform(-1, 1, space.dim)
+            angles = rng.uniform(-np.pi, np.pi, space.fiber_dim)
+            want = SolvCoords(space, x)
+            for gen, angle in zip(gens, angles):
+                want = isometry.isometry_action(
+                    isometry.fiber_rotation(gen, angle), want)
+            got = isometry.fiber_rotate(space, x, angles)
+            err = max(err, float(np.max(np.abs(got - want.values))))
+        checks.append((f"fiber-kernel[H{n}]", err, 1e-10))
     return checks
 
 

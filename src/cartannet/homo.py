@@ -3,16 +3,17 @@
 A homomorphism between solvable groups is encoded by a rectangular matrix W
 relating the left-invariant coframes, E^i = W^i_a e^a.  Requiring that the
 pulled-back Maurer-Cartan equations close yields a quadratic constraint
-system in the entries of W; solutions induce (generally nonlinear)
-coordinate maps obtained by integrating the coframe relation along paths.
+system in the entries of W; each solution is a Lie-algebra homomorphism and
+induces a (generally nonlinear) closed-form coordinate map: the image of
+the chart's product of one-parameter subgroups.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 
 import numpy as np
+import scipy.linalg
 
 from . import spaces
 from .spaces import SolvCoords, SpaceId
@@ -33,7 +34,6 @@ __all__ = [
     "r1_homomorphism_batch",
     "coframe",
     "integrate_coordinate_map",
-    "integrate_along_path",
     "mc_for_name",
     "space_for_name",
 ]
@@ -65,13 +65,11 @@ class MCStructure:
 
 @dataclasses.dataclass(frozen=True)
 class HomoMatrix:
-    """Linear homomorphism data: E^i_target = W^i_a e^a_source, plus the
-    optional closed-form translation vector b for r=1 targets."""
+    """Linear homomorphism data: E^i_target = W^i_a e^a_source."""
 
     W: np.ndarray
     source: SpaceId | None = None
     target: SpaceId | None = None
-    b: np.ndarray | None = None
     residual: float | None = None
     branch_tag: str | None = None
     seed: int | None = None
@@ -454,7 +452,7 @@ def r1_homomorphism(W: np.ndarray, b: np.ndarray, coords: SolvCoords,
 
 
 # ---------------------------------------------------------------------------
-# Coframes and coordinate-map integration
+# Coframes and closed-form coordinate maps
 # ---------------------------------------------------------------------------
 
 
@@ -473,7 +471,6 @@ def coframe(space: SpaceId, values: np.ndarray) -> np.ndarray:
     if space.family != "sl":
         raise ValueError("coframe is implemented for r=1 and sl spaces")
     n = space.N
-    ell = n - 1
     L = spaces.sl_matrix(space, values)
     h = 1e-200
     E = np.zeros((d, d))
@@ -491,66 +488,24 @@ def coframe(space: SpaceId, values: np.ndarray) -> np.ndarray:
     return E
 
 
-def _integrate_segment(W: np.ndarray, src: SpaceId, tgt: SpaceId,
-                       x_start: np.ndarray, x_end: np.ndarray,
-                       y_start: np.ndarray, steps: int) -> np.ndarray:
-    dx = x_end - x_start
-    hstep = 1.0 / steps
-    y = np.array(y_start, dtype=float)
-
-    def f(t, y):
-        pulled = W @ (coframe(src, x_start + t * dx) @ dx)
-        return np.linalg.solve(coframe(tgt, y), pulled)
-
-    t = 0.0
-    for _ in range(steps):
-        k1 = f(t, y)
-        k2 = f(t + 0.5 * hstep, y + 0.5 * hstep * k1)
-        k3 = f(t + 0.5 * hstep, y + 0.5 * hstep * k2)
-        k4 = f(t + hstep, y + hstep * k3)
-        y = y + (hstep / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += hstep
-    return y
-
-
-def _steps_for(x_start, x_end):
-    length = float(np.linalg.norm(np.asarray(x_end) - np.asarray(x_start)))
-    return max(256, int(np.ceil(256 * length)))
-
-
-def integrate_along_path(W: HomoMatrix, waypoints, check: bool = True) -> SolvCoords:
-    """Integrate the coordinate map along a piecewise-linear path starting
-    at the source origin; waypoints are coordinate vectors."""
+def integrate_coordinate_map(W: HomoMatrix, source_coords: SolvCoords) -> SolvCoords:
+    """Coordinate map induced by a verified homomorphism matrix, in closed
+    form.  W sends each source generator T_k to phi(T_k) = W^i_k T'_i, so
+    the group homomorphism with Phi(0) = 0, which solves the coframe
+    relation E_target(Y) dY = W e_source(x) dx from the origin, is
+    sigma_target^{-1}(prod_k expm(a_k(x) phi(T_k))) with a = exp_factors(x)
+    the exponents of the source chart's one-parameter subgroups."""
     src, tgt = W.source, W.target
     if src is None or tgt is None:
-        raise ValueError("integration requires source/target space ids")
-    y = np.zeros(tgt.dim)
-    x_prev = np.zeros(src.dim)
-    for x_next in waypoints:
-        x_next = np.asarray(x_next, dtype=float)
-        steps = _steps_for(x_prev, x_next)
-        y1 = _integrate_segment(W.W, src, tgt, x_prev, x_next, y, steps)
-        if check:
-            y2 = _integrate_segment(W.W, src, tgt, x_prev, x_next, y, 2 * steps)
-            if np.max(np.abs(y1 - y2)) > 1e-7:
-                warnings.warn(
-                    "coordinate-map integration reduced accuracy "
-                    f"({np.max(np.abs(y1 - y2)):.2e})",
-                    RuntimeWarning,
-                )
-            y1 = y2
-        y = y1
-        x_prev = x_next
-    return SolvCoords(tgt, y)
-
-
-def integrate_coordinate_map(W: HomoMatrix, source_coords: SolvCoords) -> SolvCoords:
-    """Coordinate map induced by a verified homomorphism matrix: integrate
-    dY/dt = E_target(Y)^{-1} W e_source(x(t)) x'(t) along the straight path
-    from the origin, with a doubled-step accuracy check."""
-    if W.source is not None and source_coords.space != W.source:
+        raise ValueError("coordinate maps require source/target space ids")
+    if source_coords.space != src:
         raise ValueError("source coordinates live in the wrong space")
-    return integrate_along_path(W, [np.asarray(source_coords.values, dtype=float)])
+    gens = np.stack(spaces.solvable_generators(tgt).generators)
+    images = np.einsum("ik,imn->kmn", W.W, gens)
+    L = np.eye(tgt.N)
+    for a, T in zip(spaces.exp_factors(src, source_coords.values), images):
+        L = L @ scipy.linalg.expm(a * T)
+    return spaces.sigma_inv(spaces.TriangularElement(tgt, L))
 
 
 # ---------------------------------------------------------------------------

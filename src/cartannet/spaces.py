@@ -30,6 +30,7 @@ __all__ = [
     "solvable_generators",
     "sigma",
     "sigma_inv",
+    "exp_factors",
     "cholesky_crout",
     "to_coset",
     "group_product",
@@ -253,29 +254,29 @@ def _so_generators(space: SpaceId):
     the 1/sqrt(2) normalization so that r=1 reduces to the closed-form
     conventions used by :func:`sigma`)."""
     n, r, q = space.N, space.r, space.q
-    gens, labels, heights = [], [], []
+    gens, labels = [], []
     for i in range(r):
         gens.append(_unit(n, i, i) - _unit(n, n - 1 - i, n - 1 - i))
         labels.append(f"C{i + 1}")
-        heights.append(0)
+    # sort key: (height, family letter, numeric indices), so that S1.10
+    # follows S1.9 and coordinate k stays paired with middle direction k
     nil = []
     for i in range(r):  # eps_i - eps_j
         for j in range(i + 1, r):
             m = _unit(n, i, j) - _unit(n, n - 1 - j, n - 1 - i)
-            nil.append((j - i, f"A{i + 1},{j + 1}", m))
+            nil.append(((j - i, "A", i, j), f"A{i + 1},{j + 1}", m))
     for i in range(r):  # eps_i (one copy per middle direction)
         for a in range(r, r + q):
             m = (_unit(n, i, a) - _unit(n, a, n - 1 - i)) / SQRT2
-            nil.append((r - i, f"S{i + 1}.{a - r + 1}", m))
+            nil.append(((r - i, "S", i, a), f"S{i + 1}.{a - r + 1}", m))
     for i in range(r):  # eps_i + eps_j
         for j in range(i + 1, r):
             m = _unit(n, i, n - 1 - j) - _unit(n, j, n - 1 - i)
-            nil.append((2 * r - i - j, f"B{i + 1},{j + 1}", m))
-    nil.sort(key=lambda t: (t[0], t[1]))
-    for h, lab, m in nil:
+            nil.append(((2 * r - i - j, "B", i, j), f"B{i + 1},{j + 1}", m))
+    nil.sort(key=lambda t: t[0])
+    for _, lab, m in nil:
         gens.append(m)
         labels.append(lab)
-        heights.append(h)
     return gens, labels
 
 
@@ -409,9 +410,22 @@ def sigma(coords: SolvCoords) -> TriangularElement:
     spec = solvable_generators(space)
     _check_cartan_bound(np.real(coords.values[: space.r]))
     L = np.eye(space.N)
-    for c, T in zip(coords.values, spec.generators):
-        L = L @ scipy.linalg.expm(c * T)
+    for a, T in zip(exp_factors(space, coords.values), spec.generators):
+        L = L @ scipy.linalg.expm(a * T)
     return TriangularElement(space, L)
+
+
+def exp_factors(space: SpaceId, values) -> np.ndarray:
+    """Exponents a of the chart as an ordered product of one-parameter
+    subgroups: sigma(x) = prod_k expm(a_k T_k) over
+    ``solvable_generators(space).generators``.  a = x for the so family
+    and a = (-x_cartan / 2, -x_roots) for sl.  Batched / complex safe."""
+    values = np.asarray(values)
+    if space.family == "so":
+        return values
+    ell = space.N - 1
+    return np.concatenate([-0.5 * values[..., :ell], -values[..., ell:]],
+                          axis=-1)
 
 
 def r1_coords_from_matrix(space: SpaceId, L: np.ndarray) -> np.ndarray:

@@ -91,20 +91,23 @@ class TrainConfig:
 # ---------------------------------------------------------------------------
 
 
+def _separators(config: net.NetworkConfig,
+                params: net.ParamSet) -> classify.SeparatorBank:
+    """The head's separators (one for binary, K for multiclass)."""
+    head = params.head
+    return classify.SeparatorBank(tuple(
+        classify.Separator(head["alpha"][k], head["beta"][k], head["w"][k])
+        for k in range(config.n_separators)
+    ))
+
+
 def _head_loss(config: net.NetworkConfig, params: net.ParamSet,
                points, labels):
     if config.task == "binary":
-        sep = classify.Separator(
-            params.head["alpha"][0], params.head["beta"][0], params.head["w"][0]
-        )
+        sep, = _separators(config, params).separators
         return classify.binary_nll(points, labels, sep)
     if config.task == "multiclass":
-        bank = classify.SeparatorBank(tuple(
-            classify.Separator(
-                params.head["alpha"][k], params.head["beta"][k], params.head["w"][k]
-            )
-            for k in range(config.n_separators)
-        ))
+        bank = _separators(config, params)
         return classify.multiclass_nll(points, labels.astype(int), bank)
     # regression: linear read-out of the solvable coordinates
     pred = points @ params.head["v"] + params.head["c"][0]
@@ -198,17 +201,10 @@ def project_admissible(config: net.NetworkConfig,
 def _accuracy(config, params, features, labels) -> float:
     points = np.real(net.forward_batch(config, params, features))
     if config.task == "binary":
-        sep = classify.Separator(
-            params.head["alpha"][0], params.head["beta"][0], params.head["w"][0]
-        )
+        sep, = _separators(config, params).separators
         pred = (np.real(classify.binary_prob(sep, points)) > 0.5).astype(int)
     elif config.task == "multiclass":
-        bank = classify.SeparatorBank(tuple(
-            classify.Separator(
-                params.head["alpha"][k], params.head["beta"][k], params.head["w"][k]
-            )
-            for k in range(config.n_separators)
-        ))
+        bank = _separators(config, params)
         pred = np.argmax(np.real(classify.softmax_probs(bank, points)), axis=-1)
     else:
         raise ValueError("accuracy is undefined for regression")

@@ -229,3 +229,39 @@ class TestSoftmaxHead:
         bank = self.bank(rng, K=2)
         with pytest.raises(ValueError):
             classify.multiclass_nll(np.zeros((1, 3)), np.array([2]), bank)
+
+
+class TestUnlikelyLabels:
+    """Far from a separator the true class can be far less likely than
+    1e-12; the loss keeps growing and keeps its gradient there."""
+
+    H = 1e-30  # complex step
+
+    def test_multiclass_far_side(self):
+        # d0 = -d1 = arcsinh(Y2 / 2) with Y2 = 1e11; the true class is 1
+        pts = np.array([[0.0, 1e11, 0.0]])
+
+        def nll(alpha):
+            bank = classify.SeparatorBank((
+                classify.Separator(alpha, 0.0, np.array([1.0, 0.0])),
+                classify.Separator(0.0, 0.0, np.array([-1.0, 0.0]))))
+            return classify.multiclass_nll(pts, np.array([1]), bank)
+
+        d = np.arcsinh(0.5e11)
+        assert np.isclose(nll(0.0), np.logaddexp(d, -d) + d, rtol=1e-14)
+        # dd0/dalpha = e^{-Y1} / sqrt(4 + h^2) and p0 = 1 to 1e-44
+        grad = np.imag(nll(1j * self.H)) / self.H
+        assert np.isclose(grad, 1.0 / np.sqrt(4.0 + 1e22), rtol=1e-12)
+
+    def test_binary_far_side(self):
+        # d = arcsinh(Y2 / 2) = 30 with the label on the other side
+        y2 = 2.0 * np.sinh(30.0)
+        pts = np.array([[0.0, y2, 0.0]])
+
+        def nll(alpha):
+            sep = classify.Separator(alpha, 0.0, np.array([1.0, 0.0]))
+            return classify.binary_nll(pts, np.array([0]), sep)
+
+        assert np.isclose(nll(0.0), np.logaddexp(0.0, 30.0), rtol=1e-14)
+        grad = np.imag(nll(1j * self.H)) / self.H
+        assert np.isclose(grad, 1.0 / np.sqrt(4.0 + y2 * y2), rtol=1e-12)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cartannet import fixtures, homo
+from cartannet import fixtures, homo, spaces
 from cartannet.spaces import SolvCoords, SpaceId
 
 H3 = SpaceId.so(1, 2)
@@ -238,13 +238,50 @@ class TestIntegration:
         want = fixtures.phi_restriction_W3(a, x)
         assert np.max(np.abs(got.values - want.values)) < 1e-8
 
-    def test_path_independence(self):
+    def test_r1_layer_map(self):
+        # oracle: for M = [[1, 0], [b, W]] the coordinate map is the
+        # network's closed-form layer map (Y1, W Y2 + (1 - e^{-Y1}) b)
         rng = np.random.default_rng(6)
-        x = rng.uniform(-0.5, 0.5, 3)
-        mid = rng.uniform(-0.5, 0.5, 3)
-        direct = homo.integrate_along_path(fixtures.W_canonical(), [x])
-        detour = homo.integrate_along_path(fixtures.W_canonical(), [mid, x])
-        assert np.max(np.abs(direct.values - detour.values)) < 1e-7
+        for n_src, n_tgt in ((5, 3), (17, 9), (12, 11)):
+            src, tgt = spaces.hyperbolic(n_src), spaces.hyperbolic(n_tgt)
+            W = rng.uniform(-1, 1, (n_tgt - 1, n_src - 1))
+            b = rng.uniform(-1, 1, n_tgt - 1)
+            M = np.zeros((n_tgt, n_src))
+            M[0, 0] = 1.0
+            M[1:, 0] = b
+            M[1:, 1:] = W
+            for _ in range(5):
+                x = SolvCoords(src, rng.uniform(-1, 1, n_src))
+                got = homo.integrate_coordinate_map(
+                    homo.HomoMatrix(W=M, source=src, target=tgt), x)
+                want = homo.r1_homomorphism(W, b, x, tgt)
+                assert np.max(np.abs(got.values - want.values)) < 1e-12
+
+    def test_homomorphism_law(self):
+        # oracle: sigma(Phi(u . v)) = sigma(Phi(u)) sigma(Phi(v))
+        rng = np.random.default_rng(7)
+        W = fixtures.W_canonical()
+
+        def image(c):
+            return spaces.sigma(homo.integrate_coordinate_map(W, c)).matrix
+
+        for _ in range(10):
+            u = SolvCoords(H3, rng.uniform(-1, 1, 3))
+            v = SolvCoords(H3, rng.uniform(-1, 1, 3))
+            lhs = image(spaces.group_product(u, v))
+            assert np.max(np.abs(lhs - image(u) @ image(v))) < 1e-12
+
+    def test_canonical_embedding_far_out(self):
+        # out to |w| <= 10, relative to the size of the exact image
+        rng = np.random.default_rng(8)
+        for scale in (2.0, 5.0, 10.0):
+            for _ in range(5):
+                w = rng.uniform(-scale, scale, 3)
+                got = homo.integrate_coordinate_map(
+                    fixtures.W_canonical(), SolvCoords(H3, w)).values
+                want = fixtures.phi_canonical(w).values
+                assert np.max(np.abs(got - want)) <= 1e-13 * max(
+                    1.0, np.max(np.abs(want)))
 
     def test_zero_input_maps_to_origin(self):
         out = homo.integrate_coordinate_map(

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cartannet import spaces
 from cartannet.spaces import (
@@ -97,6 +98,21 @@ class TestSigma:
                 c = rand_coords(space, rng)
                 back = spaces.sigma_inv(spaces.sigma(c))
                 assert np.max(np.abs(back.values - c.values)) < 1e-11
+
+    def test_product_of_exponentials(self):
+        # oracle: sigma(x) = prod_k expm(a_k T_k) in generator order, with
+        # a = exp_factors(x); H^11 and H^17 have two-digit middle indices
+        rng = np.random.default_rng(7)
+        for space in (H3, H5, hyperbolic(11), hyperbolic(17),
+                      SpaceId.so(2, 2), SpaceId.so(2, 13), SpaceId.sl(3),
+                      SL4):
+            gens = spaces.solvable_generators(space).generators
+            for _ in range(5):
+                c = rand_coords(space, rng, scale=1.0)
+                L = np.eye(space.N)
+                for a, T in zip(spaces.exp_factors(space, c.values), gens):
+                    L = L @ scipy.linalg.expm(a * T)
+                assert np.max(np.abs(L - spaces.sigma(c).matrix)) < 1e-12
 
     def test_origin_is_identity(self):
         for space in SPACES:
