@@ -26,8 +26,10 @@ __all__ = [
     "sigma_tilde",
     "binary_prob",
     "binary_nll",
+    "binary_nll_vjp",
     "softmax_probs",
     "multiclass_nll",
+    "multiclass_nll_vjp",
     "find_surface_point",
 ]
 
@@ -170,6 +172,58 @@ def multiclass_nll(points, labels, bank: SeparatorBank):
     d = _distances(bank, points)
     picked = np.take_along_axis(d, labels.reshape(-1, 1), axis=-1)[..., 0]
     return np.sum(_logsumexp(d) - picked)
+
+
+def _distances_vjp(bank: SeparatorBank, points, g_d):
+    """Gradients of sum(g_d * d) over the (B, K) signed distances d of the
+    bank's separators at real points (B, d), with respect to the points
+    and to alpha (K,), beta (K,) and w (K, s)."""
+    norm = np.array([_normalization(sep) for sep in bank.separators])
+    alpha = np.array([sep.alpha for sep in bank.separators])
+    beta = np.array([sep.beta for sep in bank.separators])
+    w = np.stack([sep.w for sep in bank.separators])
+    y1, y2 = points[:, :1], points[:, 1:]
+    if y2.shape[-1] != w.shape[-1]:
+        raise ValueError("separator normal has the wrong dimension")
+    down = np.exp(-y1)
+    up = np.exp(y1) * (1.0 + 0.25 * np.sum(y2 * y2, axis=-1, keepdims=True))
+    u = (alpha * down + y2 @ w.T + beta * up) / norm
+    # d = arcsinh(u), u = h / norm, norm = 2 sqrt(|w|^2 - alpha beta)
+    g_h = g_d / (norm * np.sqrt(1.0 + u * u))
+    g_n2 = -2.0 * np.sum(g_h * u, axis=0) / norm
+    g_points = np.concatenate(
+        [g_h @ beta[:, None] * up - g_h @ alpha[:, None] * down,
+         g_h @ w + 0.5 * (g_h @ beta)[:, None] * np.exp(y1) * y2], axis=1)
+    g_alpha = down[:, 0] @ g_h - beta * g_n2
+    g_beta = up[:, 0] @ g_h - alpha * g_n2
+    g_w = g_h.T @ y2 + 2.0 * g_n2[:, None] * w
+    return g_points, g_alpha, g_beta, g_w
+
+
+def binary_nll_vjp(points, labels, sep: Separator):
+    """Gradient of :func:`binary_nll` at real points (B, d): returns
+    (d/d points, d/d alpha, d/d beta, d/d w); dNLL/dd = sigmoid(d) - y."""
+    labels = np.asarray(labels)
+    if labels.size == 0:
+        raise ValueError("empty data")
+    g_d = sigmoid(signed_distance(sep, points)) - labels.astype(float)
+    g_points, g_alpha, g_beta, g_w = _distances_vjp(
+        SeparatorBank((sep,)), points, g_d[:, None])
+    return g_points, g_alpha[0], g_beta[0], g_w[0]
+
+
+def multiclass_nll_vjp(points, labels, bank: SeparatorBank):
+    """Gradient of :func:`multiclass_nll` at real points (B, d): returns
+    (d/d points, d/d alpha (K,), d/d beta (K,), d/d w (K, s));
+    dNLL/dd_k = softmax_k(d) - [k = y]."""
+    labels = np.asarray(labels)
+    if labels.size == 0:
+        raise ValueError("empty data")
+    if labels.min() < 0 or labels.max() >= len(bank):
+        raise ValueError("label out of range")
+    g_d = softmax_probs(bank, points)
+    g_d[np.arange(len(labels)), labels] -= 1.0
+    return _distances_vjp(bank, points, g_d)
 
 
 def find_surface_point(sep: Separator, space: SpaceId, seed: int = 0) -> SolvCoords:

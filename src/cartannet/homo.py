@@ -32,6 +32,7 @@ __all__ = [
     "solve_numeric",
     "r1_homomorphism",
     "r1_homomorphism_batch",
+    "r1_homomorphism_batch_vjp",
     "coframe",
     "integrate_coordinate_map",
     "mc_for_name",
@@ -429,6 +430,17 @@ def r1_homomorphism_batch(W, b, values) -> np.ndarray:
     y1 = values[..., :1]
     sub = values[..., 1:] @ np.swapaxes(np.atleast_2d(W), -1, -2)
     return np.concatenate([y1, sub + (1.0 - np.exp(-y1)) * b], axis=-1)
+
+
+def r1_homomorphism_batch_vjp(W, b, values, grad):
+    """Vector-Jacobian product of :func:`r1_homomorphism_batch` at a real
+    batch (B, d): returns the gradients of grad . out with respect to
+    values, W and b."""
+    y1, y2 = values[:, 0], values[:, 1:]
+    g1, g2 = grad[:, 0], grad[:, 1:]
+    e = np.exp(-y1)
+    g_values = np.concatenate([(g1 + e * (g2 @ b))[:, None], g2 @ W], axis=1)
+    return g_values, g2.T @ y2, (1.0 - e) @ g2
 
 
 def r1_homomorphism(W: np.ndarray, b: np.ndarray, coords: SolvCoords,

@@ -40,6 +40,7 @@ __all__ = [
     "build_fiber_generators",
     "fiber_rotation",
     "fiber_rotate",
+    "fiber_rotate_vjp",
     "classify_element",
 ]
 
@@ -193,6 +194,54 @@ def fiber_rotate(space: SpaceId, values, angles) -> np.ndarray:
          / np.where(upper, 2.0 * (R + P), 2.0))
     cols[0] = -np.log(T)
     return cols.T
+
+
+def fiber_rotate_vjp(space: SpaceId, values, angles, grad):
+    """Vector-Jacobian product of :func:`fiber_rotate` at real ``values``
+    (..., d): returns (grad @ d out/d values, grad @ d out/d angles).
+
+    Recomputes the forward internals from ``values``, backs through the
+    read-back of T on the same branch (P > 0 or not) as the forward, then
+    through the Givens rotations in reverse order (rotation j gives the
+    angle gradient sum(g_P x' - g_x P') over its outputs (P', x')), and
+    last through up/down to (w1, s)."""
+    fibers = space.fiber_dim
+    values = np.asarray(values, dtype=float)
+    grad = np.asarray(grad, dtype=float)
+    angles = np.asarray(angles, dtype=float)
+    if fibers == 0:
+        return grad.copy(), np.zeros(0)
+    cols = values.T
+    w1, s = cols[0], cols[1:]
+    eup, down = np.exp(w1), np.exp(-w1)
+    up = eup * (1.0 + 0.25 * np.sum(s * s, axis=0))
+    R, P = up + down, up - down
+    cos, sin = np.cos(angles), np.sin(angles)
+    s_out = np.array(s)
+    Ps = []  # P after each rotation
+    for j in range(fibers):
+        x = s_out[1 + j]
+        P, s_out[1 + j] = cos[j] * P + sin[j] * x, cos[j] * x - sin[j] * P
+        Ps.append(P)
+    g = grad.T
+    g_s = np.array(g[1:])
+    upper = P > 0
+    T = np.where(upper, (4.0 + np.sum(s_out * s_out, axis=0)) / (2.0 * (R + P)),
+                 0.5 * (R - P))
+    g_T = -g[0] / T
+    # upper: T = (4 + s.s) / (2 (R + P)); else T = (R - P) / 2
+    g_R = np.where(upper, -g_T * T / (R + P), 0.5 * g_T)
+    g_P = np.where(upper, g_R, -0.5 * g_T)
+    g_s += np.where(upper, g_T / (R + P), 0.0) * s_out
+    g_angles = np.empty(fibers)
+    for j in reversed(range(fibers)):
+        g_x = g_s[1 + j]
+        g_angles[j] = np.sum(g_P * s_out[1 + j] - g_x * Ps[j])
+        g_P, g_s[1 + j] = cos[j] * g_P - sin[j] * g_x, sin[j] * g_P + cos[j] * g_x
+    g_up, g_down = g_R + g_P, g_R - g_P
+    g_s += 0.5 * (g_up * eup) * s
+    g_w1 = g_up * up - g_down * down
+    return np.concatenate([g_w1[None], g_s]).T, g_angles
 
 
 def _is_eta_orthogonal(g: np.ndarray, eta: np.ndarray, tol=1e-10) -> bool:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 
@@ -121,7 +122,7 @@ class FlatParams:
     def offsets(self) -> dict:
         out, pos = {}, 0
         for name, shape in self.layout:
-            size = int(np.prod(shape, dtype=int))
+            size = math.prod(shape)
             out[name] = (pos, shape)
             pos += size
         return out
@@ -202,12 +203,12 @@ def unflatten(config: NetworkConfig, flat) -> ParamSet:
     """Inverse of flatten; accepts a FlatParams or a bare vector."""
     layout = layout_for(config)
     vec = flat.vector if isinstance(flat, FlatParams) else np.asarray(flat)
-    total = sum(int(np.prod(s, dtype=int)) for _, s in layout)
+    total = sum(math.prod(s) for _, s in layout)
     if vec.shape != (total,):
         raise ValueError(f"expected parameter vector of length {total}")
     blocks, pos = {}, 0
     for name, shape in layout:
-        size = int(np.prod(shape, dtype=int))
+        size = math.prod(shape)
         blocks[name] = vec[pos : pos + size].reshape(shape)
         pos += size
     n_trans = len(config.layers) - 1

@@ -1,9 +1,15 @@
 """Losses, gradients, SGD training, and synthetic data generation.
 
-Gradients come in two modes: ``analytic`` differentiates the closed-form
-forward chain exactly by complex-step differentiation (every stage of the
-chain is complex-analytic), and ``finite-difference`` uses scaled central
-differences.  Both are compared against each other by the test gate.
+Gradients come in two modes.  ``analytic`` is reverse mode: one forward
+pass through the stage kernels of ``net.forward_batch`` that keeps each
+stage's input, then one hand-written vector-Jacobian product per stage in
+reverse order (injection, ``isometry.fiber_rotate_vjp``,
+``homo.r1_homomorphism_batch_vjp``, and the separator heads'
+``classify.binary_nll_vjp`` / ``multiclass_nll_vjp`` or the regression
+read-out).  ``finite-difference`` uses scaled central differences of
+``loss_flat``.  The test gate compares the two, and the tests check reverse
+mode against complex-step differentiation of the whole chain (every stage
+is complex-analytic) as the oracle.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ import dataclasses
 
 import numpy as np
 
-from . import classify, net
+from . import classify, homo, isometry, net
 from .spaces import CartanBoundError
 
 __all__ = [
@@ -31,7 +37,6 @@ __all__ = [
     "load_csv",
 ]
 
-CS_STEP = 1e-30
 DIVERGENCE_LIMIT = 1e6
 
 
@@ -133,18 +138,68 @@ def loss_flat(config: net.NetworkConfig, vector, features, labels):
     return _loss_any(config, params, features, labels)
 
 
+def _head_vjp(config: net.NetworkConfig, params: net.ParamSet,
+              points, labels):
+    """Gradient of ``_head_loss`` with respect to the points and the head
+    parameters (a dict shaped like ``params.head``)."""
+    if config.task == "binary":
+        sep, = _separators(config, params).separators
+        g, ga, gb, gw = classify.binary_nll_vjp(points, labels, sep)
+        return g, {"alpha": np.array([ga]), "beta": np.array([gb]),
+                   "w": gw[None, :]}
+    if config.task == "multiclass":
+        bank = _separators(config, params)
+        g, ga, gb, gw = classify.multiclass_nll_vjp(
+            points, labels.astype(int), bank)
+        return g, {"alpha": ga, "beta": gb, "w": gw}
+    v = params.head["v"]
+    pred = points @ v + params.head["c"][0]
+    g_pred = 2.0 * (pred - np.asarray(labels, dtype=float)) / len(labels)
+    return (g_pred[:, None] * v,
+            {"v": g_pred @ points, "c": np.array([np.sum(g_pred)])})
+
+
+def _reverse_gradient(config: net.NetworkConfig, params: net.ParamSet,
+                      features, labels) -> np.ndarray:
+    """Reverse-mode gradient of the batch loss: the stages of
+    ``net.forward_batch`` with each stage's input kept, then their
+    vector-Jacobian products in reverse order."""
+    X = np.atleast_2d(np.asarray(features, dtype=float))
+    if not np.all(np.isfinite(X)):
+        raise ValueError("non-finite network input")
+    layers = [layer.space for layer in config.layers]
+    injected = X @ params.Q.T
+    values = isometry.fiber_rotate(layers[0], injected, params.lam)
+    stage_inputs = []  # (homomorphism input, fiber input) per transition
+    for i, space in enumerate(layers[1:]):
+        homo_in = values
+        fiber_in = homo.r1_homomorphism_batch(params.Ws[i], params.bs[i], homo_in)
+        values = isometry.fiber_rotate(space, fiber_in, params.psis[i])
+        stage_inputs.append((homo_in, fiber_in))
+    g, head = _head_vjp(config, params, values, labels)
+    n_trans = len(stage_inputs)
+    g_Ws, g_bs, g_psis = [None] * n_trans, [None] * n_trans, [None] * n_trans
+    for i in reversed(range(n_trans)):
+        homo_in, fiber_in = stage_inputs[i]
+        g, g_psis[i] = isometry.fiber_rotate_vjp(
+            layers[i + 1], fiber_in, params.psis[i], g)
+        g, g_Ws[i], g_bs[i] = homo.r1_homomorphism_batch_vjp(
+            params.Ws[i], params.bs[i], homo_in, g)
+    g, g_lam = isometry.fiber_rotate_vjp(layers[0], injected, params.lam, g)
+    grads = net.ParamSet(Q=g.T @ X, lam=g_lam, Ws=g_Ws, bs=g_bs,
+                         psis=g_psis, head=head)
+    return net.flatten(config, grads).vector
+
+
 def gradient(config: net.NetworkConfig, tc: TrainConfig,
              flat: net.FlatParams, features, labels) -> np.ndarray:
     """Gradient of the batch loss with respect to the flat parameters."""
-    x = np.asarray(flat.vector, dtype=float)
-    g = np.empty_like(x)
     if tc.gradient_mode == "analytic":
-        z = x.astype(complex)
-        for i in range(len(x)):
-            z[i] += 1j * CS_STEP
-            g[i] = np.imag(loss_flat(config, z, features, labels)) / CS_STEP
-            z[i] = x[i]
+        g = _reverse_gradient(config, net.unflatten(config, flat),
+                              features, labels)
     else:
+        x = np.asarray(flat.vector, dtype=float)
+        g = np.empty_like(x)
         for i in range(len(x)):
             h = tc.fd_step * max(1.0, abs(x[i]))
             xp = x.copy(); xp[i] += h
@@ -166,6 +221,12 @@ def sgd_step(flat: net.FlatParams, grad: np.ndarray, lr: float) -> net.FlatParam
 _ADMISSIBLE_SLACK = 1e-6
 
 
+def _margin(head: dict, k: int) -> float:
+    """Admissibility margin |w|^2 - alpha beta of separator k."""
+    w = head["w"][k]
+    return float(w @ w) - float(head["alpha"][k] * head["beta"][k])
+
+
 def project_admissible(config: net.NetworkConfig,
                        flat: net.FlatParams) -> net.FlatParams:
     """Project separator parameters back into the admissible region
@@ -173,13 +234,16 @@ def project_admissible(config: net.NetworkConfig,
     crosses the boundary."""
     if config.task == "regression":
         return flat
+    head = net.unflatten(config, flat.vector).head
+    crossing = [k for k in range(config.n_separators)
+                if not _margin(head, k) > _ADMISSIBLE_SLACK]
+    if not crossing:
+        return flat
     params = net.unflatten(config, flat.vector.copy())
     alpha, beta, w = params.head["alpha"], params.head["beta"], params.head["w"]
-    for k in range(len(alpha)):
+    for k in crossing:
         w2 = float(w[k] @ w[k])
         ab = float(alpha[k] * beta[k])
-        if w2 - ab > _ADMISSIBLE_SLACK:
-            continue
         if w2 <= 2.0 * _ADMISSIBLE_SLACK or ab <= 0.0:
             # normal vector collapsed: restart this separator mildly
             w[k] = np.zeros_like(w[k])
@@ -215,8 +279,11 @@ def train_loop(tc: TrainConfig, config: net.NetworkConfig, dataset: Dataset,
                init: net.ParamSet | None = None):
     """Seeded mini-batch SGD; returns (params, history).
 
-    History records one JSON-serializable dict per epoch.  A divergent
-    loss aborts the loop and returns the last finite parameters."""
+    History records one JSON-serializable dict per epoch, with the
+    largest 2-norm of a batch gradient in the epoch (``grad_norm``) and,
+    for separator heads, the smallest admissibility margin |w|^2 - alpha
+    beta after the epoch (``min_margin``).  A divergent loss aborts the
+    loop and returns the last finite parameters."""
     train = dataset.subset("train")
     test = dataset.subset("test")
     if len(train) == 0:
@@ -228,11 +295,13 @@ def train_loop(tc: TrainConfig, config: net.NetworkConfig, dataset: Dataset,
     for epoch in range(tc.epochs):
         order = rng.permutation(len(train))
         last_good = flat
+        grad_norm = 0.0
         try:
             for start in range(0, len(train), tc.batch_size):
                 idx = order[start : start + tc.batch_size]
                 g = gradient(config, tc, flat,
                              train.features[idx], train.labels[idx])
+                grad_norm = max(grad_norm, float(np.linalg.norm(g)))
                 flat = project_admissible(
                     config, sgd_step(flat, g, tc.learning_rate)
                 )
@@ -244,7 +313,11 @@ def train_loop(tc: TrainConfig, config: net.NetworkConfig, dataset: Dataset,
             flat = last_good
             params = net.unflatten(config, flat.vector)
             break
-        record = {"epoch": epoch, "train_loss": train_loss}
+        record = {"epoch": epoch, "train_loss": train_loss,
+                  "grad_norm": grad_norm}
+        if config.task != "regression":
+            record["min_margin"] = min(
+                _margin(params.head, k) for k in range(config.n_separators))
         if len(test):
             record["test_loss"] = loss(config, params,
                                        test.features, test.labels)
@@ -337,14 +410,16 @@ def _parse_label(token: str):
 
 def load_csv(path) -> Dataset:
     """Read a dataset CSV (no split tags: deterministic 80/20 assignment).
-    A label token that is an integer is read as an int, else as a float."""
+    The feature columns are parsed by one ``np.loadtxt`` call; a label
+    token that is an integer is read as an int, else as a float."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
+        header = next(csv.reader([fh.readline()]))
         if header[-1] != "label" or not header[0].startswith("f"):
             raise ValueError("unexpected CSV header")
-        rows = [row for row in reader if row]
-    X = np.array([[float(v) for v in row[:-1]] for row in rows])
-    y = np.array([_parse_label(row[-1]) for row in rows])
-    split = np.array(["train" if i % 5 else "test" for i in range(len(rows))])
+        lines = [line for line in fh if line.strip()]
+    d = len(header) - 1
+    X = (np.loadtxt(lines, delimiter=",", usecols=range(d), ndmin=2)
+         if lines else np.empty((0, d)))
+    y = np.array([_parse_label(line.rsplit(",", 1)[1]) for line in lines])
+    split = np.array(["train" if i % 5 else "test" for i in range(len(lines))])
     return Dataset(X, y, split)

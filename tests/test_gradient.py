@@ -1,0 +1,204 @@
+"""Reverse-mode gradient against complex-step differentiation.
+
+Every stage of the network is complex-analytic, so one complex forward
+pass per parameter with step 1e-30 gives each partial derivative to
+machine precision (Martins et al. 2003).  That loop is the oracle here:
+the reverse-mode gradient and the per-stage vector-Jacobian products must
+match it to 1e-12 relative."""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from cartannet import classify, homo, isometry, net, spaces, train
+
+CS_STEP = 1e-30
+RTOL = 1e-12
+PROPERTY = settings(max_examples=4, deadline=None, derandomize=True,
+                    database=None)
+
+LAYERS = {
+    "H2": (2,),
+    "H3-H2": (3, 2),
+    "H5-H3": (5, 3),
+    "H17-H9-H5": (17, 9, 5),
+}
+TASKS = [("binary", None), ("multiclass", 4), ("regression", None)]
+
+
+def complex_step_gradient(config, flat, features, labels):
+    """One complex forward pass per parameter."""
+    x = np.asarray(flat.vector, dtype=float)
+    z = x.astype(complex)
+    g = np.empty_like(x)
+    for i in range(len(x)):
+        z[i] += 1j * CS_STEP
+        g[i] = np.imag(train.loss_flat(config, z, features, labels)) / CS_STEP
+        z[i] = x[i]
+    return g
+
+
+def assert_close(got, want):
+    assert got.shape == want.shape
+    assert np.linalg.norm(got - want) <= RTOL * np.linalg.norm(want)
+
+
+def read_back_branches(space, values, angles):
+    """Which read-back branch (P > 0) each row of fiber_rotate takes:
+    P = R - 2 e^{-w1} of the output, R of the input."""
+    w1, s = values[:, 0], values[:, 1:]
+    R = np.exp(w1) * (1.0 + 0.25 * np.sum(s * s, axis=1)) + np.exp(-w1)
+    out = isometry.fiber_rotate(space, values, angles)
+    return R - 2.0 * np.exp(-out[:, 0]) > 0
+
+
+def uniform(draw, shape, bound):
+    return draw(hnp.arrays(float, shape, elements=st.floats(-bound, bound)))
+
+
+@st.composite
+def networks(draw, dims, task, K):
+    """Config, parameters with nonzero angles, b, alpha and beta, and a
+    batch whose first fiber stage takes both read-back branches."""
+    config = net.NetworkConfig(
+        input_dim=draw(st.integers(2, 5)),
+        layers=tuple(net.LayerSpec(spaces.hyperbolic(n)) for n in dims),
+        task=task, K=K)
+    params = net.init_params(config, seed=draw(st.integers(0, 2**16)))
+    params.lam[:] = uniform(draw, params.lam.shape, np.pi)
+    for psi, b in zip(params.psis, params.bs):
+        psi[:] = uniform(draw, psi.shape, np.pi)
+        b[:] = uniform(draw, b.shape, 0.5)
+    if task != "regression":
+        params.head["alpha"][:] = uniform(draw, (config.n_separators,), 0.3)
+        params.head["beta"][:] = uniform(draw, (config.n_separators,), 0.3)
+    else:
+        params.head["c"][:] = uniform(draw, (1,), 1.0)
+    rows = draw(st.integers(1, 6))
+    X = uniform(draw, (rows, config.input_dim), 2.0)
+    # two rows with Cartan coordinate +-4 after the injection
+    q0 = params.Q[0]
+    X = np.concatenate([X, 4.0 * np.stack([q0, -q0]) / (q0 @ q0)])
+    if task == "regression":
+        y = uniform(draw, (len(X),), 2.0)
+    else:
+        y = draw(hnp.arrays(int, (len(X),),
+                            elements=st.integers(0, (K or 2) - 1)))
+    return config, params, X, y
+
+
+class TestAgainstComplexStep:
+    @pytest.mark.parametrize("task,K", TASKS)
+    @pytest.mark.parametrize("name", list(LAYERS))
+    def test_gradient_matches_oracle(self, name, task, K):
+        @PROPERTY
+        @given(networks(LAYERS[name], task, K))
+        def check(case):
+            config, params, X, y = case
+            first = config.layers[0].space
+            branches = read_back_branches(first, X @ params.Q.T, params.lam)
+            if first.fiber_dim:
+                assume(branches.any() and not branches.all())
+            flat = net.flatten(config, params)
+            got = train.gradient(config, train.TrainConfig(), flat, X, y)
+            assert_close(got, complex_step_gradient(config, flat, X, y))
+
+        check()
+
+
+@st.composite
+def fiber_batches(draw):
+    """(space, values, angles, grad); the rows (+-4, 0, ..., 0) take both
+    read-back branches unless a rotation sends P through zero."""
+    space = draw(st.sampled_from([spaces.hyperbolic(n) for n in (3, 5, 9, 17)]))
+    rows = draw(st.integers(1, 5))
+    values = uniform(draw, (rows, space.dim), 3.0)
+    values = np.concatenate([values, np.zeros((2, space.dim))])
+    values[-2:, 0] = (4.0, -4.0)
+    angles = uniform(draw, (space.fiber_dim,), np.pi)
+    grad = uniform(draw, values.shape, 1.0)
+    return space, values, angles, grad
+
+
+class TestKernelVjps:
+    @settings(PROPERTY, max_examples=20)
+    @given(fiber_batches())
+    def test_fiber_rotate_vjp(self, case):
+        space, values, angles, grad = case
+        branches = read_back_branches(space, values, angles)
+        assume(branches.any() and not branches.all())
+        g_values, g_angles = isometry.fiber_rotate_vjp(
+            space, values, angles, grad)
+        want_values = np.empty_like(values)
+        for k in range(space.dim):
+            z = values.astype(complex)
+            z[:, k] += 1j * CS_STEP
+            d = np.imag(isometry.fiber_rotate(space, z, angles)) / CS_STEP
+            want_values[:, k] = np.sum(grad * d, axis=1)
+        want_angles = np.empty_like(angles)
+        for j in range(space.fiber_dim):
+            a = angles.astype(complex)
+            a[j] += 1j * CS_STEP
+            d = np.imag(isometry.fiber_rotate(space, values, a)) / CS_STEP
+            want_angles[j] = np.sum(grad * d)
+        assert_close(g_values, want_values)
+        assert_close(g_angles, want_angles)
+
+    def test_fiber_rotate_vjp_without_fibers(self):
+        space = spaces.hyperbolic(2)
+        grad = np.arange(6.0).reshape(3, 2)
+        g_values, g_angles = isometry.fiber_rotate_vjp(
+            space, np.ones((3, 2)), np.zeros(0), grad)
+        assert np.array_equal(g_values, grad) and g_angles.shape == (0,)
+
+    @settings(PROPERTY, max_examples=10)
+    @given(st.data())
+    def test_homomorphism_vjp(self, data):
+        si, so, rows = (data.draw(st.integers(1, 6)) for _ in range(3))
+        W = uniform(data.draw, (so, si), 1.0)
+        b = uniform(data.draw, (so,), 1.0)
+        values = uniform(data.draw, (rows, 1 + si), 3.0)
+        grad = uniform(data.draw, (rows, 1 + so), 1.0)
+        g_values, g_W, g_b = homo.r1_homomorphism_batch_vjp(W, b, values, grad)
+
+        def pullback(z_values, z_W, z_b):
+            out = homo.r1_homomorphism_batch(z_W, z_b, z_values)
+            return np.imag(np.sum(grad * out)) / CS_STEP
+
+        for got, arg in ((g_values, 0), (g_W, 1), (g_b, 2)):
+            want = np.empty(got.shape)
+            for idx in np.ndindex(got.shape):
+                args = [values.astype(complex), W.astype(complex),
+                        b.astype(complex)]
+                args[arg][idx] += 1j * CS_STEP
+                want[idx] = pullback(*args)
+            assert_close(got, want)
+
+
+class TestErrorsPropagate:
+    def config(self):
+        return net.NetworkConfig(
+            input_dim=3, layers=(net.LayerSpec(spaces.hyperbolic(5)),
+                                 net.LayerSpec(spaces.hyperbolic(3))),
+            task="multiclass", K=3)
+
+    def test_cartan_bound(self):
+        config = self.config()
+        params = net.init_params(config, seed=1)
+        params.Q[0] = 2.0 * spaces.CARTAN_BOUND
+        X = np.ones((4, 3))
+        with pytest.raises(spaces.CartanBoundError):
+            train.gradient(config, train.TrainConfig(),
+                           net.flatten(config, params), X, np.zeros(4, int))
+
+    def test_degenerate_separator(self):
+        config = self.config()
+        params = net.init_params(config, seed=2)
+        params.head["w"][1] = 0.0
+        params.head["alpha"][1] = params.head["beta"][1] = 1.0
+        X = np.ones((4, 3))
+        with pytest.raises(classify.DegenerateSeparatorError):
+            train.gradient(config, train.TrainConfig(),
+                           net.flatten(config, params), X, np.zeros(4, int))

@@ -182,6 +182,36 @@ class TestTrainLoop:
         rec = history[0]
         assert {"epoch", "train_loss", "test_loss", "accuracy"} <= set(rec)
 
+    def test_history_diagnostics(self):
+        ds = self.blob_dataset()
+        cfg = small_config("binary")
+        tc = train.TrainConfig(learning_rate=0.01, epochs=1, batch_size=16)
+        params, (rec,) = train.train_loop(tc, cfg, ds)
+        # one epoch: the largest batch gradient norm, recomputed in order
+        flat = net.flatten(cfg, net.init_params(cfg, seed=tc.seed))
+        tr = ds.subset("train")
+        order = np.random.default_rng(tc.seed).permutation(len(tr))
+        norms = []
+        for start in range(0, len(tr), tc.batch_size):
+            idx = order[start : start + tc.batch_size]
+            g = train.gradient(cfg, tc, flat, tr.features[idx], tr.labels[idx])
+            norms.append(np.linalg.norm(g))
+            flat = train.project_admissible(
+                cfg, train.sgd_step(flat, g, tc.learning_rate))
+        assert rec["grad_norm"] == max(norms)
+        w = params.head["w"][0]
+        margin = w @ w - params.head["alpha"][0] * params.head["beta"][0]
+        assert rec["min_margin"] == margin > 0
+        reg = small_config("regression")
+        ds.labels = ds.labels.astype(float)
+        _, (rec,) = train.train_loop(tc, reg, ds)
+        assert "min_margin" not in rec and rec["grad_norm"] > 0
+
+    def test_projection_keeps_admissible_input(self):
+        cfg = small_config("multiclass", K=3)
+        flat = net.flatten(cfg, net.init_params(cfg, seed=15))
+        assert train.project_admissible(cfg, flat) is flat
+
     def test_divergence_guard_returns_finite(self):
         # an absurd learning rate must not crash the loop
         ds = self.blob_dataset()
