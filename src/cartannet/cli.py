@@ -225,7 +225,9 @@ def cmd_solve_homo(args):
         target = homo.mc_for_name(cfg["target"])
     except (KeyError, ValueError) as exc:
         raise SystemExit2(f"bad algebra spec: {exc}")
-    seeds = int(cfg.get("seeds", 8))
+    seeds = cfg.get("seeds", 8)
+    if isinstance(seeds, bool) or not isinstance(seeds, int) or seeds < 1:
+        raise SystemExit2(f"seeds must be an integer >= 1, got {seeds!r}")
     system = homo.build_constraints(source, target)
     sols = homo.solve_numeric(system, seeds=seeds, seed=args.seed)
     _write_json(args.out, {

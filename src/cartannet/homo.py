@@ -11,6 +11,7 @@ the chart's product of one-parameter subgroups.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 import scipy.linalg
@@ -204,7 +205,10 @@ def mc_structure(space: SpaceId) -> MCStructure:
 @dataclasses.dataclass(frozen=True)
 class ConstraintSystem:
     """Quadratic residuals R^i_{bc}(W) = W^i_a g^a_bc - f^i_jk W^j_b W^k_c
-    for b < c, with g the source and f the target structure constants."""
+    for b < c, with g the source and f the target structure constants.
+
+    The batched kernels take a stack W of shape (S, d2, d1) and accept
+    complex entries, so complex-step derivatives pass through them."""
 
     source: MCStructure
     target: MCStructure
@@ -213,18 +217,73 @@ class ConstraintSystem:
     def shape(self):
         return (self.target.d, self.source.d)
 
-    def residual_tensor(self, W: np.ndarray) -> np.ndarray:
-        W = np.asarray(W, dtype=float)
-        if W.shape != self.shape:
+    @functools.cached_property
+    def _pairs(self):
+        return np.triu_indices(self.source.d, k=1)
+
+    @functools.cached_property
+    def _linear_jacobian(self):
+        """The W-independent part delta^i_m g^d_bc of the Jacobian, (m, n)."""
+        d2, d1 = self.shape
+        iu0, iu1 = self._pairs
+        J = np.zeros((d2, len(iu0), d2, d1))
+        J[np.arange(d2), :, np.arange(d2)] = self.source.f[:, iu0, iu1].T
+        return J.reshape(-1, d2 * d1)
+
+    def _stack(self, W) -> np.ndarray:
+        W = np.asarray(W)
+        W = W.astype(np.result_type(W, float), copy=False)
+        if W.ndim != 3 or W.shape[1:] != self.shape:
             raise ValueError(f"expected W of shape {self.shape}")
-        lin = np.einsum("ia,abc->ibc", W, self.source.f)
-        quad = np.einsum("ijk,jb,kc->ibc", self.target.f, W, W)
-        return lin - quad
+        return W
+
+    def _first_factor(self, W: np.ndarray) -> np.ndarray:
+        """A[s, b, i, k] = f^i_jk W^j_b, shape (S, d1, d2, d2)."""
+        d2, d1 = self.shape
+        F = self.target.f.transpose(1, 0, 2).reshape(d2, d2 * d2)
+        return (np.swapaxes(W, 1, 2) @ F).reshape(len(W), d1, d2, d2)
+
+    def _tensor_stack(self, W: np.ndarray) -> np.ndarray:
+        """Full residual tensors (S, d2, d1, d1): W g[:, b, c] minus f
+        contracted with W once, then with W again."""
+        d2, d1 = self.shape
+        lin = (W @ self.source.f.reshape(d1, d1 * d1)).reshape(-1, d2, d1, d1)
+        quad = self._first_factor(W) @ W[:, None]
+        return lin - quad.transpose(0, 2, 1, 3)
+
+    def residual_stack(self, W) -> np.ndarray:
+        """Residual vectors (S, m) of a stack (S, d2, d1), row-major in
+        (i, b < c) like :meth:`residual_vector`."""
+        W = self._stack(W)
+        iu0, iu1 = self._pairs
+        R = self._tensor_stack(W)[:, :, iu0, iu1]
+        return R.reshape(len(W), self.target.d * len(iu0))
+
+    def jacobian_stack(self, W) -> np.ndarray:
+        """Exact Jacobians (S, m, n) of :meth:`residual_stack` with respect
+        to W.reshape(S, -1).  dR^i_bc / dW^m_d = delta^i_m g^d_bc
+        - T1^i_mc delta_db - T2^i_mb delta_dc, with T1^i_mc = f^i_mk W^k_c
+        and T2^i_mb = f^i_jm W^j_b scattered at the pair indices; memory
+        stays O(S m n)."""
+        W = self._stack(W)
+        d2, d1 = self.shape
+        iu0, iu1 = self._pairs
+        npairs = len(iu0)
+        T1 = (self.target.f.reshape(d2 * d2, d2) @ W).reshape(-1, d2, d2, d1)
+        T2 = self._first_factor(W)
+        J = np.empty((len(W), *self._linear_jacobian.shape), dtype=W.dtype)
+        J[:] = self._linear_jacobian
+        J5 = J.reshape(len(W), d2, npairs, d2, d1)
+        p = np.arange(npairs)
+        J5[:, :, p, :, iu0] -= np.moveaxis(T1[..., iu1], -1, 0)
+        J5[:, :, p, :, iu1] -= np.moveaxis(T2[:, iu0], 1, 0)
+        return J
+
+    def residual_tensor(self, W: np.ndarray) -> np.ndarray:
+        return self._tensor_stack(self._stack(np.asarray(W)[None]))[0]
 
     def residual_vector(self, W: np.ndarray) -> np.ndarray:
-        R = self.residual_tensor(W)
-        iu = np.triu_indices(self.source.d, k=1)
-        return R[:, iu[0], iu[1]].reshape(-1)
+        return self.residual_stack(np.asarray(W)[None])[0]
 
 
 def build_constraints(source: MCStructure, target: MCStructure) -> ConstraintSystem:
@@ -277,9 +336,9 @@ def tag_branch(W: np.ndarray, tol: float = 1e-6) -> str:
 
 def _pattern_starts(system: ConstraintSystem, rng):
     """Structured initial guesses restricted to known branch shapes:
-    returns (x0, fixed_mask, fixed_values) triples on the flat W vector."""
+    returns (x0, free_mask) pairs on the flat W vector; entries outside
+    the mask stay at their start value."""
     d2, d1 = system.shape
-    n = d2 * d1
     out = []
     if (d2, d1) == _INJ_SHAPE:
         # branch with three active Cartan rows (delta, -delta, delta-1)
@@ -292,7 +351,7 @@ def _pattern_starts(system: ConstraintSystem, rng):
         fixed = np.zeros(_INJ_SHAPE, dtype=bool)
         fixed[:3, :] = True
         fixed[3:6, 1:] = True
-        out.append((W0.reshape(-1), fixed.reshape(-1), W0.reshape(-1).copy()))
+        out.append((W0.reshape(-1), ~fixed.reshape(-1)))
         # branch with a single active Cartan row (0, 0, -1)
         W1 = rng.uniform(-1.0, 1.0, size=_INJ_SHAPE)
         W1[0] = (0, 0, 0)
@@ -302,28 +361,17 @@ def _pattern_starts(system: ConstraintSystem, rng):
         fixed = np.zeros(_INJ_SHAPE, dtype=bool)
         fixed[:3, :] = True
         fixed[4, :] = True
-        out.append((W1.reshape(-1), fixed.reshape(-1), W1.reshape(-1).copy()))
+        out.append((W1.reshape(-1), ~fixed.reshape(-1)))
     if (d2, d1) == _REST_SHAPE:
         W0 = np.zeros(_REST_SHAPE)
         W0[:, 2] = rng.uniform(-1.0, 1.0, size=3)
         fixed = np.zeros(_REST_SHAPE, dtype=bool)
         fixed[:, [0, 1, 3, 4, 5, 6, 7, 8]] = True
-        out.append((W0.reshape(-1), fixed.reshape(-1), W0.reshape(-1).copy()))
+        out.append((W0.reshape(-1), ~fixed.reshape(-1)))
     # identity-shaped start helps source == target systems
     if d1 == d2:
-        out.append((np.eye(d1).reshape(-1), np.zeros(n, dtype=bool), None))
+        out.append((np.eye(d1).reshape(-1), np.ones(d1 * d1, dtype=bool)))
     return out
-
-
-def _constraint_jacobian(system: ConstraintSystem, W: np.ndarray) -> np.ndarray:
-    """Exact Jacobian of residual_vector with respect to W.reshape(-1)."""
-    g, f = system.source.f, system.target.f
-    d2, d1 = system.shape
-    J = np.einsum("im,dbc->ibcmd", np.eye(d2), g)
-    J -= np.einsum("imk,kc,db->ibcmd", f, W, np.eye(d1))
-    J -= np.einsum("ijm,jb,dc->ibcmd", f, W, np.eye(d1))
-    iu = np.triu_indices(d1, k=1)
-    return J[:, iu[0], iu[1], :, :].reshape(-1, d2 * d1)
 
 
 _QUANTUM = 1e-9
@@ -333,52 +381,97 @@ def _quantize(x: np.ndarray, quantum: float) -> np.ndarray:
     return np.round(x / quantum) * quantum
 
 
-def _gauss_newton(system: ConstraintSystem, x0: np.ndarray,
-                  free: np.ndarray) -> np.ndarray | None:
-    """Damped Gauss-Newton on the flat W vector, updating only the free
-    entries.  Iterates are quantized while far from the solution so the
-    trajectory is reproducible bit-for-bit across runs; the final Newton
-    polish and output rounding keep the converged point both exact
-    (residual well below 1e-10) and byte-stable."""
-    d2, d1 = system.shape
-    x = _quantize(x0.copy(), _QUANTUM)
+def _min_norm_steps(J: np.ndarray, r: np.ndarray, m: int) -> np.ndarray:
+    """Minimum-norm least-squares solutions dx of J dx = -r for a stack
+    J (G, m', k), r (G, m'), by one batched SVD, where J holds the rows of
+    an m-row problem that are not zero throughout (zero rows change
+    neither the singular values nor the step).  Singular values at or
+    below eps max(m, k) s_max count as zero, the cut-off of
+    ``np.linalg.lstsq(J, -r, rcond=None)`` on the m-row problem."""
+    U, s, Vt = np.linalg.svd(J, full_matrices=False)
+    keep = s > np.finfo(float).eps * max(m, J.shape[2]) * s[:, :1]
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+    c = inv * (np.swapaxes(U, 1, 2) @ r[..., None])[..., 0]
+    return -(np.swapaxes(Vt, 1, 2) @ c[..., None])[..., 0]
 
-    def res(x):
-        return system.residual_vector(x.reshape(d2, d1))
 
-    r = res(x)
+def _steps(system: ConstraintSystem, X, R, masks, group) -> np.ndarray:
+    """Gauss-Newton steps for the rows of X (S, n) with residuals R: the
+    min-norm step over each row's free entries masks[group[row]], zero on
+    the fixed ones.  Rows that share a mask share one batched SVD."""
+    J = system.jacobian_stack(X.reshape(len(X), *system.shape))
+    nonzero = J != 0
+    dX = np.zeros_like(X)
+    for g in np.unique(group):
+        rows, free = np.flatnonzero(group == g), masks[g]
+        live = np.flatnonzero(nonzero[rows][:, :, free].any(axis=(0, 2)))
+        dX[np.ix_(rows, free)] = _min_norm_steps(
+            J[np.ix_(rows, live, free)], R[np.ix_(rows, live)], J.shape[1])
+    return dX
+
+
+def _lockstep_gauss_newton(system: ConstraintSystem, X0: np.ndarray,
+                           free: np.ndarray) -> np.ndarray:
+    """Damped Gauss-Newton from every row of X0 (S, n) at once, updating
+    only the entries where ``free`` (S, n) is set; returns the solutions
+    (flat, in row order) of the rows that converged.
+
+    Each row follows its own trajectory: iterates are quantized to 1e-9
+    so the run is reproducible bit-for-bit; a row stops once its residual
+    norm is <= 1e-7, is dropped after 200 iterations or when no step
+    length alpha = 1, 1/2, ... > 1e-6 lowers its residual; then 4
+    full-precision Newton steps polish it, the result is rounded to
+    1e-12 and kept if its residual is <= 1e-10."""
+    def residuals(X):
+        return system.residual_stack(X.reshape(len(X), *system.shape))
+
+    masks, group = np.unique(free, axis=0, return_inverse=True)
+    group = group.reshape(-1)
+    X = _quantize(X0, _QUANTUM)
+    R = residuals(X)
+    norms = np.linalg.norm(R, axis=1)
+    active = np.arange(len(X))
+    converged = []
     for _ in range(200):
-        nr = np.linalg.norm(r)
-        if nr <= 1e-7:
+        done = norms[active] <= 1e-7
+        converged.extend(active[done])
+        active = active[~done]
+        if not len(active):
             break
-        J = _constraint_jacobian(system, x.reshape(d2, d1))[:, free]
-        dx, *_ = np.linalg.lstsq(J, -r, rcond=None)
+        dX = _steps(system, X[active], R[active], masks, group[active])
+        pending = np.arange(len(active))
         alpha = 1.0
-        while alpha > 1e-6:
-            xn = x.copy()
-            xn[free] = _quantize(x[free] + alpha * dx, _QUANTUM)
-            rn = res(xn)
-            if np.linalg.norm(rn) < nr:
-                x, r = xn, rn
-                break
+        while alpha > 1e-6 and len(pending):
+            rows = active[pending]
+            Xn = _quantize(X[rows] + alpha * dX[pending], _QUANTUM)
+            Rn = residuals(Xn)
+            nn = np.linalg.norm(Rn, axis=1)
+            better = nn < norms[rows]
+            won = rows[better]
+            X[won], R[won], norms[won] = Xn[better], Rn[better], nn[better]
+            pending = pending[~better]
             alpha *= 0.5
-        else:
-            return None
-    else:
-        return None
+        active = np.delete(active, pending)
+    rows = np.sort(np.asarray(converged, dtype=int))
+    Xc = X[rows]
     # full-precision polish (quadratic convergence from a quantized point)
     for _ in range(4):
-        J = _constraint_jacobian(system, x.reshape(d2, d1))[:, free]
-        dx, *_ = np.linalg.lstsq(J, -res(x), rcond=None)
-        x[free] = x[free] + dx
-    x = _quantize(x, 1e-12)
-    return x if np.linalg.norm(res(x)) <= 1e-10 else None
+        Xc = Xc + _steps(system, Xc, residuals(Xc), masks, group[rows])
+    Xc = _quantize(Xc, 1e-12)
+    return Xc[np.linalg.norm(residuals(Xc), axis=1) <= 1e-10]
 
 
 def solve_numeric(system: ConstraintSystem, seeds: int, seed: int = 0):
-    """Damped Gauss-Newton solves of the quadratic system from random and
-    pattern-restricted starts; returns deduplicated exact solutions
-    (residual <= 1e-10) ordered deterministically."""
+    """Exact solutions (residual <= 1e-10) of the quadratic system,
+    deduplicated and ordered deterministically.
+
+    Each of the ``seeds`` rounds adds one random start and one start per
+    known branch shape (plus the identity for square systems), each with
+    its own mask of free entries.  All starts advance in lockstep as one
+    (S, n) stack through damped Gauss-Newton (see
+    :func:`_lockstep_gauss_newton`): each iteration takes one batched
+    residual, one batched Jacobian and one batched SVD min-norm step per
+    group of starts sharing a mask."""
     if seeds < 1:
         raise ValueError("seeds must be >= 1")
     rng = np.random.default_rng(seed)
@@ -387,26 +480,17 @@ def solve_numeric(system: ConstraintSystem, seeds: int, seed: int = 0):
 
     starts = []
     for _ in range(seeds):
-        starts.append((rng.uniform(-1.0, 1.0, size=n), None, None))
-        for trip in _pattern_starts(system, rng):
-            starts.append(trip)
-    found = []
-    for x0, fixed, fixed_vals in starts:
-        if fixed is not None:
-            free = ~fixed
-            start = fixed_vals.copy()
-            start[free] = x0[free]
-        else:
-            free = np.ones(n, dtype=bool)
-            start = x0
-        x = _gauss_newton(system, start, free)
-        if x is not None:
-            found.append(x.reshape(d2, d1))
-    # deduplicate by pairwise distance, order deterministically
-    uniq = []
-    for W in sorted(found, key=lambda m: tuple(np.round(m.reshape(-1), 6))):
-        if all(np.max(np.abs(W - U)) > 1e-6 for U in uniq):
-            uniq.append(W)
+        starts.append((rng.uniform(-1.0, 1.0, size=n), np.ones(n, dtype=bool)))
+        starts.extend(_pattern_starts(system, rng))
+    X0, free = (np.array(col) for col in zip(*starts))
+    found = _lockstep_gauss_newton(system, X0, free)
+    # order deterministically, then keep each solution farther than 1e-6
+    # (max-abs) from every solution kept before it
+    found = found[np.lexsort(np.round(found, 6).T[::-1])]
+    kept = []
+    for i, x in enumerate(found):
+        if not kept or np.max(np.abs(found[kept] - x), axis=1).min() > 1e-6:
+            kept.append(i)
     return [
         HomoMatrix(
             W=W,
@@ -414,7 +498,7 @@ def solve_numeric(system: ConstraintSystem, seeds: int, seed: int = 0):
             branch_tag=tag_branch(W),
             seed=seed,
         )
-        for W in uniq
+        for W in found[kept].reshape(-1, d2, d1)
     ]
 
 

@@ -282,8 +282,11 @@ def train_loop(tc: TrainConfig, config: net.NetworkConfig, dataset: Dataset,
     History records one JSON-serializable dict per epoch, with the
     largest 2-norm of a batch gradient in the epoch (``grad_norm``) and,
     for separator heads, the smallest admissibility margin |w|^2 - alpha
-    beta after the epoch (``min_margin``).  A divergent loss aborts the
-    loop and returns the last finite parameters."""
+    beta after the epoch (``min_margin``).  The loop stops early, and
+    returns the parameters from the start of the failing epoch, when the
+    loss diverges, a stage input leaves the Cartan bound, or a separator
+    is evaluated outside admissibility (a finite-difference quotient can
+    step across |w|^2 - alpha beta = 0)."""
     train = dataset.subset("train")
     test = dataset.subset("test")
     if len(train) == 0:
@@ -309,7 +312,8 @@ def train_loop(tc: TrainConfig, config: net.NetworkConfig, dataset: Dataset,
             train_loss = loss(config, params, train.features, train.labels)
             if not np.isfinite(train_loss) or train_loss > DIVERGENCE_LIMIT:
                 raise DivergenceError(f"loss diverged at epoch {epoch}")
-        except (DivergenceError, CartanBoundError):
+        except (DivergenceError, CartanBoundError,
+                classify.DegenerateSeparatorError):
             flat = last_good
             params = net.unflatten(config, flat.vector)
             break

@@ -97,6 +97,22 @@ class TestSolveHomo:
     def test_missing_config_exit_2(self):
         assert run(["solve-homo"]) == 2
 
+    def test_bad_seeds_exit_2(self, tmp_path):
+        for seeds in (0, -3, 2.5, "8", True, None):
+            cfg = write_json(tmp_path / "c.json",
+                             {"source": "r1(1)", "target": "r1(1)",
+                              "seeds": seeds})
+            assert run(["solve-homo", "--config", cfg]) == 2, seeds
+
+    def test_endomorphisms_include_identity(self, tmp_path):
+        cfg = write_json(tmp_path / "c.json",
+                         {"source": "borel_sl(3)", "target": "borel_sl(3)",
+                          "seeds": 2})
+        out = tmp_path / "sol.json"
+        assert run(["solve-homo", "--config", cfg, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert np.eye(5).tolist() in [s["W"] for s in doc["solutions"]]
+
     def test_deterministic(self, tmp_path):
         cfg = write_json(tmp_path / "c.json",
                          {"source": "r1(1)", "target": "borel_sl(4)",

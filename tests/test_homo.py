@@ -1,5 +1,8 @@
 """Maurer-Cartan structures, constraint systems, solving, integration."""
 
+import collections
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -154,6 +157,46 @@ class TestSolveNumeric:
         for i, s in enumerate(sols):
             for t in sols[i + 1:]:
                 assert np.max(np.abs(s.W - t.W)) > 1e-6
+
+    def test_benchmark_solution_set(self):
+        # the solution set the homo-geometry benchmark checks every run
+        for system, want in (
+            (injection_system(), {"branch-11": 8, "branch-12": 8, "untagged": 8}),
+            (restriction_system(), {"cartan-column-3": 8, "untagged": 8}),
+        ):
+            sols = homo.solve_numeric(system, seeds=8, seed=0)
+            assert dict(collections.Counter(s.branch_tag for s in sols)) == want
+            assert all(homo.residual(s.W, system) <= 1e-10 for s in sols)
+
+    def test_square_systems_find_identity(self):
+        for name in ("r1(2)", "borel_sl(3)"):
+            mc = homo.mc_for_name(name)
+            system = homo.build_constraints(mc, mc)
+            sols = homo.solve_numeric(system, seeds=3, seed=0)
+            assert any(np.array_equal(s.W, np.eye(mc.d)) for s in sols)
+            assert all(s.residual <= 1e-10 for s in sols)
+
+    def test_starts_without_descent_are_dropped(self):
+        # every entry fixed away from a solution: no step can descend, so
+        # no start survives to the polish
+        system = injection_system()
+        X0 = np.full((3, 27), 0.3)
+        got = homo._lockstep_gauss_newton(system, X0, np.zeros_like(X0, bool))
+        assert got.shape == (0, 27)
+
+    def test_large_system_memory(self):
+        # borel_sl(5) -> borel_sl(5): m = 1274 residuals in n = 196
+        # unknowns; a dense m x n x n Jacobian tensor alone would be 390 MB
+        mc = homo.borel_mc(5)
+        system = homo.build_constraints(mc, mc)
+        tracemalloc.start()
+        try:
+            sols = homo.solve_numeric(system, seeds=1, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert any(np.array_equal(s.W, np.eye(mc.d)) for s in sols)
 
 
 class TestHomomorphismLaw:

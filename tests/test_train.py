@@ -220,6 +220,20 @@ class TestTrainLoop:
         params, _ = train.train_loop(tc, cfg, ds)
         assert np.all(np.isfinite(net.flatten(cfg, params).vector))
 
+    def test_finite_difference_stops_at_inadmissible_quotient(self):
+        # lr 5.0 drives a separator onto the admissibility boundary; a
+        # finite-difference quotient then steps across it
+        ds = train.gen_synthetic("blobs", n=80, dim=4, seed=1, classes=4)
+        cfg = net.NetworkConfig(input_dim=4,
+                                layers=(net.LayerSpec(H5), net.LayerSpec(H3)),
+                                task="multiclass", K=4)
+        tc = train.TrainConfig(learning_rate=5.0, epochs=2, batch_size=16,
+                               gradient_mode="finite-difference")
+        params, history = train.train_loop(tc, cfg, ds)
+        assert history == []
+        init = net.flatten(cfg, net.init_params(cfg, seed=tc.seed)).vector
+        assert np.array_equal(net.flatten(cfg, params).vector, init)
+
     def test_empty_train_split_rejected(self):
         ds = train.Dataset(np.zeros((2, 2)), np.zeros(2),
                            np.array(["test", "test"]))
