@@ -43,6 +43,14 @@ class SystemExit2(Exception):
     """Usage / configuration error (exit code 2)."""
 
 
+def _integer(value, name):
+    """``value`` if it is a JSON integer.  Floats, null, strings and bools
+    are refused with exit code 2 rather than coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SystemExit2(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -226,7 +234,7 @@ def cmd_solve_homo(args):
     except (KeyError, ValueError) as exc:
         raise SystemExit2(f"bad algebra spec: {exc}")
     seeds = cfg.get("seeds", 8)
-    if isinstance(seeds, bool) or not isinstance(seeds, int) or seeds < 1:
+    if _integer(seeds, "seeds") < 1:
         raise SystemExit2(f"seeds must be an integer >= 1, got {seeds!r}")
     system = homo.build_constraints(source, target)
     sols = homo.solve_numeric(system, seeds=seeds, seed=args.seed)
@@ -256,10 +264,10 @@ def cmd_gen_data(args):
     try:
         ds = train.gen_synthetic(
             kind=cfg.get("kind", "blobs"),
-            n=int(cfg["n"]),
-            dim=int(cfg["dim"]),
+            n=_integer(cfg["n"], "n"),
+            dim=_integer(cfg["dim"], "dim"),
             seed=args.seed,
-            classes=int(cfg.get("classes", 2)),
+            classes=_integer(cfg.get("classes", 2), "classes"),
             spread=float(cfg.get("spread", 0.6)),
         )
     except (KeyError, ValueError) as exc:
@@ -272,14 +280,17 @@ def cmd_gen_data(args):
 
 def _net_config_from(cfg):
     doc = cfg["net"]
+    if not isinstance(doc["layers"], list):
+        raise SystemExit2(f"net.layers must be a list, got {doc['layers']!r}")
     layers = tuple(
-        net.LayerSpec(spaces.hyperbolic(int(n))) for n in doc["layers"]
+        net.LayerSpec(spaces.hyperbolic(_integer(n, "net.layers entry")))
+        for n in doc["layers"]
     )
     return net.NetworkConfig(
-        input_dim=int(doc["input_dim"]),
+        input_dim=_integer(doc["input_dim"], "net.input_dim"),
         layers=layers,
         task=doc.get("task", "multiclass"),
-        K=doc.get("K"),
+        K=None if doc.get("K") is None else _integer(doc["K"], "net.K"),
     )
 
 
@@ -292,8 +303,9 @@ def cmd_train(args):
         tcfg = cfg.get("train", {})
         tc = train.TrainConfig(
             learning_rate=float(tcfg.get("learning_rate", 0.01)),
-            epochs=int(tcfg.get("epochs", 20)),
-            batch_size=int(tcfg.get("batch_size", 32)),
+            epochs=_integer(tcfg.get("epochs", 20), "train.epochs"),
+            batch_size=_integer(tcfg.get("batch_size", 32),
+                                "train.batch_size"),
             seed=args.seed,
             gradient_mode=tcfg.get("gradient_mode", "analytic"),
             fd_step=float(tcfg.get("fd_step", 1e-5)),

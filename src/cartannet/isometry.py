@@ -171,7 +171,7 @@ def fiber_rotate(space: SpaceId, values, angles) -> np.ndarray:
     fibers = space.fiber_dim  # raises unless r = 1
     values = np.asarray(values)
     angles = np.asarray(angles)
-    spaces._check_cartan_bound(np.real(values[..., 0]))
+    spaces._check_cartan_bound(values[..., 0].real)
     if angles.shape != (fibers,):
         raise ValueError(
             f"expected {fibers} fiber angles for {space}, "

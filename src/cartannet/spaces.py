@@ -5,7 +5,10 @@ represented through its solvable (Borel/Iwasawa) group: a point is either a
 coordinate vector, an upper-triangular group element L, or the symmetric
 coset matrix M = L L^T.  All three representations convert into each other
 in closed form (for r=1) or by ordered-exponential / triangular-peeling
-algorithms (general case).
+algorithms (general case).  M is refactored into L by a batched Crout
+algorithm that fills one column of L per step, and geodesic distances are
+taken from L directly (singular values of L_u^{-1} L_w), since forming M
+squares the condition number.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ __all__ = [
     "group_product",
     "group_inverse",
     "metric_at",
-    "coset_distance",
     "ts_project",
     "structure_constants_from_generators",
 ]
@@ -180,7 +182,7 @@ class SolvCoords:
                 f"expected {self.space.dim} coordinates for {self.space}, "
                 f"got shape {v.shape}"
             )
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValueError("coordinates must be finite")
 
 
@@ -351,7 +353,7 @@ def solvable_generators(space: SpaceId) -> SolvAlgebraSpec:
 
 
 def _check_cartan_bound(values_real) -> None:
-    if np.any(np.abs(values_real) > CARTAN_BOUND):
+    if (np.abs(values_real) > CARTAN_BOUND).any():
         raise CartanBoundError(
             f"Cartan coordinate exceeds the bound {CARTAN_BOUND}"
         )
@@ -364,7 +366,7 @@ def r1_matrix(space: SpaceId, values: np.ndarray) -> np.ndarray:
     values = np.asarray(values)
     w1 = values[..., 0]
     sub = values[..., 1:]
-    _check_cartan_bound(np.real(w1))
+    _check_cartan_bound(w1.real)
     e = np.exp(w1)
     out_shape = values.shape[:-1] + (n, n)
     L = np.zeros(out_shape, dtype=values.dtype)
@@ -385,7 +387,7 @@ def sl_matrix(space: SpaceId, values: np.ndarray) -> np.ndarray:
     values = np.asarray(values)
     ell = n - 1
     cart = values[..., :ell]
-    _check_cartan_bound(np.real(cart))
+    _check_cartan_bound(cart.real)
     diag = np.zeros(values.shape[:-1] + (n,), dtype=values.dtype)
     diag[..., 0] = 0.5 * np.sum(cart, axis=-1)
     diag[..., 1:] = -0.5 * cart
@@ -408,7 +410,7 @@ def sigma(coords: SolvCoords) -> TriangularElement:
         return TriangularElement(space, sl_matrix(space, coords.values))
     # generic so family: ordered product of single-generator exponentials
     spec = solvable_generators(space)
-    _check_cartan_bound(np.real(coords.values[: space.r]))
+    _check_cartan_bound(coords.values[: space.r].real)
     L = np.eye(space.N)
     for a, T in zip(exp_factors(space, coords.values), spec.generators):
         L = L @ scipy.linalg.expm(a * T)
@@ -432,7 +434,7 @@ def r1_coords_from_matrix(space: SpaceId, L: np.ndarray) -> np.ndarray:
     """Inverse chart for r=1 (batched / complex safe)."""
     n = space.N
     d00 = L[..., 0, 0]
-    if np.any(np.real(d00) <= 0):
+    if (d00.real <= 0).any():
         raise ValueError("triangular element must have positive diagonal")
     w1 = np.log(d00)
     sub = -SQRT2 * L[..., 1 : n - 1, n - 1]
@@ -445,7 +447,7 @@ def sl_coords_from_matrix(space: SpaceId, L: np.ndarray) -> np.ndarray:
     n = space.N
     ell = n - 1
     ddiag = np.diagonal(L, axis1=-2, axis2=-1)
-    if np.any(np.real(ddiag) <= 0):
+    if (ddiag.real <= 0).any():
         raise ValueError("triangular element must have positive diagonal")
     cart = -2.0 * np.log(ddiag[..., 1:])
     # remove the diagonal factor from the left: row i scaled by 1/diag_i
@@ -472,7 +474,7 @@ def sigma_inv(L: TriangularElement) -> SolvCoords:
     spec = solvable_generators(space)
     m = np.asarray(L.matrix, dtype=float)
     diag = np.diag(m)
-    if np.any(diag <= 0):
+    if (diag <= 0).any():
         raise ValueError("triangular element must have positive diagonal")
     # Cartans: solve the linear system on the log-diagonal
     r = space.r
@@ -509,21 +511,21 @@ def to_coset(L: TriangularElement) -> CosetPoint:
 def cholesky_crout_matrix(M: np.ndarray) -> np.ndarray:
     """Upper-triangular Crout factor L with M = L L^T (batched / complex).
 
-    Processes rows from the bottom-right corner: with L upper triangular,
-    M_ij = sum_{k >= max(i,j)} L_ik L_jk."""
+    Fills columns from the last to the first: with L upper triangular,
+    M_ji = sum_{k >= i} L_jk L_ik for j <= i, so column i above and on the
+    diagonal is (M_{:i+1,i} - L_{:i+1,i+1:} L_{i,i+1:}) / sqrt(pivot).
+    Products are plain matmuls (no conjugation), so complex input
+    propagates analytically."""
     M = np.asarray(M)
     n = M.shape[-1]
     L = np.zeros_like(M)
     for i in range(n - 1, -1, -1):
-        s = M[..., i, i] - np.sum(L[..., i, i + 1 :] ** 2, axis=-1)
-        if np.any(np.real(s) <= 0):
+        col = M[..., : i + 1, i] - (
+            L[..., : i + 1, i + 1 :] @ L[..., i, i + 1 :, None])[..., 0]
+        pivot = col[..., i]
+        if not (pivot.real > 0).all():
             raise FactorizationError("matrix is not positive definite")
-        L[..., i, i] = np.sqrt(s)
-        for j in range(i - 1, -1, -1):
-            t = M[..., j, i] - np.sum(
-                L[..., j, i + 1 :] * L[..., i, i + 1 :], axis=-1
-            )
-            L[..., j, i] = t / L[..., i, i]
+        L[..., : i + 1, i] = col / np.sqrt(pivot)[..., None]
     return L
 
 
@@ -586,23 +588,23 @@ def _distance_constant(space: SpaceId) -> float:
     return 0.5 if space.family == "sl" else 1.0 / (2.0 * SQRT2)
 
 
-def coset_distance(M1: CosetPoint, M2: CosetPoint) -> float:
-    """Geodesic distance c * sqrt(sum_i log^2 lambda_i(M1^{-1} M2))."""
-    if M1.space != M2.space:
-        raise ValueError("coset_distance requires matching spaces")
-    lam = scipy.linalg.eigvalsh(
-        np.asarray(M2.matrix, dtype=float), np.asarray(M1.matrix, dtype=float)
-    )
-    if np.any(lam <= 0):
-        raise FactorizationError("coset matrices must be positive definite")
-    return _distance_constant(M1.space) * float(
-        np.sqrt(np.sum(np.log(lam) ** 2))
-    )
-
-
 def coords_distance(u: SolvCoords, w: SolvCoords) -> float:
-    """Geodesic distance between two points given in solvable coordinates."""
-    return coset_distance(to_coset(sigma(u)), to_coset(sigma(w)))
+    """Geodesic distance c * 2 ||log s(L_u^{-1} L_w)|| between two points
+    given in solvable coordinates.
+
+    The eigenvalues of M_u^{-1} M_w are the squared singular values s of
+    L_u^{-1} L_w, so the distance is taken from the triangular factors
+    without forming M = L L^T, whose condition number is the square of
+    L's."""
+    if u.space != w.space:
+        raise ValueError("coords_distance requires matching spaces")
+    s = np.linalg.svd(np.linalg.solve(sigma(u).matrix, sigma(w).matrix),
+                      compute_uv=False)
+    if not (s > 0).all():
+        raise FactorizationError(
+            "a singular value of L_u^{-1} L_w underflowed to zero")
+    return 2.0 * _distance_constant(u.space) * float(
+        np.sqrt(np.sum(np.log(s) ** 2)))
 
 
 def ts_project(coords: SolvCoords) -> SolvCoords:

@@ -201,6 +201,64 @@ class TestDataTrainEval:
                     str(tmp_path / "m.json")]) == 2
 
 
+class TestStrictIntegers:
+    """Integer config fields must be JSON integers: a float, null, string
+    or bool exits 2 before any output is written (no truncation)."""
+
+    GEN = {"kind": "blobs", "n": 60, "dim": 2, "classes": 2}
+
+    def gen_exit(self, tmp_path, **changes):
+        cfg = write_json(tmp_path / "gen.json", {**self.GEN, **changes})
+        out = tmp_path / "data.csv"
+        code = run(["gen-data", "--config", cfg, "--out", str(out)])
+        assert not out.exists()
+        return code
+
+    def test_fractional_gen_data_exit_2(self, tmp_path):
+        assert self.gen_exit(tmp_path, n=60.9, dim=2.7, classes=2.5) == 2
+
+    def test_null_n_exit_2(self, tmp_path):
+        assert self.gen_exit(tmp_path, n=None) == 2
+
+    @pytest.mark.parametrize("field", ["n", "dim", "classes"])
+    @pytest.mark.parametrize("value", [60.9, 2.0, None, "60", True])
+    def test_each_gen_data_field(self, tmp_path, field, value):
+        assert self.gen_exit(tmp_path, **{field: value}) == 2
+
+    def train_exit(self, tmp_path, net_doc=None, train_doc=None):
+        data = tmp_path / "data.csv"
+        gen = write_json(tmp_path / "gen.json", self.GEN)
+        assert run(["gen-data", "--config", gen, "--out", str(data)]) == 0
+        tcfg = write_json(tmp_path / "train.json", {
+            "net": {"input_dim": 2, "layers": [3], "task": "binary",
+                    **(net_doc or {})},
+            "train": {"epochs": 2, "batch_size": 16, **(train_doc or {})},
+            "dataset": str(data),
+        })
+        model = tmp_path / "model.json"
+        code = run(["train", "--config", tcfg, "--out", str(model)])
+        assert not model.exists()
+        assert not list(tmp_path.glob("*.jsonl"))
+        return code
+
+    def test_fractional_epochs_exit_2(self, tmp_path):
+        assert self.train_exit(tmp_path, train_doc={"epochs": 2.5}) == 2
+
+    @pytest.mark.parametrize("net_doc, train_doc", [
+        ({"input_dim": 2.0}, None),
+        ({"input_dim": None}, None),
+        ({"layers": [3.5]}, None),
+        ({"layers": [3, None]}, None),
+        ({"layers": 3}, None),
+        ({"task": "multiclass", "K": 2.5}, None),
+        (None, {"batch_size": 16.5}),
+        (None, {"batch_size": False}),
+        (None, {"epochs": None}),
+    ])
+    def test_each_train_field(self, tmp_path, net_doc, train_doc):
+        assert self.train_exit(tmp_path, net_doc, train_doc) == 2
+
+
 class TestEntryPoint:
     def test_console_script(self):
         proc = subprocess.run(

@@ -236,3 +236,105 @@ class TestTsProject:
         once = spaces.ts_project(c)
         twice = spaces.ts_project(once)
         assert np.array_equal(once.values, twice.values)
+
+
+class TestCroutContract:
+    SO23 = SpaceId.so(2, 3)
+
+    def coset_stack(self, space, rng, count=6):
+        Ls = np.stack([spaces.sigma(rand_coords(space, rng, 1.0)).matrix
+                       for _ in range(count)])
+        return Ls, Ls @ np.swapaxes(Ls, -1, -2)
+
+    def test_complex_step_derivative(self):
+        # oracle: differentiating M = L L^T along a symmetric direction E
+        # gives dL L^T + L dL^T = E with dL upper triangular
+        rng = np.random.default_rng(11)
+        h = 1e-30
+        for space in (SL4, H5, self.SO23):
+            Ls, Ms = self.coset_stack(space, rng)
+            E = rng.normal(size=Ms.shape)
+            E = E + np.swapaxes(E, -1, -2)
+            out = spaces.cholesky_crout_matrix(Ms + 1j * h * E)
+            assert np.max(np.abs(out.real - Ls)) < 1e-12
+            dL = out.imag / h
+            assert np.array_equal(dL, np.triu(dL))
+            dM = dL @ np.swapaxes(Ls, -1, -2) + Ls @ np.swapaxes(dL, -1, -2)
+            assert np.max(np.abs(dM - E)) < 1e-12
+
+    def test_one_indefinite_matrix_fails_the_batch(self):
+        rng = np.random.default_rng(12)
+        for space in (SL4, H5, self.SO23):
+            _, Ms = self.coset_stack(space, rng)
+            for k in (0, len(Ms) - 1):
+                bad = Ms.copy()
+                bad[k, 0, 0] = -1.0
+                with pytest.raises(FactorizationError):
+                    spaces.cholesky_crout_matrix(bad)
+
+
+class TestFarFieldDistance:
+    """coords_distance far from the origin against 50-digit references."""
+
+    @staticmethod
+    def hyperboloid_distance(mp, x, y):
+        # oracle: v = L(e_0 - e_{N-1}) = (e^{w1}(1 + s.s/4), s/sqrt2,
+        # -e^{-w1}) lies on <v, v>_eta = -2, and cosh d = -<v1, v2>_eta / 2
+        def vec(w):
+            w = [mp.mpf(float(c)) for c in w]
+            s2 = sum(c * c for c in w[1:])
+            mid = [c / mp.sqrt(2) for c in w[1:]]
+            return mp.exp(w[0]) * (1 + s2 / 4), mid, -mp.exp(-w[0])
+        (a0, am, az), (b0, bm, bz) = vec(x), vec(y)
+        inner = a0 * bz + az * b0 + sum(p * q for p, q in zip(am, bm))
+        return mp.acosh(-inner / 2)
+
+    @staticmethod
+    def sl_distance(mp, space, x, y):
+        # oracle: d = sqrt(sum log^2 s) over the singular values s of
+        # L_x^{-1} L_y, with L built from the ordered product at 50 digits
+        n, ell = space.N, space.N - 1
+
+        def tri(w):
+            w = [mp.mpf(float(c)) for c in w]
+            diag = [sum(w[:ell]) / 2] + [-c / 2 for c in w[:ell]]
+            L = mp.diag([mp.exp(c) for c in diag])
+            for pos, (h, k) in enumerate(spaces._sl_root_labels(n)):
+                step = mp.eye(n)
+                step[k - 1, k - 1 + h] = -w[ell + pos]
+                L = L * step
+            return L
+        s = mp.svd_r(mp.inverse(tri(x)) * tri(y), compute_uv=False)
+        return mp.sqrt(sum(mp.log(v) ** 2 for v in s))
+
+    def check(self, space, scale, reference, pairs=20):
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 50
+        rng = np.random.default_rng(13)
+        for _ in range(pairs):
+            a, b = (rand_coords(space, rng, scale) for _ in range(2))
+            want = float(reference(mp, a.values, b.values))
+            got = spaces.coords_distance(a, b)
+            assert abs(got - want) <= 1e-11 * want, (space, got, want)
+            assert abs(spaces.coords_distance(b, a) - got) <= 1e-11 * want
+
+    @pytest.mark.parametrize("n", [5, 17])
+    def test_hyperbolic(self, n):
+        self.check(hyperbolic(n), 6.0, self.hyperboloid_distance)
+
+    def test_sl4(self):
+        self.check(SL4, 3.0, lambda mp, x, y: self.sl_distance(mp, SL4, x, y))
+
+    def test_underflowed_singular_value_is_typed(self):
+        # within the Cartan bound, L_u^{-1} L_w can have e^{-900} on its
+        # diagonal, which underflows to 0: a typed error, not d = inf
+        u = SolvCoords(SL4, np.r_[np.full(3, 300.0), np.zeros(6)])
+        w = SolvCoords(SL4, np.r_[np.full(3, -300.0), np.zeros(6)])
+        with pytest.raises(FactorizationError):
+            spaces.coords_distance(u, w)
+
+    def test_mismatched_spaces(self):
+        with pytest.raises(ValueError):
+            spaces.coords_distance(SolvCoords(H3, np.zeros(3)),
+                                   SolvCoords(SL4, np.zeros(9)))
