@@ -34,9 +34,10 @@ def _load_config(path):
         raise SystemExit2("--config is required for this command")
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            cfg = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON
         raise SystemExit2(f"cannot read config {path}: {exc}")
+    return _object(cfg, "the config")
 
 
 class SystemExit2(Exception):
@@ -51,6 +52,22 @@ def _integer(value, name):
     return value
 
 
+def _number(value, name):
+    """``value`` as a float if it is a finite JSON integer or float.  Null,
+    strings, bools, NaN and infinities are refused with exit code 2."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise SystemExit2(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _object(value, name):
+    """``value`` if it is a JSON object; anything else exits 2."""
+    if not isinstance(value, dict):
+        raise SystemExit2(f"{name} must be a JSON object, got {value!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -60,7 +77,7 @@ def _suite_core(seed):
     rng = np.random.default_rng(seed)
     checks = []
     for space in (SpaceId.so(1, 1), SpaceId.so(1, 2), SpaceId.so(1, 4),
-                  SpaceId.sl(4)):
+                  SpaceId.sl(4), SpaceId.so(2, 3)):
         err = 0.0
         eta = (spaces.build_eta(space).entries
                if space.family == "so" else None)
@@ -268,7 +285,7 @@ def cmd_gen_data(args):
             dim=_integer(cfg["dim"], "dim"),
             seed=args.seed,
             classes=_integer(cfg.get("classes", 2), "classes"),
-            spread=float(cfg.get("spread", 0.6)),
+            spread=_number(cfg.get("spread", 0.6), "spread"),
         )
     except (KeyError, ValueError) as exc:
         raise SystemExit2(f"bad gen-data config: {exc}")
@@ -279,7 +296,7 @@ def cmd_gen_data(args):
 
 
 def _net_config_from(cfg):
-    doc = cfg["net"]
+    doc = _object(cfg["net"], "net")
     if not isinstance(doc["layers"], list):
         raise SystemExit2(f"net.layers must be a list, got {doc['layers']!r}")
     layers = tuple(
@@ -300,15 +317,16 @@ def cmd_train(args):
     cfg = _load_config(args.config)
     try:
         config = _net_config_from(cfg)
-        tcfg = cfg.get("train", {})
+        tcfg = _object(cfg.get("train", {}), "train")
         tc = train.TrainConfig(
-            learning_rate=float(tcfg.get("learning_rate", 0.01)),
+            learning_rate=_number(tcfg.get("learning_rate", 0.01),
+                                  "train.learning_rate"),
             epochs=_integer(tcfg.get("epochs", 20), "train.epochs"),
             batch_size=_integer(tcfg.get("batch_size", 32),
                                 "train.batch_size"),
             seed=args.seed,
             gradient_mode=tcfg.get("gradient_mode", "analytic"),
-            fd_step=float(tcfg.get("fd_step", 1e-5)),
+            fd_step=_number(tcfg.get("fd_step", 1e-5), "train.fd_step"),
         )
         dataset = train.load_csv(cfg["dataset"])
     except (KeyError, ValueError, OSError) as exc:

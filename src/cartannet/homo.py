@@ -566,22 +566,14 @@ def coframe(space: SpaceId, values: np.ndarray) -> np.ndarray:
         return E
     if space.family != "sl":
         raise ValueError("coframe is implemented for r=1 and sl spaces")
-    n = space.N
-    L = spaces.sl_matrix(space, values)
     h = 1e-200
-    E = np.zeros((d, d))
-    labels = _borel_labels(n)
-    for j in range(d):
-        zc = values.astype(complex)
-        zc[j] += 1j * h
-        dL = np.imag(spaces.sl_matrix(space, zc)) / h
-        theta = np.linalg.solve(L, dL)
-        for i, lab in enumerate(labels):
-            if lab.h == 0:
-                E[i, j] = theta[lab.k, lab.k]
-            else:
-                E[i, j] = theta[lab.k - 1, lab.k - 1 + lab.h]
-    return E
+    L = spaces.sigma_matrix(space, values)
+    dL = np.imag(spaces.sigma_matrix(space, values + 1j * h * np.eye(d))) / h
+    theta = np.linalg.solve(L, dL)  # theta[j] = L^{-1} dL/dY_j
+    rows, cols = np.array([
+        (lab.k, lab.k) if lab.h == 0 else (lab.k - 1, lab.k - 1 + lab.h)
+        for lab in _borel_labels(space.N)]).T
+    return theta[:, rows, cols].T
 
 
 def integrate_coordinate_map(W: HomoMatrix, source_coords: SolvCoords) -> SolvCoords:

@@ -3,12 +3,12 @@
 A space U/H in the families SO(r,r+q)/(SO(r)xSO(r+q)) or SL(N)/SO(N) is
 represented through its solvable (Borel/Iwasawa) group: a point is either a
 coordinate vector, an upper-triangular group element L, or the symmetric
-coset matrix M = L L^T.  All three representations convert into each other
-in closed form (for r=1) or by ordered-exponential / triangular-peeling
-algorithms (general case).  M is refactored into L by a batched Crout
-algorithm that fills one column of L per step, and geodesic distances are
-taken from L directly (singular values of L_u^{-1} L_w), since forming M
-squares the condition number.
+coset matrix M = L L^T.  One table-driven, batched chart kernel per
+direction converts coordinates to L and back for every family, using
+T^3 = 0 for every root generator.  M is refactored into L by a batched
+Crout algorithm that fills one column of L per step, and geodesic
+distances are taken from L directly (singular values of L_u^{-1} L_w),
+since forming M squares the condition number.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import dataclasses
 import math
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "SpaceId",
@@ -33,6 +32,8 @@ __all__ = [
     "solvable_generators",
     "sigma",
     "sigma_inv",
+    "sigma_matrix",
+    "sigma_inv_matrix",
     "exp_factors",
     "cholesky_crout",
     "to_coset",
@@ -322,6 +323,11 @@ def structure_constants_from_generators(gens) -> np.ndarray:
     return f
 
 
+def _basis(space: SpaceId):
+    """Generators and labels of the solvable algebra, Cartans first."""
+    return (_so_generators if space.family == "so" else _sl_generators)(space)
+
+
 _ALG_CACHE: dict = {}
 
 
@@ -329,10 +335,7 @@ def solvable_generators(space: SpaceId) -> SolvAlgebraSpec:
     """Solvable algebra basis plus numerically extracted structure constants."""
     if space in _ALG_CACHE:
         return _ALG_CACHE[space]
-    if space.family == "so":
-        gens, labels = _so_generators(space)
-    else:
-        gens, labels = _sl_generators(space)
+    gens, labels = _basis(space)
     if len(gens) != space.dim:
         raise AssertionError("generator count does not match the dimension")
     f = structure_constants_from_generators(gens)
@@ -348,7 +351,7 @@ def solvable_generators(space: SpaceId) -> SolvAlgebraSpec:
 
 
 # ---------------------------------------------------------------------------
-# Exponential map sigma and its inverse
+# The chart sigma and its inverse
 # ---------------------------------------------------------------------------
 
 
@@ -357,64 +360,6 @@ def _check_cartan_bound(values_real) -> None:
         raise CartanBoundError(
             f"Cartan coordinate exceeds the bound {CARTAN_BOUND}"
         )
-
-
-def r1_matrix(space: SpaceId, values: np.ndarray) -> np.ndarray:
-    """Closed-form L(w) for the r=1 family; supports batched (..., d) input
-    and complex dtype (for derivative propagation)."""
-    n = space.N
-    values = np.asarray(values)
-    w1 = values[..., 0]
-    sub = values[..., 1:]
-    _check_cartan_bound(w1.real)
-    e = np.exp(w1)
-    out_shape = values.shape[:-1] + (n, n)
-    L = np.zeros(out_shape, dtype=values.dtype)
-    idx = np.arange(n)
-    L[..., idx, idx] = 1.0
-    L[..., 0, 0] = e
-    L[..., n - 1, n - 1] = np.exp(-w1)
-    L[..., 0, 1 : n - 1] = e[..., None] * sub / SQRT2
-    L[..., 1 : n - 1, n - 1] = -sub / SQRT2
-    L[..., 0, n - 1] = -0.25 * e * np.sum(sub * sub, axis=-1)
-    return L
-
-
-def sl_matrix(space: SpaceId, values: np.ndarray) -> np.ndarray:
-    """Ordered-product group element for sl(n): diagonal Cartan factor times
-    unitriangular root factors in height order.  Batched / complex safe."""
-    n = space.N
-    values = np.asarray(values)
-    ell = n - 1
-    cart = values[..., :ell]
-    _check_cartan_bound(cart.real)
-    diag = np.zeros(values.shape[:-1] + (n,), dtype=values.dtype)
-    diag[..., 0] = 0.5 * np.sum(cart, axis=-1)
-    diag[..., 1:] = -0.5 * cart
-    L = np.zeros(values.shape[:-1] + (n, n), dtype=values.dtype)
-    idx = np.arange(n)
-    L[..., idx, idx] = np.exp(diag)
-    for pos, (h, k) in enumerate(_sl_root_labels(n)):
-        c = values[..., ell + pos]
-        # right-multiply by I - c E_{k-1,k-1+h}: col k-1+h -= c * col k-1
-        L[..., :, k - 1 + h] = L[..., :, k - 1 + h] - c[..., None] * L[..., :, k - 1]
-    return L
-
-
-def sigma(coords: SolvCoords) -> TriangularElement:
-    """Exponential map from solvable coordinates to the triangular group."""
-    space = coords.space
-    if space.is_r1:
-        return TriangularElement(space, r1_matrix(space, coords.values))
-    if space.family == "sl":
-        return TriangularElement(space, sl_matrix(space, coords.values))
-    # generic so family: ordered product of single-generator exponentials
-    spec = solvable_generators(space)
-    _check_cartan_bound(coords.values[: space.r].real)
-    L = np.eye(space.N)
-    for a, T in zip(exp_factors(space, coords.values), spec.generators):
-        L = L @ scipy.linalg.expm(a * T)
-    return TriangularElement(space, L)
 
 
 def exp_factors(space: SpaceId, values) -> np.ndarray:
@@ -430,71 +375,115 @@ def exp_factors(space: SpaceId, values) -> np.ndarray:
                           axis=-1)
 
 
-def r1_coords_from_matrix(space: SpaceId, L: np.ndarray) -> np.ndarray:
-    """Inverse chart for r=1 (batched / complex safe)."""
-    n = space.N
-    d00 = L[..., 0, 0]
-    if (d00.real <= 0).any():
-        raise ValueError("triangular element must have positive diagonal")
-    w1 = np.log(d00)
-    sub = -SQRT2 * L[..., 1 : n - 1, n - 1]
-    return np.concatenate([w1[..., None], sub], axis=-1)
+@dataclasses.dataclass(frozen=True)
+class _ChartTable:
+    """sigma(x) = diag(exp(x_cartan @ cart)) prod_blocks (I + sum_k X_k).
+
+    A block holds consecutive roots k whose terms X_k = x_k T_k +
+    x_k^2 T_k^2 / 2 (T_k scaled by :func:`exp_factors`) annihilate each
+    other in both orders.  Since T_k^3 = 0, their factors expm(x_k T_k) =
+    I + X_k then multiply to I + sum_k X_k, and the same sum at -x undoes
+    it.  Each block is (terms, rows, cols, inv): its (2k, N*N) terms T_k
+    then T_k^2 / 2, and for sigma_inv the last nonzero entry (rows[k],
+    cols[k]) of each T_k with inv[k] = 1 / T_k[rows[k], cols[k]]."""
+
+    cart: np.ndarray  # (c, N): scaled Cartan diagonals
+    cart_entry: np.ndarray  # (c,): the diagonal entry no other Cartan touches
+    cart_inv: np.ndarray  # (c,): 1 / cart[i, cart_entry[i]]
+    blocks: tuple  # at least one, possibly empty
+    terms: np.ndarray  # (2 * roots, blocks * N*N): every block's terms
 
 
-def sl_coords_from_matrix(space: SpaceId, L: np.ndarray) -> np.ndarray:
-    """Inverse chart for sl(n): Cartans from the diagonal, then peel the
-    unitriangular part one root at a time in height order."""
-    n = space.N
-    ell = n - 1
-    ddiag = np.diagonal(L, axis1=-2, axis2=-1)
-    if (ddiag.real <= 0).any():
+_CHART_CACHE: dict = {}
+
+
+def _chart_table(space: SpaceId) -> _ChartTable:
+    """The table that drives :func:`sigma_matrix` and
+    :func:`sigma_inv_matrix`, built once per space."""
+    table = _CHART_CACHE.get(space)
+    if table is not None:
+        return table
+    n, d = space.N, space.dim
+    c = space.r if space.family == "so" else n - 1
+    gens = (np.stack(_basis(space)[0])
+            * exp_factors(space, np.ones(d))[:, None, None])
+    cart = np.diagonal(gens[:c], axis1=1, axis2=2)
+    alone = (cart != 0) & ((cart != 0).sum(axis=0) == 1)
+    roots = gens[c:]
+    if not alone.any(axis=1).all() or (roots @ roots @ roots).any():
+        raise AssertionError(f"no chart table for the generators of {space}")
+    groups = [[]]
+    for k, T in enumerate(roots):
+        if any((T @ roots[j]).any() or (roots[j] @ T).any()
+               for j in groups[-1]):
+            groups.append([])
+        groups[-1].append(k)
+    terms = np.zeros((2, d - c, len(groups), n * n))
+    blocks = []
+    for b, group in enumerate(groups):
+        Ts = roots[group]
+        terms[0, group, b] = Ts.reshape(-1, n * n)
+        terms[1, group, b] = (0.5 * Ts @ Ts).reshape(-1, n * n)
+        rows, cols = np.array([np.argwhere(T)[-1] for T in Ts],
+                              dtype=int).reshape(-1, 2).T
+        blocks.append((terms[:, group, b].reshape(-1, n * n), rows, cols,
+                       1.0 / Ts[range(len(group)), rows, cols]))
+    cart_entry = alone.argmax(axis=1)
+    table = _ChartTable(cart, cart_entry, 1.0 / cart[range(c), cart_entry],
+                        tuple(blocks),
+                        terms.reshape(2 * (d - c), len(groups) * n * n))
+    _CHART_CACHE[space] = table
+    return table
+
+
+def sigma_matrix(space: SpaceId, values) -> np.ndarray:
+    """The chart sigma(x) = prod_k expm(a_k T_k), a = exp_factors(x), as a
+    diagonal Cartan factor times one unitriangular factor per root block.
+    Batched (..., d) -> (..., N, N) and complex safe."""
+    table = _chart_table(space)
+    values = np.asarray(values)
+    n, c = space.N, len(table.cart)
+    cartan, x = values[..., :c], values[..., c:]
+    _check_cartan_bound(cartan.real)
+    X = (np.concatenate([x, x * x], axis=-1) @ table.terms).reshape(
+        x.shape[:-1] + (len(table.blocks), n, n))
+    U = np.eye(n) + X[..., 0, :, :]
+    for b in range(1, len(table.blocks)):
+        U = U + U @ X[..., b, :, :]
+    return np.exp(cartan @ table.cart)[..., :, None] * U
+
+
+def sigma_inv_matrix(space: SpaceId, L) -> np.ndarray:
+    """Inverse of :func:`sigma_matrix`: Cartans from the log-diagonal, then
+    each root block read off and peeled from the left.  Batched
+    (..., N, N) -> (..., d) and complex safe."""
+    table = _chart_table(space)
+    L = np.asarray(L)
+    diag = np.diagonal(L, axis1=-2, axis2=-1)
+    if (diag.real <= 0).any():
         raise ValueError("triangular element must have positive diagonal")
-    cart = -2.0 * np.log(ddiag[..., 1:])
-    # remove the diagonal factor from the left: row i scaled by 1/diag_i
-    R = L / ddiag[..., :, None]
-    coords = [cart]
-    root_vals = np.zeros(L.shape[:-2] + (len(_sl_root_labels(n)),), dtype=L.dtype)
-    for pos, (h, k) in enumerate(_sl_root_labels(n)):
-        c = -R[..., k - 1, k - 1 + h]
-        root_vals[..., pos] = c
-        # peel exp(c K) from the left: row k-1 += (+c) * row k-1+h  (K=-E)
-        R[..., k - 1, :] = R[..., k - 1, :] + c[..., None] * R[..., k - 1 + h, :]
-    coords.append(root_vals)
+    coords = [np.log(diag[..., table.cart_entry]) * table.cart_inv]
+    R = L / diag[..., :, None]
+    *peeled, last = table.blocks
+    for terms, rows, cols, inv in peeled:
+        x = R[..., rows, cols] * inv
+        coords.append(x)
+        R = R + (np.concatenate([-x, x * x], axis=-1) @ terms).reshape(
+            L.shape) @ R
+    _, rows, cols, inv = last
+    coords.append(R[..., rows, cols] * inv)
     return np.concatenate(coords, axis=-1)
 
 
+def sigma(coords: SolvCoords) -> TriangularElement:
+    """Exponential map from solvable coordinates to the triangular group."""
+    return TriangularElement(coords.space,
+                             sigma_matrix(coords.space, coords.values))
+
+
 def sigma_inv(L: TriangularElement) -> SolvCoords:
-    """Inverse of :func:`sigma` via closed form (r=1), triangular peeling
-    (sl), or height-ordered generic peeling (so, r >= 2)."""
-    space = L.space
-    if space.is_r1:
-        return SolvCoords(space, r1_coords_from_matrix(space, L.matrix))
-    if space.family == "sl":
-        return SolvCoords(space, sl_coords_from_matrix(space, L.matrix))
-    spec = solvable_generators(space)
-    m = np.asarray(L.matrix, dtype=float)
-    diag = np.diag(m)
-    if (diag <= 0).any():
-        raise ValueError("triangular element must have positive diagonal")
-    # Cartans: solve the linear system on the log-diagonal
-    r = space.r
-    cart_patterns = np.stack([np.diag(T) for T in spec.generators[:r]], axis=1)
-    cart, *_ = np.linalg.lstsq(cart_patterns, np.log(diag), rcond=None)
-    R = m.copy()
-    vals = np.zeros(space.dim)
-    vals[:r] = cart
-    C = np.eye(space.N)
-    for i in range(r):
-        C = C @ scipy.linalg.expm(-cart[i] * spec.generators[i])
-    R = C @ R
-    for i in range(r, space.dim):
-        T = spec.generators[i]
-        # primary entry: first nonzero position in the pattern
-        pi, pj = np.argwhere(np.abs(T) > 0)[0]
-        c = R[pi, pj] / T[pi, pj]
-        vals[i] = c
-        R = scipy.linalg.expm(-c * T) @ R
-    return SolvCoords(space, vals)
+    """Inverse of :func:`sigma`."""
+    return SolvCoords(L.space, sigma_inv_matrix(L.space, L.matrix))
 
 
 # ---------------------------------------------------------------------------
@@ -598,8 +587,8 @@ def coords_distance(u: SolvCoords, w: SolvCoords) -> float:
     L's."""
     if u.space != w.space:
         raise ValueError("coords_distance requires matching spaces")
-    s = np.linalg.svd(np.linalg.solve(sigma(u).matrix, sigma(w).matrix),
-                      compute_uv=False)
+    Lu, Lw = sigma_matrix(u.space, np.stack([u.values, w.values]))
+    s = np.linalg.svd(np.linalg.solve(Lu, Lw), compute_uv=False)
     if not (s > 0).all():
         raise FactorizationError(
             "a singular value of L_u^{-1} L_w underflowed to zero")

@@ -30,6 +30,14 @@ class TestVerify:
         for suite in doc["suites"]:
             assert all(c["pass"] for c in suite["checks"])
 
+    def test_core_checks_a_higher_rank_chart(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert run(["verify", "--scope", "core", "--out", str(out)]) == 0
+        checks = {c["name"]: c for c in
+                  json.loads(out.read_text())["suites"][0]["checks"]}
+        check = checks["roundtrips[so(2,5)]"]
+        assert check["pass"] and check["tolerance"] == 1e-10
+
     def test_unknown_scope_exit_2(self):
         assert run(["verify", "--scope", "bogus"]) == 2
 
@@ -257,6 +265,75 @@ class TestStrictIntegers:
     ])
     def test_each_train_field(self, tmp_path, net_doc, train_doc):
         assert self.train_exit(tmp_path, net_doc, train_doc) == 2
+
+
+class TestStrictNumbersAndSections:
+    """Float config fields must be finite JSON numbers, and the config, its
+    ``net`` and its ``train`` sections JSON objects: anything else exits 2
+    before any output is written."""
+
+    GEN = TestStrictIntegers.GEN
+
+    def gen_exit(self, tmp_path, doc):
+        cfg = write_json(tmp_path / "gen.json", doc)
+        out = tmp_path / "generated.csv"
+        code = run(["gen-data", "--config", cfg, "--out", str(out)])
+        assert out.exists() == (code == 0)
+        return code
+
+    @pytest.mark.parametrize("value", [None, "0.6", "nan", True, False,
+                                       float("nan"), float("inf"), [0.6],
+                                       10 ** 400])
+    def test_bad_spread_exit_2(self, tmp_path, value):
+        assert self.gen_exit(tmp_path, {**self.GEN, "spread": value}) == 2
+
+    @pytest.mark.parametrize("value", [1, 0.25])
+    def test_int_and_float_spread_accepted(self, tmp_path, value):
+        assert self.gen_exit(tmp_path, {**self.GEN, "spread": value}) == 0
+
+    def train_exit(self, tmp_path, doc):
+        data = tmp_path / "data.csv"
+        gen = write_json(tmp_path / "gen.json", self.GEN)
+        assert run(["gen-data", "--config", gen, "--out", str(data)]) == 0
+        base = {"net": {"input_dim": 2, "layers": [3], "task": "binary"},
+                "train": {"epochs": 1, "batch_size": 16},
+                "dataset": str(data)}
+        tcfg = write_json(tmp_path / "train.json",
+                          doc(base) if callable(doc) else doc)
+        model = tmp_path / "model.json"
+        code = run(["train", "--config", tcfg, "--out", str(model)])
+        assert model.exists() == (code == 0)
+        assert bool(list(tmp_path.glob("*.jsonl"))) == (code == 0)
+        return code
+
+    @pytest.mark.parametrize("field", ["learning_rate", "fd_step"])
+    @pytest.mark.parametrize("value", [None, "nan", "0.1", True,
+                                       float("nan"), float("-inf")])
+    def test_bad_float_field_exit_2(self, tmp_path, field, value):
+        def doc(base):
+            return {**base, "train": {**base["train"], field: value}}
+        assert self.train_exit(tmp_path, doc) == 2
+
+    def test_int_learning_rate_accepted(self, tmp_path):
+        def doc(base):
+            return {**base, "train": {**base["train"], "learning_rate": 1}}
+        assert self.train_exit(tmp_path, doc) == 0
+
+    @pytest.mark.parametrize("section", ["net", "train"])
+    @pytest.mark.parametrize("value", [[1], 3, "x", None])
+    def test_section_not_object_exit_2(self, tmp_path, section, value):
+        assert self.train_exit(tmp_path,
+                               lambda base: {**base, section: value}) == 2
+
+    @pytest.mark.parametrize("doc", [[1], 3, "config", None])
+    def test_config_not_object_exit_2(self, tmp_path, doc):
+        assert self.train_exit(tmp_path, doc) == 2
+        assert self.gen_exit(tmp_path, doc) == 2
+        cfg = write_json(tmp_path / "c.json", doc)
+        out = tmp_path / "out.json"
+        for command in ("solve-homo", "eval"):
+            assert run([command, "--config", cfg, "--out", str(out)]) == 2
+            assert not out.exists()
 
 
 class TestEntryPoint:
