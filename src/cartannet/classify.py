@@ -4,8 +4,10 @@ A separator is the zero set of h(Y) = alpha e^{-Y1} + <w, Y2>
 + beta e^{Y1} (1 + |Y2|^2 / 4); when |w|^2 - alpha beta > 0 this is a
 totally geodesic hypersurface, and the signed geodesic distance to it is
 exactly arcsinh(h / (2 sqrt(|w|^2 - alpha beta))).  The signed distance
-feeds sigmoid or softmax heads.  All functions propagate complex inputs
-analytically so the training gradients can be taken by complex step.
+feeds sigmoid or softmax heads.  One batched kernel evaluates all K
+separators of a bank at once, and the likelihood gradients reuse its
+intermediates.  All functions propagate complex inputs analytically, so
+complex-step differentiation, the gradient tests' oracle, is exact.
 """
 
 from __future__ import annotations
@@ -59,14 +61,23 @@ class Separator:
 
 @dataclasses.dataclass(frozen=True)
 class SeparatorBank:
-    """K separators on a shared layer (K >= 2 for the softmax head)."""
+    """K separators on a shared layer (K >= 2 for the softmax head).
+    Their parameters are stacked once, as alpha (K,), beta (K,) and
+    w (K, s), for the batched head kernel."""
 
     separators: tuple
+    alpha: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
+    beta: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
+    w: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "separators", tuple(self.separators))
-        if len(self.separators) < 1:
+        seps = tuple(self.separators)
+        if len(seps) < 1:
             raise ValueError("bank must contain at least one separator")
+        object.__setattr__(self, "separators", seps)
+        object.__setattr__(self, "alpha", np.array([s.alpha for s in seps]))
+        object.__setattr__(self, "beta", np.array([s.beta for s in seps]))
+        object.__setattr__(self, "w", np.stack([s.w for s in seps]))
 
     def __len__(self):
         return len(self.separators)
@@ -76,28 +87,56 @@ def _values(p) -> np.ndarray:
     return p.values if isinstance(p, SolvCoords) else np.asarray(p)
 
 
+def _h_stack(alpha, beta, w, p):
+    """h (..., K) of K separators stacked as alpha, beta (K,) and w (K, s)
+    at a point or batch p, with the parts (Y2, e^{-Y1}, e^{Y1},
+    up = e^{Y1} (1 + |Y2|^2 / 4)) it was built from."""
+    v = _values(p)
+    y1, y2 = v[..., :1], v[..., 1:]
+    if y2.shape[-1] != w.shape[-1]:
+        raise ValueError("separator normal has the wrong dimension")
+    down, eup = np.exp(-y1), np.exp(y1)
+    up = eup * (1.0 + 0.25 * np.sum(y2 * y2, axis=-1, keepdims=True))
+    return alpha * down + y2 @ w.T + beta * up, (y2, down, eup, up)
+
+
 def h_value(sep: Separator, p):
     """Defining function of the separator; its sign is the side of p.
     Accepts a SolvCoords or a batch array of coordinate rows."""
-    v = _values(p)
-    y1 = v[..., 0]
-    y2 = v[..., 1:]
-    if y2.shape[-1] != len(sep.w):
-        raise ValueError("separator normal has the wrong dimension")
-    return (
-        sep.alpha * np.exp(-y1)
-        + y2 @ sep.w
-        + sep.beta * np.exp(y1) * (1.0 + 0.25 * np.sum(y2 * y2, axis=-1))
-    )
+    return _h_stack(sep.alpha, sep.beta, sep.w[None], p)[0][..., 0]
 
 
-def _normalization(sep: Separator):
-    norm2 = np.sum(sep.w * sep.w) - sep.alpha * sep.beta
-    if np.real(norm2) <= 0.0:
+def _head(bank: SeparatorBank, p):
+    """The separator head kernel: u = h / norm (..., K) for all K
+    separators at once, so that arcsinh(u) are the signed distances, with
+    norm = 2 sqrt(|w|^2 - alpha beta) (K,).  Also returns what
+    :func:`_head_vjp` reuses: (Y2, e^{-Y1}, e^{Y1}, up, norm).  Raises
+    :class:`DegenerateSeparatorError` unless every separator is
+    admissible."""
+    norm2 = np.sum(bank.w * bank.w, axis=-1) - bank.alpha * bank.beta
+    if np.any(np.real(norm2) <= 0.0):
         raise DegenerateSeparatorError(
             "separator admissibility |w|^2 - alpha*beta must be positive"
         )
-    return 2.0 * np.sqrt(norm2)
+    norm = 2.0 * np.sqrt(norm2)
+    h, parts = _h_stack(bank.alpha, bank.beta, bank.w, p)
+    return h / norm, parts + (norm,)
+
+
+def _head_vjp(bank: SeparatorBank, u, saved, g_d):
+    """Gradients of sum(g_d * d) over the (B, K) signed distances
+    d = arcsinh(u) that :func:`_head` computed at real points (B, d), with
+    respect to the points and to alpha (K,), beta (K,) and w (K, s)."""
+    y2, down, eup, up, norm = saved
+    g_h = g_d / (norm * np.sqrt(1.0 + u * u))
+    g_n2 = -2.0 * np.sum(g_h * u, axis=0) / norm
+    g_points = np.concatenate(
+        [g_h @ bank.beta[:, None] * up - g_h @ bank.alpha[:, None] * down,
+         g_h @ bank.w + 0.5 * (g_h @ bank.beta)[:, None] * eup * y2], axis=1)
+    g_alpha = down[:, 0] @ g_h - bank.beta * g_n2
+    g_beta = up[:, 0] @ g_h - bank.alpha * g_n2
+    g_w = g_h.T @ y2 + 2.0 * g_n2[:, None] * bank.w
+    return g_points, g_alpha, g_beta, g_w
 
 
 def signed_distance(sep: Separator, p):
@@ -105,7 +144,7 @@ def signed_distance(sep: Separator, p):
     arcsinh(h / (2 sqrt(|w|^2 - alpha beta))).  Odd in h, zero exactly on
     the surface, and equal (up to sign) to the infimum of the geodesic
     distance over the surface."""
-    return np.arcsinh(h_value(sep, p) / _normalization(sep))
+    return np.arcsinh(_head(SeparatorBank((sep,)), p)[0][..., 0])
 
 
 def sigmoid(x):
@@ -139,76 +178,53 @@ def _logsumexp(d):
     return shift + np.log(np.sum(np.exp(d - shift[..., None]), axis=-1))
 
 
-def binary_nll(points, labels, sep: Separator):
-    """Negative log likelihood of binary labels (0/1) under the sigmoid
-    head: the sum of softplus(d) - y d over the signed distances d."""
+def _checked_labels(labels, K=None):
+    """Labels as an array; refuses an empty batch and, given the number of
+    classes K, a label outside 0..K-1."""
     labels = np.asarray(labels)
     if labels.size == 0:
         raise ValueError("empty data")
+    if K is not None and (labels.min() < 0 or labels.max() >= K):
+        raise ValueError("label out of range")
+    return labels
+
+
+def binary_nll(points, labels, sep: Separator):
+    """Negative log likelihood of binary labels (0/1) under the sigmoid
+    head: the sum of softplus(d) - y d over the signed distances d."""
+    labels = _checked_labels(labels)
     d = signed_distance(sep, points)
     softplus = _logsumexp(np.stack([np.zeros_like(d), d], axis=-1))
     return np.sum(softplus - labels.astype(float) * d)
 
 
-def _distances(bank: SeparatorBank, p):
-    return np.stack([signed_distance(s, p) for s in bank.separators], axis=-1)
+def _softmax(d):
+    return np.exp(d - _logsumexp(d)[..., None])
 
 
 def softmax_probs(bank: SeparatorBank, p):
     """Softmax over the K signed distances, stabilized by subtracting the
     (constant) maximum of their real parts."""
-    d = _distances(bank, p)
-    return np.exp(d - _logsumexp(d)[..., None])
+    return _softmax(np.arcsinh(_head(bank, p)[0]))
 
 
 def multiclass_nll(points, labels, bank: SeparatorBank):
     """Negative log likelihood of labels in 0..K-1 under the softmax head:
     the sum of logsumexp(d) - d_y over the signed distances d."""
-    labels = np.asarray(labels)
-    if labels.size == 0:
-        raise ValueError("empty data")
-    if labels.min() < 0 or labels.max() >= len(bank):
-        raise ValueError("label out of range")
-    d = _distances(bank, points)
+    labels = _checked_labels(labels, len(bank))
+    d = np.arcsinh(_head(bank, points)[0])
     picked = np.take_along_axis(d, labels.reshape(-1, 1), axis=-1)[..., 0]
     return np.sum(_logsumexp(d) - picked)
-
-
-def _distances_vjp(bank: SeparatorBank, points, g_d):
-    """Gradients of sum(g_d * d) over the (B, K) signed distances d of the
-    bank's separators at real points (B, d), with respect to the points
-    and to alpha (K,), beta (K,) and w (K, s)."""
-    norm = np.array([_normalization(sep) for sep in bank.separators])
-    alpha = np.array([sep.alpha for sep in bank.separators])
-    beta = np.array([sep.beta for sep in bank.separators])
-    w = np.stack([sep.w for sep in bank.separators])
-    y1, y2 = points[:, :1], points[:, 1:]
-    if y2.shape[-1] != w.shape[-1]:
-        raise ValueError("separator normal has the wrong dimension")
-    down = np.exp(-y1)
-    up = np.exp(y1) * (1.0 + 0.25 * np.sum(y2 * y2, axis=-1, keepdims=True))
-    u = (alpha * down + y2 @ w.T + beta * up) / norm
-    # d = arcsinh(u), u = h / norm, norm = 2 sqrt(|w|^2 - alpha beta)
-    g_h = g_d / (norm * np.sqrt(1.0 + u * u))
-    g_n2 = -2.0 * np.sum(g_h * u, axis=0) / norm
-    g_points = np.concatenate(
-        [g_h @ beta[:, None] * up - g_h @ alpha[:, None] * down,
-         g_h @ w + 0.5 * (g_h @ beta)[:, None] * np.exp(y1) * y2], axis=1)
-    g_alpha = down[:, 0] @ g_h - beta * g_n2
-    g_beta = up[:, 0] @ g_h - alpha * g_n2
-    g_w = g_h.T @ y2 + 2.0 * g_n2[:, None] * w
-    return g_points, g_alpha, g_beta, g_w
 
 
 def binary_nll_vjp(points, labels, sep: Separator):
     """Gradient of :func:`binary_nll` at real points (B, d): returns
     (d/d points, d/d alpha, d/d beta, d/d w); dNLL/dd = sigmoid(d) - y."""
-    labels = np.asarray(labels)
-    if labels.size == 0:
-        raise ValueError("empty data")
-    g_d = sigmoid(signed_distance(sep, points)) - labels.astype(float)
-    g_points, g_alpha, g_beta, g_w = _distances_vjp(
-        SeparatorBank((sep,)), points, g_d[:, None])
+    labels = _checked_labels(labels)
+    bank = SeparatorBank((sep,))
+    u, saved = _head(bank, points)
+    g_d = sigmoid(np.arcsinh(u)) - labels.astype(float)[:, None]
+    g_points, g_alpha, g_beta, g_w = _head_vjp(bank, u, saved, g_d)
     return g_points, g_alpha[0], g_beta[0], g_w[0]
 
 
@@ -216,14 +232,11 @@ def multiclass_nll_vjp(points, labels, bank: SeparatorBank):
     """Gradient of :func:`multiclass_nll` at real points (B, d): returns
     (d/d points, d/d alpha (K,), d/d beta (K,), d/d w (K, s));
     dNLL/dd_k = softmax_k(d) - [k = y]."""
-    labels = np.asarray(labels)
-    if labels.size == 0:
-        raise ValueError("empty data")
-    if labels.min() < 0 or labels.max() >= len(bank):
-        raise ValueError("label out of range")
-    g_d = softmax_probs(bank, points)
+    labels = _checked_labels(labels, len(bank))
+    u, saved = _head(bank, points)
+    g_d = _softmax(np.arcsinh(u))
     g_d[np.arange(len(labels)), labels] -= 1.0
-    return _distances_vjp(bank, points, g_d)
+    return _head_vjp(bank, u, saved, g_d)
 
 
 def find_surface_point(sep: Separator, space: SpaceId, seed: int = 0) -> SolvCoords:

@@ -61,6 +61,15 @@ def _number(value, name):
     return float(value)
 
 
+def _path(value, name):
+    """``value`` if it is a JSON string.  Numbers (which ``open`` would take
+    as file descriptors), null and anything else are refused with exit
+    code 2."""
+    if not isinstance(value, str):
+        raise SystemExit2(f"{name} must be a path string, got {value!r}")
+    return value
+
+
 def _object(value, name):
     """``value`` if it is a JSON object; anything else exits 2."""
     if not isinstance(value, dict):
@@ -328,12 +337,14 @@ def cmd_train(args):
             gradient_mode=tcfg.get("gradient_mode", "analytic"),
             fd_step=_number(tcfg.get("fd_step", 1e-5), "train.fd_step"),
         )
-        dataset = train.load_csv(cfg["dataset"])
+        dataset = train.load_csv(_path(cfg["dataset"], "dataset"))
+        metrics_path = _path(
+            cfg.get("metrics_out", str(args.out) + ".metrics.jsonl"),
+            "metrics_out")
     except (KeyError, ValueError, OSError) as exc:
         raise SystemExit2(f"bad train config: {exc}")
     params, history = train.train_loop(tc, config, dataset)
     net.save_model(args.out, config, params)
-    metrics_path = cfg.get("metrics_out", str(args.out) + ".metrics.jsonl")
     with open(metrics_path, "w") as fh:
         for rec in history:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
@@ -345,8 +356,8 @@ def cmd_train(args):
 def cmd_eval(args):
     cfg = _load_config(args.config)
     try:
-        config, params = net.load_model(cfg["model"])
-        dataset = train.load_csv(cfg["dataset"])
+        config, params = net.load_model(_path(cfg["model"], "model"))
+        dataset = train.load_csv(_path(cfg["dataset"], "dataset"))
     except (KeyError, ValueError, OSError) as exc:
         raise SystemExit2(f"bad eval config: {exc}")
     metrics = train.evaluate(config, params, dataset)

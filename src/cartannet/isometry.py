@@ -168,6 +168,15 @@ def fiber_rotate(space: SpaceId, values, angles) -> np.ndarray:
     cancels.  Only exp, log, cos and sin are used: complex inputs and
     angles propagate analytically, which keeps complex-step derivatives
     exact."""
+    return _fiber_forward(space, values, angles)[0]
+
+
+def _fiber_forward(space: SpaceId, values, angles):
+    """The Givens chain of :func:`fiber_rotate`: returns its output and the
+    tape its pullback :func:`_fiber_pullback` reads, which is None
+    without fibers and else (cos and sin of the angles, input s, e^{w1},
+    up, down, R, the P after each rotation, the rotated s, T, the branch
+    mask P > 0)."""
     fibers = space.fiber_dim  # raises unless r = 1
     values = np.asarray(values)
     angles = np.asarray(angles)
@@ -178,63 +187,49 @@ def fiber_rotate(space: SpaceId, values, angles) -> np.ndarray:
             f"got shape {angles.shape}"
         )
     if fibers == 0:
-        return values
+        return values, None
     cols = np.array(values.T, dtype=np.result_type(values, angles, float),
                     order="C")
-    w1, s = cols[0], cols[1:]
-    up = np.exp(w1) * (1.0 + 0.25 * np.sum(s * s, axis=0))
-    down = np.exp(-w1)
-    R, P = up + down, up - down
-    cos, sin = np.cos(angles), np.sin(angles)
-    for j in range(fibers):
-        x = s[1 + j]
-        P, s[1 + j] = cos[j] * P + sin[j] * x, cos[j] * x - sin[j] * P
-    upper = np.real(P) > 0
-    T = (np.where(upper, 4.0 + np.sum(s * s, axis=0), R - P)
-         / np.where(upper, 2.0 * (R + P), 2.0))
-    cols[0] = -np.log(T)
-    return cols.T
-
-
-def fiber_rotate_vjp(space: SpaceId, values, angles, grad):
-    """Vector-Jacobian product of :func:`fiber_rotate` at real ``values``
-    (..., d): returns (grad @ d out/d values, grad @ d out/d angles).
-
-    Recomputes the forward internals from ``values``, backs through the
-    read-back of T on the same branch (P > 0 or not) as the forward, then
-    through the Givens rotations in reverse order (rotation j gives the
-    angle gradient sum(g_P x' - g_x P') over its outputs (P', x')), and
-    last through up/down to (w1, s)."""
-    fibers = space.fiber_dim
-    values = np.asarray(values, dtype=float)
-    grad = np.asarray(grad, dtype=float)
-    angles = np.asarray(angles, dtype=float)
-    if fibers == 0:
-        return grad.copy(), np.zeros(0)
-    cols = values.T
     w1, s = cols[0], cols[1:]
     eup, down = np.exp(w1), np.exp(-w1)
     up = eup * (1.0 + 0.25 * np.sum(s * s, axis=0))
     R, P = up + down, up - down
     cos, sin = np.cos(angles), np.sin(angles)
-    s_out = np.array(s)
-    Ps = []  # P after each rotation
+    Ps = []
     for j in range(fibers):
-        x = s_out[1 + j]
-        P, s_out[1 + j] = cos[j] * P + sin[j] * x, cos[j] * x - sin[j] * P
+        x = s[1 + j]
+        P, s[1 + j] = cos[j] * P + sin[j] * x, cos[j] * x - sin[j] * P
         Ps.append(P)
+    upper = np.real(P) > 0
+    T = (np.where(upper, 4.0 + np.sum(s * s, axis=0), R - P)
+         / np.where(upper, 2.0 * (R + P), 2.0))
+    cols[0] = -np.log(T)
+    return cols.T, (cos, sin, values.T[1:], eup, up, down, R, Ps, s, T,
+                    upper)
+
+
+def _fiber_pullback(tape, grad):
+    """Pullback of :func:`_fiber_forward` at real inputs: returns
+    (grad @ d out/d values, grad @ d out/d angles) from its tape.
+
+    Backs through the read-back of T on the forward's branch, then through
+    the Givens rotations in reverse order (rotation j gives the angle
+    gradient sum(g_P x' - g_x P') over its outputs (P', x')), and last
+    through up/down to (w1, s)."""
+    grad = np.asarray(grad, dtype=float)
+    if tape is None:
+        return grad.copy(), np.zeros(0)
+    cos, sin, s, eup, up, down, R, Ps, s_out, T, upper = tape
     g = grad.T
     g_s = np.array(g[1:])
-    upper = P > 0
-    T = np.where(upper, (4.0 + np.sum(s_out * s_out, axis=0)) / (2.0 * (R + P)),
-                 0.5 * (R - P))
+    P = Ps[-1]
     g_T = -g[0] / T
     # upper: T = (4 + s.s) / (2 (R + P)); else T = (R - P) / 2
     g_R = np.where(upper, -g_T * T / (R + P), 0.5 * g_T)
     g_P = np.where(upper, g_R, -0.5 * g_T)
     g_s += np.where(upper, g_T / (R + P), 0.0) * s_out
-    g_angles = np.empty(fibers)
-    for j in reversed(range(fibers)):
+    g_angles = np.empty(len(Ps))
+    for j in reversed(range(len(Ps))):
         g_x = g_s[1 + j]
         g_angles[j] = np.sum(g_P * s_out[1 + j] - g_x * Ps[j])
         g_P, g_s[1 + j] = cos[j] * g_P - sin[j] * g_x, sin[j] * g_P + cos[j] * g_x
@@ -244,20 +239,25 @@ def fiber_rotate_vjp(space: SpaceId, values, angles, grad):
     return np.concatenate([g_w1[None], g_s]).T, g_angles
 
 
+def fiber_rotate_vjp(space: SpaceId, values, angles, grad):
+    """Vector-Jacobian product of :func:`fiber_rotate` at real ``values``
+    (..., d): returns (grad @ d out/d values, grad @ d out/d angles), by
+    one run of the Givens chain and its pullback."""
+    values = np.asarray(values, dtype=float)
+    angles = np.asarray(angles, dtype=float)
+    return _fiber_pullback(_fiber_forward(space, values, angles)[1], grad)
+
+
 def _is_eta_orthogonal(g: np.ndarray, eta: np.ndarray, tol=1e-10) -> bool:
     return bool(np.max(np.abs(g.T @ eta @ g - eta)) <= tol)
 
 
 def _stabilizes_solvable(g: np.ndarray, space: SpaceId, tol=1e-10) -> bool:
-    spec = spaces.solvable_generators(space)
-    basis = np.stack([T.reshape(-1) for T in spec.generators], axis=1)
-    ginv = np.linalg.inv(g)
-    for T in spec.generators:
-        ad = (g @ T @ ginv).reshape(-1)
-        coef, *_ = np.linalg.lstsq(basis, ad, rcond=None)
-        if np.max(np.abs(basis @ coef - ad)) > tol:
-            return False
-    return True
+    gens = np.stack(spaces.solvable_generators(space).generators)
+    basis = gens.reshape(len(gens), -1).T
+    ad = (g @ gens @ np.linalg.inv(g)).reshape(len(gens), -1).T
+    coef = np.linalg.lstsq(basis, ad, rcond=None)[0]  # one solve, all T
+    return not np.max(np.abs(basis @ coef - ad)) > tol
 
 
 def classify_element(g: np.ndarray, space: SpaceId) -> GroupElement:

@@ -17,6 +17,7 @@ single-point wrappers over the same kernels.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 
@@ -128,8 +129,10 @@ class FlatParams:
         return out
 
 
+@functools.lru_cache(maxsize=64)
 def layout_for(config: NetworkConfig) -> tuple:
-    """Stable parameter layout derived from the architecture alone."""
+    """Stable parameter layout derived from the architecture alone; the
+    config is frozen, so each one's layout is built once."""
     spaces_ = [l.space for l in config.layers]
     s1 = spaces_[0].subpaint_dim
     layout = [

@@ -307,19 +307,17 @@ def structure_constants_from_generators(gens) -> np.ndarray:
     """f^i_{jk} with [T_j,T_k] = f^i_{jk} T_i, by least squares on the
     vectorized basis; raises if a commutator leaves the span."""
     d = len(gens)
-    n = gens[0].shape[0]
     basis = np.stack([g.reshape(-1) for g in gens], axis=1)  # (n^2, d)
+    G = np.stack(gens)
+    j, k = np.triu_indices(d, 1)
+    comms = (G[j] @ G[k] - G[k] @ G[j]).reshape(len(j), len(basis)).T
+    coef = np.linalg.lstsq(basis, comms, rcond=None)[0]  # one solve, all pairs
+    if not np.allclose(basis @ coef, comms, atol=1e-10):
+        raise ValueError("commutator not in the span of the basis")
+    coef[np.abs(coef) < 1e-12] = 0.0
     f = np.zeros((d, d, d))
-    for j in range(d):
-        for k in range(j + 1, d):
-            comm = gens[j] @ gens[k] - gens[k] @ gens[j]
-            coef, res, _, _ = np.linalg.lstsq(basis, comm.reshape(-1), rcond=None)
-            recon = (basis @ coef).reshape(n, n)
-            if not np.allclose(recon, comm, atol=1e-10):
-                raise ValueError("commutator not in the span of the basis")
-            coef[np.abs(coef) < 1e-12] = 0.0
-            f[:, j, k] = coef
-            f[:, k, j] = -coef
+    f[:, j, k] = coef
+    f[:, k, j] = -coef
     return f
 
 

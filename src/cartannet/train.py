@@ -1,15 +1,17 @@
 """Losses, gradients, SGD training, and synthetic data generation.
 
 Gradients come in two modes.  ``analytic`` is reverse mode: one forward
-pass through the stage kernels of ``net.forward_batch`` that keeps each
-stage's input, then one hand-written vector-Jacobian product per stage in
-reverse order (injection, ``isometry.fiber_rotate_vjp``,
+pass through the stage kernels of ``net.forward_batch``, in which every
+stage runs once and keeps what its pullback needs (a fiber stage the tape
+of its Givens chain, a homomorphism its input), then one hand-written
+pullback per stage in reverse order (injection, the fiber pullback,
 ``homo.r1_homomorphism_batch_vjp``, and the separator heads'
-``classify.binary_nll_vjp`` / ``multiclass_nll_vjp`` or the regression
-read-out).  ``finite-difference`` uses scaled central differences of
-``loss_flat``.  The test gate compares the two, and the tests check reverse
-mode against complex-step differentiation of the whole chain (every stage
-is complex-analytic) as the oracle.
+``classify.binary_nll_vjp`` / ``multiclass_nll_vjp``, which reuse the
+head kernel's own forward, or the regression read-out).
+``finite-difference`` uses scaled central differences of ``loss_flat``.
+The test gate compares the two, and the tests check reverse mode against
+complex-step differentiation of the whole chain (every stage is
+complex-analytic) as the oracle.
 """
 
 from __future__ import annotations
@@ -161,31 +163,32 @@ def _head_vjp(config: net.NetworkConfig, params: net.ParamSet,
 
 def _reverse_gradient(config: net.NetworkConfig, params: net.ParamSet,
                       features, labels) -> np.ndarray:
-    """Reverse-mode gradient of the batch loss: the stages of
-    ``net.forward_batch`` with each stage's input kept, then their
-    vector-Jacobian products in reverse order."""
+    """Reverse-mode gradient of the batch loss: each stage of
+    ``net.forward_batch`` runs forward once and keeps what its pullback
+    needs (the fiber stages their Givens tape, the homomorphisms their
+    input), then the pullbacks run in reverse order."""
     X = np.atleast_2d(np.asarray(features, dtype=float))
     if not np.all(np.isfinite(X)):
         raise ValueError("non-finite network input")
     layers = [layer.space for layer in config.layers]
-    injected = X @ params.Q.T
-    values = isometry.fiber_rotate(layers[0], injected, params.lam)
-    stage_inputs = []  # (homomorphism input, fiber input) per transition
+    values, first_tape = isometry._fiber_forward(
+        layers[0], X @ params.Q.T, params.lam)
+    stages = []  # (homomorphism input, fiber tape) per transition
     for i, space in enumerate(layers[1:]):
         homo_in = values
-        fiber_in = homo.r1_homomorphism_batch(params.Ws[i], params.bs[i], homo_in)
-        values = isometry.fiber_rotate(space, fiber_in, params.psis[i])
-        stage_inputs.append((homo_in, fiber_in))
+        values, tape = isometry._fiber_forward(
+            space, homo.r1_homomorphism_batch(params.Ws[i], params.bs[i], values),
+            params.psis[i])
+        stages.append((homo_in, tape))
     g, head = _head_vjp(config, params, values, labels)
-    n_trans = len(stage_inputs)
+    n_trans = len(stages)
     g_Ws, g_bs, g_psis = [None] * n_trans, [None] * n_trans, [None] * n_trans
     for i in reversed(range(n_trans)):
-        homo_in, fiber_in = stage_inputs[i]
-        g, g_psis[i] = isometry.fiber_rotate_vjp(
-            layers[i + 1], fiber_in, params.psis[i], g)
+        homo_in, tape = stages[i]
+        g, g_psis[i] = isometry._fiber_pullback(tape, g)
         g, g_Ws[i], g_bs[i] = homo.r1_homomorphism_batch_vjp(
             params.Ws[i], params.bs[i], homo_in, g)
-    g, g_lam = isometry.fiber_rotate_vjp(layers[0], injected, params.lam, g)
+    g, g_lam = isometry._fiber_pullback(first_tape, g)
     grads = net.ParamSet(Q=g.T @ X, lam=g_lam, Ws=g_Ws, bs=g_bs,
                          psis=g_psis, head=head)
     return net.flatten(config, grads).vector
@@ -227,16 +230,22 @@ def _margin(head: dict, k: int) -> float:
     return float(w @ w) - float(head["alpha"][k] * head["beta"][k])
 
 
+def _crossing(config: net.NetworkConfig, flat: net.FlatParams) -> list:
+    """Separators whose margin is not above the projection slack."""
+    head = net.unflatten(config, flat.vector).head
+    return [k for k in range(config.n_separators)
+            if not _margin(head, k) > _ADMISSIBLE_SLACK]
+
+
 def project_admissible(config: net.NetworkConfig,
                        flat: net.FlatParams) -> net.FlatParams:
     """Project separator parameters back into the admissible region
     |w|^2 - alpha*beta > 0 by shrinking alpha, beta when an SGD step
-    crosses the boundary."""
+    crosses the boundary.  Returns ``flat`` itself when no separator
+    crosses, and else moves exactly the crossing ones."""
     if config.task == "regression":
         return flat
-    head = net.unflatten(config, flat.vector).head
-    crossing = [k for k in range(config.n_separators)
-                if not _margin(head, k) > _ADMISSIBLE_SLACK]
+    crossing = _crossing(config, flat)
     if not crossing:
         return flat
     params = net.unflatten(config, flat.vector.copy())
@@ -262,17 +271,21 @@ def project_admissible(config: net.NetworkConfig,
 # ---------------------------------------------------------------------------
 
 
-def _accuracy(config, params, features, labels) -> float:
-    points = np.real(net.forward_batch(config, params, features))
+def _scores(config: net.NetworkConfig, params: net.ParamSet,
+            features, labels) -> tuple:
+    """Loss and accuracy (None for regression) from one forward pass."""
+    points = net.forward_batch(config, params, features)
+    value = float(np.real(_head_loss(config, params, points, labels)))
+    if config.task == "regression":
+        return value, None
+    points = np.real(points)
     if config.task == "binary":
         sep, = _separators(config, params).separators
         pred = (np.real(classify.binary_prob(sep, points)) > 0.5).astype(int)
-    elif config.task == "multiclass":
+    else:
         bank = _separators(config, params)
         pred = np.argmax(np.real(classify.softmax_probs(bank, points)), axis=-1)
-    else:
-        raise ValueError("accuracy is undefined for regression")
-    return float(np.mean(pred == labels.astype(int)))
+    return value, float(np.mean(pred == labels.astype(int)))
 
 
 def train_loop(tc: TrainConfig, config: net.NetworkConfig, dataset: Dataset,
@@ -280,13 +293,14 @@ def train_loop(tc: TrainConfig, config: net.NetworkConfig, dataset: Dataset,
     """Seeded mini-batch SGD; returns (params, history).
 
     History records one JSON-serializable dict per epoch, with the
-    largest 2-norm of a batch gradient in the epoch (``grad_norm``) and,
-    for separator heads, the smallest admissibility margin |w|^2 - alpha
-    beta after the epoch (``min_margin``).  The loop stops early, and
-    returns the parameters from the start of the failing epoch, when the
-    loss diverges, a stage input leaves the Cartan bound, or a separator
-    is evaluated outside admissibility (a finite-difference quotient can
-    step across |w|^2 - alpha beta = 0)."""
+    largest 2-norm of a batch gradient in the epoch (``grad_norm``), the
+    number of separators :func:`project_admissible` moved in the epoch
+    (``projected``) and, for separator heads, the smallest admissibility
+    margin |w|^2 - alpha beta after the epoch (``min_margin``).  The loop
+    stops early, and returns the parameters from the start of the failing
+    epoch, when the loss diverges, a stage input leaves the Cartan bound,
+    or a separator is evaluated outside admissibility (a finite-difference
+    quotient can step across |w|^2 - alpha beta = 0)."""
     train = dataset.subset("train")
     test = dataset.subset("test")
     if len(train) == 0:
@@ -298,16 +312,17 @@ def train_loop(tc: TrainConfig, config: net.NetworkConfig, dataset: Dataset,
     for epoch in range(tc.epochs):
         order = rng.permutation(len(train))
         last_good = flat
-        grad_norm = 0.0
+        grad_norm, projected = 0.0, 0
         try:
             for start in range(0, len(train), tc.batch_size):
                 idx = order[start : start + tc.batch_size]
                 g = gradient(config, tc, flat,
                              train.features[idx], train.labels[idx])
                 grad_norm = max(grad_norm, float(np.linalg.norm(g)))
-                flat = project_admissible(
-                    config, sgd_step(flat, g, tc.learning_rate)
-                )
+                stepped = sgd_step(flat, g, tc.learning_rate)
+                flat = project_admissible(config, stepped)
+                if flat is not stepped:
+                    projected += len(_crossing(config, stepped))
             params = net.unflatten(config, flat.vector)
             train_loss = loss(config, params, train.features, train.labels)
             if not np.isfinite(train_loss) or train_loss > DIVERGENCE_LIMIT:
@@ -318,16 +333,15 @@ def train_loop(tc: TrainConfig, config: net.NetworkConfig, dataset: Dataset,
             params = net.unflatten(config, flat.vector)
             break
         record = {"epoch": epoch, "train_loss": train_loss,
-                  "grad_norm": grad_norm}
+                  "grad_norm": grad_norm, "projected": projected}
         if config.task != "regression":
             record["min_margin"] = min(
                 _margin(params.head, k) for k in range(config.n_separators))
         if len(test):
-            record["test_loss"] = loss(config, params,
-                                       test.features, test.labels)
-            if config.task != "regression":
-                record["accuracy"] = _accuracy(config, params,
-                                               test.features, test.labels)
+            record["test_loss"], accuracy = _scores(
+                config, params, test.features, test.labels)
+            if accuracy is not None:
+                record["accuracy"] = accuracy
         history.append(record)
     return net.unflatten(config, flat.vector), history
 
@@ -339,13 +353,10 @@ def evaluate(config: net.NetworkConfig, params: net.ParamSet,
     test = dataset.subset("test")
     if len(test) == 0:
         test = dataset
-    out = {"n": len(test)}
+    value, accuracy = _scores(config, params, test.features, test.labels)
     if config.task == "regression":
-        out["mse"] = loss(config, params, test.features, test.labels)
-    else:
-        out["nll"] = loss(config, params, test.features, test.labels) / len(test)
-        out["accuracy"] = _accuracy(config, params, test.features, test.labels)
-    return out
+        return {"n": len(test), "mse": value}
+    return {"n": len(test), "nll": value / len(test), "accuracy": accuracy}
 
 
 # ---------------------------------------------------------------------------

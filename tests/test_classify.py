@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cartannet import classify, spaces
 from cartannet.spaces import SolvCoords, SpaceId
@@ -265,3 +268,89 @@ class TestUnlikelyLabels:
         assert np.isclose(nll(0.0), np.logaddexp(0.0, 30.0), rtol=1e-14)
         grad = np.imag(nll(1j * self.H)) / self.H
         assert np.isclose(grad, 1.0 / np.sqrt(4.0 + y2 * y2), rtol=1e-12)
+
+
+PROPERTY = settings(max_examples=30, deadline=None, derandomize=True,
+                    database=None)
+
+
+def closed_form_distance(alpha, beta, w, z):
+    """arcsinh(h / (2 sqrt(|w|^2 - alpha beta))) of one separator at the
+    rows z, with h = alpha e^{-Y1} + <w, Y2> + beta e^{Y1} (1 + |Y2|^2/4)."""
+    y1, y2 = z[:, 0], z[:, 1:]
+    h = (alpha * np.exp(-y1) + y2 @ w
+         + beta * np.exp(y1) * (1.0 + np.sum(y2 * y2, axis=1) / 4.0))
+    return np.arcsinh(h / (2.0 * np.sqrt(w @ w - alpha * beta)))
+
+
+def draw_separator(draw, s):
+    """An admissible separator: |w|^2 >= 1/4 and alpha beta <= |w|^2 / 2."""
+    w = draw(hnp.arrays(float, s, elements=st.floats(-2.0, 2.0)))
+    w[0] = 0.5 + abs(w[0])
+    alpha, beta = draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))
+    if alpha * beta > 0.5 * (w @ w):
+        beta = -beta
+    return classify.Separator(alpha, beta, w)
+
+
+@st.composite
+def banks_and_points(draw):
+    """A bank of K = 1..5 admissible separators and complex points."""
+    K, s = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    rows = draw(st.integers(1, 6))
+    bank = classify.SeparatorBank(
+        tuple(draw_separator(draw, s) for _ in range(K)))
+    real = draw(hnp.arrays(float, (rows, 1 + s),
+                           elements=st.floats(-3.0, 3.0)))
+    imag = draw(hnp.arrays(float, (rows, 1 + s),
+                           elements=st.floats(-0.1, 0.1)))
+    labels = draw(hnp.arrays(int, rows, elements=st.integers(0, K - 1)))
+    return bank, real + 1j * imag, labels
+
+
+@st.composite
+def inadmissible_banks(draw):
+    """A bank with one separator at a drawn position whose margin
+    |w|^2 - alpha beta is zero or negative, and real points."""
+    bank, z, labels = draw(banks_and_points())
+    seps = list(bank.separators)
+    s = len(seps[0].w)
+    w = draw(hnp.arrays(float, s, elements=st.floats(-2.0, 2.0)))
+    beta = draw(st.sampled_from([1.0, -1.0]))
+    # alpha beta = sum(w * w) + margin exactly, since beta^2 = 1
+    alpha = beta * (float(np.sum(w * w)) + draw(st.floats(0.0, 2.0)))
+    seps.insert(draw(st.integers(0, len(seps))),
+                classify.Separator(alpha, beta, w))
+    return classify.SeparatorBank(tuple(seps)), z.real, labels
+
+
+class TestStackedHead:
+    """The batched head kernel against the closed form of each separator,
+    and its admissibility check on every separator of a bank."""
+
+    @PROPERTY
+    @given(banks_and_points())
+    def test_distances_match_closed_form(self, case):
+        bank, z, labels = case
+        want = np.stack([closed_form_distance(s.alpha, s.beta, s.w, z)
+                         for s in bank.separators], axis=1)
+        got = np.arcsinh(classify._head(bank, z)[0])
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+        probs = np.exp(want) / np.sum(np.exp(want), axis=1, keepdims=True)
+        assert np.allclose(classify.softmax_probs(bank, z), probs,
+                           rtol=1e-12, atol=1e-14)
+        nll = np.sum(np.log(np.sum(np.exp(want), axis=1))
+                     - want[np.arange(len(z)), labels])
+        assert np.isclose(classify.multiclass_nll(z, labels, bank), nll,
+                          rtol=1e-12, atol=1e-12)
+
+    @PROPERTY
+    @given(inadmissible_banks())
+    def test_any_inadmissible_separator_raises(self, case):
+        bank, x, labels = case
+        with pytest.raises(classify.DegenerateSeparatorError):
+            classify.softmax_probs(bank, x)
+        with pytest.raises(classify.DegenerateSeparatorError):
+            classify.multiclass_nll(x, labels, bank)
+        with pytest.raises(classify.DegenerateSeparatorError):
+            classify.multiclass_nll_vjp(x, labels, bank)

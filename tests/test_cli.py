@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from cartannet import cli, net, train
+from cartannet.spaces import hyperbolic
 
 
 def run(argv):
@@ -334,6 +335,56 @@ class TestStrictNumbersAndSections:
         for command in ("solve-homo", "eval"):
             assert run([command, "--config", cfg, "--out", str(out)]) == 2
             assert not out.exists()
+
+
+class TestPathFields:
+    """Path fields must be JSON strings: anything else exits 2 before
+    training starts or any output is written (``open`` would take a
+    number for a file descriptor)."""
+
+    def train_exit(self, tmp_path, monkeypatch, **fields):
+        data = tmp_path / "data.csv"
+        gen = write_json(tmp_path / "gen.json", TestStrictIntegers.GEN)
+        assert run(["gen-data", "--config", gen, "--out", str(data)]) == 0
+
+        def must_not_train(*args, **kwargs):
+            raise AssertionError("trained on a bad config")
+
+        monkeypatch.setattr(train, "train_loop", must_not_train)
+        tcfg = write_json(tmp_path / "train.json", {
+            "net": {"input_dim": 2, "layers": [3], "task": "binary"},
+            "train": {"epochs": 1, "batch_size": 16},
+            "dataset": str(data), **fields})
+        model = tmp_path / "model.json"
+        code = run(["train", "--config", tcfg, "--out", str(model)])
+        assert not model.exists()
+        assert not list(tmp_path.glob("*.jsonl"))
+        return code
+
+    @pytest.mark.parametrize("field, value", [
+        ("dataset", None), ("dataset", [1]), ("dataset", {"path": "x"}),
+        ("metrics_out", None), ("metrics_out", [1]), ("metrics_out", 2.5),
+    ])
+    def test_train_path_not_a_string_exit_2(self, tmp_path, monkeypatch,
+                                            field, value):
+        assert self.train_exit(tmp_path, monkeypatch, **{field: value}) == 2
+
+    @pytest.mark.parametrize("field, value", [
+        ("model", None), ("model", [1]), ("dataset", None), ("dataset", 1.5),
+    ])
+    def test_eval_path_not_a_string_exit_2(self, tmp_path, field, value):
+        data = tmp_path / "data.csv"
+        gen = write_json(tmp_path / "gen.json", TestStrictIntegers.GEN)
+        assert run(["gen-data", "--config", gen, "--out", str(data)]) == 0
+        config = net.NetworkConfig(input_dim=2, layers=(hyperbolic(3),),
+                                   task="binary")
+        model = tmp_path / "model.json"
+        net.save_model(model, config, net.init_params(config))
+        ecfg = write_json(tmp_path / "eval.json", {
+            "model": str(model), "dataset": str(data), field: value})
+        out = tmp_path / "metrics.json"
+        assert run(["eval", "--config", ecfg, "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestEntryPoint:

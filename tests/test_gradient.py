@@ -202,3 +202,47 @@ class TestErrorsPropagate:
         with pytest.raises(classify.DegenerateSeparatorError):
             train.gradient(config, train.TrainConfig(),
                            net.flatten(config, params), X, np.zeros(4, int))
+
+
+class TestSinglePass:
+    """Reverse mode runs each stage forward once: every fiber stage's
+    Givens chain once, handing its tape to the pullback, and the separator
+    head once, its VJP reusing that forward."""
+
+    @staticmethod
+    def counting(monkeypatch, module, name):
+        calls = []
+        original = getattr(module, name)
+
+        def counted(*args):
+            calls.append(args[0])
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("name", list(LAYERS))
+    def test_one_forward_per_stage(self, name, monkeypatch):
+        config = net.NetworkConfig(
+            input_dim=3,
+            layers=tuple(net.LayerSpec(spaces.hyperbolic(n))
+                         for n in LAYERS[name]),
+            task="multiclass", K=3)
+        flat = net.flatten(config, net.init_params(config, seed=3))
+        X = np.random.default_rng(3).uniform(-1.0, 1.0, (5, 3))
+        y = np.arange(5) % 3
+        want = train.gradient(config, train.TrainConfig(), flat, X, y)
+        fibers = self.counting(monkeypatch, isometry, "_fiber_forward")
+        heads = self.counting(monkeypatch, classify, "_head")
+        distances = self.counting(monkeypatch, classify, "signed_distance")
+        got = train.gradient(config, train.TrainConfig(), flat, X, y)
+        assert fibers == [layer.space for layer in config.layers]
+        assert len(heads) == 1 and distances == []
+        assert np.array_equal(got, want)
+
+    def test_fiber_rotate_vjp_runs_the_chain_once(self, monkeypatch):
+        space = spaces.hyperbolic(5)
+        fibers = self.counting(monkeypatch, isometry, "_fiber_forward")
+        isometry.fiber_rotate_vjp(space, np.zeros((2, 5)), np.ones(3),
+                                  np.ones((2, 5)))
+        assert fibers == [space]

@@ -338,3 +338,36 @@ class TestFarFieldDistance:
         with pytest.raises(ValueError):
             spaces.coords_distance(SolvCoords(H3, np.zeros(3)),
                                    SolvCoords(SL4, np.zeros(9)))
+
+
+class TestStructureConstants:
+    """All commutators go through one least-squares solve; a solve per
+    generator pair is the reference."""
+
+    @staticmethod
+    def per_pair(gens):
+        d = len(gens)
+        basis = np.stack([g.reshape(-1) for g in gens], axis=1)
+        f = np.zeros((d, d, d))
+        for j in range(d):
+            for k in range(j + 1, d):
+                comm = gens[j] @ gens[k] - gens[k] @ gens[j]
+                coef = np.linalg.lstsq(basis, comm.reshape(-1), rcond=None)[0]
+                coef[np.abs(coef) < 1e-12] = 0.0
+                f[:, j, k], f[:, k, j] = coef, -coef
+        return f
+
+    @pytest.mark.parametrize("space", [hyperbolic(17), hyperbolic(9),
+                                       SpaceId.sl(5), SpaceId.so(2, 3)],
+                             ids=str)
+    def test_matches_per_pair_solves(self, space):
+        gens = spaces.solvable_generators(space).generators
+        f = spaces.structure_constants_from_generators(gens)
+        assert np.array_equal(f, self.per_pair(gens))
+
+    def test_commutator_outside_the_span_rejected(self):
+        # [E_01, E_12] = E_02 is not in span{E_01, E_12}
+        e01, e12 = np.zeros((3, 3)), np.zeros((3, 3))
+        e01[0, 1] = e12[1, 2] = 1.0
+        with pytest.raises(ValueError):
+            spaces.structure_constants_from_generators([e01, e12])

@@ -207,6 +207,38 @@ class TestTrainLoop:
         _, (rec,) = train.train_loop(tc, reg, ds)
         assert "min_margin" not in rec and rec["grad_norm"] > 0
 
+    def test_history_counts_projections(self):
+        # lr 0.3 drives a separator of this run across the admissibility
+        # slack in the first epoch; replaying the epoch counts the
+        # separators each projection changed
+        ds = train.gen_synthetic("blobs", n=80, dim=4, seed=0, classes=4)
+        cfg = net.NetworkConfig(input_dim=4,
+                                layers=(net.LayerSpec(H5), net.LayerSpec(H3)),
+                                task="multiclass", K=4)
+        tc = train.TrainConfig(learning_rate=0.3, epochs=2, batch_size=16)
+        _, history = train.train_loop(tc, cfg, ds)
+        flat = net.flatten(cfg, net.init_params(cfg, seed=tc.seed))
+        tr = ds.subset("train")
+        order = np.random.default_rng(tc.seed).permutation(len(tr))
+        moved = 0
+        for start in range(0, len(tr), tc.batch_size):
+            idx = order[start : start + tc.batch_size]
+            g = train.gradient(cfg, tc, flat, tr.features[idx], tr.labels[idx])
+            stepped = train.sgd_step(flat, g, tc.learning_rate)
+            flat = train.project_admissible(cfg, stepped)
+            old, new = (net.unflatten(cfg, f.vector).head
+                        for f in (stepped, flat))
+            moved += sum(
+                old["alpha"][k] != new["alpha"][k]
+                or old["beta"][k] != new["beta"][k]
+                or not np.array_equal(old["w"][k], new["w"][k])
+                for k in range(cfg.n_separators))
+        assert history[0]["projected"] == moved >= 1
+        assert all(isinstance(rec["projected"], int) for rec in history)
+        rerun = train.train_loop(tc, cfg, ds)[1]
+        assert [r["projected"] for r in rerun] == [
+            r["projected"] for r in history]
+
     def test_projection_keeps_admissible_input(self):
         cfg = small_config("multiclass", K=3)
         flat = net.flatten(cfg, net.init_params(cfg, seed=15))
