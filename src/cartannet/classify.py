@@ -16,7 +16,8 @@ import dataclasses
 
 import numpy as np
 
-from .spaces import SolvCoords, SpaceId
+from . import spaces
+from .spaces import SQRT2, SolvCoords, SpaceId
 
 __all__ = [
     "DegenerateSeparatorError",
@@ -242,47 +243,21 @@ def multiclass_nll_vjp(points, labels, bank: SeparatorBank):
 def find_surface_point(sep: Separator, space: SpaceId, seed: int = 0) -> SolvCoords:
     """Produce a witness point on the {h = 0} surface.
 
-    For an admissible separator the surface is a nonempty geodesic
-    hypersurface, so a witness always exists; with the subPaint component
-    along w chosen suitably, h = 0 reduces to a quadratic in e^{Y1} with a
-    guaranteed positive root.  The remaining freedom is drawn from seed."""
+    h = <n, v> in the eta form for the hyperboloid vector v = (e^{Y1}
+    (1 + |Y2|^2 / 4), Y2 / sqrt2, -e^{-Y1}), <v, v> = -2, and n = (-alpha,
+    sqrt2 w, beta), with <n, n> = 2 (|w|^2 - alpha beta) > 0 if admissible.
+    So a seeded point's v, eta-projected off n and rescaled to <v, v> = -2,
+    lies on the surface, on the same sheet (the segment stays timelike)."""
     space._require_r1()
     if not sep.admissible:
         raise DegenerateSeparatorError(
             "separator admissibility |w|^2 - alpha*beta must be positive"
         )
-    rng = np.random.default_rng(seed)
-    s = space.subpaint_dim
-    alpha, beta = float(np.real(sep.alpha)), float(np.real(sep.beta))
-    wr = np.real(sep.w).astype(float)
-    W = float(np.linalg.norm(wr))
-    if alpha == 0.0 and beta == 0.0:
-        # surface is the hyperplane <w, Y2> = 0 at any Cartan height
-        y2 = rng.uniform(-1.0, 1.0, size=s)
-        y2 = y2 - np.dot(wr, y2) * wr / W**2
-        return SolvCoords(space, np.r_[rng.uniform(-1.0, 1.0), y2])
-    if W == 0.0:
-        # alpha beta < 0 here; solve alpha + beta t^2 (1 + |y2|^2/4) = 0
-        y2 = rng.uniform(-1.0, 1.0, size=s)
-        t = np.sqrt(-alpha / (beta * (1.0 + 0.25 * y2 @ y2)))
-        return SolvCoords(space, np.r_[np.log(t), y2])
-    what = wr / W
-    v = rng.uniform(-1.0, 1.0, size=s)
-    v = v - np.dot(what, v) * what  # component orthogonal to w
-    if beta == 0.0:
-        # h = alpha e^{-Y1} + W s with s chosen so the sign works out
-        s_along = -np.sign(alpha) * rng.uniform(0.5, 1.5)
-        t = -alpha / (W * s_along)
-        return SolvCoords(space, np.r_[np.log(t), s_along * what + v])
-    # quadratic A t^2 + B t + C with A = beta (1 + |y2|^2/4), B = W s,
-    # C = alpha; choosing sign(s) = -sign(beta) makes the root sum
-    # positive, and |s| large enough makes the discriminant positive
-    ab = alpha * beta
-    s_min = np.sqrt(max(4.0 * ab * (1.0 + 0.25 * v @ v), 0.0) / (W * W - ab))
-    s_along = -np.sign(beta) * (s_min + rng.uniform(0.5, 1.5))
-    y2 = s_along * what + v
-    A = beta * (1.0 + 0.25 * y2 @ y2)
-    B = W * s_along
-    disc = B * B - 4.0 * A * alpha
-    t = max((-B + np.sqrt(disc)) / (2 * A), (-B - np.sqrt(disc)) / (2 * A))
-    return SolvCoords(space, np.r_[np.log(t), y2])
+    eta = spaces.build_eta(space).entries
+    y = np.random.default_rng(seed).uniform(-1.0, 1.0, size=space.dim)
+    y1, y2 = y[0], y[1:]
+    v = np.r_[np.exp(y1) * (1.0 + 0.25 * y2 @ y2), y2 / SQRT2, -np.exp(-y1)]
+    n = np.real(np.r_[-sep.alpha, SQRT2 * sep.w, sep.beta]).astype(float)
+    v = v - (n @ eta @ v) / (n @ eta @ n) * n
+    v = v * np.sqrt(-2.0 / (v @ eta @ v))
+    return SolvCoords(space, np.r_[-np.log(-v[-1]), SQRT2 * v[1:-1]])

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -68,6 +69,16 @@ def _path(value, name):
     if not isinstance(value, str):
         raise SystemExit2(f"{name} must be a path string, got {value!r}")
     return value
+
+
+def _writable(path, name):
+    """``path`` if its directory exists and is writable and it is not a
+    directory itself, checked before any work; else exit 2."""
+    folder = os.path.dirname(path) or "."
+    if (not os.path.isdir(folder) or not os.access(folder, os.W_OK)
+            or os.path.isdir(path)):
+        raise SystemExit2(f"cannot write {name} {path!r}")
+    return path
 
 
 def _object(value, name):
@@ -338,9 +349,9 @@ def cmd_train(args):
             fd_step=_number(tcfg.get("fd_step", 1e-5), "train.fd_step"),
         )
         dataset = train.load_csv(_path(cfg["dataset"], "dataset"))
-        metrics_path = _path(
+        metrics_path = _writable(_path(
             cfg.get("metrics_out", str(args.out) + ".metrics.jsonl"),
-            "metrics_out")
+            "metrics_out"), "metrics_out")
     except (KeyError, ValueError, OSError) as exc:
         raise SystemExit2(f"bad train config: {exc}")
     params, history = train.train_loop(tc, config, dataset)
@@ -399,6 +410,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        if args.out is not None:
+            _writable(args.out, "--out")
         return args.fn(args)
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)

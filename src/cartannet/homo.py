@@ -88,26 +88,16 @@ def aN_root_system(ell: int):
     eps_i - eps_j (i < j) carries the unique label [h=j-i, k=i]."""
     if ell < 1:
         raise ValueError("rank must be >= 1")
-    positives = []
-    for h in range(1, ell + 1):
-        for k in range(1, ell - h + 2):
-            vec = np.zeros(ell + 1, dtype=int)
-            vec[k - 1] = 1
-            vec[k - 1 + h] = -1
-            positives.append((RootLabel(h, k), vec))
+    eps = np.eye(ell + 1, dtype=int)
+    positives = [(RootLabel(h, k), eps[k - 1] - eps[k - 1 + h])
+                 for h, k in spaces._sl_root_labels(ell + 1)]
     roots = [v for _, v in positives] + [-v for _, v in positives]
     return roots, positives
 
 
 def _borel_labels(n: int):
-    ell = n - 1
-    labels = [RootLabel(0, k) for k in range(1, ell + 1)]
-    labels += [
-        RootLabel(h, k)
-        for h in range(1, ell + 1)
-        for k in range(1, ell - h + 2)
-    ]
-    return labels
+    return ([RootLabel(0, k) for k in range(1, n)]
+            + [RootLabel(h, k) for h, k in spaces._sl_root_labels(n)])
 
 
 def _borel_combinatorial(n: int) -> np.ndarray:
@@ -553,27 +543,20 @@ def r1_homomorphism(W: np.ndarray, b: np.ndarray, coords: SolvCoords,
 
 
 def coframe(space: SpaceId, values: np.ndarray) -> np.ndarray:
-    """Coframe matrix E with E^i = E[i, j] dY_j at the given coordinates.
-
-    r=1 closed form: E^1 = dw1, E^{1+a} = w_{1+a} dw1 + dw_{1+a}.  For sl
-    the left-invariant form L^{-1} dL is expanded on the triangular basis
-    (derivatives taken by complex step, exact to machine precision)."""
+    """Coframe matrix E with E^i = E[i, j] dY_j at the given coordinates,
+    for every family: the left-invariant form L^{-1} dL of the chart
+    L = sigma(Y), with derivatives taken by complex step (exact to machine
+    precision), expanded on ``solvable_generators(space).generators`` by
+    one least-squares solve."""
     values = np.asarray(values, dtype=float)
     d = space.dim
-    if space.is_r1:
-        E = np.eye(d)
-        E[1:, 0] = values[1:]
-        return E
-    if space.family != "sl":
-        raise ValueError("coframe is implemented for r=1 and sl spaces")
     h = 1e-200
     L = spaces.sigma_matrix(space, values)
     dL = np.imag(spaces.sigma_matrix(space, values + 1j * h * np.eye(d))) / h
     theta = np.linalg.solve(L, dL)  # theta[j] = L^{-1} dL/dY_j
-    rows, cols = np.array([
-        (lab.k, lab.k) if lab.h == 0 else (lab.k - 1, lab.k - 1 + lab.h)
-        for lab in _borel_labels(space.N)]).T
-    return theta[:, rows, cols].T
+    basis = np.stack(spaces.solvable_generators(space).generators)
+    return np.linalg.lstsq(basis.reshape(d, -1).T, theta.reshape(d, -1).T,
+                           rcond=None)[0]
 
 
 def integrate_coordinate_map(W: HomoMatrix, source_coords: SolvCoords) -> SolvCoords:

@@ -6,12 +6,11 @@ transition by the closed-form group homomorphism (matrix W and translation
 b) and a product of compact fiber rotations.  There is no pointwise
 activation; all nonlinearity comes from the group structure.
 
-Every stage works on a whole batch of raw coordinate arrays: the fiber
-rotations run as the hyperboloid-vector kernel ``isometry.fiber_rotate``
-(no matrices, no Crout refactorization), which also checks the Cartan
-bound on each stage input, and the homomorphism as
-``homo.r1_homomorphism_batch``.  ``inject`` and ``layer_forward`` are
-single-point wrappers over the same kernels.
+One chain, :func:`stages`, runs a batch layer by layer for
+:func:`forward_batch` and for the reverse gradient in ``train``:
+``homo.r1_homomorphism_batch``, then the Givens chain of
+``isometry.fiber_rotate`` (no matrices), which checks the Cartan bound of
+each stage input.  ``inject`` and ``layer_forward`` wrap the same kernels.
 """
 
 from __future__ import annotations
@@ -38,6 +37,7 @@ __all__ = [
     "inject",
     "layer_forward",
     "forward",
+    "stages",
     "forward_batch",
     "save_model",
     "load_model",
@@ -118,15 +118,6 @@ class FlatParams:
 
     vector: np.ndarray
     layout: tuple
-
-    @property
-    def offsets(self) -> dict:
-        out, pos = {}, 0
-        for name, shape in self.layout:
-            size = math.prod(shape)
-            out[name] = (pos, shape)
-            pos += size
-        return out
 
 
 @functools.lru_cache(maxsize=64)
@@ -244,21 +235,31 @@ def _named_blocks(params: ParamSet) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def forward_batch(config: NetworkConfig, params: ParamSet, X: np.ndarray) -> np.ndarray:
-    """Coordinates of the last hidden layer for a batch of inputs.
-
-    Complex inputs/parameters propagate analytically, which is what makes
-    complex-step differentiation of the whole chain exact."""
+def stages(config: NetworkConfig, params: ParamSet, X: np.ndarray):
+    """Yield, per layer, its output for a batch of inputs and the tape of
+    its fiber chain (read by ``isometry._fiber_pullback``); a caller that
+    drops each tape, as the chain does, frees it before the next stage
+    runs.  Complex inputs propagate analytically, for complex step."""
     X = np.asarray(X)
     if not np.all(np.isfinite(np.real(X))):
         raise ValueError("non-finite network input")
     if X.ndim == 1:
         X = X[None, :]
-    values = X @ np.swapaxes(np.atleast_2d(params.Q), -1, -2)
-    values = isometry.fiber_rotate(config.layers[0].space, values, params.lam)
-    for i, layer in enumerate(config.layers[1:]):
-        values = homo.r1_homomorphism_batch(params.Ws[i], params.bs[i], values)
-        values = isometry.fiber_rotate(layer.space, values, params.psis[i])
+    values = X @ params.Q.T
+    for i, layer in enumerate(config.layers):
+        if i:
+            values = homo.r1_homomorphism_batch(params.Ws[i - 1],
+                                                params.bs[i - 1], values)
+        values, tape = isometry._fiber_forward(
+            layer.space, values, params.psis[i - 1] if i else params.lam)
+        yield values, tape
+        del tape
+
+
+def forward_batch(config: NetworkConfig, params: ParamSet, X: np.ndarray) -> np.ndarray:
+    """Coordinates of the last hidden layer for a batch of inputs."""
+    for values, tape in stages(config, params, X):
+        del tape
     return values
 
 

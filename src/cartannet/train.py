@@ -1,10 +1,9 @@
 """Losses, gradients, SGD training, and synthetic data generation.
 
 Gradients come in two modes.  ``analytic`` is reverse mode: one forward
-pass through the stage kernels of ``net.forward_batch``, in which every
-stage runs once and keeps what its pullback needs (a fiber stage the tape
-of its Givens chain, a homomorphism its input), then one hand-written
-pullback per stage in reverse order (injection, the fiber pullback,
+pass through ``net.stages``, the chain ``net.forward_batch`` runs, keeping
+each layer's output and fiber tape, then one hand-written pullback per
+stage in reverse order (injection, the fiber pullback,
 ``homo.r1_homomorphism_batch_vjp``, and the separator heads'
 ``classify.binary_nll_vjp`` / ``multiclass_nll_vjp``, which reuse the
 head kernel's own forward, or the regression read-out).
@@ -22,7 +21,7 @@ import dataclasses
 import numpy as np
 
 from . import classify, homo, isometry, net
-from .spaces import CartanBoundError
+from .spaces import CARTAN_BOUND, CartanBoundError
 
 __all__ = [
     "Dataset",
@@ -91,6 +90,8 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.gradient_mode not in ("analytic", "finite-difference"):
             raise ValueError(f"unknown gradient mode {self.gradient_mode!r}")
+        if not (np.isfinite(self.fd_step) and self.fd_step > 0):
+            raise ValueError("fd_step must be finite and positive")
 
 
 # ---------------------------------------------------------------------------
@@ -163,32 +164,19 @@ def _head_vjp(config: net.NetworkConfig, params: net.ParamSet,
 
 def _reverse_gradient(config: net.NetworkConfig, params: net.ParamSet,
                       features, labels) -> np.ndarray:
-    """Reverse-mode gradient of the batch loss: each stage of
-    ``net.forward_batch`` runs forward once and keeps what its pullback
-    needs (the fiber stages their Givens tape, the homomorphisms their
-    input), then the pullbacks run in reverse order."""
+    """Reverse-mode gradient of the batch loss: one forward pass through
+    ``net.stages``, keeping every layer's output and fiber tape, then the
+    pullbacks in reverse order."""
     X = np.atleast_2d(np.asarray(features, dtype=float))
-    if not np.all(np.isfinite(X)):
-        raise ValueError("non-finite network input")
-    layers = [layer.space for layer in config.layers]
-    values, first_tape = isometry._fiber_forward(
-        layers[0], X @ params.Q.T, params.lam)
-    stages = []  # (homomorphism input, fiber tape) per transition
-    for i, space in enumerate(layers[1:]):
-        homo_in = values
-        values, tape = isometry._fiber_forward(
-            space, homo.r1_homomorphism_batch(params.Ws[i], params.bs[i], values),
-            params.psis[i])
-        stages.append((homo_in, tape))
-    g, head = _head_vjp(config, params, values, labels)
-    n_trans = len(stages)
+    outputs, tapes = zip(*net.stages(config, params, X))
+    g, head = _head_vjp(config, params, outputs[-1], labels)
+    n_trans = len(outputs) - 1
     g_Ws, g_bs, g_psis = [None] * n_trans, [None] * n_trans, [None] * n_trans
     for i in reversed(range(n_trans)):
-        homo_in, tape = stages[i]
-        g, g_psis[i] = isometry._fiber_pullback(tape, g)
+        g, g_psis[i] = isometry._fiber_pullback(tapes[i + 1], g)
         g, g_Ws[i], g_bs[i] = homo.r1_homomorphism_batch_vjp(
-            params.Ws[i], params.bs[i], homo_in, g)
-    g, g_lam = isometry._fiber_pullback(first_tape, g)
+            params.Ws[i], params.bs[i], outputs[i], g)
+    g, g_lam = isometry._fiber_pullback(tapes[0], g)
     grads = net.ParamSet(Q=g.T @ X, lam=g_lam, Ws=g_Ws, bs=g_bs,
                          psis=g_psis, head=head)
     return net.flatten(config, grads).vector
@@ -295,12 +283,15 @@ def train_loop(tc: TrainConfig, config: net.NetworkConfig, dataset: Dataset,
     History records one JSON-serializable dict per epoch, with the
     largest 2-norm of a batch gradient in the epoch (``grad_norm``), the
     number of separators :func:`project_admissible` moved in the epoch
-    (``projected``) and, for separator heads, the smallest admissibility
-    margin |w|^2 - alpha beta after the epoch (``min_margin``).  The loop
-    stops early, and returns the parameters from the start of the failing
-    epoch, when the loss diverges, a stage input leaves the Cartan bound,
-    or a separator is evaluated outside admissibility (a finite-difference
-    quotient can step across |w|^2 - alpha beta = 0)."""
+    (``projected``), per layer the largest |Y1| of its output on the
+    train split over ``CARTAN_BOUND`` (``cartan_fraction``, from the pass
+    that gives ``train_loss``) and, for separator heads, the smallest
+    admissibility margin |w|^2 - alpha beta after the epoch
+    (``min_margin``).  The loop stops early, and returns the parameters
+    from the start of the failing epoch, when the loss diverges, a stage
+    input leaves the Cartan bound, or a separator is evaluated outside
+    admissibility (a finite-difference quotient can step across
+    |w|^2 - alpha beta = 0)."""
     train = dataset.subset("train")
     test = dataset.subset("test")
     if len(train) == 0:
@@ -324,7 +315,13 @@ def train_loop(tc: TrainConfig, config: net.NetworkConfig, dataset: Dataset,
                 if flat is not stepped:
                     projected += len(_crossing(config, stepped))
             params = net.unflatten(config, flat.vector)
-            train_loss = loss(config, params, train.features, train.labels)
+            cartan_fraction = []
+            for points, tape in net.stages(config, params, train.features):
+                del tape
+                cartan_fraction.append(float(np.max(np.abs(points[:, 0])))
+                                       / CARTAN_BOUND)
+            train_loss = float(np.real(_head_loss(config, params, points,
+                                                  train.labels)))
             if not np.isfinite(train_loss) or train_loss > DIVERGENCE_LIMIT:
                 raise DivergenceError(f"loss diverged at epoch {epoch}")
         except (DivergenceError, CartanBoundError,
@@ -333,7 +330,8 @@ def train_loop(tc: TrainConfig, config: net.NetworkConfig, dataset: Dataset,
             params = net.unflatten(config, flat.vector)
             break
         record = {"epoch": epoch, "train_loss": train_loss,
-                  "grad_norm": grad_norm, "projected": projected}
+                  "grad_norm": grad_norm, "projected": projected,
+                  "cartan_fraction": cartan_fraction}
         if config.task != "regression":
             record["min_margin"] = min(
                 _margin(params.head, k) for k in range(config.n_separators))

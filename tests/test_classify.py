@@ -354,3 +354,39 @@ class TestStackedHead:
             classify.multiclass_nll(x, labels, bank)
         with pytest.raises(classify.DegenerateSeparatorError):
             classify.multiclass_nll_vjp(x, labels, bank)
+
+
+@st.composite
+def surface_cases(draw):
+    """An admissible separator on H^2..H^6 of one drawn kind: alpha = beta
+    = 0, w = 0 (so alpha beta < 0), beta = 0, alpha = 0, or general."""
+    s = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["flat", "no-normal", "beta0", "alpha0",
+                                 "general"]))
+    if kind == "general":
+        sep = draw_separator(draw, s)
+    else:
+        w = draw(hnp.arrays(float, s, elements=st.floats(-2.0, 2.0)))
+        w[0] = 0.1 + abs(w[0])
+        a = draw(st.floats(-3.0, 3.0))
+        b = draw(st.floats(0.01, 3.0))
+        sep = {"flat": lambda: classify.Separator(0.0, 0.0, w),
+               "no-normal": lambda: classify.Separator(
+                   np.sign(a or 1.0) * (abs(a) + 0.01), -np.sign(a or 1.0) * b,
+                   np.zeros(s)),
+               "beta0": lambda: classify.Separator(a, 0.0, w),
+               "alpha0": lambda: classify.Separator(0.0, a, w)}[kind]()
+    return sep, spaces.hyperbolic(s + 1), draw(st.integers(0, 2**32 - 1))
+
+
+class TestSurfaceWitness:
+    """``find_surface_point`` on every kind of admissible separator."""
+
+    @PROPERTY
+    @given(surface_cases())
+    def test_witness_lies_on_the_surface(self, case):
+        sep, space, seed = case
+        assert sep.admissible
+        p = classify.find_surface_point(sep, space, seed=seed)
+        assert p.space == space
+        assert abs(classify.signed_distance(sep, p)) <= 1e-10

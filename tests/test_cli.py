@@ -387,6 +387,86 @@ class TestPathFields:
         assert not out.exists()
 
 
+class TestUnwritableOutputs:
+    """An output that cannot be written exits 2 with a one-line error
+    before any work is done, and nothing is written."""
+
+    @staticmethod
+    def dataset(tmp_path):
+        data = tmp_path / "data.csv"
+        gen = write_json(tmp_path / "gen.json", TestStrictIntegers.GEN)
+        assert run(["gen-data", "--config", gen, "--out", str(data)]) == 0
+        return str(data)
+
+    def train_exit(self, tmp_path, monkeypatch, out, **fields):
+        data = self.dataset(tmp_path)
+
+        def must_not_train(*args, **kwargs):
+            raise AssertionError("trained before checking the outputs")
+
+        monkeypatch.setattr(train, "train_loop", must_not_train)
+        cfg = write_json(tmp_path / "train.json", {
+            "net": {"input_dim": 2, "layers": [3], "task": "binary"},
+            "train": {"epochs": 1, "batch_size": 16},
+            "dataset": data, **fields})
+        before = sorted(tmp_path.rglob("*"))
+        code = run(["train", "--config", cfg, "--out", str(out)])
+        assert sorted(tmp_path.rglob("*")) == before
+        return code
+
+    def test_train_metrics_out_in_missing_directory(self, tmp_path,
+                                                    monkeypatch, capsys):
+        metrics = tmp_path / "nodir" / "m.jsonl"
+        assert self.train_exit(tmp_path, monkeypatch, tmp_path / "model.json",
+                               metrics_out=str(metrics)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("where", ["nodir/model.json", "."])
+    def test_train_out_unwritable(self, tmp_path, monkeypatch, where):
+        assert self.train_exit(tmp_path, monkeypatch, tmp_path / where) == 2
+
+    @pytest.mark.parametrize("command", ["verify", "solve-homo", "gen-data",
+                                         "eval"])
+    def test_out_in_missing_directory(self, tmp_path, command, capsys):
+        if command == "verify":
+            argv = ["verify", "--scope", "core"]
+        elif command == "solve-homo":
+            argv = ["solve-homo", "--config", write_json(
+                tmp_path / "solve.json",
+                {"source": "r1(1)", "target": "r1(1)", "seeds": 1})]
+        elif command == "gen-data":
+            argv = ["gen-data", "--config", write_json(
+                tmp_path / "gen.json", TestStrictIntegers.GEN)]
+        else:
+            config = net.NetworkConfig(input_dim=2, layers=(hyperbolic(3),),
+                                       task="binary")
+            model = tmp_path / "model.json"
+            net.save_model(model, config, net.init_params(config))
+            argv = ["eval", "--config", write_json(
+                tmp_path / "eval.json",
+                {"model": str(model), "dataset": self.dataset(tmp_path)})]
+        capsys.readouterr()
+        out = tmp_path / "nodir" / "out.json"
+        assert run(argv + ["--out", str(out)]) == 2
+        assert not out.parent.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+class TestFdStep:
+    def test_zero_fd_step_exit_2(self, tmp_path):
+        data = TestUnwritableOutputs.dataset(tmp_path)
+        cfg = write_json(tmp_path / "train.json", {
+            "net": {"input_dim": 2, "layers": [3], "task": "binary"},
+            "train": {"epochs": 1, "batch_size": 16,
+                      "gradient_mode": "finite-difference", "fd_step": 0},
+            "dataset": data})
+        model = tmp_path / "model.json"
+        assert run(["train", "--config", cfg, "--out", str(model)]) == 2
+        assert not model.exists()
+
+
 class TestEntryPoint:
     def test_console_script(self):
         proc = subprocess.run(

@@ -260,6 +260,45 @@ class TestCoframe:
             assert np.max(np.abs(resid)) < 1e-7
 
 
+class TestCoframeEveryFamily:
+    """One coframe for every family: the Maurer-Cartan equations close on
+    higher-rank so charts, and r=1 reproduces the closed form."""
+
+    @staticmethod
+    def mc_residual(space, x, h=1e-5):
+        # d e^i + 1/2 f^i_jk e^j ^ e^k by central differences of E
+        d, f = space.dim, homo.mc_structure(space).f
+        dE = np.zeros((d, d, d))  # dE[i, j, k] = d_j E^i_k
+        for j in range(d):
+            step = np.zeros(d)
+            step[j] = h
+            dE[:, j, :] = (homo.coframe(space, x + step)
+                           - homo.coframe(space, x - step)) / (2 * h)
+        E = homo.coframe(space, x)
+        return (dE - dE.transpose(0, 2, 1)
+                + np.einsum("ijk,ja,kb->iab", f, E, E))
+
+    @pytest.mark.parametrize("space", [SpaceId.so(2, 1), SpaceId.so(2, 3),
+                                       SpaceId.so(3, 2)],
+                             ids=str)
+    def test_mc_equations_close_on_higher_rank(self, space):
+        rng = np.random.default_rng(17)
+        for _ in range(3):
+            x = rng.uniform(-0.5, 0.5, space.dim)
+            assert np.max(np.abs(self.mc_residual(space, x))) < 1e-7
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_r1_matches_closed_form(self, n):
+        # oracle: E^1 = dw1, E^{1+a} = w_{1+a} dw1 + dw_{1+a}
+        space = spaces.hyperbolic(n)
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            x = rng.uniform(-1.5, 1.5, space.dim)
+            want = np.eye(space.dim)
+            want[1:, 0] = x[1:]
+            assert np.max(np.abs(homo.coframe(space, x) - want)) <= 1e-14
+
+
 class TestIntegration:
     def test_canonical_embedding(self):
         rng = np.random.default_rng(4)

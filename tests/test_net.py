@@ -1,5 +1,7 @@
 """Network assembly: injection, layer maps, flattening, persistence."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -202,3 +204,35 @@ class TestPersistence:
         net.save_model(p1, cfg, params)
         net.save_model(p2, cfg, params)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestStageChain:
+    """``forward_batch`` runs the shared stage chain: one fiber stage per
+    layer, in order, each stage's tape freed before the next one runs."""
+
+    @pytest.mark.parametrize("layers", [(2,), (3, 2), (5, 3), (17, 9, 5)])
+    def test_one_fiber_stage_per_layer(self, layers, monkeypatch):
+        cfg = net.NetworkConfig(
+            input_dim=3,
+            layers=tuple(net.LayerSpec(spaces.hyperbolic(n)) for n in layers),
+            task="binary")
+        params = net.init_params(cfg, seed=1)
+        X = np.random.default_rng(2).uniform(-1.0, 1.0, (4, 3))
+        want = net.forward_batch(cfg, params, X)
+        calls, tapes, live = [], [], []
+        original = isometry._fiber_forward
+
+        def counted(space, values, angles):
+            # every earlier stage's tape must be gone by now
+            live.append(sum(ref() is not None for ref in tapes))
+            out = original(space, values, angles)
+            calls.append(space)
+            if out[1] is not None:  # e^{w1}, an array only the tape holds
+                tapes.append(weakref.ref(out[1][3]))
+            return out
+
+        monkeypatch.setattr(isometry, "_fiber_forward", counted)
+        got = net.forward_batch(cfg, params, X)
+        assert calls == [layer.space for layer in cfg.layers]
+        assert live == [0] * len(layers)
+        assert np.array_equal(got, want)

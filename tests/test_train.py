@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cartannet import classify, net, train
+from cartannet import classify, isometry, net, spaces, train
 from cartannet.spaces import SpaceId
 
 H3 = SpaceId.so(1, 2)
@@ -56,6 +56,17 @@ class TestTrainConfig:
             train.TrainConfig(batch_size=0)
         with pytest.raises(ValueError):
             train.TrainConfig(gradient_mode="autodiff")
+
+
+class TestFdStep:
+    @pytest.mark.parametrize("step", [0.0, -1e-5, float("nan"),
+                                      float("inf")])
+    def test_fd_step_must_be_finite_and_positive(self, step):
+        # a zero step made every difference quotient 0/0, and train_loop
+        # stopped silently at epoch 0
+        with pytest.raises(ValueError):
+            train.TrainConfig(gradient_mode="finite-difference",
+                              fd_step=step)
 
 
 class TestLoss:
@@ -206,6 +217,47 @@ class TestTrainLoop:
         ds.labels = ds.labels.astype(float)
         _, (rec,) = train.train_loop(tc, reg, ds)
         assert "min_margin" not in rec and rec["grad_norm"] > 0
+
+    def test_history_cartan_fraction(self, monkeypatch):
+        # per layer, the largest |Y1| of its output over the train split
+        # as a fraction of CARTAN_BOUND, read off the forward pass that
+        # gives train_loss: every layer recomputed point by point
+        ds = train.gen_synthetic("blobs", n=60, dim=4, seed=2, classes=3)
+        cfg = net.NetworkConfig(input_dim=4,
+                                layers=(net.LayerSpec(H5), net.LayerSpec(H3)),
+                                task="multiclass", K=3)
+        tc = train.TrainConfig(learning_rate=0.05, epochs=1, batch_size=16)
+        stages = []
+        original = isometry._fiber_forward
+
+        def counted(*args):
+            stages.append(args[0])
+            return original(*args)
+
+        monkeypatch.setattr(isometry, "_fiber_forward", counted)
+        params, (rec,) = train.train_loop(tc, cfg, ds)
+        monkeypatch.undo()
+        tr = ds.subset("train")
+        batches = -(-len(tr) // tc.batch_size)
+        # a gradient per batch, then the train and the test split once
+        assert len(stages) == (batches + 2) * len(cfg.layers)
+        peaks = np.zeros(len(cfg.layers))
+        for x in tr.features:
+            p = net.inject(H5, params.Q, params.lam, x)
+            peaks[0] = max(peaks[0], abs(p.values[0]))
+            p = net.layer_forward(params.Ws[0], params.bs[0], params.psis[0],
+                                  p, H3)
+            peaks[1] = max(peaks[1], abs(p.values[0]))
+        assert np.allclose(rec["cartan_fraction"],
+                           peaks / spaces.CARTAN_BOUND, rtol=1e-12, atol=0)
+        assert all(isinstance(v, float) for v in rec["cartan_fraction"])
+        reg = net.NetworkConfig(input_dim=4, layers=(net.LayerSpec(H5),),
+                                task="regression")
+        ds.labels = ds.labels.astype(float)
+        _, history = train.train_loop(
+            train.TrainConfig(learning_rate=0.01, epochs=2, batch_size=16),
+            reg, ds)
+        assert [len(r["cartan_fraction"]) for r in history] == [1, 1]
 
     def test_history_counts_projections(self):
         # lr 0.3 drives a separator of this run across the admissibility
