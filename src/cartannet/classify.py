@@ -6,8 +6,10 @@ totally geodesic hypersurface, and the signed geodesic distance to it is
 exactly arcsinh(h / (2 sqrt(|w|^2 - alpha beta))).  The signed distance
 feeds sigmoid or softmax heads.  One batched kernel evaluates all K
 separators of a bank at once, and the likelihood gradients reuse its
-intermediates.  All functions propagate complex inputs analytically, so
-complex-step differentiation, the gradient tests' oracle, is exact.
+intermediates.  It computes on the columns (d, B) of the points, one row
+per separator, and returns (..., K) as views of those rows.  All functions
+propagate complex inputs analytically, so complex-step differentiation,
+the gradient tests' oracle, is exact.
 """
 
 from __future__ import annotations
@@ -84,21 +86,19 @@ class SeparatorBank:
         return len(self.separators)
 
 
-def _values(p) -> np.ndarray:
-    return p.values if isinstance(p, SolvCoords) else np.asarray(p)
-
-
 def _h_stack(alpha, beta, w, p):
     """h (..., K) of K separators stacked as alpha, beta (K,) and w (K, s)
     at a point or batch p, with the parts (Y2, e^{-Y1}, e^{Y1},
-    up = e^{Y1} (1 + |Y2|^2 / 4)) it was built from."""
-    v = _values(p)
-    y1, y2 = v[..., :1], v[..., 1:]
-    if y2.shape[-1] != w.shape[-1]:
+    up = e^{Y1} (1 + |Y2|^2 / 4)) it was built from, all as columns."""
+    cols = spaces._columns(p)
+    y1, y2 = cols[0], cols[1:]
+    if len(y2) != w.shape[-1]:
         raise ValueError("separator normal has the wrong dimension")
     down, eup = np.exp(-y1), np.exp(y1)
-    up = eup * (1.0 + 0.25 * np.sum(y2 * y2, axis=-1, keepdims=True))
-    return alpha * down + y2 @ w.T + beta * up, (y2, down, eup, up)
+    up = eup * (1.0 + 0.25 * spaces._sum_squares(y2))
+    h = (np.multiply.outer(alpha, down) + w @ y2
+         + np.multiply.outer(beta, up))
+    return h.T, (y2, down, eup, up)
 
 
 def h_value(sep: Separator, p):
@@ -129,15 +129,17 @@ def _head_vjp(bank: SeparatorBank, u, saved, g_d):
     d = arcsinh(u) that :func:`_head` computed at real points (B, d), with
     respect to the points and to alpha (K,), beta (K,) and w (K, s)."""
     y2, down, eup, up, norm = saved
-    g_h = g_d / (norm * np.sqrt(1.0 + u * u))
-    g_n2 = -2.0 * np.sum(g_h * u, axis=0) / norm
+    u, g_d = u.T, g_d.T
+    g_h = g_d / (norm[:, None] * np.sqrt(1.0 + u * u))
+    g_n2 = -2.0 * np.sum(g_h * u, axis=1) / norm
+    g_beta_h = bank.beta @ g_h
     g_points = np.concatenate(
-        [g_h @ bank.beta[:, None] * up - g_h @ bank.alpha[:, None] * down,
-         g_h @ bank.w + 0.5 * (g_h @ bank.beta)[:, None] * eup * y2], axis=1)
-    g_alpha = down[:, 0] @ g_h - bank.beta * g_n2
-    g_beta = up[:, 0] @ g_h - bank.alpha * g_n2
-    g_w = g_h.T @ y2 + 2.0 * g_n2[:, None] * bank.w
-    return g_points, g_alpha, g_beta, g_w
+        [(g_beta_h * up - bank.alpha @ g_h * down)[None],
+         bank.w.T @ g_h + 0.5 * g_beta_h * eup * y2])
+    g_alpha = g_h @ down - bank.beta * g_n2
+    g_beta = g_h @ up - bank.alpha * g_n2
+    g_w = g_h @ y2.T + 2.0 * g_n2[:, None] * bank.w
+    return g_points.T, g_alpha, g_beta, g_w
 
 
 def signed_distance(sep: Separator, p):
@@ -172,11 +174,12 @@ def binary_prob(sep: Separator, p):
 
 
 def _logsumexp(d):
-    """log sum_k e^{d_k} over the last axis, shifted by the (constant)
-    maximum of the real parts so that it neither overflows nor underflows
-    and stays complex-analytic."""
-    shift = np.max(np.real(d), axis=-1)
-    return shift + np.log(np.sum(np.exp(d - shift[..., None]), axis=-1))
+    """log sum_k e^{d_k} over the last axis (the rows of d.T), shifted by
+    the (constant) maximum of the real parts so that it neither overflows
+    nor underflows and stays complex-analytic."""
+    d = d.T
+    shift = np.max(np.real(d), axis=0)
+    return shift + np.log(np.sum(np.exp(d - shift), axis=0))
 
 
 def _checked_labels(labels, K=None):
@@ -194,13 +197,17 @@ def binary_nll(points, labels, sep: Separator):
     """Negative log likelihood of binary labels (0/1) under the sigmoid
     head: the sum of softplus(d) - y d over the signed distances d."""
     labels = _checked_labels(labels)
-    d = signed_distance(sep, points)
-    softplus = _logsumexp(np.stack([np.zeros_like(d), d], axis=-1))
+    return _binary_nll(signed_distance(sep, points), labels)
+
+
+def _binary_nll(d, labels):
+    """:func:`binary_nll` from the signed distances d (B,)."""
+    softplus = _logsumexp(np.stack([np.zeros_like(d), d]).T)
     return np.sum(softplus - labels.astype(float) * d)
 
 
 def _softmax(d):
-    return np.exp(d - _logsumexp(d)[..., None])
+    return np.exp(d.T - _logsumexp(d)).T
 
 
 def softmax_probs(bank: SeparatorBank, p):
@@ -213,8 +220,12 @@ def multiclass_nll(points, labels, bank: SeparatorBank):
     """Negative log likelihood of labels in 0..K-1 under the softmax head:
     the sum of logsumexp(d) - d_y over the signed distances d."""
     labels = _checked_labels(labels, len(bank))
-    d = np.arcsinh(_head(bank, points)[0])
-    picked = np.take_along_axis(d, labels.reshape(-1, 1), axis=-1)[..., 0]
+    return _multiclass_nll(np.arcsinh(_head(bank, points)[0]), labels)
+
+
+def _multiclass_nll(d, labels):
+    """:func:`multiclass_nll` from the signed distances d (B, K)."""
+    picked = np.take_along_axis(d.T, labels[None], axis=0)[0]
     return np.sum(_logsumexp(d) - picked)
 
 
@@ -236,7 +247,7 @@ def multiclass_nll_vjp(points, labels, bank: SeparatorBank):
     labels = _checked_labels(labels, len(bank))
     u, saved = _head(bank, points)
     g_d = _softmax(np.arcsinh(u))
-    g_d[np.arange(len(labels)), labels] -= 1.0
+    g_d.T[labels, np.arange(len(labels))] -= 1.0
     return _head_vjp(bank, u, saved, g_d)
 
 

@@ -499,22 +499,22 @@ def solve_numeric(system: ConstraintSystem, seeds: int, seed: int = 0):
 
 def r1_homomorphism_batch(W, b, values) -> np.ndarray:
     """Closed-form group homomorphism between r=1 layers on a batch (..., d)
-    of raw coordinates: (Y1, Y2) -> (Y1, W Y2 + (1 - e^{-Y1}) b).
-    Complex inputs propagate analytically."""
-    y1 = values[..., :1]
-    sub = values[..., 1:] @ np.swapaxes(np.atleast_2d(W), -1, -2)
-    return np.concatenate([y1, sub + (1.0 - np.exp(-y1)) * b], axis=-1)
+    of raw coordinates: (Y1, Y2) -> (Y1, W Y2 + (1 - e^{-Y1}) b), on its
+    columns.  Complex inputs propagate analytically."""
+    cols = spaces._columns(values)
+    sub = W @ cols[1:] + np.multiply.outer(b, 1.0 - np.exp(-cols[0]))
+    return np.concatenate([cols[:1], sub]).T
 
 
 def r1_homomorphism_batch_vjp(W, b, values, grad):
     """Vector-Jacobian product of :func:`r1_homomorphism_batch` at a real
     batch (B, d): returns the gradients of grad . out with respect to
-    values, W and b."""
-    y1, y2 = values[:, 0], values[:, 1:]
-    g1, g2 = grad[:, 0], grad[:, 1:]
-    e = np.exp(-y1)
-    g_values = np.concatenate([(g1 + e * (g2 @ b))[:, None], g2 @ W], axis=1)
-    return g_values, g2.T @ y2, (1.0 - e) @ g2
+    values, W and b, computed on columns."""
+    cols, g = spaces._columns(values), spaces._columns(grad)
+    y2, g2 = cols[1:], g[1:]
+    e = np.exp(-cols[0])
+    g_values = np.concatenate([(g[0] + e * (b @ g2))[None], W.T @ g2])
+    return g_values.T, g2 @ y2.T, g2 @ (1.0 - e)
 
 
 def r1_homomorphism(W: np.ndarray, b: np.ndarray, coords: SolvCoords,

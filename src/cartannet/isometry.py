@@ -10,7 +10,9 @@ The fiber rotations of an r=1 space have a batched vector kernel,
 :func:`fiber_rotate`, that forms no matrix.  For r=1 the coset matrix is
 M = eta + v v^T with v = L(e_0 - e_{N-1}) on the hyperboloid <v, v> = -2,
 so an isometry g acts as v -> g v, and a fiber rotation is one Givens
-rotation of that vector in the diagonal eta basis.
+rotation of that vector in the diagonal eta basis.  Like every batched
+r=1 kernel it takes rows (..., d), computes on their contiguous columns
+(d, ...) and returns the transpose of a fresh column block.
 """
 
 from __future__ import annotations
@@ -178,34 +180,34 @@ def _fiber_forward(space: SpaceId, values, angles):
     up, down, R, the P after each rotation, the rotated s, T, the branch
     mask P > 0)."""
     fibers = space.fiber_dim  # raises unless r = 1
-    values = np.asarray(values)
+    cols = spaces._columns(values)
     angles = np.asarray(angles)
-    spaces._check_cartan_bound(values[..., 0].real)
+    spaces._check_cartan_bound(cols[0].real)
     if angles.shape != (fibers,):
         raise ValueError(
             f"expected {fibers} fiber angles for {space}, "
             f"got shape {angles.shape}"
         )
     if fibers == 0:
-        return values, None
-    cols = np.array(values.T, dtype=np.result_type(values, angles, float),
-                    order="C")
-    w1, s = cols[0], cols[1:]
+        return np.asarray(values), None
+    out = np.empty(cols.shape, dtype=np.result_type(cols, angles, float))
+    w1, s, s_out = cols[0], cols[1:], out[1:]
     eup, down = np.exp(w1), np.exp(-w1)
-    up = eup * (1.0 + 0.25 * np.sum(s * s, axis=0))
+    up = eup * (1.0 + 0.25 * spaces._sum_squares(s))
     R, P = up + down, up - down
     cos, sin = np.cos(angles), np.sin(angles)
+    s_out[0] = s[0]
+    np.multiply(s[1:].T, cos, out=s_out[1:].T)  # every cos_j x_j at once
     Ps = []
     for j in range(fibers):
-        x = s[1 + j]
-        P, s[1 + j] = cos[j] * P + sin[j] * x, cos[j] * x - sin[j] * P
+        s_out[1 + j] -= sin[j] * P
+        P = cos[j] * P + sin[j] * s[1 + j]
         Ps.append(P)
     upper = np.real(P) > 0
-    T = (np.where(upper, 4.0 + np.sum(s * s, axis=0), R - P)
+    T = (np.where(upper, 4.0 + spaces._sum_squares(s_out), R - P)
          / np.where(upper, 2.0 * (R + P), 2.0))
-    cols[0] = -np.log(T)
-    return cols.T, (cos, sin, values.T[1:], eup, up, down, R, Ps, s, T,
-                    upper)
+    out[0] = -np.log(T)
+    return out.T, (cos, sin, s, eup, up, down, R, Ps, s_out, T, upper)
 
 
 def _fiber_pullback(tape, grad):
@@ -220,8 +222,8 @@ def _fiber_pullback(tape, grad):
     if tape is None:
         return grad.copy(), np.zeros(0)
     cos, sin, s, eup, up, down, R, Ps, s_out, T, upper = tape
-    g = grad.T
-    g_s = np.array(g[1:])
+    g = np.array(grad.T, order="C")  # accumulates in place
+    g_s = g[1:]
     P = Ps[-1]
     g_T = -g[0] / T
     # upper: T = (4 + s.s) / (2 (R + P)); else T = (R - P) / 2
@@ -235,8 +237,8 @@ def _fiber_pullback(tape, grad):
         g_P, g_s[1 + j] = cos[j] * g_P - sin[j] * g_x, sin[j] * g_P + cos[j] * g_x
     g_up, g_down = g_R + g_P, g_R - g_P
     g_s += 0.5 * (g_up * eup) * s
-    g_w1 = g_up * up - g_down * down
-    return np.concatenate([g_w1[None], g_s]).T, g_angles
+    g[0] = g_up * up - g_down * down
+    return g.T, g_angles
 
 
 def fiber_rotate_vjp(space: SpaceId, values, angles, grad):

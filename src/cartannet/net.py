@@ -11,6 +11,8 @@ One chain, :func:`stages`, runs a batch layer by layer for
 ``homo.r1_homomorphism_batch``, then the Givens chain of
 ``isometry.fiber_rotate`` (no matrices), which checks the Cartan bound of
 each stage input.  ``inject`` and ``layer_forward`` wrap the same kernels.
+A batch travels the chain as contiguous columns (d, B) from the injection
+``Q @ X.T`` on; every stage takes and returns rows that are views of them.
 """
 
 from __future__ import annotations
@@ -245,7 +247,7 @@ def stages(config: NetworkConfig, params: ParamSet, X: np.ndarray):
         raise ValueError("non-finite network input")
     if X.ndim == 1:
         X = X[None, :]
-    values = X @ params.Q.T
+    values = (params.Q @ X.T).T
     for i, layer in enumerate(config.layers):
         if i:
             values = homo.r1_homomorphism_batch(params.Ws[i - 1],

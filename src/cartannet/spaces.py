@@ -353,6 +353,20 @@ def solvable_generators(space: SpaceId) -> SolvAlgebraSpec:
 # ---------------------------------------------------------------------------
 
 
+def _columns(p) -> np.ndarray:
+    """The rows (..., d) of a batch or SolvCoords as the contiguous columns
+    (d, ...) the batched r=1 kernels compute on: a view of the stage
+    chain's batches, which are kept so; other rows are copied once."""
+    return np.ascontiguousarray(np.asarray(
+        p.values if isinstance(p, SolvCoords) else p).T)
+
+
+def _sum_squares(cols):
+    """sum_i cols[i]^2 (no conjugate), accumulated row by row as a batch's
+    np.sum(cols * cols, axis=0) is, without the squared copy."""
+    return np.einsum("i...,i...->...", cols, cols)
+
+
 def _check_cartan_bound(values_real) -> None:
     if (np.abs(values_real) > CARTAN_BOUND).any():
         raise CartanBoundError(

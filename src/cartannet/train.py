@@ -158,7 +158,7 @@ def _head_vjp(config: net.NetworkConfig, params: net.ParamSet,
     v = params.head["v"]
     pred = points @ v + params.head["c"][0]
     g_pred = 2.0 * (pred - np.asarray(labels, dtype=float)) / len(labels)
-    return (g_pred[:, None] * v,
+    return (np.multiply.outer(v, g_pred).T,
             {"v": g_pred @ points, "c": np.array([np.sum(g_pred)])})
 
 
@@ -212,17 +212,13 @@ def sgd_step(flat: net.FlatParams, grad: np.ndarray, lr: float) -> net.FlatParam
 _ADMISSIBLE_SLACK = 1e-6
 
 
-def _margin(head: dict, k: int) -> float:
-    """Admissibility margin |w|^2 - alpha beta of separator k."""
-    w = head["w"][k]
-    return float(w @ w) - float(head["alpha"][k] * head["beta"][k])
-
-
-def _crossing(config: net.NetworkConfig, flat: net.FlatParams) -> list:
-    """Separators whose margin is not above the projection slack."""
-    head = net.unflatten(config, flat.vector).head
-    return [k for k in range(config.n_separators)
-            if not _margin(head, k) > _ADMISSIBLE_SLACK]
+def _margins(config: net.NetworkConfig, vector) -> np.ndarray:
+    """Margins |w|^2 - alpha beta (K,) from the head block (alpha, beta, w)
+    that ends the flat vector; each |w|^2 is a dot product, as ``w @ w``."""
+    k, s = config.n_separators, config.last_space.subpaint_dim
+    head = vector[len(vector) - k * (2 + s):]
+    alpha, beta, w = head[:k], head[k:2 * k], head[2 * k:].reshape(k, 1, s)
+    return (w @ w.swapaxes(1, 2))[:, 0, 0] - alpha * beta
 
 
 def project_admissible(config: net.NetworkConfig,
@@ -231,11 +227,17 @@ def project_admissible(config: net.NetworkConfig,
     |w|^2 - alpha*beta > 0 by shrinking alpha, beta when an SGD step
     crosses the boundary.  Returns ``flat`` itself when no separator
     crosses, and else moves exactly the crossing ones."""
+    return _project(config, flat)[0]
+
+
+def _project(config: net.NetworkConfig, flat: net.FlatParams) -> tuple:
+    """:func:`project_admissible` and the number of separators it moved."""
     if config.task == "regression":
-        return flat
-    crossing = _crossing(config, flat)
-    if not crossing:
-        return flat
+        return flat, 0
+    crossing = np.flatnonzero(
+        ~(_margins(config, flat.vector) > _ADMISSIBLE_SLACK))
+    if not len(crossing):
+        return flat, 0
     params = net.unflatten(config, flat.vector.copy())
     alpha, beta, w = params.head["alpha"], params.head["beta"], params.head["w"]
     for k in crossing:
@@ -251,7 +253,7 @@ def project_admissible(config: net.NetworkConfig,
         c = np.sqrt(max(w2 - 2.0 * _ADMISSIBLE_SLACK, 0.0) / ab)
         alpha[k] *= c
         beta[k] *= c
-    return net.flatten(config, params)
+    return net.flatten(config, params), len(crossing)
 
 
 # ---------------------------------------------------------------------------
@@ -261,19 +263,22 @@ def project_admissible(config: net.NetworkConfig,
 
 def _scores(config: net.NetworkConfig, params: net.ParamSet,
             features, labels) -> tuple:
-    """Loss and accuracy (None for regression) from one forward pass."""
+    """Loss and accuracy (None for regression) from one forward pass and
+    one run of the head kernel, whose distances give both."""
     points = net.forward_batch(config, params, features)
-    value = float(np.real(_head_loss(config, params, points, labels)))
     if config.task == "regression":
-        return value, None
-    points = np.real(points)
+        return float(np.real(_head_loss(config, params, points, labels))), None
+    bank = _separators(config, params)
+    d = np.arcsinh(classify._head(bank, points)[0])
     if config.task == "binary":
-        sep, = _separators(config, params).separators
-        pred = (np.real(classify.binary_prob(sep, points)) > 0.5).astype(int)
+        d = d[:, 0]
+        value = classify._binary_nll(d, classify._checked_labels(labels))
+        pred = (np.real(classify.sigmoid(d)) > 0.5).astype(int)
     else:
-        bank = _separators(config, params)
-        pred = np.argmax(np.real(classify.softmax_probs(bank, points)), axis=-1)
-    return value, float(np.mean(pred == labels.astype(int)))
+        value = classify._multiclass_nll(d, classify._checked_labels(
+            labels.astype(int), len(bank)))
+        pred = np.argmax(np.real(classify._softmax(d)), axis=-1)
+    return float(np.real(value)), float(np.mean(pred == labels.astype(int)))
 
 
 def train_loop(tc: TrainConfig, config: net.NetworkConfig, dataset: Dataset,
@@ -310,10 +315,9 @@ def train_loop(tc: TrainConfig, config: net.NetworkConfig, dataset: Dataset,
                 g = gradient(config, tc, flat,
                              train.features[idx], train.labels[idx])
                 grad_norm = max(grad_norm, float(np.linalg.norm(g)))
-                stepped = sgd_step(flat, g, tc.learning_rate)
-                flat = project_admissible(config, stepped)
-                if flat is not stepped:
-                    projected += len(_crossing(config, stepped))
+                flat, moved = _project(config,
+                                       sgd_step(flat, g, tc.learning_rate))
+                projected += moved
             params = net.unflatten(config, flat.vector)
             cartan_fraction = []
             for points, tape in net.stages(config, params, train.features):
@@ -333,8 +337,7 @@ def train_loop(tc: TrainConfig, config: net.NetworkConfig, dataset: Dataset,
                   "grad_norm": grad_norm, "projected": projected,
                   "cartan_fraction": cartan_fraction}
         if config.task != "regression":
-            record["min_margin"] = min(
-                _margin(params.head, k) for k in range(config.n_separators))
+            record["min_margin"] = float(np.min(_margins(config, flat.vector)))
         if len(test):
             record["test_loss"], accuracy = _scores(
                 config, params, test.features, test.labels)
