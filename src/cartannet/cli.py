@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 check failure, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -213,11 +214,20 @@ def _suite_appendix(seed):
         fixtures.W_family_12(fixtures.delta_canonical()).W
         - fixtures.W_canonical().W))
     checks.append(("W12-canonical-substitution", float(eq), 0.0))
-    w = rng.uniform(-0.5, 0.5, 3)
-    got = homo.integrate_coordinate_map(
-        fixtures.W_canonical(), SolvCoords(SpaceId.so(1, 2), w))
-    err = float(np.max(np.abs(got.values - fixtures.phi_canonical(w).values)))
-    checks.append(("canonical-embedding-integration", err, 1e-8))
+    # the batched coordinate map against the closed-form fixture maps:
+    # the canonical embedding, and restriction_W3 with a1 = a3 = 0, where
+    # the fixture map has no constant offset
+    w = rng.uniform(-0.5, 0.5, (16, 3))
+    got = homo.coordinate_map_batch(fixtures.W_canonical(), w)
+    want = np.array([fixtures.phi_canonical(p).values for p in w])
+    checks.append(("canonical-embedding-integration",
+                   float(np.max(np.abs(got - want))), 1e-8))
+    a = np.array([0.0, rng.uniform(-1.0, 1.0), 0.0, rng.uniform(-1.0, 1.0)])
+    x = rng.uniform(-0.5, 0.5, (16, 9))
+    got = homo.coordinate_map_batch(fixtures.restriction_W3(a), x)
+    want = np.array([fixtures.phi_restriction_W3(a, p).values for p in x])
+    checks.append(("restriction-W3-integration",
+                   float(np.max(np.abs(got - want))), 1e-8))
     return checks
 
 
@@ -381,7 +391,10 @@ def cmd_eval(args):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process: parsing only reads
+    it and returns a fresh namespace, so calls share no state."""
     parser = argparse.ArgumentParser(
         prog="cartannet",
         description="Cartan networks on solvable symmetric spaces",
@@ -404,9 +417,8 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

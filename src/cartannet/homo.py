@@ -5,7 +5,13 @@ relating the left-invariant coframes, E^i = W^i_a e^a.  Requiring that the
 pulled-back Maurer-Cartan equations close yields a quadratic constraint
 system in the entries of W; each solution is a Lie-algebra homomorphism and
 induces a (generally nonlinear) closed-form coordinate map: the image of
-the chart's product of one-parameter subgroups.
+the chart's product of one-parameter subgroups, computed on a batch by
+:func:`coordinate_map_batch`.  Each factor exp(a phi(T_k)) is a finite
+polynomial in the strictly upper part of phi(T_k) whenever its diagonal
+shifts that part by one scalar: every root image, and every Cartan image
+of W_canonical, of r=1 layer maps and of restrictions into r=1 spaces.
+The remaining Cartan images (those of W_family_11/12) take one batched
+``scipy.linalg.expm`` each.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ __all__ = [
     "r1_homomorphism_batch",
     "r1_homomorphism_batch_vjp",
     "coframe",
+    "coordinate_map_batch",
     "integrate_coordinate_map",
     "mc_for_name",
     "space_for_name",
@@ -554,9 +561,89 @@ def coframe(space: SpaceId, values: np.ndarray) -> np.ndarray:
     L = spaces.sigma_matrix(space, values)
     dL = np.imag(spaces.sigma_matrix(space, values + 1j * h * np.eye(d))) / h
     theta = np.linalg.solve(L, dL)  # theta[j] = L^{-1} dL/dY_j
-    basis = np.stack(spaces.solvable_generators(space).generators)
+    basis = spaces.solvable_generators(space).stack
     return np.linalg.lstsq(basis.reshape(d, -1).T, theta.reshape(d, -1).T,
                            rcond=None)[0]
+
+
+def _factors(images: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """expm(a[k, b] images[k]) for every upper-triangular image (K, n, n)
+    and every column b of a (K, B), as a (K, B, n, n) stack.
+
+    An image splits as D + N, its diagonal and its strictly upper part.
+    When every nonzero N_ij has the same gap D_i - D_j = c, i.e.
+    [D, N] = c N, each path i -> j of length m through N meets the
+    equispaced exponents a D_j, a D_j + a c, ..., a D_i, whose divided
+    differences of exp sum to the closed form
+        expm(a (D + N)) = (sum_{p<n} (u N)^p / p!) e^{a D},
+        u = (e^{a c} - 1) / c, or u = a when c = 0 (D and N commute),
+    since N^n = 0.  The powers of N are formed once per call, not per
+    point.  Any other image takes one ``scipy.linalg.expm`` on its whole
+    (B, n, n) stack."""
+    K, n = images.shape[:2]
+    D = images.reshape(K, n * n)[:, :: n + 1]
+    N = images.copy()
+    N.reshape(K, n * n)[:, :: n + 1] = 0.0
+    gaps = D[:, :, None] - D[:, None, :]
+    live = N != 0
+    # closed iff the live gaps span [lo, hi] with lo = hi = c; no live
+    # entry leaves hi = -inf, where c = 0 serves (N = 0)
+    hi = np.maximum.reduce(gaps, axis=(1, 2), where=live, initial=-np.inf)
+    lo = np.minimum.reduce(gaps, axis=(1, 2), where=live, initial=np.inf)
+    c = np.where(hi == -np.inf, 0.0, hi)[:, None]
+    u = a
+    if c.any():
+        zero = c == 0
+        safe = np.where(zero, 1.0, c)
+        u = np.where(zero, a, np.expm1(a * safe) / safe)
+    # N^p / p! up to the last nonzero power (at most n - 1), so that no
+    # u^p multiplies a vanished power
+    powers = np.empty((K, n, n * n), dtype=N.dtype)
+    powers[:, 0] = np.eye(n).reshape(-1)
+    m, power = 1, N
+    while power.any():
+        powers[:, m] = power.reshape(K, n * n)
+        m += 1
+        power = power @ N / m
+    poly = (u[..., None] ** np.arange(m)) @ powers[:, :m]
+    F = (poly.reshape(a.shape + (n, n))
+         * np.exp(a[..., None] * D[:, None, :])[..., None, :])
+    for k in np.flatnonzero(hi > lo):
+        F[k] = scipy.linalg.expm(a[k, :, None, None] * images[k])
+    return F
+
+
+def coordinate_map_batch(W: HomoMatrix, values) -> np.ndarray:
+    """Closed-form coordinate map of a verified homomorphism matrix on a
+    batch (..., d1) of raw source coordinates, returning (..., d2) raw
+    target coordinates: sigma_target^{-1}(prod_k expm(a_k phi(T_k))), with
+    a = exp_factors(x) and the images phi(T_k) = W^i_k T'_i formed once
+    per call against the target's generator stack.
+
+    A factor is closed-form (see :func:`_factors`) when its image D + N
+    has [D, N] = c N for one scalar c.  That covers every root image
+    (D = 0) and the Cartan images of ``W_canonical`` (N = 0), of r=1
+    layer maps and of every restriction into an r=1 space.  The Cartan
+    images of ``W_family_11/12`` take one ``scipy.linalg.expm`` each on the
+    whole (B, n, n) stack; nothing loops over points.  The factors
+    multiply by batched matmuls and are read back by one batched
+    ``spaces.sigma_inv_matrix``.  Complex inputs propagate analytically."""
+    src, tgt = W.source, W.target
+    if src is None or tgt is None:
+        raise ValueError("coordinate maps require source/target space ids")
+    values = np.asarray(values)
+    if values.shape[-1:] != (src.dim,):
+        raise ValueError(f"expected {src.dim} coordinates for {src}")
+    n = tgt.N
+    gens = spaces.solvable_generators(tgt).stack
+    images = (W.W.T @ gens.reshape(tgt.dim, n * n)).reshape(-1, n, n)
+    a = spaces.exp_factors(src, values.reshape(-1, src.dim)).T
+    F = _factors(images, a)
+    L = F[0]
+    for factor in F[1:]:
+        L = L @ factor
+    return spaces.sigma_inv_matrix(tgt, L).reshape(values.shape[:-1]
+                                                   + (tgt.dim,))
 
 
 def integrate_coordinate_map(W: HomoMatrix, source_coords: SolvCoords) -> SolvCoords:
@@ -565,18 +652,15 @@ def integrate_coordinate_map(W: HomoMatrix, source_coords: SolvCoords) -> SolvCo
     the group homomorphism with Phi(0) = 0, which solves the coframe
     relation E_target(Y) dY = W e_source(x) dx from the origin, is
     sigma_target^{-1}(prod_k expm(a_k(x) phi(T_k))) with a = exp_factors(x)
-    the exponents of the source chart's one-parameter subgroups."""
+    the exponents of the source chart's one-parameter subgroups.  One row
+    of :func:`coordinate_map_batch`: only the Cartan images of
+    ``W_family_11/12`` call ``scipy.linalg.expm``."""
     src, tgt = W.source, W.target
     if src is None or tgt is None:
         raise ValueError("coordinate maps require source/target space ids")
     if source_coords.space != src:
         raise ValueError("source coordinates live in the wrong space")
-    gens = np.stack(spaces.solvable_generators(tgt).generators)
-    images = np.einsum("ik,imn->kmn", W.W, gens)
-    L = np.eye(tgt.N)
-    for a, T in zip(spaces.exp_factors(src, source_coords.values), images):
-        L = L @ scipy.linalg.expm(a * T)
-    return spaces.sigma_inv(spaces.TriangularElement(tgt, L))
+    return SolvCoords(tgt, coordinate_map_batch(W, source_coords.values))
 
 
 # ---------------------------------------------------------------------------

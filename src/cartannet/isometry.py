@@ -255,7 +255,7 @@ def _is_eta_orthogonal(g: np.ndarray, eta: np.ndarray, tol=1e-10) -> bool:
 
 
 def _stabilizes_solvable(g: np.ndarray, space: SpaceId, tol=1e-10) -> bool:
-    gens = np.stack(spaces.solvable_generators(space).generators)
+    gens = spaces.solvable_generators(space).stack
     basis = gens.reshape(len(gens), -1).T
     ad = (g @ gens @ np.linalg.inv(g)).reshape(len(gens), -1).T
     coef = np.linalg.lstsq(basis, ad, rcond=None)[0]  # one solve, all T

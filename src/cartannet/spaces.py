@@ -157,8 +157,9 @@ class SolvAlgebraSpec:
     """Basis of the solvable Lie algebra with its structure constants.
 
     ``generators[i]`` are upper-triangular matrices, Cartan generators first,
-    then root generators by ascending height; ``structure_constants[i,j,k]``
-    is f^i_{jk} with [T_j, T_k] = f^i_{jk} T_i.
+    then root generators by ascending height, and read-only views of the
+    rows of ``stack`` (d, N, N); ``structure_constants[i,j,k]`` is f^i_{jk}
+    with [T_j, T_k] = f^i_{jk} T_i.
     """
 
     space: SpaceId
@@ -166,6 +167,7 @@ class SolvAlgebraSpec:
     generators: tuple
     structure_constants: np.ndarray
     ordering: tuple
+    stack: np.ndarray
 
 
 @dataclasses.dataclass(frozen=True)
@@ -337,12 +339,15 @@ def solvable_generators(space: SpaceId) -> SolvAlgebraSpec:
     if len(gens) != space.dim:
         raise AssertionError("generator count does not match the dimension")
     f = structure_constants_from_generators(gens)
+    stack = np.stack(gens)
+    stack.setflags(write=False)
     spec = SolvAlgebraSpec(
         space=space,
         d=space.dim,
-        generators=tuple(g for g in gens),
+        generators=tuple(stack),
         structure_constants=f,
         ordering=tuple(labels),
+        stack=stack,
     )
     _ALG_CACHE[space] = spec
     return spec

@@ -478,3 +478,21 @@ class TestEntryPoint:
 
     def test_no_command_exit_2(self):
         assert run([]) == 2
+
+    def test_calls_in_one_process_parse_independently(self, tmp_path,
+                                                      capsys):
+        # the parser is built once per process; options given to one call
+        # must not reach the next, and a bad argv still exits 2
+        first = tmp_path / "first.json"
+        assert run(["verify", "--scope", "core", "--seed", "7",
+                    "--out", str(first)]) == 0
+        written = first.read_bytes()
+        capsys.readouterr()
+        assert run(["verify", "--scope", "core"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["seed"] == 0
+        assert first.read_bytes() == written
+        assert json.loads(written)["seed"] == 7
+        assert run(["verify", "--bogus"]) == 2
+        assert run(["verify", "--scope", "core", "--out", str(first)]) == 0
+        assert json.loads(first.read_text())["seed"] == 0

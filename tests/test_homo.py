@@ -2,9 +2,14 @@
 
 import collections
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cartannet import fixtures, homo, spaces
 from cartannet.spaces import SolvCoords, SpaceId
@@ -369,6 +374,175 @@ class TestIntegration:
         out = homo.integrate_coordinate_map(
             fixtures.W_canonical(), SolvCoords(H3, np.zeros(3)))
         assert np.max(np.abs(out.values)) < 1e-12
+
+
+PROPERTY = settings(max_examples=30, deadline=None, derandomize=True,
+                    database=None)
+
+
+def away(p, i, gap=0.3):
+    """Move parameter i of p to |p_i| >= gap (off a pole of its family)."""
+    p[i] = np.copysign(abs(p[i]) + gap, p[i])
+    return p
+
+
+def r1_layer_map(draw, n_src, n_tgt):
+    """The homomorphism matrix [[1, 0], [b, W]] of an r=1 layer map."""
+    M = np.zeros((n_tgt, n_src))
+    M[0, 0] = 1.0
+    M[1:] = draw(hnp.arrays(float, (n_tgt - 1, n_src),
+                            elements=st.floats(-1.0, 1.0)))  # [b, W]
+    return homo.HomoMatrix(W=M, source=spaces.hyperbolic(n_src),
+                           target=spaces.hyperbolic(n_tgt))
+
+
+FAMILIES = {
+    "W_canonical": lambda p: fixtures.W_canonical(),
+    "W_family_11": lambda p: fixtures.W_family_11(away(p[:11], 0)),
+    "W_family_12": lambda p: fixtures.W_family_12(away(p[:12], 7)),
+    "restriction_W1": lambda p: fixtures.restriction_W1(p[:6]),
+    "restriction_W2": lambda p: fixtures.restriction_W2(away(p[:5], 0)),
+    "restriction_W3": lambda p: fixtures.restriction_W3(p[:4]),
+    "restriction_W7": lambda p: fixtures.restriction_W7(p[:4]),
+    "restriction_W10": lambda p: fixtures.restriction_W10(p[:3]),
+}
+
+
+@st.composite
+def coordinate_maps(draw, bound=1.0):
+    """(W, X): a fixture family member or an r=1 layer map, with a batch X
+    of 1-6 source points, |x| <= bound."""
+    name = draw(st.sampled_from(sorted(FAMILIES) + ["r1 5->3", "r1 9->5"]))
+    if name.startswith("r1"):
+        n_src, n_tgt = map(int, name[3:].split("->"))
+        W = r1_layer_map(draw, n_src, n_tgt)
+    else:
+        p = draw(hnp.arrays(float, 12, elements=st.floats(-1.0, 1.0)))
+        W = FAMILIES[name](p)
+    X = draw(hnp.arrays(float, (draw(st.integers(1, 6)), W.source.dim),
+                        elements=st.floats(-bound, bound)))
+    return W, X
+
+
+def expm_product(W, x):
+    """oracle: sigma_tgt^{-1}(prod_k expm(a_k phi(T_k))), one scipy expm
+    per source generator."""
+    gens = spaces.solvable_generators(W.target).generators
+    images = np.einsum("ik,imn->kmn", W.W, np.stack(gens))
+    L = np.eye(W.target.N)
+    for a, T in zip(spaces.exp_factors(W.source, x), images):
+        L = L @ scipy.linalg.expm(a * T)
+    return spaces.sigma_inv_matrix(W.target, L)
+
+
+def counting_expm():
+    return mock.patch.object(scipy.linalg, "expm", wraps=scipy.linalg.expm)
+
+
+def non_commuting_cartans(W):
+    """Source Cartan images phi(T_k) whose diagonal D and strictly upper
+    part N do not commute."""
+    gens = spaces.solvable_generators(W.target).stack
+    images = np.einsum("ik,imn->kmn", W.W, gens)
+    cartans = W.source.r if W.source.family == "so" else W.source.N - 1
+    count = 0
+    for T in images[:cartans]:
+        D = np.diag(np.diag(T))
+        N = T - D
+        count += bool((D @ N - N @ D).any())
+    return count
+
+
+class TestCoordinateMapBatch:
+    """The batched closed-form coordinate map against its single-point
+    wrapper, a per-generator expm product and the fixture maps."""
+
+    @PROPERTY
+    @given(coordinate_maps())
+    def test_rows_equal_single_calls(self, case):
+        W, X = case
+        got = homo.coordinate_map_batch(W, X)
+        assert got.shape == (len(X), W.target.dim)
+        for x, row in zip(X, got):
+            want = homo.integrate_coordinate_map(
+                W, SolvCoords(W.source, x)).values
+            assert np.max(np.abs(row - want)) <= 1e-14 * max(
+                1.0, np.max(np.abs(want)))
+
+    @PROPERTY
+    @given(coordinate_maps())
+    def test_matches_expm_product(self, case):
+        W, X = case
+        got = homo.coordinate_map_batch(W, X)
+        for x, row in zip(X, got):
+            want = expm_product(W, x)
+            assert np.max(np.abs(row - want)) <= 1e-12 * max(
+                1.0, np.max(np.abs(want)))
+
+    @PROPERTY
+    @given(hnp.arrays(float, (4, 3), elements=st.floats(-10.0, 10.0)))
+    def test_canonical_far_out(self, w):
+        got = homo.coordinate_map_batch(fixtures.W_canonical(), w)
+        for x, row in zip(w, got):
+            want = fixtures.phi_canonical(x).values
+            assert np.max(np.abs(row - want)) <= 1e-13 * max(
+                1.0, np.max(np.abs(want)))
+
+    @PROPERTY
+    @given(coordinate_maps())
+    def test_complex_step_matches_central_differences(self, case):
+        W, X = case
+        d = W.source.dim
+        for j in range(d):
+            step = np.zeros(d)
+            step[j] = 1.0
+            cs = np.imag(homo.coordinate_map_batch(W, X + 1e-20j * step))
+            cs = cs / 1e-20
+            fd = (homo.coordinate_map_batch(W, X + 1e-6 * step)
+                  - homo.coordinate_map_batch(W, X - 1e-6 * step)) / 2e-6
+            assert np.max(np.abs(cs - fd)) <= 1e-7 * max(
+                1.0, np.max(np.abs(cs)))
+
+    @PROPERTY
+    @given(coordinate_maps())
+    def test_expm_calls_per_non_commuting_cartan_image(self, case):
+        W, X = case
+        with counting_expm() as expm:
+            homo.coordinate_map_batch(W, X)
+        assert expm.call_count <= non_commuting_cartans(W)
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_expm_calls_do_not_grow_with_the_batch(self, rows):
+        # W_canonical and r=1 layer maps are closed-form throughout
+        rng = np.random.default_rng(rows)
+        M = np.zeros((3, 5))
+        M[0, 0] = 1.0
+        M[1:] = rng.uniform(-1, 1, (2, 5))
+        layer = homo.HomoMatrix(W=M, source=spaces.hyperbolic(5),
+                                target=spaces.hyperbolic(3))
+        for W in (fixtures.W_canonical(), layer):
+            with counting_expm() as expm:
+                homo.coordinate_map_batch(
+                    W, rng.uniform(-1, 1, (rows, W.source.dim)))
+            assert expm.call_count == 0
+        # a generic W_family_11 Cartan image: one expm on the whole stack
+        d = away(away(rng.uniform(-1, 1, 11), 0), 10)
+        with counting_expm() as expm:
+            homo.coordinate_map_batch(fixtures.W_family_11(d),
+                                      rng.uniform(-1, 1, (rows, 3)))
+        assert expm.call_count == 1
+
+    def test_leading_axes_and_checks(self):
+        W = fixtures.W_canonical()
+        X = np.random.default_rng(9).uniform(-1, 1, (2, 3, 3))
+        got = homo.coordinate_map_batch(W, X)
+        assert got.shape == (2, 3, 9)
+        assert np.array_equal(got.reshape(6, 9),
+                              homo.coordinate_map_batch(W, X.reshape(6, 3)))
+        with pytest.raises(ValueError):
+            homo.coordinate_map_batch(W, np.zeros((2, 9)))
+        with pytest.raises(ValueError):
+            homo.coordinate_map_batch(homo.HomoMatrix(W=W.W), np.zeros(3))
 
 
 class TestNaming:
