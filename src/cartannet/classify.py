@@ -3,13 +3,16 @@
 A separator is the zero set of h(Y) = alpha e^{-Y1} + <w, Y2>
 + beta e^{Y1} (1 + |Y2|^2 / 4); when |w|^2 - alpha beta > 0 this is a
 totally geodesic hypersurface, and the signed geodesic distance to it is
-exactly arcsinh(h / (2 sqrt(|w|^2 - alpha beta))).  The signed distance
-feeds sigmoid or softmax heads.  One batched kernel evaluates all K
-separators of a bank at once, and the likelihood gradients reuse its
-intermediates.  It computes on the columns (d, B) of the points, one row
-per separator, and returns (..., K) as views of those rows.  All functions
-propagate complex inputs analytically, so complex-step differentiation,
-the gradient tests' oracle, is exact.
+exactly arcsinh(h / (2 sqrt(|w|^2 - alpha beta))).  The signed distances
+are the class scores of one softmax head: K separators give K scores d,
+and the binary head's one separator gives (0, d), whose softmax is
+sigmoid(d).  One batched kernel evaluates all K separators at once from
+their parameters stacked as a head {alpha (K,), beta (K,), w (K, s)},
+and the one likelihood gradient reuses its intermediates.  It computes
+on the columns (d, B) of the points, one row per separator, and returns
+(..., K) as views of those rows.  All functions propagate complex inputs
+analytically, so complex-step differentiation, the gradient tests'
+oracle, is exact.
 """
 
 from __future__ import annotations
@@ -64,23 +67,22 @@ class Separator:
 
 @dataclasses.dataclass(frozen=True)
 class SeparatorBank:
-    """K separators on a shared layer (K >= 2 for the softmax head).
-    Their parameters are stacked once, as alpha (K,), beta (K,) and
-    w (K, s), for the batched head kernel."""
+    """K separators on a shared layer.  Their parameters are stacked once,
+    as ``head`` = {alpha (K,), beta (K,), w (K, s)}, the form the head
+    kernel reads and the one a network's separator head is stored in."""
 
     separators: tuple
-    alpha: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
-    beta: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
-    w: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
+    head: dict = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         seps = tuple(self.separators)
         if len(seps) < 1:
             raise ValueError("bank must contain at least one separator")
         object.__setattr__(self, "separators", seps)
-        object.__setattr__(self, "alpha", np.array([s.alpha for s in seps]))
-        object.__setattr__(self, "beta", np.array([s.beta for s in seps]))
-        object.__setattr__(self, "w", np.stack([s.w for s in seps]))
+        object.__setattr__(self, "head", {
+            "alpha": np.array([s.alpha for s in seps]),
+            "beta": np.array([s.beta for s in seps]),
+            "w": np.stack([s.w for s in seps])})
 
     def __len__(self):
         return len(self.separators)
@@ -107,39 +109,40 @@ def h_value(sep: Separator, p):
     return _h_stack(sep.alpha, sep.beta, sep.w[None], p)[0][..., 0]
 
 
-def _head(bank: SeparatorBank, p):
+def _head(head, p):
     """The separator head kernel: u = h / norm (..., K) for all K
-    separators at once, so that arcsinh(u) are the signed distances, with
-    norm = 2 sqrt(|w|^2 - alpha beta) (K,).  Also returns what
-    :func:`_head_vjp` reuses: (Y2, e^{-Y1}, e^{Y1}, up, norm).  Raises
+    separators of a head {alpha (K,), beta (K,), w (K, s)} at once, so
+    that arcsinh(u) are the signed distances, with norm = 2 sqrt(|w|^2 -
+    alpha beta) (K,).  Also returns what :func:`_head_vjp` reuses: (alpha,
+    beta, w, Y2, e^{-Y1}, e^{Y1}, up, norm).  Raises
     :class:`DegenerateSeparatorError` unless every separator is
     admissible."""
-    norm2 = np.sum(bank.w * bank.w, axis=-1) - bank.alpha * bank.beta
+    alpha, beta, w = head["alpha"], head["beta"], head["w"]
+    norm2 = np.sum(w * w, axis=-1) - alpha * beta
     if np.any(np.real(norm2) <= 0.0):
         raise DegenerateSeparatorError(
             "separator admissibility |w|^2 - alpha*beta must be positive"
         )
     norm = 2.0 * np.sqrt(norm2)
-    h, parts = _h_stack(bank.alpha, bank.beta, bank.w, p)
-    return h / norm, parts + (norm,)
+    h, parts = _h_stack(alpha, beta, w, p)
+    return h / norm, (alpha, beta, w) + parts + (norm,)
 
 
-def _head_vjp(bank: SeparatorBank, u, saved, g_d):
+def _head_vjp(u, saved, g_d):
     """Gradients of sum(g_d * d) over the (B, K) signed distances
     d = arcsinh(u) that :func:`_head` computed at real points (B, d), with
-    respect to the points and to alpha (K,), beta (K,) and w (K, s)."""
-    y2, down, eup, up, norm = saved
+    respect to the points and to the head, as a dict shaped like it."""
+    alpha, beta, w, y2, down, eup, up, norm = saved
     u, g_d = u.T, g_d.T
     g_h = g_d / (norm[:, None] * np.sqrt(1.0 + u * u))
     g_n2 = -2.0 * np.sum(g_h * u, axis=1) / norm
-    g_beta_h = bank.beta @ g_h
+    g_beta_h = beta @ g_h
     g_points = np.concatenate(
-        [(g_beta_h * up - bank.alpha @ g_h * down)[None],
-         bank.w.T @ g_h + 0.5 * g_beta_h * eup * y2])
-    g_alpha = g_h @ down - bank.beta * g_n2
-    g_beta = g_h @ up - bank.alpha * g_n2
-    g_w = g_h @ y2.T + 2.0 * g_n2[:, None] * bank.w
-    return g_points.T, g_alpha, g_beta, g_w
+        [(g_beta_h * up - alpha @ g_h * down)[None],
+         w.T @ g_h + 0.5 * g_beta_h * eup * y2])
+    return g_points.T, {"alpha": g_h @ down - beta * g_n2,
+                        "beta": g_h @ up - alpha * g_n2,
+                        "w": g_h @ y2.T + 2.0 * g_n2[:, None] * w}
 
 
 def signed_distance(sep: Separator, p):
@@ -147,7 +150,7 @@ def signed_distance(sep: Separator, p):
     arcsinh(h / (2 sqrt(|w|^2 - alpha beta))).  Odd in h, zero exactly on
     the surface, and equal (up to sign) to the infimum of the geodesic
     distance over the surface."""
-    return np.arcsinh(_head(SeparatorBank((sep,)), p)[0][..., 0])
+    return np.arcsinh(_head(SeparatorBank((sep,)).head, p)[0][..., 0])
 
 
 def sigmoid(x):
@@ -182,73 +185,88 @@ def _logsumexp(d):
     return shift + np.log(np.sum(np.exp(d - shift), axis=0))
 
 
-def _checked_labels(labels, K=None):
-    """Labels as an array; refuses an empty batch and, given the number of
-    classes K, a label outside 0..K-1."""
+def _softmax(d):
+    return np.exp(d.T - _logsumexp(d)).T
+
+
+def _checked_labels(labels, classes):
+    """Labels as an int array; refuses with ValueError an empty batch and
+    any label that is not an integer in 0..classes-1."""
     labels = np.asarray(labels)
     if labels.size == 0:
         raise ValueError("empty data")
-    if K is not None and (labels.min() < 0 or labels.max() >= K):
-        raise ValueError("label out of range")
-    return labels
+    if not (labels.min() >= 0 and labels.max() < classes
+            and np.all(labels % 1 == 0)):
+        raise ValueError(f"labels must be integers in 0..{classes - 1}")
+    return labels.astype(int)
+
+
+def _class_scores(head, p, classes):
+    """Class scores (..., classes) at p from one run of :func:`_head` on
+    K separators: their signed distances d, or (0, d) when one
+    separator splits two classes (the binary head: sigmoid(d) is the
+    softmax over (0, d)).  Also returns u and what :func:`_head_vjp`
+    reuses."""
+    u, saved = _head(head, p)
+    d = np.arcsinh(u)
+    if classes > u.shape[-1]:
+        d = np.stack([np.zeros_like(d[..., 0]), d[..., 0]]).T
+    return d, u, saved
+
+
+def _nll(scores, labels):
+    """Negative log likelihood of labels in 0..C-1 under the softmax over
+    the class scores (B, C): the sum of logsumexp(scores) - scores_y."""
+    labels = _checked_labels(labels, scores.shape[-1])
+    picked = np.take_along_axis(scores.T, labels[None], axis=0)[0]
+    return np.sum(_logsumexp(scores) - picked)
+
+
+def _nll_vjp(head, points, labels, classes):
+    """Gradient of :func:`_nll` over :func:`_class_scores` at real points
+    (B, d), with respect to the points and to the head (a dict shaped like
+    it).  dNLL/dscore_c = softmax_c - [c = y]; the binary head's constant
+    zero score has no parameters, so its column is dropped."""
+    scores, u, saved = _class_scores(head, points, classes)
+    labels = _checked_labels(labels, classes)
+    g = _softmax(scores)
+    g.T[labels, np.arange(len(labels))] -= 1.0
+    return _head_vjp(u, saved, g[:, classes - u.shape[-1]:])
 
 
 def binary_nll(points, labels, sep: Separator):
     """Negative log likelihood of binary labels (0/1) under the sigmoid
-    head: the sum of softplus(d) - y d over the signed distances d."""
-    labels = _checked_labels(labels)
-    return _binary_nll(signed_distance(sep, points), labels)
-
-
-def _binary_nll(d, labels):
-    """:func:`binary_nll` from the signed distances d (B,)."""
-    softplus = _logsumexp(np.stack([np.zeros_like(d), d]).T)
-    return np.sum(softplus - labels.astype(float) * d)
-
-
-def _softmax(d):
-    return np.exp(d.T - _logsumexp(d)).T
+    head: the sum of softplus(d) - y d over the signed distances d, the
+    softmax NLL over the class scores (0, d)."""
+    return _nll(_class_scores(SeparatorBank((sep,)).head, points, 2)[0],
+                labels)
 
 
 def softmax_probs(bank: SeparatorBank, p):
     """Softmax over the K signed distances, stabilized by subtracting the
     (constant) maximum of their real parts."""
-    return _softmax(np.arcsinh(_head(bank, p)[0]))
+    return _softmax(np.arcsinh(_head(bank.head, p)[0]))
 
 
 def multiclass_nll(points, labels, bank: SeparatorBank):
     """Negative log likelihood of labels in 0..K-1 under the softmax head:
     the sum of logsumexp(d) - d_y over the signed distances d."""
-    labels = _checked_labels(labels, len(bank))
-    return _multiclass_nll(np.arcsinh(_head(bank, points)[0]), labels)
-
-
-def _multiclass_nll(d, labels):
-    """:func:`multiclass_nll` from the signed distances d (B, K)."""
-    picked = np.take_along_axis(d.T, labels[None], axis=0)[0]
-    return np.sum(_logsumexp(d) - picked)
+    return _nll(_class_scores(bank.head, points, len(bank))[0], labels)
 
 
 def binary_nll_vjp(points, labels, sep: Separator):
     """Gradient of :func:`binary_nll` at real points (B, d): returns
     (d/d points, d/d alpha, d/d beta, d/d w); dNLL/dd = sigmoid(d) - y."""
-    labels = _checked_labels(labels)
-    bank = SeparatorBank((sep,))
-    u, saved = _head(bank, points)
-    g_d = sigmoid(np.arcsinh(u)) - labels.astype(float)[:, None]
-    g_points, g_alpha, g_beta, g_w = _head_vjp(bank, u, saved, g_d)
-    return g_points, g_alpha[0], g_beta[0], g_w[0]
+    g, head = _nll_vjp(SeparatorBank((sep,)).head, points, labels, 2)
+    return g, head["alpha"][0], head["beta"][0], head["w"][0]
 
 
 def multiclass_nll_vjp(points, labels, bank: SeparatorBank):
     """Gradient of :func:`multiclass_nll` at real points (B, d): returns
     (d/d points, d/d alpha (K,), d/d beta (K,), d/d w (K, s));
     dNLL/dd_k = softmax_k(d) - [k = y]."""
-    labels = _checked_labels(labels, len(bank))
-    u, saved = _head(bank, points)
-    g_d = _softmax(np.arcsinh(u))
-    g_d.T[labels, np.arange(len(labels))] -= 1.0
-    return _head_vjp(bank, u, saved, g_d)
+    g, head = _nll_vjp(bank.head, points, labels, len(bank))
+    return g, head["alpha"], head["beta"], head["w"]
 
 
 def find_surface_point(sep: Separator, space: SpaceId, seed: int = 0) -> SolvCoords:

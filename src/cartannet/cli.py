@@ -359,6 +359,7 @@ def cmd_train(args):
             fd_step=_number(tcfg.get("fd_step", 1e-5), "train.fd_step"),
         )
         dataset = train.load_csv(_path(cfg["dataset"], "dataset"))
+        train.check_labels(config, dataset.labels)
         metrics_path = _writable(_path(
             cfg.get("metrics_out", str(args.out) + ".metrics.jsonl"),
             "metrics_out"), "metrics_out")
@@ -379,6 +380,7 @@ def cmd_eval(args):
     try:
         config, params = net.load_model(_path(cfg["model"], "model"))
         dataset = train.load_csv(_path(cfg["dataset"], "dataset"))
+        train.check_labels(config, dataset.labels)
     except (KeyError, ValueError, OSError) as exc:
         raise SystemExit2(f"bad eval config: {exc}")
     metrics = train.evaluate(config, params, dataset)

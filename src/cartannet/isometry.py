@@ -20,7 +20,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-import scipy.linalg
 
 from . import spaces
 from .spaces import (
@@ -34,7 +33,6 @@ __all__ = [
     "GroupElement",
     "PaintRotation",
     "FiberGenerator",
-    "adjoint_on_coset",
     "isometry_action",
     "paint_rotate",
     "embedded_paint",
@@ -88,21 +86,14 @@ class FiberGenerator:
     matrix: np.ndarray
 
 
-def adjoint_on_coset(g: GroupElement, M: CosetPoint) -> CosetPoint:
-    """Adjoint action M -> g M g^T on the symmetric representation."""
-    m = g.matrix @ M.matrix @ np.swapaxes(g.matrix, -1, -2)
-    return CosetPoint(M.space, m)
-
-
 def isometry_action(g: GroupElement, coords: SolvCoords) -> SolvCoords:
     """Coordinate form of the adjoint action, via the pipeline
     Sigma -> M -> g M g^T -> Crout -> Sigma^{-1}."""
     if g.kind == "external":
         raise ValueError("external elements do not act isometrically")
-    L = spaces.sigma(coords)
-    M = spaces.to_coset(L)
-    M2 = adjoint_on_coset(g, M)
-    return spaces.sigma_inv(spaces.cholesky_crout(M2))
+    M = spaces.to_coset(spaces.sigma(coords)).matrix
+    return spaces.sigma_inv(spaces.cholesky_crout(
+        CosetPoint(coords.space, g.matrix @ M @ g.matrix.T)))
 
 
 def embedded_paint(rot: PaintRotation) -> GroupElement:
@@ -149,8 +140,11 @@ def build_fiber_generators(space: SpaceId):
 
 
 def fiber_rotation(gen: FiberGenerator, angle: float) -> GroupElement:
-    """One-parameter compact subgroup element exp(angle * F)."""
-    g = scipy.linalg.expm(angle * gen.matrix)
+    """One-parameter compact subgroup element exp(angle * F), in closed
+    form: F generates a plane rotation, F^3 = -F, so exp(angle * F) =
+    I + sin(angle) F + (1 - cos(angle)) F^2."""
+    F = gen.matrix
+    g = np.eye(len(F)) + np.sin(angle) * F + (1.0 - np.cos(angle)) * (F @ F)
     return GroupElement(gen.space, g, "grassmannian")
 
 

@@ -151,35 +151,25 @@ def layout_for(config: NetworkConfig) -> tuple:
 
 def init_params(config: NetworkConfig, seed: int = 0) -> ParamSet:
     """Seeded initialization keeping Cartan coordinates small: uniform
-    injection and homomorphism matrices, zero translations and angles."""
+    injection and homomorphism matrices, zero translations and angles.
+    The draws fill views of one zeroed vector laid out by
+    :func:`layout_for`."""
     rng = np.random.default_rng(seed)
-    spaces_ = [l.space for l in config.layers]
+    size = sum(math.prod(shape) for _, shape in layout_for(config))
+    params = unflatten(config, np.zeros(size))
     s = 1.0 / np.sqrt(config.input_dim)
-    Q = rng.uniform(-s, s, size=(spaces_[0].dim, config.input_dim))
-    lam = np.zeros(max(spaces_[0].subpaint_dim - 1, 0))
-    Ws, bs, psis = [], [], []
-    for i in range(len(spaces_) - 1):
-        si, so = spaces_[i].subpaint_dim, spaces_[i + 1].subpaint_dim
-        sw = 1.0 / np.sqrt(si)
-        Ws.append(rng.uniform(-sw, sw, size=(so, si)))
-        bs.append(np.zeros(so))
-        psis.append(np.zeros(max(so - 1, 0)))
-    s_last = spaces_[-1].subpaint_dim
-    if config.task in ("binary", "multiclass"):
-        k = config.n_separators
-        head = {
-            "alpha": np.zeros(k),
-            "beta": np.zeros(k),
-            "w": rng.uniform(-1.0, 1.0, size=(k, s_last)),
-        }
+    params.Q[:] = rng.uniform(-s, s, size=params.Q.shape)
+    for W in params.Ws:
+        sw = 1.0 / np.sqrt(W.shape[1])
+        W[:] = rng.uniform(-sw, sw, size=W.shape)
+    head = params.head
+    if "w" in head:
+        head["w"][:] = rng.uniform(-1.0, 1.0, size=head["w"].shape)
         # keep separators admissible: unit-normalize the normal vectors
         head["w"] /= np.linalg.norm(head["w"], axis=1, keepdims=True)
     else:
-        head = {
-            "v": rng.uniform(-s, s, size=spaces_[-1].dim),
-            "c": np.zeros(1),
-        }
-    return ParamSet(Q=Q, lam=lam, Ws=Ws, bs=bs, psis=psis, head=head)
+        head["v"][:] = rng.uniform(-s, s, size=head["v"].shape)
+    return params
 
 
 def flatten(config: NetworkConfig, params: ParamSet) -> FlatParams:
@@ -208,17 +198,14 @@ def unflatten(config: NetworkConfig, flat) -> ParamSet:
         blocks[name] = vec[pos : pos + size].reshape(shape)
         pos += size
     n_trans = len(config.layers) - 1
-    head_keys = (
-        ("alpha", "beta", "w") if config.task in ("binary", "multiclass")
-        else ("v", "c")
-    )
     return ParamSet(
         Q=blocks["Q"],
         lam=blocks["lam"],
         Ws=[blocks[f"W{i}"] for i in range(n_trans)],
         bs=[blocks[f"b{i}"] for i in range(n_trans)],
         psis=[blocks[f"psi{i}"] for i in range(n_trans)],
-        head={k: blocks[k] for k in head_keys},
+        head={k: blocks[k] for k in ("alpha", "beta", "w", "v", "c")
+              if k in blocks},
     )
 
 

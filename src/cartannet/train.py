@@ -1,17 +1,23 @@
 """Losses, gradients, SGD training, and synthetic data generation.
 
+Every classification task has one separator head: the head kernel
+``classify._head`` reads the stacked arrays of ``params.head`` (no
+separator objects are built), and the loss is the softmax NLL over the
+class scores: the K signed distances d, or (0, d) for the binary head's
+one separator, whose softmax is sigmoid(d).
+
 Gradients come in two modes.  ``analytic`` is reverse mode: one forward
 pass through ``net.stages``, the chain ``net.forward_batch`` runs, keeping
 each layer's output and fiber tape, then one hand-written pullback per
 stage in reverse order (injection, the fiber pullback,
-``homo.r1_homomorphism_batch_vjp``, and the separator heads'
-``classify.binary_nll_vjp`` / ``multiclass_nll_vjp``, which reuse the
-head kernel's own forward, or the regression read-out).
+``homo.r1_homomorphism_batch_vjp``, and the head's pullback
+``classify._nll_vjp``, which reuses the head kernel's own forward, or the
+regression read-out).
 ``finite-difference`` uses scaled central differences of ``loss_flat``.
 The test gate compares the two, and the tests check reverse mode against
 complex-step differentiation of the whole chain (every stage is
-complex-analytic) as the oracle.
-"""
+complex-analytic) as the oracle.  Labels are checked where data enters
+(``Dataset``, :func:`check_labels`)."""
 
 from __future__ import annotations
 
@@ -27,6 +33,7 @@ __all__ = [
     "Dataset",
     "TrainConfig",
     "DivergenceError",
+    "check_labels",
     "loss",
     "loss_flat",
     "gradient",
@@ -61,6 +68,8 @@ class Dataset:
             raise ValueError("features, labels and split must align")
         if not np.all(np.isfinite(self.features)):
             raise ValueError("non-finite features")
+        if not np.all(np.isfinite(self.labels)):
+            raise ValueError("non-finite labels")
 
     def subset(self, tag: str) -> "Dataset":
         m = self.split == tag
@@ -99,40 +108,41 @@ class TrainConfig:
 # ---------------------------------------------------------------------------
 
 
-def _separators(config: net.NetworkConfig,
-                params: net.ParamSet) -> classify.SeparatorBank:
-    """The head's separators (one for binary, K for multiclass)."""
-    head = params.head
-    return classify.SeparatorBank(tuple(
-        classify.Separator(head["alpha"][k], head["beta"][k], head["w"][k])
-        for k in range(config.n_separators)
-    ))
+def _classes(config: net.NetworkConfig) -> int:
+    """Classes of a separator head: K, or 2 for one separator."""
+    return max(config.n_separators, 2)
+
+
+def check_labels(config: net.NetworkConfig, labels):
+    """Refuses with ValueError the labels a separator head cannot read:
+    anything but integers in 0..K-1 (0/1 for the binary head)."""
+    if config.task != "regression":
+        classify._checked_labels(labels, _classes(config))
 
 
 def _head_loss(config: net.NetworkConfig, params: net.ParamSet,
                points, labels):
-    if config.task == "binary":
-        sep, = _separators(config, params).separators
-        return classify.binary_nll(points, labels, sep)
-    if config.task == "multiclass":
-        bank = _separators(config, params)
-        return classify.multiclass_nll(points, labels.astype(int), bank)
-    # regression: linear read-out of the solvable coordinates
-    pred = points @ params.head["v"] + params.head["c"][0]
-    resid = pred - np.asarray(labels, dtype=float)
-    return np.sum(resid * resid) / len(labels)
+    """Loss of the head at the points of the last layer, and the class
+    scores it came from (None for regression)."""
+    if config.task == "regression":
+        # linear read-out of the solvable coordinates
+        pred = points @ params.head["v"] + params.head["c"][0]
+        resid = pred - np.asarray(labels, dtype=float)
+        return np.sum(resid * resid) / len(labels), None
+    scores = classify._class_scores(params.head, points, _classes(config))[0]
+    return classify._nll(scores, labels), scores
 
 
 def loss(config: net.NetworkConfig, params: net.ParamSet,
          features, labels) -> float:
-    """Task loss of a batch: binary / multiclass NLL or read-out MSE."""
+    """Task loss of a batch: the separator head's NLL or read-out MSE."""
     val = _loss_any(config, params, features, labels)
     return float(np.real(val))
 
 
 def _loss_any(config, params, features, labels):
     points = net.forward_batch(config, params, features)
-    return _head_loss(config, params, points, labels)
+    return _head_loss(config, params, points, labels)[0]
 
 
 def loss_flat(config: net.NetworkConfig, vector, features, labels):
@@ -145,21 +155,13 @@ def _head_vjp(config: net.NetworkConfig, params: net.ParamSet,
               points, labels):
     """Gradient of ``_head_loss`` with respect to the points and the head
     parameters (a dict shaped like ``params.head``)."""
-    if config.task == "binary":
-        sep, = _separators(config, params).separators
-        g, ga, gb, gw = classify.binary_nll_vjp(points, labels, sep)
-        return g, {"alpha": np.array([ga]), "beta": np.array([gb]),
-                   "w": gw[None, :]}
-    if config.task == "multiclass":
-        bank = _separators(config, params)
-        g, ga, gb, gw = classify.multiclass_nll_vjp(
-            points, labels.astype(int), bank)
-        return g, {"alpha": ga, "beta": gb, "w": gw}
-    v = params.head["v"]
-    pred = points @ v + params.head["c"][0]
-    g_pred = 2.0 * (pred - np.asarray(labels, dtype=float)) / len(labels)
-    return (np.multiply.outer(v, g_pred).T,
-            {"v": g_pred @ points, "c": np.array([np.sum(g_pred)])})
+    if config.task == "regression":
+        v = params.head["v"]
+        pred = points @ v + params.head["c"][0]
+        g_pred = 2.0 * (pred - np.asarray(labels, dtype=float)) / len(labels)
+        return (np.multiply.outer(v, g_pred).T,
+                {"v": g_pred @ points, "c": np.array([np.sum(g_pred)])})
+    return classify._nll_vjp(params.head, points, labels, _classes(config))
 
 
 def _reverse_gradient(config: net.NetworkConfig, params: net.ParamSet,
@@ -264,21 +266,13 @@ def _project(config: net.NetworkConfig, flat: net.FlatParams) -> tuple:
 def _scores(config: net.NetworkConfig, params: net.ParamSet,
             features, labels) -> tuple:
     """Loss and accuracy (None for regression) from one forward pass and
-    one run of the head kernel, whose distances give both."""
+    one run of the head kernel, whose class scores give both."""
     points = net.forward_batch(config, params, features)
-    if config.task == "regression":
-        return float(np.real(_head_loss(config, params, points, labels))), None
-    bank = _separators(config, params)
-    d = np.arcsinh(classify._head(bank, points)[0])
-    if config.task == "binary":
-        d = d[:, 0]
-        value = classify._binary_nll(d, classify._checked_labels(labels))
-        pred = (np.real(classify.sigmoid(d)) > 0.5).astype(int)
-    else:
-        value = classify._multiclass_nll(d, classify._checked_labels(
-            labels.astype(int), len(bank)))
-        pred = np.argmax(np.real(classify._softmax(d)), axis=-1)
-    return float(np.real(value)), float(np.mean(pred == labels.astype(int)))
+    value, scores = _head_loss(config, params, points, labels)
+    if scores is None:
+        return float(np.real(value)), None
+    pred = np.argmax(np.real(scores), axis=-1)
+    return float(np.real(value)), float(np.mean(pred == labels))
 
 
 def train_loop(tc: TrainConfig, config: net.NetworkConfig, dataset: Dataset,
@@ -296,11 +290,13 @@ def train_loop(tc: TrainConfig, config: net.NetworkConfig, dataset: Dataset,
     from the start of the failing epoch, when the loss diverges, a stage
     input leaves the Cartan bound, or a separator is evaluated outside
     admissibility (a finite-difference quotient can step across
-    |w|^2 - alpha beta = 0)."""
+    |w|^2 - alpha beta = 0).  Labels the head cannot read are refused
+    (:func:`check_labels`) before the first step."""
     train = dataset.subset("train")
     test = dataset.subset("test")
     if len(train) == 0:
         raise ValueError("dataset has no training split")
+    check_labels(config, dataset.labels)
     params = init if init is not None else net.init_params(config, seed=tc.seed)
     flat = net.flatten(config, params)
     rng = np.random.default_rng(tc.seed)
@@ -325,7 +321,7 @@ def train_loop(tc: TrainConfig, config: net.NetworkConfig, dataset: Dataset,
                 cartan_fraction.append(float(np.max(np.abs(points[:, 0])))
                                        / CARTAN_BOUND)
             train_loss = float(np.real(_head_loss(config, params, points,
-                                                  train.labels)))
+                                                  train.labels)[0]))
             if not np.isfinite(train_loss) or train_loss > DIVERGENCE_LIMIT:
                 raise DivergenceError(f"loss diverged at epoch {epoch}")
         except (DivergenceError, CartanBoundError,

@@ -129,7 +129,10 @@ class TestScores:
         params.head["beta"][:] = -0.1
         X, y = ds.features, ds.labels
         points = net.forward_batch(config, params, X)
-        bank = train._separators(config, params)
+        head = params.head
+        bank = classify.SeparatorBank(tuple(
+            classify.Separator(head["alpha"][k], head["beta"][k], head["w"][k])
+            for k in range(config.n_separators)))
         if K == 1:
             sep, = bank.separators
             loss = classify.binary_nll(points, y, sep)
