@@ -8,11 +8,14 @@ are the class scores of one softmax head: K separators give K scores d,
 and the binary head's one separator gives (0, d), whose softmax is
 sigmoid(d).  One batched kernel evaluates all K separators at once from
 their parameters stacked as a head {alpha (K,), beta (K,), w (K, s)},
-and the one likelihood gradient reuses its intermediates.  It computes
-on the columns (d, B) of the points, one row per separator, and returns
-(..., K) as views of those rows.  All functions propagate complex inputs
-analytically, so complex-step differentiation, the gradient tests'
-oracle, is exact.
+and the one likelihood gradient reuses its intermediates.  The kernel
+reads the points in the chart (T, Y2), T = e^{-Y1}, the stage chain of
+``net`` hands it, where h = alpha T + <w, Y2> + beta (1 + |Y2|^2 / 4) / T
+needs no exp; the public functions take coordinates and convert them at
+their ends.  It computes on the columns (d, B) of the points, one row per
+separator, and returns (..., K) as views of those rows.  All functions
+propagate complex inputs analytically, so complex-step differentiation,
+the gradient tests' oracle, is exact.
 """
 
 from __future__ import annotations
@@ -88,35 +91,36 @@ class SeparatorBank:
         return len(self.separators)
 
 
-def _h_stack(alpha, beta, w, p):
+def _h_stack(alpha, beta, w, t):
     """h (..., K) of K separators stacked as alpha, beta (K,) and w (K, s)
-    at a point or batch p, with the parts (Y2, e^{-Y1}, e^{Y1},
-    up = e^{Y1} (1 + |Y2|^2 / 4)) it was built from, all as columns."""
-    cols = spaces._columns(p)
-    y1, y2 = cols[0], cols[1:]
+    at a point or batch t of the chart (T, Y2), with the parts (Y2, T,
+    1 / T, up = (1 + |Y2|^2 / 4) / T) it was built from, all as columns."""
+    cols = spaces._columns(t)
+    T, y2 = cols[0], cols[1:]
     if len(y2) != w.shape[-1]:
         raise ValueError("separator normal has the wrong dimension")
-    down, eup = np.exp(-y1), np.exp(y1)
-    up = eup * (1.0 + 0.25 * spaces._sum_squares(y2))
-    h = (np.multiply.outer(alpha, down) + w @ y2
+    inv = 1.0 / T
+    up = (1.0 + 0.25 * spaces._sum_squares(y2)) * inv
+    h = (np.multiply.outer(alpha, T) + w @ y2
          + np.multiply.outer(beta, up))
-    return h.T, (y2, down, eup, up)
+    return h.T, (y2, T, inv, up)
 
 
 def h_value(sep: Separator, p):
     """Defining function of the separator; its sign is the side of p.
     Accepts a SolvCoords or a batch array of coordinate rows."""
-    return _h_stack(sep.alpha, sep.beta, sep.w[None], p)[0][..., 0]
+    return _h_stack(sep.alpha, sep.beta, sep.w[None],
+                    spaces._to_t_chart(p))[0][..., 0]
 
 
-def _head(head, p):
+def _head(head, t):
     """The separator head kernel: u = h / norm (..., K) for all K
-    separators of a head {alpha (K,), beta (K,), w (K, s)} at once, so
-    that arcsinh(u) are the signed distances, with norm = 2 sqrt(|w|^2 -
-    alpha beta) (K,).  Also returns what :func:`_head_vjp` reuses: (alpha,
-    beta, w, Y2, e^{-Y1}, e^{Y1}, up, norm).  Raises
-    :class:`DegenerateSeparatorError` unless every separator is
-    admissible."""
+    separators of a head {alpha (K,), beta (K,), w (K, s)} at once, at
+    rows t of the chart (T, Y2), so that arcsinh(u) are the signed
+    distances, with norm = 2 sqrt(|w|^2 - alpha beta) (K,).  Also returns
+    what :func:`_head_vjp` reuses: (alpha, beta, w, Y2, T, 1 / T, up,
+    norm).  Raises :class:`DegenerateSeparatorError` unless every
+    separator is admissible."""
     alpha, beta, w = head["alpha"], head["beta"], head["w"]
     norm2 = np.sum(w * w, axis=-1) - alpha * beta
     if np.any(np.real(norm2) <= 0.0):
@@ -124,25 +128,25 @@ def _head(head, p):
             "separator admissibility |w|^2 - alpha*beta must be positive"
         )
     norm = 2.0 * np.sqrt(norm2)
-    h, parts = _h_stack(alpha, beta, w, p)
+    h, parts = _h_stack(alpha, beta, w, t)
     return h / norm, (alpha, beta, w) + parts + (norm,)
 
 
 def _head_vjp(u, saved, g_d):
     """Gradients of sum(g_d * d) over the (B, K) signed distances
-    d = arcsinh(u) that :func:`_head` computed at real points (B, d), with
-    respect to the points and to the head, as a dict shaped like it."""
-    alpha, beta, w, y2, down, eup, up, norm = saved
+    d = arcsinh(u) that :func:`_head` computed at real rows t (B, d), with
+    respect to t and to the head, as a dict shaped like it."""
+    alpha, beta, w, y2, T, inv, up, norm = saved
     u, g_d = u.T, g_d.T
     g_h = g_d / (norm[:, None] * np.sqrt(1.0 + u * u))
     g_n2 = -2.0 * np.sum(g_h * u, axis=1) / norm
     g_beta_h = beta @ g_h
-    g_points = np.concatenate(
-        [(g_beta_h * up - alpha @ g_h * down)[None],
-         w.T @ g_h + 0.5 * g_beta_h * eup * y2])
-    return g_points.T, {"alpha": g_h @ down - beta * g_n2,
-                        "beta": g_h @ up - alpha * g_n2,
-                        "w": g_h @ y2.T + 2.0 * g_n2[:, None] * w}
+    g_t = np.concatenate(
+        [(alpha @ g_h - g_beta_h * up * inv)[None],
+         w.T @ g_h + 0.5 * g_beta_h * inv * y2])
+    return g_t.T, {"alpha": g_h @ T - beta * g_n2,
+                   "beta": g_h @ up - alpha * g_n2,
+                   "w": g_h @ y2.T + 2.0 * g_n2[:, None] * w}
 
 
 def signed_distance(sep: Separator, p):
@@ -150,7 +154,8 @@ def signed_distance(sep: Separator, p):
     arcsinh(h / (2 sqrt(|w|^2 - alpha beta))).  Odd in h, zero exactly on
     the surface, and equal (up to sign) to the infimum of the geodesic
     distance over the surface."""
-    return np.arcsinh(_head(SeparatorBank((sep,)).head, p)[0][..., 0])
+    return np.arcsinh(_head(SeparatorBank((sep,)).head,
+                            spaces._to_t_chart(p))[0][..., 0])
 
 
 def sigmoid(x):
@@ -186,7 +191,10 @@ def _logsumexp(d):
 
 
 def _softmax(d):
-    return np.exp(d.T - _logsumexp(d)).T
+    """Softmax over the last axis: e / sum(e), e = e^{d - max real part}."""
+    e = d.T
+    e = np.exp(e - np.max(np.real(e), axis=0))
+    return (e / np.sum(e, axis=0)).T
 
 
 def _checked_labels(labels, classes):
@@ -201,13 +209,13 @@ def _checked_labels(labels, classes):
     return labels.astype(int)
 
 
-def _class_scores(head, p, classes):
-    """Class scores (..., classes) at p from one run of :func:`_head` on
-    K separators: their signed distances d, or (0, d) when one
-    separator splits two classes (the binary head: sigmoid(d) is the
-    softmax over (0, d)).  Also returns u and what :func:`_head_vjp`
-    reuses."""
-    u, saved = _head(head, p)
+def _class_scores(head, t, classes):
+    """Class scores (..., classes) at rows t of the chart (T, Y2) from one
+    run of :func:`_head` on K separators: their signed distances d, or
+    (0, d) when one separator splits two classes (the binary head:
+    sigmoid(d) is the softmax over (0, d)).  Also returns u and what
+    :func:`_head_vjp` reuses."""
+    u, saved = _head(head, t)
     d = np.arcsinh(u)
     if classes > u.shape[-1]:
         d = np.stack([np.zeros_like(d[..., 0]), d[..., 0]]).T
@@ -222,42 +230,51 @@ def _nll(scores, labels):
     return np.sum(_logsumexp(scores) - picked)
 
 
-def _nll_vjp(head, points, labels, classes):
-    """Gradient of :func:`_nll` over :func:`_class_scores` at real points
-    (B, d), with respect to the points and to the head (a dict shaped like
-    it).  dNLL/dscore_c = softmax_c - [c = y]; the binary head's constant
-    zero score has no parameters, so its column is dropped."""
-    scores, u, saved = _class_scores(head, points, classes)
+def _nll_vjp(head, t, labels, classes):
+    """Gradient of :func:`_nll` over :func:`_class_scores` at real rows t
+    (B, d) of the chart (T, Y2), with respect to t and to the head (a dict
+    shaped like it).  dNLL/dscore_c = softmax_c - [c = y]; the binary
+    head's constant zero score has no parameters, so its column is
+    dropped."""
+    scores, u, saved = _class_scores(head, t, classes)
     labels = _checked_labels(labels, classes)
     g = _softmax(scores)
     g.T[labels, np.arange(len(labels))] -= 1.0
     return _head_vjp(u, saved, g[:, classes - u.shape[-1]:])
 
 
+def _points_vjp(head, points, labels, classes):
+    """:func:`_nll_vjp` at real coordinate rows (B, d)."""
+    t = spaces._to_t_chart(points)
+    g, g_head = _nll_vjp(head, t, labels, classes)
+    return spaces._cotangent_from_t_chart(t, g), g_head
+
+
 def binary_nll(points, labels, sep: Separator):
     """Negative log likelihood of binary labels (0/1) under the sigmoid
     head: the sum of softplus(d) - y d over the signed distances d, the
     softmax NLL over the class scores (0, d)."""
-    return _nll(_class_scores(SeparatorBank((sep,)).head, points, 2)[0],
-                labels)
+    return _nll(_class_scores(SeparatorBank((sep,)).head,
+                              spaces._to_t_chart(points), 2)[0], labels)
 
 
 def softmax_probs(bank: SeparatorBank, p):
     """Softmax over the K signed distances, stabilized by subtracting the
     (constant) maximum of their real parts."""
-    return _softmax(np.arcsinh(_head(bank.head, p)[0]))
+    return _softmax(np.arcsinh(_head(bank.head, spaces._to_t_chart(p))[0]))
 
 
 def multiclass_nll(points, labels, bank: SeparatorBank):
     """Negative log likelihood of labels in 0..K-1 under the softmax head:
     the sum of logsumexp(d) - d_y over the signed distances d."""
-    return _nll(_class_scores(bank.head, points, len(bank))[0], labels)
+    return _nll(_class_scores(bank.head, spaces._to_t_chart(points),
+                              len(bank))[0], labels)
 
 
 def binary_nll_vjp(points, labels, sep: Separator):
     """Gradient of :func:`binary_nll` at real points (B, d): returns
     (d/d points, d/d alpha, d/d beta, d/d w); dNLL/dd = sigmoid(d) - y."""
-    g, head = _nll_vjp(SeparatorBank((sep,)).head, points, labels, 2)
+    g, head = _points_vjp(SeparatorBank((sep,)).head, points, labels, 2)
     return g, head["alpha"][0], head["beta"][0], head["w"][0]
 
 
@@ -265,7 +282,7 @@ def multiclass_nll_vjp(points, labels, bank: SeparatorBank):
     """Gradient of :func:`multiclass_nll` at real points (B, d): returns
     (d/d points, d/d alpha (K,), d/d beta (K,), d/d w (K, s));
     dNLL/dd_k = softmax_k(d) - [k = y]."""
-    g, head = _nll_vjp(bank.head, points, labels, len(bank))
+    g, head = _points_vjp(bank.head, points, labels, len(bank))
     return g, head["alpha"], head["beta"], head["w"]
 
 

@@ -359,7 +359,7 @@ def cmd_train(args):
             fd_step=_number(tcfg.get("fd_step", 1e-5), "train.fd_step"),
         )
         dataset = train.load_csv(_path(cfg["dataset"], "dataset"))
-        train.check_labels(config, dataset.labels)
+        train.check_dataset(config, dataset)
         metrics_path = _writable(_path(
             cfg.get("metrics_out", str(args.out) + ".metrics.jsonl"),
             "metrics_out"), "metrics_out")

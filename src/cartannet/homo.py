@@ -504,24 +504,46 @@ def solve_numeric(system: ConstraintSystem, seeds: int, seed: int = 0):
 # ---------------------------------------------------------------------------
 
 
+def _homomorphism_forward(W, b, t) -> np.ndarray:
+    """The homomorphism stage of the chain in the chart (T, Y2),
+    T = e^{-Y1}, where it is affine: rows (T, Y2) -> (T, W Y2 + (1 - T) b),
+    computed on the columns."""
+    cols = spaces._columns(t)
+    out = np.empty((1 + len(W),) + cols.shape[1:],
+                   dtype=np.result_type(cols, W, b, float))
+    out[0] = cols[0]
+    np.matmul(W, cols[1:], out=out[1:])
+    out[1:] += np.multiply.outer(b, 1.0 - cols[0])
+    return out.T
+
+
+def _homomorphism_pullback(W, b, t, grad):
+    """Pullback of :func:`_homomorphism_forward` at real rows t (B, d):
+    the gradients of grad . out with respect to t, W and b."""
+    cols, g = spaces._columns(t), spaces._columns(grad)
+    g2 = g[1:]
+    g_t = np.concatenate([(g[0] - b @ g2)[None], W.T @ g2])
+    return g_t.T, g2 @ cols[1:].T, g2 @ (1.0 - cols[0])
+
+
 def r1_homomorphism_batch(W, b, values) -> np.ndarray:
     """Closed-form group homomorphism between r=1 layers on a batch (..., d)
-    of raw coordinates: (Y1, Y2) -> (Y1, W Y2 + (1 - e^{-Y1}) b), on its
-    columns.  Complex inputs propagate analytically."""
-    cols = spaces._columns(values)
-    sub = W @ cols[1:] + np.multiply.outer(b, 1.0 - np.exp(-cols[0]))
-    return np.concatenate([cols[:1], sub]).T
+    of raw coordinates: (Y1, Y2) -> (Y1, W Y2 + (1 - e^{-Y1}) b), by
+    :func:`_homomorphism_forward`; Y1 passes through as given.  Complex
+    inputs propagate analytically."""
+    out = _homomorphism_forward(W, b, spaces._to_t_chart(values))
+    out[..., 0] = np.asarray(values)[..., 0]
+    return out
 
 
 def r1_homomorphism_batch_vjp(W, b, values, grad):
     """Vector-Jacobian product of :func:`r1_homomorphism_batch` at a real
     batch (B, d): returns the gradients of grad . out with respect to
-    values, W and b, computed on columns."""
-    cols, g = spaces._columns(values), spaces._columns(grad)
-    y2, g2 = cols[1:], g[1:]
-    e = np.exp(-cols[0])
-    g_values = np.concatenate([(g[0] + e * (b @ g2))[None], W.T @ g2])
-    return g_values.T, g2 @ y2.T, g2 @ (1.0 - e)
+    values, W and b, by :func:`_homomorphism_pullback`."""
+    t = spaces._to_t_chart(values)
+    g_t, g_W, g_b = _homomorphism_pullback(
+        W, b, t, spaces._cotangent_to_t_chart(t, grad))
+    return spaces._cotangent_from_t_chart(t, g_t), g_W, g_b
 
 
 def r1_homomorphism(W: np.ndarray, b: np.ndarray, coords: SolvCoords,

@@ -6,18 +6,23 @@ symmetric coset matrix M, acted on as M -> g M g^T, refactored by the
 triangular Cholesky-Crout algorithm, and read back as coordinates.  It
 serves every space and is the oracle for the batched r=1 kernel.
 
-The fiber rotations of an r=1 space have a batched vector kernel,
-:func:`fiber_rotate`, that forms no matrix.  For r=1 the coset matrix is
+The fiber rotations of an r=1 space have a batched kernel,
+:func:`fiber_rotate`, with no Crout.  For r=1 the coset matrix is
 M = eta + v v^T with v = L(e_0 - e_{N-1}) on the hyperboloid <v, v> = -2,
 so an isometry g acts as v -> g v, and a fiber rotation is one Givens
-rotation of that vector in the diagonal eta basis.  Like every batched
-r=1 kernel it takes rows (..., d), computes on their contiguous columns
+rotation of that vector in the diagonal eta basis.  A layer's f fiber
+rotations are therefore one element of SO(f+1), built from the angles
+alone and applied to a batch by one matrix product.  The stage kernel
+runs in the chart (T, Y2), T = e^{-w1}, of the network's stage chain;
+the coordinate functions convert at their ends.  Like every batched r=1
+kernel it takes rows (..., d), computes on their contiguous columns
 (d, ...) and returns the transpose of a fresh column block.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -149,8 +154,7 @@ def fiber_rotation(gen: FiberGenerator, angle: float) -> GroupElement:
 
 
 def fiber_rotate(space: SpaceId, values, angles) -> np.ndarray:
-    """Fiber rotations of a batch (..., d) of r=1 coordinates, without
-    forming a matrix.
+    """Fiber rotations of a batch (..., d) of r=1 coordinates.
 
     Angle j acts as ``fiber_rotation(build_fiber_generators(space)[j],
     angles[j])``, in index order (later angles act on the left).  For r=1
@@ -158,90 +162,146 @@ def fiber_rotate(space: SpaceId, values, angles) -> np.ndarray:
     the hyperboloid vector v = (e^{w1} (1 + s.s/4), s/sqrt2, -e^{-w1}).  In
     the diagonal eta basis, scaled by sqrt2, its components are
     R = v_0 - v_{N-1} (invariant), P = v_0 + v_{N-1} and s, and angle j is
-    the Givens rotation of (P, s_{1+j}).  The Cartan coordinate is read back
-    from T = e^{-w1} = (R - P)/2 or, where P > 0, from the equal
-    (4 + s.s) / (2 (R + P)) (since R^2 - P^2 - s.s = 4), so neither form
-    cancels.  Only exp, log, cos and sin are used: complex inputs and
-    angles propagate analytically, which keeps complex-step derivatives
-    exact."""
-    return _fiber_forward(space, values, angles)[0]
+    the Givens rotation of (P, s_{1+j}); the kernel :func:`_fiber_forward`
+    applies all of them as one rotation matrix.  Only exp, log, cos and sin
+    are used: complex inputs and angles propagate analytically, which keeps
+    complex-step derivatives exact."""
+    return spaces._from_t_chart(_fiber_forward(
+        space, spaces._to_t_chart(values), angles)[0])
 
 
-def _fiber_forward(space: SpaceId, values, angles):
-    """The Givens chain of :func:`fiber_rotate`: returns its output and the
-    tape its pullback :func:`_fiber_pullback` reads, which is None
-    without fibers and else (cos and sin of the angles, input s, e^{w1},
-    up, down, R, the P after each rotation, the rotated s, T, the branch
-    mask P > 0)."""
+_ONE, _ZERO = np.ones(1), np.zeros(1)
+
+
+@functools.lru_cache(maxsize=None)
+def _givens_tables(f):
+    """Index tables of :func:`_givens_product` into the vector
+    (1, cos (f), sin (f), -sin (f), 0), and the mask of the entries
+    (j, i), i <= j, of the partial rows."""
+    j, i = np.indices((f + 1, f + 1))
+    cos, sin, nsin, zero = 1, 1 + f, 1 + 2 * f, 1 + 3 * f
+    factors = np.where(j > i, cos + j - 1,
+                       np.where((j == i) & (i > 0), sin + i - 1, 0))
+    weights = np.where(j == 0, 0, np.where(
+        i < j, nsin + j - 1, np.where(i == j, cos + j - 1, zero)))
+    tables = factors, weights, np.r_[f, 0:f], np.tri(f + 1)[:f]
+    for table in tables:  # shared by every call
+        table.setflags(write=False)
+    return tables
+
+
+def _givens_product(cos, sin):
+    """G = G_f ... G_1 (f+1, f+1) for the Givens rotations G_j of the
+    planes (0, j), G_j e_0 = cos_j e_0 - sin_j e_j, and the rows 0 of the
+    partial products G_{j-1} ... G_1, j = 1..f (f, f+1).
+
+    Row 0 of G_j ... G_1 is cos_j times that of G_{j-1} ... G_1 plus
+    sin_j e_j, so its entry i <= j is a_i prod_{i <= k < j} cos_k with
+    a = (1, sin): one cumulative product down the columns of a matrix of
+    ones, a on the diagonal and cos_{j-1} below it.  Row j of G is
+    cos_j e_j - sin_j (row 0 of G_{j-1} ... G_1), and row 0 of G is row 0
+    of G_f ... G_1.  Products only, so complex angles propagate
+    analytically."""
+    factors, weights, order, lower = _givens_tables(len(cos))
+    v = np.concatenate((_ONE, cos, sin, -sin, _ZERO))
+    rows = np.cumprod(v[factors], axis=0)
+    return rows[order] * v[weights], rows[:-1] * lower
+
+
+def _fiber_forward(space: SpaceId, t, angles):
+    """The fiber stage of :func:`fiber_rotate` in the chart (T, Y2),
+    T = e^{-w1}, of the stage chain: rows t (..., d) to rows (..., d).
+
+    With up = e^{w1} (1 + s.s/4) = (4 + s.s) / (4 T), R = up + T and
+    P = up - T, one matrix product applies G = :func:`_givens_product` to
+    the stack x = (P, s_1, ..., s_f).  T is read back as
+    (4 + s.s) / (2 (R + P)) where P > 0 and as (R - P) / 2 elsewhere
+    (R^2 - P^2 - s.s = 4), so neither form cancels.  Refuses
+    (CartanBoundError) an input with |w1| > CARTAN_BOUND.  Returns the
+    output and the tape its pullback :func:`_fiber_pullback` reads: None
+    without fibers, and else (G, the rows p_j of :func:`_givens_product`,
+    the input columns, up, x, the output columns, R + P, the mask P > 0)."""
     fibers = space.fiber_dim  # raises unless r = 1
-    cols = spaces._columns(values)
+    t = np.asarray(t)
     angles = np.asarray(angles)
-    spaces._check_cartan_bound(cols[0].real)
     if angles.shape != (fibers,):
         raise ValueError(
             f"expected {fibers} fiber angles for {space}, "
             f"got shape {angles.shape}"
         )
+    cols = spaces._columns(t)
+    cols = cols.reshape(len(cols), -1)
+    spaces._check_t_bound(cols[0].real)
     if fibers == 0:
-        return np.asarray(values), None
-    out = np.empty(cols.shape, dtype=np.result_type(cols, angles, float))
-    w1, s, s_out = cols[0], cols[1:], out[1:]
-    eup, down = np.exp(w1), np.exp(-w1)
-    up = eup * (1.0 + 0.25 * spaces._sum_squares(s))
-    R, P = up + down, up - down
-    cos, sin = np.cos(angles), np.sin(angles)
-    s_out[0] = s[0]
-    np.multiply(s[1:].T, cos, out=s_out[1:].T)  # every cos_j x_j at once
-    Ps = []
-    for j in range(fibers):
-        s_out[1 + j] -= sin[j] * P
-        P = cos[j] * P + sin[j] * s[1 + j]
-        Ps.append(P)
+        return t, None
+    G, p = _givens_product(np.cos(angles), np.sin(angles))
+    T, s = cols[0], cols[1:]
+    up = (4.0 + spaces._sum_squares(s)) / (4.0 * T)
+    x = np.empty((fibers + 1, cols.shape[1]), np.result_type(T, G))
+    np.subtract(up, T, out=x[0])
+    x[1:] = s[1:]
+    out = np.empty(cols.shape, x.dtype)
+    np.matmul(G, x, out=out[1:])
+    P = out[1].copy()
+    out[1] = s[0]
+    R = up + T
     upper = np.real(P) > 0
-    T = (np.where(upper, 4.0 + spaces._sum_squares(s_out), R - P)
-         / np.where(upper, 2.0 * (R + P), 2.0))
-    out[0] = -np.log(T)
-    return out.T, (cos, sin, s, eup, up, down, R, Ps, s_out, T, upper)
+    RP = R + P
+    out[0] = (np.where(upper, 4.0 + spaces._sum_squares(out[1:]), R - P)
+              / np.where(upper, 2.0 * RP, 2.0))
+    return (out.reshape(t.T.shape).T,
+            (G, p, cols, up, x, out, RP, upper))
 
 
 def _fiber_pullback(tape, grad):
     """Pullback of :func:`_fiber_forward` at real inputs: returns
-    (grad @ d out/d values, grad @ d out/d angles) from its tape.
+    (grad @ d out/d t, grad @ d out/d angles) from its tape.
 
     Backs through the read-back of T on the forward's branch, then through
-    the Givens rotations in reverse order (rotation j gives the angle
-    gradient sum(g_P x' - g_x P') over its outputs (P', x')), and last
-    through up/down to (w1, s)."""
+    the rotation: the input stack x gets g_x = G^T g for the output
+    stack's cotangent g, and with N = g_x x^T angle j gets
+    p_j (N - N^T) e_j, p_j the row 0 of G_{j-1} ... G_1.  Last it backs
+    through up, R and P to (T, s)."""
     grad = np.asarray(grad, dtype=float)
     if tape is None:
         return grad.copy(), np.zeros(0)
-    cos, sin, s, eup, up, down, R, Ps, s_out, T, upper = tape
-    g = np.array(grad.T, order="C")  # accumulates in place
-    g_s = g[1:]
-    P = Ps[-1]
-    g_T = -g[0] / T
-    # upper: T = (4 + s.s) / (2 (R + P)); else T = (R - P) / 2
-    g_R = np.where(upper, -g_T * T / (R + P), 0.5 * g_T)
-    g_P = np.where(upper, g_R, -0.5 * g_T)
-    g_s += np.where(upper, g_T / (R + P), 0.0) * s_out
-    g_angles = np.empty(len(Ps))
-    for j in reversed(range(len(Ps))):
-        g_x = g_s[1 + j]
-        g_angles[j] = np.sum(g_P * s_out[1 + j] - g_x * Ps[j])
-        g_P, g_s[1 + j] = cos[j] * g_P - sin[j] * g_x, sin[j] * g_P + cos[j] * g_x
-    g_up, g_down = g_R + g_P, g_R - g_P
-    g_s += 0.5 * (g_up * eup) * s
-    g[0] = g_up * up - g_down * down
-    return g.T, g_angles
+    G, p, cols, up, x, out, RP, upper = tape
+    T, s = cols[0], cols[1:]
+    g_out = spaces._columns(grad).reshape(cols.shape)
+    g_T = g_out[0]
+    # upper: T' = (4 + s'.s') / (2 (R + P')); else T' = (R - P') / 2
+    q = np.where(upper, g_T, 0.0) / np.where(upper, RP, 1.0)
+    g_R = np.where(upper, -q * out[0], 0.5 * g_T)
+    g_stack = np.empty(x.shape)
+    g_stack[0] = np.where(upper, g_R, -0.5 * g_T)
+    np.multiply(q, out[2:], out=g_stack[1:])
+    g_stack[1:] += g_out[2:]
+    g = np.empty(cols.shape)
+    np.matmul(G.T, g_stack, out=g[1:])  # row 1: x_0 = P's, then s_0's
+    N = g[1:] @ x.T
+    g_angles = np.einsum("ji,ij->j", p, (N - N.T)[:, 1:])
+    g_up = g_R + g[1]
+    g[0] = g_R - g[1] - g_up * up / T
+    g[1] = g_out[1] + q * s[0]
+    g[1:] += (0.5 * g_up / T) * s
+    return g.reshape(grad.T.shape).T, g_angles
+
+
+def _fiber_input(tape, out):
+    """The rows (B, d) a fiber stage read, from its tape and output (a
+    stage without fibers is the identity)."""
+    return out if tape is None else tape[2].T
 
 
 def fiber_rotate_vjp(space: SpaceId, values, angles, grad):
     """Vector-Jacobian product of :func:`fiber_rotate` at real ``values``
     (..., d): returns (grad @ d out/d values, grad @ d out/d angles), by
-    one run of the Givens chain and its pullback."""
-    values = np.asarray(values, dtype=float)
-    angles = np.asarray(angles, dtype=float)
-    return _fiber_pullback(_fiber_forward(space, values, angles)[1], grad)
+    one run of the fiber stage and its pullback."""
+    t = spaces._to_t_chart(np.asarray(values, dtype=float))
+    out, tape = _fiber_forward(space, t, np.asarray(angles, dtype=float))
+    g, g_angles = _fiber_pullback(
+        tape, spaces._cotangent_to_t_chart(out, grad))
+    return spaces._cotangent_from_t_chart(t, g), g_angles
 
 
 def _is_eta_orthogonal(g: np.ndarray, eta: np.ndarray, tol=1e-10) -> bool:

@@ -7,12 +7,18 @@ b) and a product of compact fiber rotations.  There is no pointwise
 activation; all nonlinearity comes from the group structure.
 
 One chain, :func:`stages`, runs a batch layer by layer for
-:func:`forward_batch` and for the reverse gradient in ``train``:
-``homo.r1_homomorphism_batch``, then the Givens chain of
-``isometry.fiber_rotate`` (no matrices), which checks the Cartan bound of
-each stage input.  ``inject`` and ``layer_forward`` wrap the same kernels.
-A batch travels the chain as contiguous columns (d, B) from the injection
-``Q @ X.T`` on; every stage takes and returns rows that are views of them.
+:func:`forward_batch` and for the reverse gradient in ``train``.  It runs
+in the chart (T, Y2) with T = e^{-Y1}, where both stages have closed
+forms: the homomorphism ``homo._homomorphism_forward`` is affine,
+(T, Y2) -> (T, W Y2 + (1 - T) b), and a layer's fiber rotations
+``isometry._fiber_forward`` act on its hyperboloid vector as one rotation
+matrix, built from the angles alone and applied to the batch by one
+matrix product.  Each fiber stage checks the Cartan bound of its input.
+The injection takes the one exp, T = e^{-(Q x)_0}, and
+:func:`forward_batch` the one log, Y1 = -log T, of a forward pass.
+``inject`` and ``layer_forward`` wrap the same kernels.  A batch travels
+the chain as contiguous columns (d, B) from the injection ``Q @ X.T`` on;
+every stage takes and returns rows that are views of them.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import math
 
 import numpy as np
 
-from . import homo, isometry
+from . import homo, isometry, spaces
 from .spaces import SolvCoords, SpaceId
 
 __all__ = [
@@ -225,19 +231,20 @@ def _named_blocks(params: ParamSet) -> dict:
 
 
 def stages(config: NetworkConfig, params: ParamSet, X: np.ndarray):
-    """Yield, per layer, its output for a batch of inputs and the tape of
-    its fiber chain (read by ``isometry._fiber_pullback``); a caller that
-    drops each tape, as the chain does, frees it before the next stage
-    runs.  Complex inputs propagate analytically, for complex step."""
+    """Yield, per layer, its output for a batch of inputs as rows (B, d)
+    of the chart (T, Y2), T = e^{-Y1}, and the tape of its fiber stage
+    (read by ``isometry._fiber_pullback``); a caller that drops each tape,
+    as the chain does, frees it before the next stage runs.  Complex
+    inputs propagate analytically, for complex step."""
     X = np.asarray(X)
     if not np.all(np.isfinite(np.real(X))):
         raise ValueError("non-finite network input")
     if X.ndim == 1:
         X = X[None, :]
-    values = (params.Q @ X.T).T
+    values = spaces._to_t_columns(params.Q @ X.T).T
     for i, layer in enumerate(config.layers):
         if i:
-            values = homo.r1_homomorphism_batch(params.Ws[i - 1],
+            values = homo._homomorphism_forward(params.Ws[i - 1],
                                                 params.bs[i - 1], values)
         values, tape = isometry._fiber_forward(
             layer.space, values, params.psis[i - 1] if i else params.lam)
@@ -249,7 +256,7 @@ def forward_batch(config: NetworkConfig, params: ParamSet, X: np.ndarray) -> np.
     """Coordinates of the last hidden layer for a batch of inputs."""
     for values, tape in stages(config, params, X):
         del tape
-    return values
+    return spaces._from_t_chart(values)
 
 
 def inject(space: SpaceId, Q: np.ndarray, lam, x) -> SolvCoords:

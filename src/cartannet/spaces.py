@@ -379,6 +379,64 @@ def _check_cartan_bound(values_real) -> None:
         )
 
 
+#: |Y1| <= CARTAN_BOUND as a range of T = e^{-Y1}, with numpy's own exp.
+_T_RANGE = np.exp([-CARTAN_BOUND, CARTAN_BOUND])
+
+
+def _check_t_bound(t_real) -> None:
+    """The Cartan bound in the chart (T, Y2) of the r=1 stage chain."""
+    if (np.fmin.reduce(t_real, axis=None) < _T_RANGE[0]
+            or np.fmax.reduce(t_real, axis=None) > _T_RANGE[1]):
+        raise CartanBoundError(
+            f"Cartan coordinate exceeds the bound {CARTAN_BOUND}"
+        )
+
+
+def _fresh_columns(values, *mixed) -> np.ndarray:
+    """A copy of rows (..., d) as contiguous columns (d, ...), of at least
+    float type and of the type of any ``mixed`` array."""
+    values = np.asarray(values)
+    return np.array(values.T, dtype=np.result_type(values, *mixed, float),
+                    order="C")
+
+
+def _to_t_columns(cols) -> np.ndarray:
+    """Columns (d, ...) of r=1 coordinates taken to the chart (T, Y2),
+    T = e^{-Y1}, in place.  Y1 < -709 leaves T = inf without a warning:
+    the Cartan check of the stage kernels refuses it."""
+    with np.errstate(over="ignore"):
+        cols[0] = np.exp(-cols[0])
+    return cols
+
+
+def _to_t_chart(p) -> np.ndarray:
+    """Rows (..., d) of r=1 coordinates (a batch or SolvCoords) in the
+    chart (T, Y2) with T = e^{-Y1}, the chart the r=1 stage kernels take:
+    the transpose of fresh contiguous columns."""
+    return _to_t_columns(_fresh_columns(
+        p.values if isinstance(p, SolvCoords) else p)).T
+
+
+def _from_t_chart(t) -> np.ndarray:
+    """Inverse of :func:`_to_t_chart`, in place: Y1 = -log T."""
+    t[..., 0] = -np.log(t[..., 0])
+    return t
+
+
+def _cotangent_to_t_chart(t, grad) -> np.ndarray:
+    """A cotangent (..., d) of coordinates as one of the T chart at the
+    rows t, in fresh columns: g_T = -g_Y1 / T, since dY1/dT = -1/T."""
+    g = _fresh_columns(grad, t)
+    g[0] /= -t[..., 0]
+    return g.T
+
+
+def _cotangent_from_t_chart(t, g) -> np.ndarray:
+    """Inverse of :func:`_cotangent_to_t_chart`, in place: g_Y1 = -T g_T."""
+    g[..., 0] *= -t[..., 0]
+    return g
+
+
 def exp_factors(space: SpaceId, values) -> np.ndarray:
     """Exponents a of the chart as an ordered product of one-parameter
     subgroups: sigma(x) = prod_k expm(a_k T_k) over

@@ -26,7 +26,7 @@ import dataclasses
 
 import numpy as np
 
-from . import classify, homo, isometry, net
+from . import classify, homo, isometry, net, spaces
 from .spaces import CARTAN_BOUND, CartanBoundError
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
     "TrainConfig",
     "DivergenceError",
     "check_labels",
+    "check_dataset",
     "loss",
     "loss_flat",
     "gradient",
@@ -120,16 +121,27 @@ def check_labels(config: net.NetworkConfig, labels):
         classify._checked_labels(labels, _classes(config))
 
 
+def check_dataset(config: net.NetworkConfig, dataset: Dataset):
+    """Refuses with ValueError a dataset :func:`train_loop` cannot train
+    on: one without training rows, or with labels the head cannot read
+    (:func:`check_labels`)."""
+    if not np.any(dataset.split == "train"):
+        raise ValueError("dataset has no training split")
+    check_labels(config, dataset.labels)
+
+
 def _head_loss(config: net.NetworkConfig, params: net.ParamSet,
-               points, labels):
-    """Loss of the head at the points of the last layer, and the class
-    scores it came from (None for regression)."""
+               t, labels):
+    """Loss of the head at the points of the last layer, as rows t of the
+    chart (T, Y2) of the stage chain, and the class scores it came from
+    (None for regression)."""
     if config.task == "regression":
         # linear read-out of the solvable coordinates
+        points = spaces._from_t_chart(t.copy())
         pred = points @ params.head["v"] + params.head["c"][0]
         resid = pred - np.asarray(labels, dtype=float)
         return np.sum(resid * resid) / len(labels), None
-    scores = classify._class_scores(params.head, points, _classes(config))[0]
+    scores = classify._class_scores(params.head, t, _classes(config))[0]
     return classify._nll(scores, labels), scores
 
 
@@ -141,8 +153,9 @@ def loss(config: net.NetworkConfig, params: net.ParamSet,
 
 
 def _loss_any(config, params, features, labels):
-    points = net.forward_batch(config, params, features)
-    return _head_loss(config, params, points, labels)[0]
+    for t, tape in net.stages(config, params, features):
+        del tape
+    return _head_loss(config, params, t, labels)[0]
 
 
 def loss_flat(config: net.NetworkConfig, vector, features, labels):
@@ -152,23 +165,26 @@ def loss_flat(config: net.NetworkConfig, vector, features, labels):
 
 
 def _head_vjp(config: net.NetworkConfig, params: net.ParamSet,
-              points, labels):
-    """Gradient of ``_head_loss`` with respect to the points and the head
+              t, labels):
+    """Gradient of ``_head_loss`` with respect to the rows t and the head
     parameters (a dict shaped like ``params.head``)."""
     if config.task == "regression":
         v = params.head["v"]
+        points = spaces._from_t_chart(t.copy())
         pred = points @ v + params.head["c"][0]
         g_pred = 2.0 * (pred - np.asarray(labels, dtype=float)) / len(labels)
-        return (np.multiply.outer(v, g_pred).T,
+        g_points = np.multiply.outer(v, g_pred).T
+        return (spaces._cotangent_to_t_chart(t, g_points),
                 {"v": g_pred @ points, "c": np.array([np.sum(g_pred)])})
-    return classify._nll_vjp(params.head, points, labels, _classes(config))
+    return classify._nll_vjp(params.head, t, labels, _classes(config))
 
 
 def _reverse_gradient(config: net.NetworkConfig, params: net.ParamSet,
                       features, labels) -> np.ndarray:
     """Reverse-mode gradient of the batch loss: one forward pass through
     ``net.stages``, keeping every layer's output and fiber tape, then the
-    pullbacks in reverse order."""
+    pullbacks in reverse order, all in the chart (T, Y2) of the chain; the
+    injection's own pullback turns g_T into g_Y1 = -T g_T."""
     X = np.atleast_2d(np.asarray(features, dtype=float))
     outputs, tapes = zip(*net.stages(config, params, X))
     g, head = _head_vjp(config, params, outputs[-1], labels)
@@ -176,9 +192,11 @@ def _reverse_gradient(config: net.NetworkConfig, params: net.ParamSet,
     g_Ws, g_bs, g_psis = [None] * n_trans, [None] * n_trans, [None] * n_trans
     for i in reversed(range(n_trans)):
         g, g_psis[i] = isometry._fiber_pullback(tapes[i + 1], g)
-        g, g_Ws[i], g_bs[i] = homo.r1_homomorphism_batch_vjp(
+        g, g_Ws[i], g_bs[i] = homo._homomorphism_pullback(
             params.Ws[i], params.bs[i], outputs[i], g)
     g, g_lam = isometry._fiber_pullback(tapes[0], g)
+    g = spaces._cotangent_from_t_chart(
+        isometry._fiber_input(tapes[0], outputs[0]), g)
     grads = net.ParamSet(Q=g.T @ X, lam=g_lam, Ws=g_Ws, bs=g_bs,
                          psis=g_psis, head=head)
     return net.flatten(config, grads).vector
@@ -268,7 +286,10 @@ def _scores(config: net.NetworkConfig, params: net.ParamSet,
     """Loss and accuracy (None for regression) from one forward pass and
     one run of the head kernel, whose class scores give both."""
     points = net.forward_batch(config, params, features)
-    value, scores = _head_loss(config, params, points, labels)
+    # from coordinates, as the public heads read them, so that evaluate
+    # gives their numbers bit for bit
+    value, scores = _head_loss(config, params, spaces._to_t_chart(points),
+                               labels)
     if scores is None:
         return float(np.real(value)), None
     pred = np.argmax(np.real(scores), axis=-1)
@@ -291,12 +312,11 @@ def train_loop(tc: TrainConfig, config: net.NetworkConfig, dataset: Dataset,
     input leaves the Cartan bound, or a separator is evaluated outside
     admissibility (a finite-difference quotient can step across
     |w|^2 - alpha beta = 0).  Labels the head cannot read are refused
-    (:func:`check_labels`) before the first step."""
+    (:func:`check_dataset`) before the first step, as is a dataset
+    without training rows."""
+    check_dataset(config, dataset)
     train = dataset.subset("train")
     test = dataset.subset("test")
-    if len(train) == 0:
-        raise ValueError("dataset has no training split")
-    check_labels(config, dataset.labels)
     params = init if init is not None else net.init_params(config, seed=tc.seed)
     flat = net.flatten(config, params)
     rng = np.random.default_rng(tc.seed)
@@ -316,11 +336,13 @@ def train_loop(tc: TrainConfig, config: net.NetworkConfig, dataset: Dataset,
                 projected += moved
             params = net.unflatten(config, flat.vector)
             cartan_fraction = []
-            for points, tape in net.stages(config, params, train.features):
+            for t, tape in net.stages(config, params, train.features):
                 del tape
-                cartan_fraction.append(float(np.max(np.abs(points[:, 0])))
-                                       / CARTAN_BOUND)
-            train_loss = float(np.real(_head_loss(config, params, points,
+                # max |Y1| = max |log T|, from the extremes of T
+                cartan_fraction.append(float(max(
+                    np.log(np.max(t[:, 0])), -np.log(np.min(t[:, 0]))))
+                    / CARTAN_BOUND)
+            train_loss = float(np.real(_head_loss(config, params, t,
                                                   train.labels)[0]))
             if not np.isfinite(train_loss) or train_loss > DIVERGENCE_LIMIT:
                 raise DivergenceError(f"loss diverged at epoch {epoch}")

@@ -334,7 +334,7 @@ class TestStackedHead:
         bank, z, labels = case
         want = np.stack([closed_form_distance(s.alpha, s.beta, s.w, z)
                          for s in bank.separators], axis=1)
-        got = np.arcsinh(classify._head(bank.head, z)[0])
+        got = np.arcsinh(classify._head(bank.head, spaces._to_t_chart(z))[0])
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
         probs = np.exp(want) / np.sum(np.exp(want), axis=1, keepdims=True)
         assert np.allclose(classify.softmax_probs(bank, z), probs,

@@ -209,6 +209,22 @@ class TestDataTrainEval:
         assert run(["train", "--config", tcfg, "--out",
                     str(tmp_path / "m.json")]) == 2
 
+    def test_no_training_rows_exit_2(self, tmp_path, capsys):
+        # row 0 of a CSV is always a test row, so one row trains nothing
+        data = tmp_path / "data.csv"
+        data.write_text("f0,f1,label\n0.5,-0.25,1\n")
+        tcfg = write_json(tmp_path / "train.json", {
+            "net": {"input_dim": 2, "layers": [3], "task": "binary"},
+            "train": {"epochs": 1}, "dataset": str(data)})
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert run(["train", "--config", tcfg, "--out",
+                    str(tmp_path / "model.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "no training split" in err
+        assert sorted(tmp_path.rglob("*")) == before
+
 
 class TestStrictIntegers:
     """Integer config fields must be JSON integers: a float, null, string

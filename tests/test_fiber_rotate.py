@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cartannet import isometry, spaces
+from cartannet import isometry, net, spaces
 from cartannet.spaces import SolvCoords
 
 SPACES = [spaces.hyperbolic(n) for n in (3, 5, 9, 17)]
@@ -44,6 +44,43 @@ def hyperboloid(values):
     down = np.exp(-w1)
     return np.concatenate([(up + down)[..., None], (up - down)[..., None], s],
                           axis=-1)
+
+
+def givens_loop_vjp(space, values, angles, grad):
+    """The fiber rotations and their pullback as one Givens rotation per
+    angle, in coordinates: (P, s_{1+j}) rotated in index order, then back
+    in reverse order.  Returns (out, g_values, g_angles) for rows
+    (B, d)."""
+    w1, s = values[:, 0], values[:, 1:]
+    eup, down = np.exp(w1), np.exp(-w1)
+    up = eup * (1.0 + 0.25 * np.sum(s * s, axis=1))
+    R, P = up + down, up - down
+    cos, sin = np.cos(angles), np.sin(angles)
+    s_out = s.copy()
+    Ps = []
+    for j in range(space.fiber_dim):
+        s_out[:, 1 + j] = cos[j] * s[:, 1 + j] - sin[j] * P
+        P = cos[j] * P + sin[j] * s[:, 1 + j]
+        Ps.append(P)
+    upper = P > 0
+    T = (np.where(upper, 4.0 + np.sum(s_out * s_out, axis=1), R - P)
+         / np.where(upper, 2.0 * (R + P), 2.0))
+    out = np.column_stack([-np.log(T), s_out])
+    g_T = -grad[:, 0] / T
+    RP = np.where(upper, R + P, 1.0)  # R + P may round to 0 where P < 0
+    g_R = np.where(upper, -g_T * T / RP, 0.5 * g_T)
+    g_P = np.where(upper, g_R, -0.5 * g_T)
+    g_s = grad[:, 1:] + np.where(upper, g_T / RP, 0.0)[:, None] * s_out
+    g_angles = np.zeros(space.fiber_dim)
+    for j in reversed(range(space.fiber_dim)):
+        g_x = g_s[:, 1 + j].copy()
+        g_angles[j] = np.sum(g_P * s_out[:, 1 + j] - g_x * Ps[j])
+        g_P, g_s[:, 1 + j] = (cos[j] * g_P - sin[j] * g_x,
+                              sin[j] * g_P + cos[j] * g_x)
+    g_up, g_down = g_R + g_P, g_R - g_P
+    g_s += (0.5 * g_up * eup)[:, None] * s
+    g_w1 = g_up * up - g_down * down
+    return out, np.column_stack([g_w1, g_s]), g_angles
 
 
 class TestAgainstOracle:
@@ -152,3 +189,100 @@ class TestInputChecks:
     def test_requires_r1(self):
         with pytest.raises(ValueError):
             isometry.fiber_rotate(spaces.SpaceId.sl(3), np.zeros(5), [])
+
+
+def relative_error(got, want):
+    return np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300)
+
+
+class TestPullbackAgainstGivensLoop:
+    """``fiber_rotate_vjp`` (one rotation matrix, in the chart (T, Y2))
+    against one Givens rotation per angle in coordinates, near the origin
+    and at |w1| in [20, 40]."""
+
+    @PROPERTY
+    @given(batches(), st.booleans())
+    def test_matches_loop(self, case, far):
+        space, values, angles = case
+        if far:  # |w1| in [20, 40], of either sign
+            values[:, 0] = (np.where(values[:, 0] < 0, -20.0, 20.0)
+                            * (1.0 + np.abs(values[:, 0])))
+        grad = np.cos(np.arange(values.size)).reshape(values.shape)
+        out, g_values, g_angles = givens_loop_vjp(space, values, angles, grad)
+        assert relative_error(isometry.fiber_rotate(space, values, angles),
+                              out) <= 1e-13
+        got_values, got_angles = isometry.fiber_rotate_vjp(
+            space, values, angles, grad)
+        assert relative_error(got_values, g_values) <= 1e-13
+        assert relative_error(got_angles, g_angles) <= 1e-13
+
+
+def at_bound(draw, rows, bound):
+    """w1 within 1% of +-bound or exactly at it, one per row."""
+    sign = draw(hnp.arrays(float, (rows,),
+                           elements=st.sampled_from([-1.0, 1.0])))
+    shrink = draw(hnp.arrays(float, (rows,), elements=st.one_of(
+        st.just(0.0), st.floats(0.0, 0.01))))
+    return sign * bound * (1.0 - shrink)
+
+
+@st.composite
+def bound_cases(draw):
+    """(space, values (B, d) with w1 at the bound, angles) on H^2..H^17."""
+    space = spaces.hyperbolic(draw(st.integers(2, 17)))
+    rows = draw(st.integers(1, 4))
+    values = draw(hnp.arrays(float, (rows, space.dim),
+                             elements=st.floats(-1.0, 1.0)))
+    values[:, 0] = at_bound(draw, rows, spaces.CARTAN_BOUND)
+    angles = draw(hnp.arrays(float, (space.fiber_dim,),
+                             elements=st.floats(-np.pi, np.pi)))
+    return space, values, angles
+
+
+class TestCartanBoundary:
+    """Stage inputs within 1% of +-CARTAN_BOUND and exactly at it are
+    accepted, real and with a complex step; the next float beyond is
+    refused, by ``fiber_rotate`` and by ``forward_batch`` (whose first
+    stage reads the injection Q = I)."""
+
+    @staticmethod
+    def single_layer(space, angles):
+        config = net.NetworkConfig(input_dim=space.dim,
+                                   layers=(net.LayerSpec(space),),
+                                   task="regression")
+        params = net.init_params(config)
+        params.Q[:] = np.eye(space.dim)
+        params.lam[:] = angles
+        return config, params
+
+    @staticmethod
+    def beyond(values):
+        out = values.copy()
+        out[:, 0] = np.where(values[:, 0] < 0, -1.0, 1.0) * np.nextafter(
+            spaces.CARTAN_BOUND, np.inf)
+        return out
+
+    @PROPERTY
+    @given(bound_cases())
+    def test_fiber_rotate(self, case):
+        space, values, angles = case
+        step = np.zeros(values.shape)
+        step[:, -1] = 1e-30
+        for z in (values, values + 1j * step):
+            assert np.all(np.isfinite(isometry.fiber_rotate(space, z, angles)))
+            with pytest.raises(spaces.CartanBoundError):
+                isometry.fiber_rotate(
+                    space, self.beyond(z.real) + (z - z.real), angles)
+
+    @PROPERTY
+    @given(bound_cases())
+    def test_forward_batch(self, case):
+        space, values, angles = case
+        config, params = self.single_layer(space, angles)
+        step = np.zeros(values.shape)
+        step[:, -1] = 1e-30
+        for z in (values, values + 1j * step):
+            assert np.all(np.isfinite(net.forward_batch(config, params, z)))
+            with pytest.raises(spaces.CartanBoundError):
+                net.forward_batch(config, params,
+                                  self.beyond(z.real) + (z - z.real))

@@ -220,7 +220,7 @@ class TestColumnsThroughTheChain:
         X = np.random.default_rng(3).uniform(-1.0, 1.0, (8, 4))
         seen = []
         self.watch(monkeypatch, isometry, "_fiber_forward", 1, seen)
-        self.watch(monkeypatch, homo, "r1_homomorphism_batch", 2, seen)
+        self.watch(monkeypatch, homo, "_homomorphism_forward", 2, seen)
         for _ in net.stages(config, params, X):
             pass
         assert [n for n, _ in seen].count("_fiber_forward") == len(NETS[name])
@@ -236,9 +236,9 @@ class TestColumnsThroughTheChain:
         y = rng.normal(size=8) if task == "regression" else np.arange(8) % (K or 2)
         seen = []
         self.watch(monkeypatch, isometry, "_fiber_forward", 1, seen)
-        self.watch(monkeypatch, homo, "r1_homomorphism_batch", 2, seen)
+        self.watch(monkeypatch, homo, "_homomorphism_forward", 2, seen)
         self.watch(monkeypatch, isometry, "_fiber_pullback", 1, seen)
-        self.watch(monkeypatch, homo, "r1_homomorphism_batch_vjp", 3, seen)
+        self.watch(monkeypatch, homo, "_homomorphism_pullback", 3, seen)
         train.gradient(config, train.TrainConfig(),
                        net.flatten(config, params), X, y)
         names = [n for n, _ in seen]

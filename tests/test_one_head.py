@@ -67,9 +67,11 @@ class TestBinaryIsTheTwoScoreSoftmax:
     def test_gradient_is_sigmoid_minus_label(self, case):
         sep, points, labels = case
         head = classify.SeparatorBank((sep,)).head
-        u, saved = classify._head(head, points)
+        t = spaces._to_t_chart(points)
+        u, saved = classify._head(head, t)
         g_d = classify.sigmoid(np.arcsinh(u)) - labels[:, None]
-        g_points, g_head = classify._head_vjp(u, saved, g_d)
+        g_t, g_head = classify._head_vjp(u, saved, g_d)
+        g_points = spaces._cotangent_from_t_chart(t, g_t)
         want = (g_points, g_head["alpha"][0], g_head["beta"][0],
                 g_head["w"][0])
         got = classify.binary_nll_vjp(points, labels, sep)
