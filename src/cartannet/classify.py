@@ -37,10 +37,8 @@ __all__ = [
     "sigma_tilde",
     "binary_prob",
     "binary_nll",
-    "binary_nll_vjp",
     "softmax_probs",
     "multiclass_nll",
-    "multiclass_nll_vjp",
     "find_surface_point",
 ]
 
@@ -233,21 +231,13 @@ def _nll(scores, labels):
 def _nll_vjp(head, t, labels, classes):
     """Gradient of :func:`_nll` over :func:`_class_scores` at real rows t
     (B, d) of the chart (T, Y2), with respect to t and to the head (a dict
-    shaped like it).  dNLL/dscore_c = softmax_c - [c = y]; the binary
-    head's constant zero score has no parameters, so its column is
-    dropped."""
+    shaped like it), for int labels in 0..classes-1, checked where the
+    data entered.  dNLL/dscore_c = softmax_c - [c = y]; the binary head's
+    constant zero score has no parameters, so its column is dropped."""
     scores, u, saved = _class_scores(head, t, classes)
-    labels = _checked_labels(labels, classes)
     g = _softmax(scores)
     g.T[labels, np.arange(len(labels))] -= 1.0
     return _head_vjp(u, saved, g[:, classes - u.shape[-1]:])
-
-
-def _points_vjp(head, points, labels, classes):
-    """:func:`_nll_vjp` at real coordinate rows (B, d)."""
-    t = spaces._to_t_chart(points)
-    g, g_head = _nll_vjp(head, t, labels, classes)
-    return spaces._cotangent_from_t_chart(t, g), g_head
 
 
 def binary_nll(points, labels, sep: Separator):
@@ -269,21 +259,6 @@ def multiclass_nll(points, labels, bank: SeparatorBank):
     the sum of logsumexp(d) - d_y over the signed distances d."""
     return _nll(_class_scores(bank.head, spaces._to_t_chart(points),
                               len(bank))[0], labels)
-
-
-def binary_nll_vjp(points, labels, sep: Separator):
-    """Gradient of :func:`binary_nll` at real points (B, d): returns
-    (d/d points, d/d alpha, d/d beta, d/d w); dNLL/dd = sigmoid(d) - y."""
-    g, head = _points_vjp(SeparatorBank((sep,)).head, points, labels, 2)
-    return g, head["alpha"][0], head["beta"][0], head["w"][0]
-
-
-def multiclass_nll_vjp(points, labels, bank: SeparatorBank):
-    """Gradient of :func:`multiclass_nll` at real points (B, d): returns
-    (d/d points, d/d alpha (K,), d/d beta (K,), d/d w (K, s));
-    dNLL/dd_k = softmax_k(d) - [k = y]."""
-    g, head = _points_vjp(bank.head, points, labels, len(bank))
-    return g, head["alpha"], head["beta"], head["w"]
 
 
 def find_surface_point(sep: Separator, space: SpaceId, seed: int = 0) -> SolvCoords:

@@ -402,18 +402,19 @@ def build_parser():
         description="Cartan networks on solvable symmetric spaces",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("verify", cmd_verify),
-        ("solve-homo", cmd_solve_homo),
-        ("gen-data", cmd_gen_data),
-        ("train", cmd_train),
-        ("eval", cmd_eval),
+    options = {"--config": {}, "--seed": {"type": int, "default": 0},
+               "--out": {}, "--scope": {}}
+    # each subcommand declares only the flags it reads
+    for name, fn, flags in (
+        ("verify", cmd_verify, ("--scope", "--seed", "--out")),
+        ("solve-homo", cmd_solve_homo, ("--config", "--seed", "--out")),
+        ("gen-data", cmd_gen_data, ("--config", "--seed", "--out")),
+        ("train", cmd_train, ("--config", "--seed", "--out")),
+        ("eval", cmd_eval, ("--config", "--out")),
     ):
         p = sub.add_parser(name)
-        p.add_argument("--config", default=None)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default=None)
-        p.add_argument("--scope", default=None)
+        for flag in flags:
+            p.add_argument(flag, **options[flag])
         p.set_defaults(fn=fn)
     return parser
 

@@ -39,7 +39,6 @@ __all__ = [
     "solve_numeric",
     "r1_homomorphism",
     "r1_homomorphism_batch",
-    "r1_homomorphism_batch_vjp",
     "coframe",
     "coordinate_map_batch",
     "integrate_coordinate_map",
@@ -534,16 +533,6 @@ def r1_homomorphism_batch(W, b, values) -> np.ndarray:
     out = _homomorphism_forward(W, b, spaces._to_t_chart(values))
     out[..., 0] = np.asarray(values)[..., 0]
     return out
-
-
-def r1_homomorphism_batch_vjp(W, b, values, grad):
-    """Vector-Jacobian product of :func:`r1_homomorphism_batch` at a real
-    batch (B, d): returns the gradients of grad . out with respect to
-    values, W and b, by :func:`_homomorphism_pullback`."""
-    t = spaces._to_t_chart(values)
-    g_t, g_W, g_b = _homomorphism_pullback(
-        W, b, t, spaces._cotangent_to_t_chart(t, grad))
-    return spaces._cotangent_from_t_chart(t, g_t), g_W, g_b
 
 
 def r1_homomorphism(W: np.ndarray, b: np.ndarray, coords: SolvCoords,

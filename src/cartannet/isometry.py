@@ -27,12 +27,7 @@ import functools
 import numpy as np
 
 from . import spaces
-from .spaces import (
-    CosetPoint,
-    SolvCoords,
-    SpaceId,
-    TriangularElement,
-)
+from .spaces import CosetPoint, SolvCoords, SpaceId
 
 __all__ = [
     "GroupElement",
@@ -41,11 +36,9 @@ __all__ = [
     "isometry_action",
     "paint_rotate",
     "embedded_paint",
-    "bias_translate",
     "build_fiber_generators",
     "fiber_rotation",
     "fiber_rotate",
-    "fiber_rotate_vjp",
     "classify_element",
 ]
 
@@ -116,11 +109,6 @@ def paint_rotate(rot: PaintRotation, coords: SolvCoords) -> SolvCoords:
     v = np.array(coords.values, copy=True)
     v[1:] = rot.orthogonal @ v[1:]
     return SolvCoords(coords.space, v)
-
-
-def bias_translate(u: SolvCoords, coords: SolvCoords) -> SolvCoords:
-    """Left translation by u — the geometric analogue of a bias term."""
-    return spaces.group_product(u, coords)
 
 
 def build_fiber_generators(space: SpaceId):
@@ -291,17 +279,6 @@ def _fiber_input(tape, out):
     """The rows (B, d) a fiber stage read, from its tape and output (a
     stage without fibers is the identity)."""
     return out if tape is None else tape[2].T
-
-
-def fiber_rotate_vjp(space: SpaceId, values, angles, grad):
-    """Vector-Jacobian product of :func:`fiber_rotate` at real ``values``
-    (..., d): returns (grad @ d out/d values, grad @ d out/d angles), by
-    one run of the fiber stage and its pullback."""
-    t = spaces._to_t_chart(np.asarray(values, dtype=float))
-    out, tape = _fiber_forward(space, t, np.asarray(angles, dtype=float))
-    g, g_angles = _fiber_pullback(
-        tape, spaces._cotangent_to_t_chart(out, grad))
-    return spaces._cotangent_from_t_chart(t, g), g_angles
 
 
 def _is_eta_orthogonal(g: np.ndarray, eta: np.ndarray, tol=1e-10) -> bool:

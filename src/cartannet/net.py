@@ -15,10 +15,10 @@ forms: the homomorphism ``homo._homomorphism_forward`` is affine,
 matrix, built from the angles alone and applied to the batch by one
 matrix product.  Each fiber stage checks the Cartan bound of its input.
 The injection takes the one exp, T = e^{-(Q x)_0}, and
-:func:`forward_batch` the one log, Y1 = -log T, of a forward pass.
-``inject`` and ``layer_forward`` wrap the same kernels.  A batch travels
-the chain as contiguous columns (d, B) from the injection ``Q @ X.T`` on;
-every stage takes and returns rows that are views of them.
+:func:`forward_batch` the one log, Y1 = -log T, of a forward pass.  A
+batch travels the chain as contiguous columns (d, B) from the injection
+``Q @ X.T`` on; every stage takes and returns rows that are views of
+them.
 """
 
 from __future__ import annotations
@@ -42,8 +42,6 @@ __all__ = [
     "init_params",
     "flatten",
     "unflatten",
-    "inject",
-    "layer_forward",
     "forward",
     "stages",
     "forward_batch",
@@ -257,23 +255,6 @@ def forward_batch(config: NetworkConfig, params: ParamSet, X: np.ndarray) -> np.
     for values, tape in stages(config, params, X):
         del tape
     return spaces._from_t_chart(values)
-
-
-def inject(space: SpaceId, Q: np.ndarray, lam, x) -> SolvCoords:
-    """Linear injection followed by the layer-1 fiber-rotation isometries."""
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("non-finite input vector")
-    values = np.asarray(Q, dtype=float) @ x
-    return SolvCoords(space, isometry.fiber_rotate(space, values, lam))
-
-
-def layer_forward(W, b, psi, coords: SolvCoords,
-                  target: SpaceId | None = None) -> SolvCoords:
-    """One transition: homomorphism, then the fiber rotations of the
-    target layer.  No separate Paint rotation — it is absorbed into W."""
-    out = homo.r1_homomorphism(W, b, coords, target)
-    return SolvCoords(out.space, isometry.fiber_rotate(out.space, out.values, psi))
 
 
 def forward(config: NetworkConfig, params: ParamSet, x) -> SolvCoords:

@@ -14,6 +14,7 @@ since forming M squares the condition number.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -328,20 +329,17 @@ def _basis(space: SpaceId):
     return (_so_generators if space.family == "so" else _sl_generators)(space)
 
 
-_ALG_CACHE: dict = {}
-
-
+@functools.cache
 def solvable_generators(space: SpaceId) -> SolvAlgebraSpec:
-    """Solvable algebra basis plus numerically extracted structure constants."""
-    if space in _ALG_CACHE:
-        return _ALG_CACHE[space]
+    """Solvable algebra basis plus numerically extracted structure
+    constants, built once per space."""
     gens, labels = _basis(space)
     if len(gens) != space.dim:
         raise AssertionError("generator count does not match the dimension")
     f = structure_constants_from_generators(gens)
     stack = np.stack(gens)
     stack.setflags(write=False)
-    spec = SolvAlgebraSpec(
+    return SolvAlgebraSpec(
         space=space,
         d=space.dim,
         generators=tuple(stack),
@@ -349,8 +347,6 @@ def solvable_generators(space: SpaceId) -> SolvAlgebraSpec:
         ordering=tuple(labels),
         stack=stack,
     )
-    _ALG_CACHE[space] = spec
-    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -469,15 +465,10 @@ class _ChartTable:
     terms: np.ndarray  # (2 * roots, blocks * N*N): every block's terms
 
 
-_CHART_CACHE: dict = {}
-
-
+@functools.cache
 def _chart_table(space: SpaceId) -> _ChartTable:
     """The table that drives :func:`sigma_matrix` and
     :func:`sigma_inv_matrix`, built once per space."""
-    table = _CHART_CACHE.get(space)
-    if table is not None:
-        return table
     n, d = space.N, space.dim
     c = space.r if space.family == "so" else n - 1
     gens = (np.stack(_basis(space)[0])
@@ -504,11 +495,9 @@ def _chart_table(space: SpaceId) -> _ChartTable:
         blocks.append((terms[:, group, b].reshape(-1, n * n), rows, cols,
                        1.0 / Ts[range(len(group)), rows, cols]))
     cart_entry = alone.argmax(axis=1)
-    table = _ChartTable(cart, cart_entry, 1.0 / cart[range(c), cart_entry],
-                        tuple(blocks),
-                        terms.reshape(2 * (d - c), len(groups) * n * n))
-    _CHART_CACHE[space] = table
-    return table
+    return _ChartTable(cart, cart_entry, 1.0 / cart[range(c), cart_entry],
+                       tuple(blocks),
+                       terms.reshape(2 * (d - c), len(groups) * n * n))
 
 
 def sigma_matrix(space: SpaceId, values) -> np.ndarray:

@@ -9,15 +9,17 @@ one separator, whose softmax is sigmoid(d).
 Gradients come in two modes.  ``analytic`` is reverse mode: one forward
 pass through ``net.stages``, the chain ``net.forward_batch`` runs, keeping
 each layer's output and fiber tape, then one hand-written pullback per
-stage in reverse order (injection, the fiber pullback,
-``homo.r1_homomorphism_batch_vjp``, and the head's pullback
+stage in reverse order (injection, the fiber pullback
+``isometry._fiber_pullback``, the homomorphism pullback
+``homo._homomorphism_pullback``, and the head's pullback
 ``classify._nll_vjp``, which reuses the head kernel's own forward, or the
 regression read-out).
 ``finite-difference`` uses scaled central differences of ``loss_flat``.
 The test gate compares the two, and the tests check reverse mode against
 complex-step differentiation of the whole chain (every stage is
 complex-analytic) as the oracle.  Labels are checked where data enters
-(``Dataset``, :func:`check_labels`)."""
+(``Dataset``, :func:`check_labels`): :func:`gradient` checks its batch,
+and :func:`train_loop` checks the dataset once, so its steps do not."""
 
 from __future__ import annotations
 
@@ -115,10 +117,13 @@ def _classes(config: net.NetworkConfig) -> int:
 
 
 def check_labels(config: net.NetworkConfig, labels):
-    """Refuses with ValueError the labels a separator head cannot read:
-    anything but integers in 0..K-1 (0/1 for the binary head)."""
-    if config.task != "regression":
-        classify._checked_labels(labels, _classes(config))
+    """Labels as the head reads them: refuses with ValueError, for a
+    separator head, anything but integers in 0..K-1 (0/1 for the binary
+    head) and returns them as ints; regression labels are returned as
+    given."""
+    if config.task == "regression":
+        return labels
+    return classify._checked_labels(labels, _classes(config))
 
 
 def check_dataset(config: net.NetworkConfig, dataset: Dataset):
@@ -204,7 +209,16 @@ def _reverse_gradient(config: net.NetworkConfig, params: net.ParamSet,
 
 def gradient(config: net.NetworkConfig, tc: TrainConfig,
              flat: net.FlatParams, features, labels) -> np.ndarray:
-    """Gradient of the batch loss with respect to the flat parameters."""
+    """Gradient of the batch loss with respect to the flat parameters.
+    Refuses with ValueError labels the head cannot read
+    (:func:`check_labels`)."""
+    return _gradient(config, tc, flat, features, check_labels(config, labels))
+
+
+def _gradient(config: net.NetworkConfig, tc: TrainConfig,
+              flat: net.FlatParams, features, labels) -> np.ndarray:
+    """:func:`gradient` at labels already checked, as ints for a
+    separator head."""
     if tc.gradient_mode == "analytic":
         g = _reverse_gradient(config, net.unflatten(config, flat),
                               features, labels)
@@ -313,10 +327,12 @@ def train_loop(tc: TrainConfig, config: net.NetworkConfig, dataset: Dataset,
     admissibility (a finite-difference quotient can step across
     |w|^2 - alpha beta = 0).  Labels the head cannot read are refused
     (:func:`check_dataset`) before the first step, as is a dataset
-    without training rows."""
+    without training rows; the steps do not check the labels again."""
     check_dataset(config, dataset)
     train = dataset.subset("train")
     test = dataset.subset("test")
+    labels = (train.labels if config.task == "regression"
+              else train.labels.astype(int))
     params = init if init is not None else net.init_params(config, seed=tc.seed)
     flat = net.flatten(config, params)
     rng = np.random.default_rng(tc.seed)
@@ -328,8 +344,8 @@ def train_loop(tc: TrainConfig, config: net.NetworkConfig, dataset: Dataset,
         try:
             for start in range(0, len(train), tc.batch_size):
                 idx = order[start : start + tc.batch_size]
-                g = gradient(config, tc, flat,
-                             train.features[idx], train.labels[idx])
+                g = _gradient(config, tc, flat, train.features[idx],
+                              labels[idx])
                 grad_norm = max(grad_norm, float(np.linalg.norm(g)))
                 flat, moved = _project(config,
                                        sgd_step(flat, g, tc.learning_rate))

@@ -402,8 +402,7 @@ class TestCliDeterminism:
                           "--seed", "1"]),
             ("model2.json", ["train", "--config", str(train_cfg),
                              "--seed", "1"]),
-            ("eval.json", ["eval", "--config", str(eval_cfg),
-                           "--seed", "1"]),
+            ("eval.json", ["eval", "--config", str(eval_cfg)]),
         ]
         for fname, argv in jobs:
             a = tmp_path / ("a_" + fname)

@@ -1,6 +1,8 @@
 """Contract of the chart kernels sigma_matrix / sigma_inv_matrix, for
 every family, against the ordered product of one-parameter subgroups."""
 
+import functools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -92,7 +94,9 @@ class TestRoundTrip:
         gens, labels = spaces._basis(space)
         gens[-1] = np.eye(4, k=1)
         monkeypatch.setattr(spaces, "_basis", lambda s: (gens, labels))
-        monkeypatch.setattr(spaces, "_CHART_CACHE", {})
+        # a fresh cache, so that the table is built from the patched basis
+        monkeypatch.setattr(spaces, "_chart_table", functools.cache(
+            spaces._chart_table.__wrapped__))
         with pytest.raises(AssertionError):
             spaces._chart_table(space)
 

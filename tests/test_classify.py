@@ -353,7 +353,8 @@ class TestStackedHead:
         with pytest.raises(classify.DegenerateSeparatorError):
             classify.multiclass_nll(x, labels, bank)
         with pytest.raises(classify.DegenerateSeparatorError):
-            classify.multiclass_nll_vjp(x, labels, bank)
+            classify._nll_vjp(bank.head, spaces._to_t_chart(x), labels,
+                              len(bank))
 
 
 @st.composite

@@ -512,3 +512,68 @@ class TestEntryPoint:
         assert run(["verify", "--bogus"]) == 2
         assert run(["verify", "--scope", "core", "--out", str(first)]) == 0
         assert json.loads(first.read_text())["seed"] == 0
+
+
+class TestFlags:
+    """Each subcommand declares only the flags it reads; any other flag
+    exits 2 before the command runs."""
+
+    FLAGS = {
+        "verify": {"--scope", "--seed", "--out"},
+        "solve-homo": {"--config", "--seed", "--out"},
+        "gen-data": {"--config", "--seed", "--out"},
+        "train": {"--config", "--seed", "--out"},
+        "eval": {"--config", "--out"},
+    }
+
+    @pytest.mark.parametrize("command", list(FLAGS))
+    @pytest.mark.parametrize("flag", ["--config", "--seed", "--out",
+                                      "--scope"])
+    def test_accepted_flags(self, command, flag):
+        try:
+            cli.build_parser().parse_args([command, flag, "1"])
+            code = 0
+        except SystemExit as exc:
+            code = exc.code
+        assert code == (0 if flag in self.FLAGS[command] else 2)
+
+    def test_unread_flags_exit_2(self, tmp_path, monkeypatch, capsys):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("ran a command with an unread flag")
+
+        monkeypatch.setattr(train, "train_loop", must_not_run)
+        monkeypatch.setattr(train, "evaluate", must_not_run)
+        cfg = write_json(tmp_path / "cfg.json", {})
+        out = str(tmp_path / "out.json")
+        assert run(["train", "--scope", "core", "--config", cfg,
+                    "--out", out]) == 2
+        assert run(["eval", "--seed", "1", "--config", cfg,
+                    "--out", out]) == 2
+        assert not list(tmp_path.glob("out*"))
+        capsys.readouterr()
+
+
+class TestModelDocuments:
+    """A model document ``eval`` cannot read exits 2."""
+
+    @pytest.mark.parametrize("edit", ["format_version", "layout"])
+    def test_eval_exit_2(self, tmp_path, edit, capsys):
+        config = net.NetworkConfig(input_dim=2, layers=(hyperbolic(3),),
+                                   task="binary")
+        model = tmp_path / "model.json"
+        net.save_model(model, config, net.init_params(config))
+        doc = json.loads(model.read_text())
+        if edit == "format_version":
+            doc["format_version"] = "v0"
+        else:
+            doc["layout"][0][1] = [3, 3]
+        model.write_text(json.dumps(doc))
+        data = TestUnwritableOutputs.dataset(tmp_path)
+        ecfg = write_json(tmp_path / "eval.json",
+                          {"model": str(model), "dataset": data})
+        out = tmp_path / "metrics.json"
+        capsys.readouterr()
+        assert run(["eval", "--config", ecfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()

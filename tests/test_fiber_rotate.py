@@ -196,9 +196,11 @@ def relative_error(got, want):
 
 
 class TestPullbackAgainstGivensLoop:
-    """``fiber_rotate_vjp`` (one rotation matrix, in the chart (T, Y2))
+    """The fiber stage of the chain, ``_fiber_forward`` and its pullback
+    ``_fiber_pullback`` (one rotation matrix, in the chart (T, Y2)),
     against one Givens rotation per angle in coordinates, near the origin
-    and at |w1| in [20, 40]."""
+    and at |w1| in [20, 40].  The cotangents are compared in coordinates,
+    g_Y1 = -T g_T, where every row has the same scale."""
 
     @PROPERTY
     @given(batches(), st.booleans())
@@ -211,8 +213,11 @@ class TestPullbackAgainstGivensLoop:
         out, g_values, g_angles = givens_loop_vjp(space, values, angles, grad)
         assert relative_error(isometry.fiber_rotate(space, values, angles),
                               out) <= 1e-13
-        got_values, got_angles = isometry.fiber_rotate_vjp(
-            space, values, angles, grad)
+        t = spaces._to_t_chart(values)
+        out_t, tape = isometry._fiber_forward(space, t, angles)
+        got_t, got_angles = isometry._fiber_pullback(
+            tape, spaces._cotangent_to_t_chart(out_t, grad))
+        got_values = spaces._cotangent_from_t_chart(t, got_t)
         assert relative_error(got_values, g_values) <= 1e-13
         assert relative_error(got_angles, g_angles) <= 1e-13
 

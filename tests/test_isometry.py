@@ -101,19 +101,23 @@ class TestFiberRotations:
 
 
 class TestBiasTranslate:
+    """Left translation by u, the geometric analogue of a bias term, is
+    the group product u . p."""
+
     def test_is_left_multiplication(self):
         rng = np.random.default_rng(4)
         u, p = rand_coords(H3, rng), rand_coords(H3, rng)
-        out = isometry.bias_translate(u, p)
-        want = spaces.group_product(u, p)
-        assert np.array_equal(out.values, want.values)
+        out = spaces.group_product(u, p)
+        want = spaces.sigma_inv(spaces.TriangularElement(
+            H3, spaces.sigma(u).matrix @ spaces.sigma(p).matrix))
+        assert np.max(np.abs(out.values - want.values)) < 1e-12
 
     def test_identity_bias(self):
         rng = np.random.default_rng(5)
         p = rand_coords(H3, rng)
         o = SolvCoords(H3, np.zeros(3))
         assert np.max(np.abs(
-            isometry.bias_translate(o, p).values - p.values)) < 1e-15
+            spaces.group_product(o, p).values - p.values)) < 1e-15
 
 
 class TestClassifyElement:
@@ -136,6 +140,20 @@ class TestClassifyElement:
     def test_external_normalized(self):
         g = np.diag([2.0, 1.0, 1.0, 1.0])
         out = isometry.classify_element(g, H3)
+        assert out.kind == "external"
+        assert abs(np.linalg.det(out.matrix) - 1.0) < 1e-12
+
+    def test_sl_family(self):
+        # on SL(3)/SO(3) the isometric elements are the orthogonal ones
+        space = SpaceId.sl(3)
+        rng = np.random.default_rng(9)
+        signs = np.diag([1.0, -1.0, -1.0])
+        assert isometry.classify_element(signs, space).kind == "paint"
+        O = rand_orthogonal(rng, 3)
+        assert isometry.classify_element(O, space).kind == "grassmannian"
+        L = spaces.sigma(rand_coords(space, rng)).matrix
+        assert isometry.classify_element(L, space).kind == "solvable"
+        out = isometry.classify_element(2.0 * L, space)
         assert out.kind == "external"
         assert abs(np.linalg.det(out.matrix) - 1.0) < 1e-12
 

@@ -63,24 +63,40 @@ def kernel_cases(draw):
     }
 
 
+def fiber_stage(space, t, angles, grad):
+    """The chain's fiber stage and its pullback at rows t of the chart
+    (T, Y2)."""
+    return isometry._fiber_pullback(
+        isometry._fiber_forward(space, t, angles)[1], grad)
+
+
+def nll_pullback(head, t, labels, classes):
+    """The head's pullback at rows t of the chart (T, Y2), its gradient
+    dict flattened to (g_t, g_alpha, g_beta, g_w)."""
+    g_t, g_head = classify._nll_vjp(head, t, labels, classes)
+    return g_t, g_head["alpha"], g_head["beta"], g_head["w"]
+
+
 def kernels(c):
     """name -> (f(points, grad, grad_out, labels), takes a single point):
     each kernel under the contract, applied to one layout of its inputs.
-    The vector-Jacobian products and ``r1_homomorphism_batch_vjp`` take
-    batches only, as they always have."""
+    The pullbacks of the stage chain read the points in its chart (T, Y2),
+    and the homomorphism's and the head's take batches only, as they
+    always have."""
     space, angles, W, b, bank = (c["space"], c["angles"], c["W"], c["b"],
                                  c["bank"])
     sep = bank.separators[0]
+    binary = classify.SeparatorBank((sep,)).head
+    t = spaces._to_t_chart
     return {
         "fiber_rotate": (
             lambda p, g, go, y: isometry.fiber_rotate(space, p, angles), True),
-        "fiber_rotate_vjp": (
-            lambda p, g, go, y: isometry.fiber_rotate_vjp(space, p, angles, g),
-            True),
+        "_fiber_pullback": (
+            lambda p, g, go, y: fiber_stage(space, t(p), angles, g), True),
         "r1_homomorphism_batch": (
             lambda p, g, go, y: homo.r1_homomorphism_batch(W, b, p), True),
-        "r1_homomorphism_batch_vjp": (
-            lambda p, g, go, y: homo.r1_homomorphism_batch_vjp(W, b, p, go),
+        "_homomorphism_pullback": (
+            lambda p, g, go, y: homo._homomorphism_pullback(W, b, t(p), go),
             False),
         "h_value": (lambda p, g, go, y: classify.h_value(sep, p), True),
         "signed_distance": (
@@ -91,10 +107,11 @@ def kernels(c):
             lambda p, g, go, y: classify.binary_nll(p, y % 2, sep), True),
         "multiclass_nll": (
             lambda p, g, go, y: classify.multiclass_nll(p, y, bank), True),
-        "binary_nll_vjp": (
-            lambda p, g, go, y: classify.binary_nll_vjp(p, y % 2, sep), False),
-        "multiclass_nll_vjp": (
-            lambda p, g, go, y: classify.multiclass_nll_vjp(p, y, bank), False),
+        "_nll_vjp[binary]": (
+            lambda p, g, go, y: nll_pullback(binary, t(p), y % 2, 2), False),
+        "_nll_vjp[multiclass]": (
+            lambda p, g, go, y: nll_pullback(bank.head, t(p), y, len(bank)),
+            False),
     }
 
 

@@ -1,5 +1,6 @@
 """Network assembly: injection, layer maps, flattening, persistence."""
 
+import json
 import weakref
 
 import numpy as np
@@ -68,31 +69,53 @@ class TestFlatten:
             net.unflatten(cfg, np.zeros(3))
 
 
+def chain(input_dim, layers, Q, lam, W=None, b=None, psi=None):
+    """A regression network with the given injection and, for two layers,
+    the given transition, so that ``forward_batch`` runs those stages."""
+    config = net.NetworkConfig(input_dim, tuple(map(net.LayerSpec, layers)),
+                               task="regression")
+    params = net.init_params(config)
+    params.Q[:], params.lam[:] = Q, lam
+    if len(layers) == 2:
+        params.Ws[0][:], params.bs[0][:], params.psis[0][:] = W, b, psi
+    return config, params
+
+
+def transition(W, b, psi, source, target):
+    """A network whose injection is the identity on ``source``, so that it
+    sends a point of ``source`` through one transition to ``target``."""
+    return chain(source.dim, (source, target), np.eye(source.dim),
+                 np.zeros(source.fiber_dim), W, b, psi)
+
+
 class TestInject:
     def test_zero_input_maps_to_origin(self):
         Q = np.random.default_rng(0).normal(size=(5, 4))
-        out = net.inject(H5, Q, np.zeros(3), np.zeros(4))
-        assert np.max(np.abs(out.values)) < 1e-12
+        out = net.forward_batch(*chain(4, (H5,), Q, np.zeros(3)),
+                                np.zeros((1, 4)))[0]
+        assert np.max(np.abs(out)) < 1e-12
 
     def test_zero_angles_is_linear(self):
         rng = np.random.default_rng(1)
         Q = rng.normal(size=(5, 4))
         x = rng.normal(size=4)
-        out = net.inject(H5, Q, np.zeros(3), x)
-        assert np.max(np.abs(out.values - Q @ x)) < 1e-12
+        out = net.forward_batch(*chain(4, (H5,), Q, np.zeros(3)), x[None])[0]
+        assert np.max(np.abs(out - Q @ x)) < 1e-12
 
     def test_rejects_nonfinite(self):
         Q = np.zeros((5, 4))
         with pytest.raises(ValueError):
-            net.inject(H5, Q, np.zeros(3), np.array([1.0, np.nan, 0, 0]))
+            net.forward_batch(*chain(4, (H5,), Q, np.zeros(3)),
+                              np.array([[1.0, np.nan, 0, 0]]))
 
 
 class TestLayerForward:
     def test_identity_map(self):
         rng = np.random.default_rng(2)
         c = SolvCoords(H3, rng.uniform(-1, 1, 3))
-        out = net.layer_forward(np.eye(2), np.zeros(2), np.zeros(1), c)
-        assert np.max(np.abs(out.values - c.values)) < 1e-12
+        out = net.forward_batch(*transition(
+            np.eye(2), np.zeros(2), np.zeros(1), H3, H3), c.values[None])[0]
+        assert np.max(np.abs(out - c.values)) < 1e-12
 
     def test_zero_angles_equals_homomorphism(self):
         from cartannet import homo
@@ -100,9 +123,10 @@ class TestLayerForward:
         W = rng.uniform(-1, 1, (2, 4))
         b = rng.uniform(-1, 1, 2)
         c = SolvCoords(H5, rng.uniform(-1, 1, 5))
-        out = net.layer_forward(W, b, np.zeros(1), c)
+        out = net.forward_batch(*transition(W, b, np.zeros(1), H5, H3),
+                                c.values[None])[0]
         want = homo.r1_homomorphism(W, b, c)
-        assert np.max(np.abs(out.values - want.values)) < 1e-12
+        assert np.max(np.abs(out - want.values)) < 1e-12
 
     def test_fiber_stage_preserves_distances(self):
         # oracle: the rotation stage is an isometry, so pairwise distances
@@ -111,10 +135,10 @@ class TestLayerForward:
         p = SolvCoords(H3, rng.uniform(-1, 1, 3))
         q = SolvCoords(H3, rng.uniform(-1, 1, 3))
         psi = np.array([0.9])
-        p2 = net.layer_forward(np.eye(2), np.zeros(2), psi, p)
-        q2 = net.layer_forward(np.eye(2), np.zeros(2), psi, q)
+        p2, q2 = net.forward_batch(*transition(
+            np.eye(2), np.zeros(2), psi, H3, H3), np.stack([p.values, q.values]))
         d0 = spaces.coords_distance(p, q)
-        d1 = spaces.coords_distance(p2, q2)
+        d1 = spaces.coords_distance(SolvCoords(H3, p2), SolvCoords(H3, q2))
         assert abs(d0 - d1) < 1e-10
 
 
@@ -204,6 +228,22 @@ class TestPersistence:
         net.save_model(p1, cfg, params)
         net.save_model(p2, cfg, params)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("edit", ["format_version", "layout"])
+    def test_load_refuses_a_foreign_document(self, tmp_path, edit):
+        # a document of another format version, or whose layout does not
+        # match its config
+        cfg = two_layer_config()
+        path = tmp_path / "model.json"
+        net.save_model(path, cfg, net.init_params(cfg, seed=16))
+        doc = json.loads(path.read_text())
+        if edit == "format_version":
+            doc["format_version"] = "v0"
+        else:
+            doc["layout"][2:4] = reversed(doc["layout"][2:4])  # W0, b0
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError):
+            net.load_model(path)
 
 
 class TestStageChain:

@@ -71,10 +71,10 @@ class TestBinaryIsTheTwoScoreSoftmax:
         u, saved = classify._head(head, t)
         g_d = classify.sigmoid(np.arcsinh(u)) - labels[:, None]
         g_t, g_head = classify._head_vjp(u, saved, g_d)
-        g_points = spaces._cotangent_from_t_chart(t, g_t)
-        want = (g_points, g_head["alpha"][0], g_head["beta"][0],
-                g_head["w"][0])
-        got = classify.binary_nll_vjp(points, labels, sep)
+        want = (g_t, g_head["alpha"][0], g_head["beta"][0], g_head["w"][0])
+        got_t, got_head = classify._nll_vjp(head, t, labels, 2)
+        got = (got_t, got_head["alpha"][0], got_head["beta"][0],
+               got_head["w"][0])
         for a, b in zip(got, want):
             scale = max(np.max(np.abs(b)), np.max(np.abs(g_d)))
             assert np.max(np.abs(a - b)) <= 1e-14 * scale
@@ -98,6 +98,21 @@ class TestBinaryIsTheTwoScoreSoftmax:
 class TestLabelChecks:
     BINARY = classify.Separator(0.2, -0.1, np.array([1.0, 0.5]))
 
+    @staticmethod
+    def gradient(bank, points, labels):
+        """``train.gradient`` of a one-layer network on H^3 whose injection
+        is the identity and whose head is ``bank``."""
+        K = len(bank)
+        config = net.NetworkConfig(
+            input_dim=3, layers=(spaces.hyperbolic(3),),
+            task="binary" if K == 1 else "multiclass", K=K if K > 1 else None)
+        params = net.init_params(config)
+        params.Q[:] = np.eye(3)
+        for name, value in bank.head.items():
+            params.head[name][:] = value
+        return train.gradient(config, train.TrainConfig(),
+                              net.flatten(config, params), points, labels)
+
     @pytest.mark.parametrize("label", [np.nan, np.inf, -np.inf])
     def test_dataset_refuses_non_finite_labels(self, label):
         with pytest.raises(ValueError, match="non-finite labels"):
@@ -108,18 +123,21 @@ class TestLabelChecks:
                                         [np.nan, 1.0], [0, 3]])
     def test_binary_head_takes_zero_and_one(self, labels):
         points = np.zeros((2, 3))
-        for fn in (classify.binary_nll, classify.binary_nll_vjp):
-            with pytest.raises(ValueError):
-                fn(points, np.array(labels), self.BINARY)
+        bank = classify.SeparatorBank((self.BINARY,))
+        with pytest.raises(ValueError):
+            classify.binary_nll(points, np.array(labels), self.BINARY)
+        with pytest.raises(ValueError):
+            self.gradient(bank, points, np.array(labels))
 
     @pytest.mark.parametrize("labels", [[0, 3], [0, -1], [2.5, 1.0],
                                         [np.nan, 0.0]])
     def test_softmax_head_takes_zero_to_k_minus_one(self, labels):
         bank = classify.SeparatorBank((self.BINARY,) * 3)
         points = np.zeros((2, 3))
-        for fn in (classify.multiclass_nll, classify.multiclass_nll_vjp):
-            with pytest.raises(ValueError):
-                fn(points, np.array(labels), bank)
+        with pytest.raises(ValueError):
+            classify.multiclass_nll(points, np.array(labels), bank)
+        with pytest.raises(ValueError):
+            self.gradient(bank, points, np.array(labels))
 
     def test_integral_floats_are_read_as_integers(self):
         bank = classify.SeparatorBank((self.BINARY,) * 3)
@@ -127,9 +145,8 @@ class TestLabelChecks:
         floats, ints = np.array([0.0, 2.0, 1.0]), np.array([0, 2, 1])
         assert (classify.multiclass_nll(points, floats, bank)
                 == classify.multiclass_nll(points, ints, bank))
-        for a, b in zip(classify.multiclass_nll_vjp(points, floats, bank),
-                        classify.multiclass_nll_vjp(points, ints, bank)):
-            assert a.tobytes() == b.tobytes()
+        assert (self.gradient(bank, points, floats).tobytes()
+                == self.gradient(bank, points, ints).tobytes())
         config = net.NetworkConfig(input_dim=2, layers=(spaces.hyperbolic(3),),
                                    task="multiclass", K=3)
         train.check_labels(config, floats)
@@ -149,6 +166,50 @@ class TestLabelChecks:
         labels[np.flatnonzero(ds.split == "test")[0]] = bad
         ds = train.Dataset(ds.features, labels, ds.split)
         with mock.patch.object(train, "gradient") as gradient:
+            with pytest.raises(ValueError, match="labels must be integers"):
+                train.train_loop(train.TrainConfig(epochs=1), config, ds)
+        assert gradient.call_count == 0
+
+
+class TestLabelsCheckedOnce:
+    """``train.gradient`` checks its batch's labels; ``train_loop`` checks
+    the dataset's once, and its steps do not check them again."""
+
+    @pytest.mark.parametrize("task, K", [("binary", None), ("multiclass", 3)])
+    def test_gradient_refuses_label_k(self, task, K):
+        config = net.NetworkConfig(input_dim=2, layers=(spaces.hyperbolic(3),),
+                                   task=task, K=K)
+        flat = net.flatten(config, net.init_params(config))
+        X = np.zeros((3, 2))
+        for labels in (np.array([0, 1, K or 2]), np.array([0.0, 1.0, K or 2])):
+            with pytest.raises(ValueError, match="labels must be integers"):
+                train.gradient(config, train.TrainConfig(), flat, X, labels)
+
+    def test_train_loop_checks_once_per_pass(self, monkeypatch):
+        # one check of the dataset, then one per epoch for each of the
+        # train-loss and test passes, none per step
+        config = net.NetworkConfig(input_dim=2, layers=(spaces.hyperbolic(3),),
+                                   task="multiclass", K=4)
+        ds = train.gen_synthetic("blobs", n=80, dim=2, seed=0, classes=4)
+        calls = []
+        original = classify._checked_labels
+
+        def counted(labels, classes):
+            calls.append(len(labels))
+            return original(labels, classes)
+
+        monkeypatch.setattr(classify, "_checked_labels", counted)
+        tc = train.TrainConfig(epochs=2, batch_size=16)
+        _, history = train.train_loop(tc, config, ds)
+        assert len(history) == 2
+        assert calls == [80] + [64, 16] * 2
+
+    def test_train_loop_takes_no_step_on_bad_labels(self):
+        config = net.NetworkConfig(input_dim=2, layers=(spaces.hyperbolic(3),),
+                                   task="binary")
+        ds = train.gen_synthetic("blobs", n=40, dim=2, seed=0)
+        ds.labels[np.flatnonzero(ds.split == "train")[0]] = 2
+        with mock.patch.object(train, "_gradient") as gradient:
             with pytest.raises(ValueError, match="labels must be integers"):
                 train.train_loop(train.TrainConfig(epochs=1), config, ds)
         assert gradient.call_count == 0

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from cartannet import classify, isometry, net, spaces, train
-from cartannet.spaces import SpaceId
+from cartannet import classify, homo, isometry, net, spaces, train
+from cartannet.spaces import SolvCoords, SpaceId
 
 H3 = SpaceId.so(1, 2)
 H5 = SpaceId.so(1, 4)
@@ -26,6 +26,16 @@ def origin_head_params(config, seed=0):
             params.head["w"][k][:] = 0.0
             params.head["w"][k][0] = 1.0
     return params
+
+
+def layer_points(params, x):
+    """Per-point oracle of the H5 -> H3 chain: each layer's output for one
+    input, by the coordinate maps ``fiber_rotate`` and ``r1_homomorphism``
+    one point at a time."""
+    p = SolvCoords(H5, isometry.fiber_rotate(H5, params.Q @ x, params.lam))
+    yield p
+    p = homo.r1_homomorphism(params.Ws[0], params.bs[0], p, H3)
+    yield SolvCoords(H3, isometry.fiber_rotate(H3, p.values, params.psis[0]))
 
 
 class TestDataset:
@@ -243,11 +253,8 @@ class TestTrainLoop:
         assert len(stages) == (batches + 2) * len(cfg.layers)
         peaks = np.zeros(len(cfg.layers))
         for x in tr.features:
-            p = net.inject(H5, params.Q, params.lam, x)
-            peaks[0] = max(peaks[0], abs(p.values[0]))
-            p = net.layer_forward(params.Ws[0], params.bs[0], params.psis[0],
-                                  p, H3)
-            peaks[1] = max(peaks[1], abs(p.values[0]))
+            for i, p in enumerate(layer_points(params, x)):
+                peaks[i] = max(peaks[i], abs(p.values[0]))
         assert np.allclose(rec["cartan_fraction"],
                            peaks / spaces.CARTAN_BOUND, rtol=1e-12, atol=0)
         assert all(isinstance(v, float) for v in rec["cartan_fraction"])
@@ -332,6 +339,21 @@ class TestTrainLoop:
         out = train.evaluate(cfg, params, ds)
         assert set(out) == {"n", "nll", "accuracy"}
         assert 0.0 <= out["accuracy"] <= 1.0
+
+    def test_evaluate_regression_keys(self):
+        # the mean squared residual of the linear read-out on the test split
+        ds = self.blob_dataset()
+        ds.labels = ds.labels.astype(float)
+        cfg = small_config("regression")
+        params = net.init_params(cfg, seed=1)
+        params.head["c"][:] = 0.25
+        out = train.evaluate(cfg, params, ds)
+        assert set(out) == {"n", "mse"}
+        test = ds.subset("test")
+        points = net.forward_batch(cfg, params, test.features)
+        resid = points @ params.head["v"] + 0.25 - test.labels
+        assert out["n"] == len(test)
+        assert np.isclose(out["mse"], np.mean(resid * resid), rtol=1e-12)
 
 
 class TestSynthetic:
