@@ -6,9 +6,10 @@ coordinate vector, an upper-triangular group element L, or the symmetric
 coset matrix M = L L^T.  One table-driven, batched chart kernel per
 direction converts coordinates to L and back for every family, using
 T^3 = 0 for every root generator.  M is refactored into L by a batched
-Crout algorithm that fills one column of L per step, and geodesic
-distances are taken from L directly (singular values of L_u^{-1} L_w),
-since forming M squares the condition number.
+Crout algorithm that fills one column of L per step.  Geodesic distances
+have a closed form on the r=1 (hyperbolic) family; elsewhere they are
+taken from L directly (singular values of L_u^{-1} L_w), since forming M
+squares the condition number.
 """
 
 from __future__ import annotations
@@ -369,9 +370,11 @@ def _sum_squares(cols):
 
 
 def _check_cartan_bound(values_real) -> None:
-    if (np.abs(values_real) > CARTAN_BOUND).any():
+    """Refuses a Cartan coordinate beyond CARTAN_BOUND or NaN (a NaN
+    fails every comparison, so the test is on the values inside)."""
+    if not (np.abs(values_real) <= CARTAN_BOUND).all():
         raise CartanBoundError(
-            f"Cartan coordinate exceeds the bound {CARTAN_BOUND}"
+            f"Cartan coordinate not finite or beyond the bound {CARTAN_BOUND}"
         )
 
 
@@ -380,11 +383,12 @@ _T_RANGE = np.exp([-CARTAN_BOUND, CARTAN_BOUND])
 
 
 def _check_t_bound(t_real) -> None:
-    """The Cartan bound in the chart (T, Y2) of the r=1 stage chain."""
-    if (np.fmin.reduce(t_real, axis=None) < _T_RANGE[0]
-            or np.fmax.reduce(t_real, axis=None) > _T_RANGE[1]):
+    """The Cartan bound in the chart (T, Y2) of the r=1 stage chain.
+    minimum/maximum propagate NaN, which then fails the range test."""
+    if not (np.minimum.reduce(t_real, axis=None) >= _T_RANGE[0]
+            and np.maximum.reduce(t_real, axis=None) <= _T_RANGE[1]):
         raise CartanBoundError(
-            f"Cartan coordinate exceeds the bound {CARTAN_BOUND}"
+            f"Cartan coordinate not finite or beyond the bound {CARTAN_BOUND}"
         )
 
 
@@ -463,6 +467,7 @@ class _ChartTable:
     cart_inv: np.ndarray  # (c,): 1 / cart[i, cart_entry[i]]
     blocks: tuple  # at least one, possibly empty
     terms: np.ndarray  # (2 * roots, blocks * N*N): every block's terms
+    eye: np.ndarray  # (N, N): read-only identity
 
 
 @functools.cache
@@ -495,15 +500,19 @@ def _chart_table(space: SpaceId) -> _ChartTable:
         blocks.append((terms[:, group, b].reshape(-1, n * n), rows, cols,
                        1.0 / Ts[range(len(group)), rows, cols]))
     cart_entry = alone.argmax(axis=1)
+    eye = np.eye(n)
+    eye.setflags(write=False)
     return _ChartTable(cart, cart_entry, 1.0 / cart[range(c), cart_entry],
                        tuple(blocks),
-                       terms.reshape(2 * (d - c), len(groups) * n * n))
+                       terms.reshape(2 * (d - c), len(groups) * n * n), eye)
 
 
 def sigma_matrix(space: SpaceId, values) -> np.ndarray:
     """The chart sigma(x) = prod_k expm(a_k T_k), a = exp_factors(x), as a
     diagonal Cartan factor times one unitriangular factor per root block.
-    Batched (..., d) -> (..., N, N) and complex safe."""
+    Batched (..., d) -> (..., N, N) and complex safe: the Cartan and root
+    coordinates share one dtype, so the fresh product U holds the scaled
+    result in place."""
     table = _chart_table(space)
     values = np.asarray(values)
     n, c = space.N, len(table.cart)
@@ -511,10 +520,12 @@ def sigma_matrix(space: SpaceId, values) -> np.ndarray:
     _check_cartan_bound(cartan.real)
     X = (np.concatenate([x, x * x], axis=-1) @ table.terms).reshape(
         x.shape[:-1] + (len(table.blocks), n, n))
-    U = np.eye(n) + X[..., 0, :, :]
+    U = X[..., 0, :, :]
+    U += table.eye
     for b in range(1, len(table.blocks)):
         U = U + U @ X[..., b, :, :]
-    return np.exp(cartan @ table.cart)[..., :, None] * U
+    # scale first: a complex product is not bitwise commutative
+    return np.multiply(np.exp(cartan @ table.cart)[..., :, None], U, out=U)
 
 
 def sigma_inv_matrix(space: SpaceId, L) -> np.ndarray:
@@ -524,7 +535,7 @@ def sigma_inv_matrix(space: SpaceId, L) -> np.ndarray:
     table = _chart_table(space)
     L = np.asarray(L)
     diag = np.diagonal(L, axis1=-2, axis2=-1)
-    if (diag.real <= 0).any():
+    if not (diag.real > 0).all():  # NaN is not positive either
         raise ValueError("triangular element must have positive diagonal")
     coords = [np.log(diag[..., table.cart_entry]) * table.cart_inv]
     R = L / diag[..., :, None]
@@ -568,17 +579,24 @@ def cholesky_crout_matrix(M: np.ndarray) -> np.ndarray:
     M_ji = sum_{k >= i} L_jk L_ik for j <= i, so column i above and on the
     diagonal is (M_{:i+1,i} - L_{:i+1,i+1:} L_{i,i+1:}) / sqrt(pivot).
     Products are plain matmuls (no conjugation), so complex input
-    propagates analytically."""
+    propagates analytically.
+
+    The pivots are kept and checked once, after the loop: a pivot with
+    real part <= 0 (or NaN) in any column of any matrix of the stack
+    raises FactorizationError.  The NaN or inf a bad pivot leaves in the
+    later columns is computed without a warning and never returned."""
     M = np.asarray(M)
     n = M.shape[-1]
     L = np.zeros_like(M)
-    for i in range(n - 1, -1, -1):
-        col = M[..., : i + 1, i] - (
-            L[..., : i + 1, i + 1 :] @ L[..., i, i + 1 :, None])[..., 0]
-        pivot = col[..., i]
-        if not (pivot.real > 0).all():
-            raise FactorizationError("matrix is not positive definite")
-        L[..., : i + 1, i] = col / np.sqrt(pivot)[..., None]
+    pivots = np.empty(M.shape[:-1], L.dtype)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(n - 1, -1, -1):
+            col = M[..., : i + 1, i] - (
+                L[..., : i + 1, i + 1 :] @ L[..., i, i + 1 :, None])[..., 0]
+            pivots[..., i] = col[..., i]
+            L[..., : i + 1, i] = col / np.sqrt(col[..., i])[..., None]
+    if not (pivots.real > 0).all():
+        raise FactorizationError("matrix is not positive definite")
     return L
 
 
@@ -641,16 +659,39 @@ def _distance_constant(space: SpaceId) -> float:
     return 0.5 if space.family == "sl" else 1.0 / (2.0 * SQRT2)
 
 
+def _r1_distance(u, w) -> float:
+    """Closed-form geodesic distance on the r=1 family H^n, by left
+    translation to the origin: z = u^{-1} w has z_1 = w_1 - u_1 and
+    z_s = (w_s - u_s) - expm1(-z_1) u_s (:func:`group_inverse`,
+    :func:`group_product`), and d = 2 asinh sqrt(h) with
+    h = sinh^2(d/2) = sinh^2(z_1/2) + e^{z_1} |z_s|^2 / 16, a sum of
+    non-negative terms with no cancellation.  An h that overflows raises
+    FactorizationError, as an underflowed singular value does elsewhere."""
+    _check_cartan_bound(np.array([u[0], w[0]]).real)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z1 = w[0] - u[0]
+        zs = (w[1:] - u[1:]) - np.expm1(-z1) * u[1:]
+        h = np.sinh(0.5 * z1) ** 2 + np.exp(z1) * (zs @ zs) / 16.0
+    if not np.isfinite(h):
+        raise FactorizationError("sinh^2(d/2) overflowed")
+    return 2.0 * float(np.arcsinh(np.sqrt(h)))
+
+
 def coords_distance(u: SolvCoords, w: SolvCoords) -> float:
     """Geodesic distance c * 2 ||log s(L_u^{-1} L_w)|| between two points
     given in solvable coordinates.
 
-    The eigenvalues of M_u^{-1} M_w are the squared singular values s of
+    On r=1 (hyperbolic) spaces it is the closed form of
+    :func:`_r1_distance`.  On r >= 2 and sl, where :func:`group_product`
+    also takes the matrix route, it is one solve and one SVD: the
+    eigenvalues of M_u^{-1} M_w are the squared singular values s of
     L_u^{-1} L_w, so the distance is taken from the triangular factors
     without forming M = L L^T, whose condition number is the square of
-    L's."""
+    L's.  Both refuse a Cartan coordinate beyond CARTAN_BOUND."""
     if u.space != w.space:
         raise ValueError("coords_distance requires matching spaces")
+    if u.space.is_r1:
+        return _r1_distance(u.values, w.values)
     Lu, Lw = sigma_matrix(u.space, np.stack([u.values, w.values]))
     s = np.linalg.svd(np.linalg.solve(Lu, Lw), compute_uv=False)
     if not (s > 0).all():

@@ -181,6 +181,17 @@ class TestInputChecks:
             with pytest.raises(spaces.CartanBoundError):
                 isometry.fiber_rotate(space, values + 1e-30j, angles)
 
+    @pytest.mark.parametrize("space", [spaces.hyperbolic(2), *SPACES])
+    def test_nan_cartan_refused(self, space):
+        # NaN fails every comparison, so a range test that only looks for
+        # values beyond the bound would let it through to the output
+        values = np.zeros((3, space.dim))
+        values[1, 0] = np.nan
+        with pytest.raises(spaces.CartanBoundError,
+                           match="not finite or beyond the bound"):
+            isometry.fiber_rotate(space, values,
+                                  np.full(space.fiber_dim, 0.3))
+
     def test_angle_count(self):
         space = spaces.hyperbolic(5)
         with pytest.raises(ValueError):

@@ -1,8 +1,13 @@
 """Core solvable-group layer: charts, factorization, group law, metric."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cartannet import spaces
 from cartannet.spaces import (
@@ -122,6 +127,25 @@ class TestSigma:
     def test_cartan_bound(self):
         with pytest.raises(CartanBoundError):
             spaces.sigma(SolvCoords(H2, [400.0, 0.0]))
+
+    @pytest.mark.parametrize("space", SPACES + [SpaceId.so(2, 3)])
+    def test_nan_cartan_refused(self, space):
+        # NaN fails every comparison, so a test for |x| > bound lets it
+        # through and sigma_matrix returns a NaN matrix
+        values = np.zeros((2, space.dim))
+        values[1, 0] = np.nan
+        with pytest.raises(CartanBoundError,
+                           match="not finite or beyond the bound"):
+            spaces.sigma_matrix(space, values)
+
+    @pytest.mark.parametrize("space", SPACES + [SpaceId.so(2, 3)])
+    def test_inverse_refuses_nan_diagonal(self, space):
+        # the Cartan coordinates are read from the log-diagonal: a NaN
+        # there is refused with the non-positive entries, not returned
+        L = spaces.sigma_matrix(space, np.zeros((2, space.dim)))
+        L[1, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="positive diagonal"):
+            spaces.sigma_inv_matrix(space, L)
 
 
 class TestCholeskyCrout:
@@ -272,6 +296,53 @@ class TestCroutContract:
                 with pytest.raises(FactorizationError):
                     spaces.cholesky_crout_matrix(bad)
 
+    @staticmethod
+    def refused(M):
+        """cholesky_crout_matrix raises FactorizationError on M and lets
+        no RuntimeWarning out."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(FactorizationError):
+                spaces.cholesky_crout_matrix(M)
+
+    def test_bad_middle_pivot_raises(self):
+        # columns are filled from the last: M_ii = -1 leaves the columns
+        # after i positive and makes pivot i the first bad one, after
+        # which the later columns carry NaN (real) or go on (complex)
+        rng = np.random.default_rng(14)
+        for space in (SL4, H5, self.SO23):
+            _, Ms = self.coset_stack(space, rng)
+            i = space.N // 2
+            E = rng.normal(size=Ms.shape)
+            E = E + np.swapaxes(E, -1, -2)
+            for k in (0, 2, len(Ms) - 1):
+                bad = Ms.copy()
+                bad[k, i, i] = -1.0
+                self.refused(bad)  # a stack with one bad matrix
+                self.refused(bad[k])  # real
+                self.refused(bad + 1e-30j * E)  # complex step
+                self.refused(bad[k] + 1e-3j * E[k])  # complex
+
+    def test_zero_pivot_raises(self):
+        rng = np.random.default_rng(15)
+        for space in (SL4, H5, self.SO23):
+            n = space.N
+            for i in (0, n // 2, n - 1):
+                M = np.eye(n)
+                M[i, i] = 0.0
+                self.refused(M)
+                self.refused(M + 0j)
+            _, Ms = self.coset_stack(space, rng)
+            Ms[1, n // 2] = Ms[1, :, n // 2] = 0.0  # zero row and column
+            self.refused(Ms)
+
+    def test_indefinite_input_warns_nothing(self):
+        # -I has every pivot negative and an all-NaN factor in real
+        # arithmetic; the NaN is computed under errstate and not returned
+        for space in (SL4, H5, self.SO23):
+            self.refused(-np.eye(space.N))
+            self.refused(np.full((3, space.N, space.N), np.nan))
+
 
 class TestFarFieldDistance:
     """coords_distance far from the origin against 50-digit references."""
@@ -338,6 +409,121 @@ class TestFarFieldDistance:
         with pytest.raises(ValueError):
             spaces.coords_distance(SolvCoords(H3, np.zeros(3)),
                                    SolvCoords(SL4, np.zeros(9)))
+
+
+class TestClosedFormR1Distance:
+    """On r=1 spaces coords_distance is the closed form of
+    ``spaces._r1_distance`` (left translation to the origin); solve+SVD
+    on sigma_matrix is the reference route here and still serves r >= 2
+    and sl."""
+
+    @staticmethod
+    def svd_distance(space, a, b):
+        Lu, Lw = spaces.sigma_matrix(space, np.stack([a, b]))
+        s = np.linalg.svd(np.linalg.solve(Lu, Lw), compute_uv=False)
+        return float(np.sqrt(np.sum(np.log(s) ** 2)) / np.sqrt(2.0))
+
+    @pytest.mark.parametrize("n", [5, 17])
+    def test_near_pairs_match_reference(self, n):
+        # separation 1e-6 far from the origin, where the SVD route loses
+        # about half the digits of the singular values near 1
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 50
+        space = hyperbolic(n)
+        rng = np.random.default_rng(16)
+        for _ in range(20):
+            a = rng.uniform(-20.0, 20.0, space.dim)
+            b = a + 1e-6 * rng.uniform(-1.0, 1.0, space.dim)
+            want = float(TestFarFieldDistance.hyperboloid_distance(mp, a, b))
+            got = spaces.coords_distance(SolvCoords(space, a),
+                                         SolvCoords(space, b))
+            assert abs(got - want) <= 1e-14 * want, (got, want)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 17])
+    def test_agrees_with_svd_route(self, n):
+        space = hyperbolic(n)
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            a, b = rng.uniform(-1.0, 1.0, (2, space.dim))
+            want = self.svd_distance(space, a, b)
+            got = spaces.coords_distance(SolvCoords(space, a),
+                                         SolvCoords(space, b))
+            assert abs(got - want) <= 1e-12 * max(1.0, want)
+
+    def test_far_cartan_pair(self):
+        # the SVD route underflows e^{-600} here and raises
+        bound = spaces.CARTAN_BOUND
+        u = SolvCoords(H5, np.r_[-bound, np.zeros(4)])
+        w = SolvCoords(H5, np.r_[bound, np.zeros(4)])
+        for p, q in ((u, w), (w, u)):
+            assert abs(spaces.coords_distance(p, q) - 2 * bound) <= 1e-12
+
+    def test_overflow_raises_without_warning(self):
+        o = SolvCoords(H5, np.zeros(5))
+        p = SolvCoords(H5, [0.0, 1e200, 0.0, 0.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for a, b in ((o, p), (p, o)):
+                with pytest.raises(FactorizationError):
+                    spaces.coords_distance(a, b)
+
+    def test_cartan_bound_refused(self):
+        o = SolvCoords(H5, np.zeros(5))
+        for w1 in (np.nextafter(spaces.CARTAN_BOUND, np.inf),
+                   -2.0 * spaces.CARTAN_BOUND):
+            p = SolvCoords(H5, np.r_[w1, np.zeros(4)])
+            for a, b in ((o, p), (p, o)):
+                with pytest.raises(CartanBoundError):
+                    spaces.coords_distance(a, b)
+
+
+@st.composite
+def r1_triples(draw):
+    """A space H^3, H^5 or H^17 and three points with every coordinate
+    within CARTAN_BOUND / 2, so that a product's Cartan coordinate stays
+    inside the bound."""
+    space = draw(st.sampled_from([hyperbolic(3), hyperbolic(5),
+                                  hyperbolic(17)]))
+    half = spaces.CARTAN_BOUND / 2
+    points = draw(hnp.arrays(float, (3, space.dim),
+                             elements=st.floats(-half, half)))
+    return space, [SolvCoords(space, p) for p in points]
+
+
+class TestR1DistanceProperties:
+    """Metric properties of the closed form over the whole drawn domain.
+    Tolerances are relative to 1 + d; for left invariance they also scale
+    with the largest coordinate m of the translated points, since rounding
+    g.u to floats moves it by about eps * m in distance."""
+
+    PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
+                        database=None)
+
+    @PROPERTY
+    @given(r1_triples())
+    def test_left_invariance(self, case):
+        _, (g, u, w) = case
+        gu, gw = spaces.group_product(g, u), spaces.group_product(g, w)
+        m = max(np.max(np.abs(gu.values)), np.max(np.abs(gw.values)))
+        d0 = spaces.coords_distance(u, w)
+        d1 = spaces.coords_distance(gu, gw)
+        assert abs(d1 - d0) <= 1e-13 * (1.0 + d0) * (1.0 + m), (d0, d1, m)
+
+    @PROPERTY
+    @given(r1_triples())
+    def test_symmetry(self, case):
+        _, (u, w, _) = case
+        d = spaces.coords_distance(u, w)
+        assert abs(spaces.coords_distance(w, u) - d) <= 1e-13 * (1.0 + d)
+
+    @PROPERTY
+    @given(r1_triples())
+    def test_triangle_inequality(self, case):
+        _, (a, b, c) = case
+        dab = spaces.coords_distance(a, b)
+        assert dab <= (spaces.coords_distance(a, c)
+                       + spaces.coords_distance(c, b) + 1e-13 * (1.0 + dab))
 
 
 class TestStructureConstants:
