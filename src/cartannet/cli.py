@@ -31,7 +31,8 @@ def _write_json(path, doc):
             fh.write(text)
 
 
-def _load_config(path):
+def _load_config(path, keys):
+    """The JSON object at ``path``, whose keys must be among ``keys``."""
     if path is None:
         raise SystemExit2("--config is required for this command")
     try:
@@ -39,7 +40,7 @@ def _load_config(path):
             cfg = json.load(fh)
     except (OSError, ValueError) as exc:  # ValueError: bad JSON
         raise SystemExit2(f"cannot read config {path}: {exc}")
-    return _object(cfg, "the config")
+    return _object(cfg, "the config", keys)
 
 
 class SystemExit2(Exception):
@@ -82,10 +83,16 @@ def _writable(path, name):
     return path
 
 
-def _object(value, name):
-    """``value`` if it is a JSON object; anything else exits 2."""
+def _object(value, name, keys):
+    """``value`` if it is a JSON object whose keys are all among ``keys``.
+    Anything else exits 2, so a misspelt key is refused before any work
+    instead of being ignored in favour of a default."""
     if not isinstance(value, dict):
         raise SystemExit2(f"{name} must be a JSON object, got {value!r}")
+    unknown = sorted(set(value) - set(keys))
+    if unknown:
+        raise SystemExit2(
+            f"unknown key(s) in {name}: {', '.join(map(repr, unknown))}")
     return value
 
 
@@ -154,14 +161,16 @@ def _suite_isometry(seed):
         err_paint = max(err_paint, float(np.max(np.abs(a - b))))
     checks.append(("distance-invariance[H3]", err_dist, 1e-8))
     checks.append(("paint-equivalence[H3]", err_paint, 1e-10))
-    # the batched r=1 fiber kernel against the single-point Crout pipeline,
-    # kept to |coords| <= 1 where that oracle is accurate
+    # the batched r=1 fiber kernel (the chart (T, Y2)) against the
+    # single-point closed-form action (the hyperboloid vector): neither
+    # refactors a coset matrix, so the check can reach |coords| <= 6,
+    # where the Crout pipeline is off by up to 1e2 on H17
     for n in (5, 17):
         space = spaces.hyperbolic(n)
         gens = isometry.build_fiber_generators(space)
         err = 0.0
         for _ in range(50):
-            x = rng.uniform(-1, 1, space.dim)
+            x = rng.uniform(-6, 6, space.dim)
             angles = rng.uniform(-np.pi, np.pi, space.fiber_dim)
             want = SolvCoords(space, x)
             for gen, angle in zip(gens, angles):
@@ -170,6 +179,28 @@ def _suite_isometry(seed):
             got = isometry.fiber_rotate(space, x, angles)
             err = max(err, float(np.max(np.abs(got - want.values))))
         checks.append((f"fiber-kernel[H{n}]", err, 1e-10))
+    # the closed-form r=1 action against the matrix pipeline
+    # sigma -> M -> g M g^T -> Crout -> sigma^{-1}, near the origin where
+    # that pipeline is accurate; g mixes a fiber rotation, a paint
+    # rotation and a solvable element
+    space = spaces.hyperbolic(5)
+    gens = isometry.build_fiber_generators(space)
+    err = 0.0
+    for _ in range(50):
+        O, _ = np.linalg.qr(rng.normal(size=(space.subpaint_dim,) * 2))
+        g = (isometry.fiber_rotation(gens[rng.integers(len(gens))],
+                                     rng.uniform(-np.pi, np.pi)).matrix
+             @ isometry.embedded_paint(isometry.PaintRotation(space, O)).matrix
+             @ spaces.sigma(SolvCoords(
+                 space, rng.uniform(-1, 1, space.dim))).matrix)
+        p = SolvCoords(space, rng.uniform(-1, 1, space.dim))
+        M = spaces.to_coset(spaces.sigma(p)).matrix
+        want = spaces.sigma_inv(spaces.cholesky_crout(
+            spaces.CosetPoint(space, g @ M @ g.T)))
+        got = isometry.isometry_action(
+            isometry.GroupElement(space, g, "grassmannian"), p)
+        err = max(err, float(np.max(np.abs(got.values - want.values))))
+    checks.append(("action-vs-coset[H5]", err, 1e-10))
     return checks
 
 
@@ -274,7 +305,7 @@ def cmd_verify(args):
 
 
 def cmd_solve_homo(args):
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, ("source", "target", "seeds"))
     try:
         source = homo.mc_for_name(cfg["source"])
         target = homo.mc_for_name(cfg["target"])
@@ -307,7 +338,8 @@ def cmd_solve_homo(args):
 
 
 def cmd_gen_data(args):
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config,
+                       ("kind", "n", "dim", "classes", "spread"))
     try:
         ds = train.gen_synthetic(
             kind=cfg.get("kind", "blobs"),
@@ -326,7 +358,7 @@ def cmd_gen_data(args):
 
 
 def _net_config_from(cfg):
-    doc = _object(cfg["net"], "net")
+    doc = _object(cfg["net"], "net", ("layers", "input_dim", "task", "K"))
     if not isinstance(doc["layers"], list):
         raise SystemExit2(f"net.layers must be a list, got {doc['layers']!r}")
     layers = tuple(
@@ -344,10 +376,13 @@ def _net_config_from(cfg):
 def cmd_train(args):
     if args.out is None:
         raise SystemExit2("train requires --out")
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config,
+                       ("net", "train", "dataset", "metrics_out"))
     try:
         config = _net_config_from(cfg)
-        tcfg = _object(cfg.get("train", {}), "train")
+        tcfg = _object(cfg.get("train", {}), "train", (
+            "learning_rate", "epochs", "batch_size", "gradient_mode",
+            "fd_step"))
         tc = train.TrainConfig(
             learning_rate=_number(tcfg.get("learning_rate", 0.01),
                                   "train.learning_rate"),
@@ -376,7 +411,7 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, ("model", "dataset"))
     try:
         config, params = net.load_model(_path(cfg["model"], "model"))
         dataset = train.load_csv(_path(cfg["dataset"], "dataset"))

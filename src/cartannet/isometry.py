@@ -1,22 +1,25 @@
 """Isometry-group actions on the solvable coordinate patch.
 
-A single-point action routes through the compensator-free pipeline:
-coordinates are exponentiated to a triangular element, pushed to the
-symmetric coset matrix M, acted on as M -> g M g^T, refactored by the
-triangular Cholesky-Crout algorithm, and read back as coordinates.  It
-serves every space and is the oracle for the batched r=1 kernel.
-
-The fiber rotations of an r=1 space have a batched kernel,
-:func:`fiber_rotate`, with no Crout.  For r=1 the coset matrix is
+On r=1 spaces an isometry acts in closed form.  The coset matrix is
 M = eta + v v^T with v = L(e_0 - e_{N-1}) on the hyperboloid <v, v> = -2,
-so an isometry g acts as v -> g v, and a fiber rotation is one Givens
-rotation of that vector in the diagonal eta basis.  A layer's f fiber
-rotations are therefore one element of SO(f+1), built from the angles
-alone and applied to a batch by one matrix product.  The stage kernel
-runs in the chart (T, Y2), T = e^{-w1}, of the network's stage chain;
-the coordinate functions convert at their ends.  Like every batched r=1
-kernel it takes rows (..., d), computes on their contiguous columns
-(d, ...) and returns the transpose of a fresh column block.
+so a non-external (eta-orthogonal) g acts as v -> +-g v, the sign keeping
+v on its sheet: :func:`isometry_action` forms v from the coordinates,
+applies g and reads the coordinates back, with no coset matrix and no
+Crout (:func:`_r1_action`, a kernel on rows).  On r >= 2 and sl(N) it routes through the
+compensator-free pipeline: coordinates are exponentiated to a triangular
+element, pushed to the symmetric coset matrix M, acted on as
+M -> g M g^T, refactored by the triangular Cholesky-Crout algorithm, and
+read back as coordinates.  For r=1 that pipeline is the near-origin test
+oracle of the closed form.
+
+A fiber rotation of an r=1 space is one Givens rotation of v in the
+diagonal eta basis.  A layer's f fiber rotations are therefore one element
+of SO(f+1), built from the angles alone and applied to a batch by one
+matrix product (:func:`fiber_rotate`).  The stage kernel runs in the chart
+(T, Y2), T = e^{-w1}, of the network's stage chain; the coordinate
+functions convert at their ends.  Like every batched r=1 kernel it takes
+rows (..., d), computes on their contiguous columns (d, ...) and returns
+the transpose of a fresh column block.
 """
 
 from __future__ import annotations
@@ -85,13 +88,59 @@ class FiberGenerator:
 
 
 def isometry_action(g: GroupElement, coords: SolvCoords) -> SolvCoords:
-    """Coordinate form of the adjoint action, via the pipeline
-    Sigma -> M -> g M g^T -> Crout -> Sigma^{-1}."""
+    """Coordinate form of the action of a non-external element g: the
+    closed form :func:`_r1_action` on r=1 spaces, and elsewhere the
+    pipeline Sigma -> M -> g M g^T -> Crout -> Sigma^{-1}."""
     if g.kind == "external":
         raise ValueError("external elements do not act isometrically")
+    if coords.space.is_r1:
+        return SolvCoords(coords.space, _r1_action(g.matrix, coords.values))
     M = spaces.to_coset(spaces.sigma(coords)).matrix
     return spaces.sigma_inv(spaces.cholesky_crout(
         CosetPoint(coords.space, g.matrix @ M @ g.matrix.T)))
+
+
+def _r1_action(g, values) -> np.ndarray:
+    """An eta-orthogonal g (N, N) acting on rows (..., d) of r=1
+    coordinates (w1, s), N = d + 1.
+
+    The hyperboloid vector v = (e^{w1} (1 + s.s/4), s/sqrt2, -e^{-w1})
+    goes to g v, since g M g^T = eta + (g v)(g v)^T.  M fixes v only up to
+    sign, so v' = +-g v is taken on the sheet v'_0 - v'_{N-1} > 0 of v: g
+    swaps the two sheets when it maps the origin's vector (1, 0, ..., -1)
+    to one with v'_0 - v'_{N-1} < 0 (it is 2 cosh of a distance, so at
+    least 2 in size).  Then s' = sqrt2 v'_{1..N-2}, and T' = e^{-w1'} is
+    read back as (1 + s'.s'/4) / v'_0 where v'_0 >= -v'_{N-1} and as
+    -v'_{N-1} elsewhere, so neither form cancels (the rule of
+    :func:`_fiber_forward`); on that sheet both forms are positive.  The
+    branch reads real parts only, so complex inputs propagate
+    analytically.  Refuses (CartanBoundError) an input w1 beyond
+    CARTAN_BOUND or NaN, and (FactorizationError) an image that is not
+    finite, where the matrix pipeline has no factor either."""
+    cols = spaces._columns(values)
+    spaces._check_cartan_bound(cols[0].real)
+    flat = cols.reshape(len(cols), -1)
+    if g[0, 0] - g[0, -1] - g[-1, 0] + g[-1, -1] < 0:
+        g = -g
+    v = np.empty((len(flat) + 1, flat.shape[1]), np.result_type(flat, g))
+    # sums of squares as np.sum(x * x, axis=0) accumulates them; einsum
+    # (spaces._sum_squares) costs more per call on a single point
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        T = np.exp(-flat[0])
+        mid = np.divide(flat[1:], spaces.SQRT2, out=v[1:-1])
+        v[0] = (1.0 + 0.5 * np.add.reduce(mid * mid, axis=0)) / T
+        np.negative(T, out=v[-1])
+        v = g @ v
+        out = v[:-1] * spaces.SQRT2  # row 0 is overwritten by w1'
+        mid = v[1:-1]
+        T = np.where(v[0].real >= -v[-1].real,
+                     (1.0 + 0.5 * np.add.reduce(mid * mid, axis=0)) / v[0],
+                     -v[-1])
+        out[0] = -np.log(T)
+    if not np.isfinite(out).all():  # T' overflowed, underflowed or is NaN
+        raise spaces.FactorizationError(
+            "the image of the hyperboloid vector is not finite")
+    return out.reshape(cols.shape).T
 
 
 def embedded_paint(rot: PaintRotation) -> GroupElement:

@@ -463,6 +463,10 @@ class _ChartTable:
     cols[k]) of each T_k with inv[k] = 1 / T_k[rows[k], cols[k]]."""
 
     cart: np.ndarray  # (c, N): scaled Cartan diagonals
+    # (2, N): the range [lo, hi] sigma_inv accepts for each diagonal entry:
+    # e^{-+CARTAN_BOUND |cart|} on the entries it reads the Cartans from,
+    # else the positive finite floats
+    diag_range: np.ndarray
     cart_entry: np.ndarray  # (c,): the diagonal entry no other Cartan touches
     cart_inv: np.ndarray  # (c,): 1 / cart[i, cart_entry[i]]
     blocks: tuple  # at least one, possibly empty
@@ -500,9 +504,14 @@ def _chart_table(space: SpaceId) -> _ChartTable:
         blocks.append((terms[:, group, b].reshape(-1, n * n), rows, cols,
                        1.0 / Ts[range(len(group)), rows, cols]))
     cart_entry = alone.argmax(axis=1)
+    diag_range = np.array([np.full(n, np.nextafter(0.0, 1.0)),
+                           np.full(n, np.finfo(float).max)])
+    diag_range[:, cart_entry] = np.exp(np.multiply.outer(
+        [-CARTAN_BOUND, CARTAN_BOUND], np.abs(cart[range(c), cart_entry])))
     eye = np.eye(n)
     eye.setflags(write=False)
-    return _ChartTable(cart, cart_entry, 1.0 / cart[range(c), cart_entry],
+    return _ChartTable(cart, diag_range, cart_entry,
+                       1.0 / cart[range(c), cart_entry],
                        tuple(blocks),
                        terms.reshape(2 * (d - c), len(groups) * n * n), eye)
 
@@ -531,12 +540,25 @@ def sigma_matrix(space: SpaceId, values) -> np.ndarray:
 def sigma_inv_matrix(space: SpaceId, L) -> np.ndarray:
     """Inverse of :func:`sigma_matrix`: Cartans from the log-diagonal, then
     each root block read off and peeled from the left.  Batched
-    (..., N, N) -> (..., d) and complex safe."""
+    (..., N, N) -> (..., d) and complex safe.
+
+    L must be a chart image: the kernel reads its diagonal and one entry
+    per root coordinate, and the entries it does not read are outside its
+    contract (a NaN there is not noticed).  It refuses what
+    :func:`sigma_matrix` refuses, before any division, by one range test
+    of the diagonal's real parts: an inf or NaN on the diagonal, or a
+    Cartan coordinate beyond CARTAN_BOUND, raises CartanBoundError; a
+    diagonal entry <= 0 raises ValueError."""
     table = _chart_table(space)
     L = np.asarray(L)
     diag = np.diagonal(L, axis1=-2, axis2=-1)
-    if not (diag.real > 0).all():  # NaN is not positive either
-        raise ValueError("triangular element must have positive diagonal")
+    lo, hi = table.diag_range
+    if not ((diag.real >= lo) & (diag.real <= hi)).all():
+        if (diag.real <= 0).any():
+            raise ValueError("triangular element must have positive diagonal")
+        raise CartanBoundError(
+            f"Cartan coordinate not finite or beyond the bound {CARTAN_BOUND}:"
+            " the triangular element must have a finite positive diagonal")
     coords = [np.log(diag[..., table.cart_entry]) * table.cart_inv]
     R = L / diag[..., :, None]
     *peeled, last = table.blocks

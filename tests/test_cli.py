@@ -470,6 +470,73 @@ class TestUnwritableOutputs:
         assert err.startswith("error:") and err.count("\n") == 1
 
 
+class TestUnknownKeys:
+    """A key that no part of a command reads, at the top level of its
+    config or in the ``net`` or ``train`` section, exits 2 with one
+    ``error:`` line naming it, before any work is done."""
+
+    @staticmethod
+    def configs(tmp_path):
+        data = TestUnwritableOutputs.dataset(tmp_path)
+        config = net.NetworkConfig(input_dim=2, layers=(hyperbolic(3),),
+                                   task="binary")
+        model = tmp_path / "model.json"
+        net.save_model(model, config, net.init_params(config))
+        return {
+            "solve-homo": {"source": "r1(1)", "target": "r1(1)", "seeds": 1},
+            "gen-data": dict(TestStrictIntegers.GEN),
+            "train": {"net": {"input_dim": 2, "layers": [3],
+                              "task": "binary"},
+                      "train": {"epochs": 1, "batch_size": 16},
+                      "dataset": data},
+            "eval": {"model": str(model), "dataset": data},
+        }
+
+    @pytest.mark.parametrize("command, section, key", [
+        ("train", "train", "lerning_rate"),
+        ("train", "net", "layer"),
+        ("train", None, "bogus"),
+        ("solve-homo", None, "bogus"),
+        ("gen-data", None, "bogus"),
+        ("eval", None, "bogus"),
+    ])
+    def test_unknown_key_exit_2(self, tmp_path, monkeypatch, capsys,
+                                command, section, key):
+        doc = self.configs(tmp_path)[command]
+        (doc[section] if section else doc)[key] = 5
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("worked on a config with an unknown key")
+
+        for module, name in ((cli.homo, "build_constraints"),
+                             (train, "gen_synthetic"), (train, "load_csv"),
+                             (net, "load_model")):
+            monkeypatch.setattr(module, name, must_not_run)
+        cfg = write_json(tmp_path / "config.json", doc)
+        out = tmp_path / "out.json"
+        capsys.readouterr()
+        assert run([command, "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert repr(key) in err
+
+    def test_every_key_read_is_accepted(self, tmp_path):
+        doc = self.configs(tmp_path)["train"]
+        doc["net"].update(K=None)
+        doc["train"].update(learning_rate=0.01, gradient_mode="analytic",
+                            fd_step=1e-5)
+        doc["metrics_out"] = str(tmp_path / "m.jsonl")
+        cfg = write_json(tmp_path / "config.json", doc)
+        assert run(["train", "--config", cfg,
+                    "--out", str(tmp_path / "trained.json")]) == 0
+        gen = write_json(tmp_path / "gen.json",
+                         {"kind": "blobs", "n": 20, "dim": 2, "classes": 2,
+                          "spread": 0.5})
+        assert run(["gen-data", "--config", gen,
+                    "--out", str(tmp_path / "gen.csv")]) == 0
+
+
 class TestFdStep:
     def test_zero_fd_step_exit_2(self, tmp_path):
         data = TestUnwritableOutputs.dataset(tmp_path)

@@ -1,5 +1,9 @@
-"""Batched fiber-rotation kernel against the single-point Crout oracle."""
+"""The r=1 closed forms on the hyperboloid vector: the batched
+fiber-rotation kernel and the single-point isometry action, against the
+single-point matrix pipeline (near the origin) and a 50-digit mpmath
+rotation (far from it)."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,12 +19,18 @@ PROPERTY = settings(max_examples=30, deadline=None, derandomize=True,
 H = 1e-30  # complex step
 
 
-def oracle(space, values, angles):
-    """isometry_action o fiber_rotation, one generator at a time."""
+def coset_action(g, coords):
+    """The matrix pipeline sigma -> M -> g M g^T -> Crout -> sigma^{-1}."""
+    M = spaces.to_coset(spaces.sigma(coords)).matrix
+    return spaces.sigma_inv(spaces.cholesky_crout(spaces.CosetPoint(
+        coords.space, g.matrix @ M @ g.matrix.T)))
+
+
+def oracle(space, values, angles, action=coset_action):
+    """``action`` o fiber_rotation, one generator at a time."""
     coords = SolvCoords(space, values)
     for gen, angle in zip(isometry.build_fiber_generators(space), angles):
-        coords = isometry.isometry_action(
-            isometry.fiber_rotation(gen, angle), coords)
+        coords = action(isometry.fiber_rotation(gen, angle), coords)
     return coords.values
 
 
@@ -158,12 +168,172 @@ class TestFarFromOrigin:
         assert np.max(np.abs(R_out / R - 1.0)) <= 1e-12
 
     def test_crout_pipeline_fails_there(self):
+        # the closed-form single-point action does not: it agrees with the
+        # batched kernel on the hyperboloid vector
         space = spaces.hyperbolic(5)
         x = np.array([40.0, 0.5, -0.3, 0.2, 0.1])
         a = np.array([0.7, -0.4, 1.2])
         with pytest.raises(spaces.FactorizationError):
             oracle(space, x, a)
-        assert np.all(np.isfinite(isometry.fiber_rotate(space, x, a)))
+        got = isometry.fiber_rotate(space, x, a)
+        assert np.all(np.isfinite(got))
+        action = oracle(space, x, a, isometry.isometry_action)
+        assert np.all(np.isfinite(action))
+        v, v_action = hyperboloid(got), hyperboloid(action)
+        assert np.max(np.abs(v_action - v)) <= 1e-12 * np.max(np.abs(v))
+
+
+def mp_fiber_action(space, j, angle, values):
+    """Fiber rotation j by ``angle`` of r=1 coordinates, as v -> g v on the
+    hyperboloid vector in 50-digit arithmetic.  The generator's entries are
+    0 and +-1/sqrt2, so g = I + sin(angle) F + (1 - cos(angle)) F^2 is
+    built to that precision."""
+    with mpmath.workdps(50):
+        F = isometry.build_fiber_generators(space)[j].matrix
+        F = mpmath.matrix(np.rint(F * np.sqrt(2.0)).tolist()) / mpmath.sqrt(2)
+        g = (mpmath.eye(space.N) + mpmath.sin(angle) * F
+             + (1 - mpmath.cos(angle)) * F * F)
+        w1, *s = (mpmath.mpf(float(x)) for x in values)
+        v = g * mpmath.matrix(
+            [mpmath.exp(w1) * (1 + sum(x * x for x in s) / 4),
+             *(x / mpmath.sqrt(2) for x in s), -mpmath.exp(-w1)])
+        return np.array([float(-mpmath.log(-v[space.N - 1]))]
+                        + [float(mpmath.sqrt(2) * v[i])
+                           for i in range(1, space.N - 1)])
+
+
+ACTION_SPACES = [spaces.hyperbolic(n) for n in (3, 5, 17)]
+
+
+@st.composite
+def points(draw, high, rows=st.integers(1, 4)):
+    """(space, values (B, d)) on H^3, H^5, H^17 with |coords| <= high."""
+    space = draw(st.sampled_from(ACTION_SPACES))
+    values = draw(hnp.arrays(float, (draw(rows), space.dim),
+                             elements=st.floats(-high, high)))
+    return space, values
+
+
+def element(space, kind, seed):
+    """A fiber rotation, a paint rotation, a solvable element sigma(u) (as
+    ``classify_element`` tags it) or a fiber rotation followed by the swap
+    of e_0 and e_{N-1}, which maps the hyperboloid vector to the other
+    sheet; with u for the solvable element, else None."""
+    rng = np.random.default_rng(seed)
+    if kind == "sheet":
+        swap = np.eye(space.N)[[-1, *range(1, space.N - 1), 0]]
+        g, _ = element(space, "fiber", seed)
+        return isometry.classify_element(swap @ g.matrix, space), None
+    if kind == "fiber":
+        gens = isometry.build_fiber_generators(space)
+        return isometry.fiber_rotation(gens[rng.integers(len(gens))],
+                                       rng.uniform(-np.pi, np.pi)), None
+    if kind == "paint":
+        O, _ = np.linalg.qr(rng.normal(size=(space.subpaint_dim,) * 2))
+        return isometry.embedded_paint(isometry.PaintRotation(space, O)), None
+    u = SolvCoords(space, rng.uniform(-1.0, 1.0, space.dim))
+    return isometry.classify_element(spaces.sigma(u).matrix, space), u
+
+
+KINDS = st.sampled_from(["fiber", "paint", "solvable", "sheet"])
+SEEDS = st.integers(0, 2 ** 32 - 1)
+
+
+class TestClosedFormAction:
+    """``isometry_action`` on r=1: v -> g v on the hyperboloid vector, with
+    no coset matrix and no Crout."""
+
+    @PROPERTY
+    @given(points(10.0, rows=st.just(1)), st.data())
+    def test_matches_mpmath(self, case, data):
+        # relative to the size of the result: float64 holds a coordinate
+        # of size c (up to ~1e7 here) to about c * 1e-16 at best
+        space, values = case
+        j = data.draw(st.integers(0, space.fiber_dim - 1))
+        angle = data.draw(st.floats(-np.pi, np.pi))
+        g = isometry.fiber_rotation(isometry.build_fiber_generators(space)[j],
+                                    angle)
+        got = isometry.isometry_action(g, SolvCoords(space, values[0])).values
+        want = mp_fiber_action(space, j, angle, values[0])
+        assert np.max(np.abs(got - want)) <= 1e-10 * max(
+            1.0, np.max(np.abs(want)))
+
+    @PROPERTY
+    @given(points(1.0), KINDS, SEEDS)
+    def test_matches_coset_pipeline(self, case, kind, seed):
+        space, values = case
+        g, u = element(space, kind, seed)
+        assert g.kind == {"fiber": "grassmannian",
+                          "sheet": "grassmannian"}.get(kind, kind)
+        rows = isometry._r1_action(g.matrix, values)
+        assert rows.shape == values.shape
+        for row, got in zip(values, rows):
+            p = SolvCoords(space, row)
+            want = coset_action(g, p).values
+            single = isometry.isometry_action(g, p).values
+            assert np.max(np.abs(single - want)) <= 1e-12
+            assert np.max(np.abs(got - single)) <= 1e-15
+            if u is not None:
+                product = spaces.group_product(u, p).values
+                assert np.max(np.abs(single - product)) <= 1e-12
+
+    @settings(PROPERTY, max_examples=12)
+    @given(points(1.0, rows=st.just(1)), KINDS, SEEDS)
+    def test_complex_step_derivatives_match_pipeline(self, case, kind, seed):
+        space, values = case
+        g, _ = element(space, kind, seed)
+        for k in range(space.dim):
+            z = values[0].astype(complex)
+            z[k] += 1j * H
+            got = np.imag(isometry.isometry_action(
+                g, SolvCoords(space, z)).values) / H
+            want = np.imag(coset_action(g, SolvCoords(space, z)).values) / H
+            assert np.max(np.abs(got - want)) <= 1e-10 * max(
+                1.0, np.max(np.abs(want)))
+
+    @PROPERTY
+    @given(points(10.0, rows=st.just(2)), KINDS, SEEDS)
+    def test_distances_invariant(self, case, kind, seed):
+        space, values = case
+        g, _ = element(space, kind, seed)
+        p, q = (SolvCoords(space, row) for row in values)
+        d0 = spaces.coords_distance(p, q)
+        d1 = spaces.coords_distance(isometry.isometry_action(g, p),
+                                    isometry.isometry_action(g, q))
+        assert abs(d1 - d0) <= 1e-8
+
+    @pytest.mark.parametrize("space", [spaces.hyperbolic(2), *ACTION_SPACES])
+    def test_refusals(self, space):
+        if space.fiber_dim:
+            g = isometry.fiber_rotation(
+                isometry.build_fiber_generators(space)[0], 0.7)
+        else:  # H^2 has no fiber: a solvable element
+            g = isometry.classify_element(spaces.sigma(SolvCoords(
+                space, np.array([0.3, -0.5]))).matrix, space)
+        x = np.zeros(space.dim)
+        x[0] = spaces.CARTAN_BOUND
+        assert np.all(np.isfinite(
+            isometry.isometry_action(g, SolvCoords(space, x)).values))
+        for w1 in (np.nextafter(spaces.CARTAN_BOUND, np.inf),
+                   -2.0 * spaces.CARTAN_BOUND):
+            x[0] = w1
+            with pytest.raises(spaces.CartanBoundError):
+                isometry.isometry_action(g, SolvCoords(space, x))
+        rows = np.zeros((3, space.dim))
+        rows[1, 0] = np.nan
+        with pytest.raises(spaces.CartanBoundError,
+                           match="not finite or beyond the bound"):
+            isometry._r1_action(g.matrix, rows)
+        # e^{300} (1 + s.s/4) overflows: no coset matrix has a factor
+        x = np.zeros(space.dim)
+        x[0], x[1] = spaces.CARTAN_BOUND, 1e200
+        with pytest.raises(spaces.FactorizationError):
+            isometry.isometry_action(g, SolvCoords(space, x))
+        external = isometry.classify_element(
+            np.diag([2.0] + [1.0] * (space.N - 1)), space)
+        assert external.kind == "external"
+        with pytest.raises(ValueError, match="external"):
+            isometry.isometry_action(external, SolvCoords(space, x))
 
 
 class TestInputChecks:

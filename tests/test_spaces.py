@@ -148,6 +148,39 @@ class TestSigma:
             spaces.sigma_inv_matrix(space, L)
 
 
+class TestInverseRefusesWhatSigmaRefuses:
+    """``sigma_inv_matrix`` refuses an e^{400}, inf or NaN Cartan entry
+    of the diagonal with CartanBoundError, as ``sigma_matrix`` refuses the
+    coordinates, and before dividing by the diagonal: the suite turns a
+    RuntimeWarning into a failure."""
+
+    CASES = [H5, SpaceId.so(2, 3), SpaceId.sl(3)]
+
+    @staticmethod
+    def edited(space, value):
+        """sigma_matrix(space, 0) with value on the Cartan diagonal entry
+        the inverse reads for the first Cartan coordinate."""
+        L = spaces.sigma_matrix(space, np.zeros((2, space.dim)))
+        i = spaces._chart_table(space).cart_entry[0]
+        L[1, i, i] = value
+        return L
+
+    @pytest.mark.parametrize("space", CASES, ids=str)
+    def test_beyond_the_bound(self, space):
+        with pytest.raises(CartanBoundError, match="beyond the bound"):
+            spaces.sigma_inv_matrix(space, self.edited(space, np.exp(400.0)))
+
+    @pytest.mark.parametrize("space", CASES, ids=str)
+    def test_inf(self, space):
+        with pytest.raises(CartanBoundError, match="not finite"):
+            spaces.sigma_inv_matrix(space, self.edited(space, np.inf))
+
+    @pytest.mark.parametrize("space", CASES, ids=str)
+    def test_nan(self, space):
+        with pytest.raises(CartanBoundError, match="not finite"):
+            spaces.sigma_inv_matrix(space, self.edited(space, np.nan))
+
+
 class TestCholeskyCrout:
     def test_factorization_roundtrip(self):
         rng = np.random.default_rng(3)
