@@ -11,7 +11,10 @@ polynomial in the strictly upper part of phi(T_k) whenever its diagonal
 shifts that part by one scalar: every root image, and every Cartan image
 of W_canonical, of r=1 layer maps and of restrictions into r=1 spaces.
 The remaining Cartan images (those of W_family_11/12) take one batched
-``scipy.linalg.expm`` each.
+``scipy.linalg.expm`` each.  Everything fixed by W alone (the images, their
+D + N split, the powers of N and the images left to ``expm``) is a
+read-only plan built once per W, cached by W's contents, dtype and shape
+and the source and target ids; a call does only the per-point work.
 """
 
 from __future__ import annotations
@@ -577,21 +580,47 @@ def coframe(space: SpaceId, values: np.ndarray) -> np.ndarray:
                            rcond=None)[0]
 
 
-def _factors(images: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """expm(a[k, b] images[k]) for every upper-triangular image (K, n, n)
-    and every column b of a (K, B), as a (K, B, n, n) stack.
+@dataclasses.dataclass(frozen=True)
+class _MapPlan:
+    """The part of :func:`coordinate_map_batch` that W alone fixes, built
+    once per W by :func:`_map_plan`; every array is read-only.
 
-    An image splits as D + N, its diagonal and its strictly upper part.
-    When every nonzero N_ij has the same gap D_i - D_j = c, i.e.
-    [D, N] = c N, each path i -> j of length m through N meets the
-    equispaced exponents a D_j, a D_j + a c, ..., a D_i, whose divided
-    differences of exp sum to the closed form
-        expm(a (D + N)) = (sum_{p<n} (u N)^p / p!) e^{a D},
+    An image phi(T_k) = W^i_k T'_i splits as D + N, its diagonal and its
+    strictly upper part.  When every nonzero N_ij has the same gap
+    D_i - D_j = c, i.e. [D, N] = c N, each path i -> j of length m
+    through N meets the equispaced exponents a D_j, a D_j + a c, ...,
+    a D_i, whose divided differences of exp sum to the closed form
+        expm(a (D + N)) = (sum_{p<m} (u N)^p / p!) e^{a D},
         u = (e^{a c} - 1) / c, or u = a when c = 0 (D and N commute),
-    since N^n = 0.  The powers of N are formed once per call, not per
-    point.  Any other image takes one ``scipy.linalg.expm`` on its whole
-    (B, n, n) stack."""
-    K, n = images.shape[:2]
+    with N^m = 0 (m <= n).  Any other image takes one
+    ``scipy.linalg.expm`` on its whole (B, n, n) stack."""
+
+    images: np.ndarray  # (K, n, n)
+    D: np.ndarray  # (K, n): the diagonals
+    zero: np.ndarray | None  # (K, 1): c == 0; None when every c is 0
+    safe: np.ndarray | None  # (K, 1): c, with 1 where c == 0
+    # (K, m, n*n): N^p / p! for p < m, cut at the last nonzero power so
+    # that no u^p multiplies a vanished power, and its exponents (m,)
+    powers: np.ndarray
+    ramp: np.ndarray
+    expm: tuple  # the k whose image has no closed form
+    cartans: int  # the source's Cartan columns, the ones bounded
+
+
+@functools.lru_cache(maxsize=64)
+def _map_plan(data: bytes, dtype: np.dtype, shape: tuple, source: SpaceId,
+              target: SpaceId) -> _MapPlan:
+    """The plan of the W whose contents are ``data``, so that an equal W
+    reuses it and a W changed in place gets its own.  Refuses (ValueError)
+    a W whose shape is not (target.dim, source.dim)."""
+    if shape != (target.dim, source.dim):
+        raise ValueError(f"W has shape {shape}, but a map {source} -> "
+                         f"{target} needs {(target.dim, source.dim)}")
+    W = np.frombuffer(data, dtype).reshape(shape)
+    n = target.N
+    gens = spaces.solvable_generators(target).stack
+    images = (W.T @ gens.reshape(target.dim, n * n)).reshape(-1, n, n)
+    K = len(images)
     D = images.reshape(K, n * n)[:, :: n + 1]
     N = images.copy()
     N.reshape(K, n * n)[:, :: n + 1] = 0.0
@@ -602,13 +631,10 @@ def _factors(images: np.ndarray, a: np.ndarray) -> np.ndarray:
     hi = np.maximum.reduce(gaps, axis=(1, 2), where=live, initial=-np.inf)
     lo = np.minimum.reduce(gaps, axis=(1, 2), where=live, initial=np.inf)
     c = np.where(hi == -np.inf, 0.0, hi)[:, None]
-    u = a
+    zero = safe = None
     if c.any():
         zero = c == 0
         safe = np.where(zero, 1.0, c)
-        u = np.where(zero, a, np.expm1(a * safe) / safe)
-    # N^p / p! up to the last nonzero power (at most n - 1), so that no
-    # u^p multiplies a vanished power
     powers = np.empty((K, n, n * n), dtype=N.dtype)
     powers[:, 0] = np.eye(n).reshape(-1)
     m, power = 1, N
@@ -616,43 +642,70 @@ def _factors(images: np.ndarray, a: np.ndarray) -> np.ndarray:
         powers[:, m] = power.reshape(K, n * n)
         m += 1
         power = power @ N / m
-    poly = (u[..., None] ** np.arange(m)) @ powers[:, :m]
-    F = (poly.reshape(a.shape + (n, n))
-         * np.exp(a[..., None] * D[:, None, :])[..., None, :])
-    for k in np.flatnonzero(hi > lo):
-        F[k] = scipy.linalg.expm(a[k, :, None, None] * images[k])
-    return F
+    plan = _MapPlan(images, D.copy(), zero, safe, powers[:, :m].copy(),
+                    np.arange(m), tuple(np.flatnonzero(hi > lo)),
+                    len(spaces._chart_table(source).cart))
+    for field in (images, plan.D, zero, safe, plan.powers, plan.ramp):
+        if field is not None:
+            field.setflags(write=False)
+    return plan
 
 
 def coordinate_map_batch(W: HomoMatrix, values) -> np.ndarray:
     """Closed-form coordinate map of a verified homomorphism matrix on a
     batch (..., d1) of raw source coordinates, returning (..., d2) raw
     target coordinates: sigma_target^{-1}(prod_k expm(a_k phi(T_k))), with
-    a = exp_factors(x) and the images phi(T_k) = W^i_k T'_i formed once
-    per call against the target's generator stack.
+    a = exp_factors(x) and the images phi(T_k) = W^i_k T'_i.
 
-    A factor is closed-form (see :func:`_factors`) when its image D + N
-    has [D, N] = c N for one scalar c.  That covers every root image
-    (D = 0) and the Cartan images of ``W_canonical`` (N = 0), of r=1
-    layer maps and of every restriction into an r=1 space.  The Cartan
-    images of ``W_family_11/12`` take one ``scipy.linalg.expm`` each on the
-    whole (B, n, n) stack; nothing loops over points.  The factors
-    multiply by batched matmuls and are read back by one batched
-    ``spaces.sigma_inv_matrix``.  Complex inputs propagate analytically."""
+    What W alone fixes is planned once per W (see :class:`_MapPlan`): the
+    images, their split D + N with [D, N] = c N, the powers N^p / p! and
+    the images that still take ``expm``.  :func:`_map_plan` keeps the
+    last 64 plans, keyed by W's contents, dtype and shape and the source
+    and target ids, so an equal W (a fresh ``HomoMatrix`` included)
+    reuses its plan and a W changed in place gets a new one; a call with
+    a W seen before costs one ``tobytes`` and a hash.  A call then forms
+    u, the polynomials and e^{aD} for its points, multiplies the factors
+    by batched matmuls and reads them back with one batched
+    ``spaces.sigma_inv_matrix``.
+
+    A factor is closed-form when [D, N] = c N for one scalar c.  That
+    covers every root image (D = 0) and the Cartan images of
+    ``W_canonical`` (N = 0), of r=1 layer maps and of every restriction
+    into an r=1 space.  The Cartan images of ``W_family_11/12`` take one
+    ``scipy.linalg.expm`` each on the whole (B, n, n) stack; nothing loops
+    over points.  Complex inputs propagate analytically.
+
+    Refuses (ValueError) a W whose shape is not (d2, d1), (CartanBoundError)
+    a source Cartan coordinate beyond CARTAN_BOUND or NaN, before any exp,
+    and (FactorizationError) a product that is not finite, without a
+    warning."""
     src, tgt = W.source, W.target
     if src is None or tgt is None:
         raise ValueError("coordinate maps require source/target space ids")
     values = np.asarray(values)
     if values.shape[-1:] != (src.dim,):
         raise ValueError(f"expected {src.dim} coordinates for {src}")
+    M = np.asarray(W.W)
+    plan = _map_plan(M.tobytes(), M.dtype, M.shape, src, tgt)
+    x = values.reshape(-1, src.dim)
+    spaces._check_cartan_bound(x[:, :plan.cartans].real)
+    a = spaces.exp_factors(src, x).T
     n = tgt.N
-    gens = spaces.solvable_generators(tgt).stack
-    images = (W.W.T @ gens.reshape(tgt.dim, n * n)).reshape(-1, n, n)
-    a = spaces.exp_factors(src, values.reshape(-1, src.dim)).T
-    F = _factors(images, a)
-    L = F[0]
-    for factor in F[1:]:
-        L = L @ factor
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = a
+        if plan.safe is not None:
+            u = np.where(plan.zero, a, np.expm1(a * plan.safe) / plan.safe)
+        poly = (u[..., None] ** plan.ramp) @ plan.powers
+        F = (poly.reshape(a.shape + (n, n))
+             * np.exp(a[..., None] * plan.D[:, None, :])[..., None, :])
+        for k in plan.expm:
+            F[k] = scipy.linalg.expm(a[k, :, None, None] * plan.images[k])
+        L = F[0]
+        for factor in F[1:]:
+            L = L @ factor
+    if not np.isfinite(L).all():
+        raise spaces.FactorizationError(
+            "the image of the source point is not finite")
     return spaces.sigma_inv_matrix(tgt, L).reshape(values.shape[:-1]
                                                    + (tgt.dim,))
 
@@ -664,8 +717,10 @@ def integrate_coordinate_map(W: HomoMatrix, source_coords: SolvCoords) -> SolvCo
     relation E_target(Y) dY = W e_source(x) dx from the origin, is
     sigma_target^{-1}(prod_k expm(a_k(x) phi(T_k))) with a = exp_factors(x)
     the exponents of the source chart's one-parameter subgroups.  One row
-    of :func:`coordinate_map_batch`: only the Cartan images of
-    ``W_family_11/12`` call ``scipy.linalg.expm``."""
+    of :func:`coordinate_map_batch`, with its checks: only the Cartan
+    images of ``W_family_11/12`` call ``scipy.linalg.expm``, and W's plan
+    is built on the first call with a W of these contents, so repeated
+    calls do only the work of their one point."""
     src, tgt = W.source, W.target
     if src is None or tgt is None:
         raise ValueError("coordinate maps require source/target space ids")

@@ -48,6 +48,14 @@ class TestVerify:
         run(["verify", "--scope", "core", "--seed", "7", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_appendix_rerun_with_cold_plans_byte_identical(self, tmp_path):
+        from cartannet import homo
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        run(["verify", "--scope", "appendix", "--out", str(a)])
+        homo._map_plan.cache_clear()
+        run(["verify", "--scope", "appendix", "--out", str(b)])
+        assert a.read_bytes() == b.read_bytes()
+
     def test_perturbed_fixture_fails(self, tmp_path, monkeypatch):
         # negative control: break a pinned entry of the canonical solution
         # and check that the appendix suite reports failure (exit 1)

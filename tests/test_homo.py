@@ -544,6 +544,89 @@ class TestCoordinateMapBatch:
         with pytest.raises(ValueError):
             homo.coordinate_map_batch(homo.HomoMatrix(W=W.W), np.zeros(3))
 
+    def test_source_points_are_bounded(self):
+        # refused before any exp, so no RuntimeWarning escapes (the suite
+        # turns one into an error)
+        W = fixtures.W_canonical()
+        for x in ([800.0, 0.0, 0.0], [-800.0, 0.0, 0.0], [np.nan, 0.0, 0.0]):
+            with pytest.raises(spaces.CartanBoundError):
+                homo.coordinate_map_batch(W, x)
+        with pytest.raises(spaces.FactorizationError):
+            homo.coordinate_map_batch(W, [0.1, 1e200, 0.0])
+
+    def test_w_shape_is_checked(self):
+        W = homo.HomoMatrix(W=np.zeros((9, 3)), source=spaces.hyperbolic(5),
+                            target=SL4)
+        with pytest.raises(ValueError, match=r"\(9, 3\).*\(9, 5\)"):
+            homo.coordinate_map_batch(W, np.zeros(5))
+
+
+def plan_cases():
+    """W_canonical, restriction_W3, an r=1 layer map and a generic
+    W_family_11, whose Cartan image takes the expm path."""
+    rng = np.random.default_rng(17)
+    layer = np.zeros((3, 5))
+    layer[0, 0] = 1.0
+    layer[1:] = rng.uniform(-1, 1, (2, 5))
+    return [
+        fixtures.W_canonical(),
+        fixtures.restriction_W3(rng.uniform(-1, 1, 4)),
+        homo.HomoMatrix(W=layer, source=spaces.hyperbolic(5),
+                        target=spaces.hyperbolic(3)),
+        fixtures.W_family_11(away(away(rng.uniform(-1, 1, 11), 0), 10)),
+    ]
+
+
+class TestMapPlan:
+    """The per-W plan of coordinate_map_batch: built once per W contents,
+    read-only, and invisible in the outputs."""
+
+    def test_equal_contents_build_one_plan(self):
+        W = fixtures.W_canonical()
+        homo._map_plan.cache_clear()
+        for _ in range(3):
+            homo.coordinate_map_batch(W, np.zeros(3))
+        fresh = homo.HomoMatrix(W=W.W.copy(), source=W.source,
+                                target=W.target)
+        homo.coordinate_map_batch(fresh, np.zeros(3))
+        info = homo._map_plan.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+
+    def test_in_place_mutation_replans(self):
+        W = fixtures.restriction_W3(np.array([0.0, 0.4, 0.0, -0.7]))
+        x = np.random.default_rng(3).uniform(-0.5, 0.5, (4, 9))
+        before = homo.coordinate_map_batch(W, x)
+        W.W[:, 2] *= 0.5
+        after = homo.coordinate_map_batch(W, x)
+        homo._map_plan.cache_clear()
+        assert after.tobytes() == homo.coordinate_map_batch(W, x).tobytes()
+        assert not np.array_equal(before, after)
+
+    @pytest.mark.parametrize("case", range(4))
+    def test_plan_arrays_are_read_only(self, case):
+        W = plan_cases()[case]
+        M = np.asarray(W.W)
+        plan = homo._map_plan(M.tobytes(), M.dtype, M.shape, W.source,
+                              W.target)
+        arrays = [v for v in vars(plan).values() if isinstance(v, np.ndarray)]
+        assert len(arrays) >= 4
+        for arr in arrays:
+            with pytest.raises(ValueError):
+                arr.reshape(-1)[0] = 1.0
+
+    @pytest.mark.parametrize("case", range(4))
+    def test_cold_and_warm_outputs_are_byte_identical(self, case):
+        W = plan_cases()[case]
+        rng = np.random.default_rng(case)
+        for X in (rng.uniform(-1, 1, W.source.dim),
+                  rng.uniform(-1, 1, (5, W.source.dim)),
+                  rng.uniform(-1, 1, (5, W.source.dim))
+                  + 1e-20j * rng.uniform(-1, 1, (5, W.source.dim))):
+            homo._map_plan.cache_clear()
+            cold = homo.coordinate_map_batch(W, X)
+            warm = homo.coordinate_map_batch(W, X)
+            assert cold.tobytes() == warm.tobytes()
+
 
 class TestNaming:
     def test_algebra_names(self):
