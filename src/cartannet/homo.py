@@ -604,7 +604,6 @@ class _MapPlan:
     powers: np.ndarray
     ramp: np.ndarray
     expm: tuple  # the k whose image has no closed form
-    cartans: int  # the source's Cartan columns, the ones bounded
 
 
 @functools.lru_cache(maxsize=64)
@@ -643,8 +642,7 @@ def _map_plan(data: bytes, dtype: np.dtype, shape: tuple, source: SpaceId,
         m += 1
         power = power @ N / m
     plan = _MapPlan(images, D.copy(), zero, safe, powers[:, :m].copy(),
-                    np.arange(m), tuple(np.flatnonzero(hi > lo)),
-                    len(spaces._chart_table(source).cart))
+                    np.arange(m), tuple(np.flatnonzero(hi > lo)))
     for field in (images, plan.D, zero, safe, plan.powers, plan.ramp):
         if field is not None:
             field.setflags(write=False)
@@ -662,11 +660,13 @@ def coordinate_map_batch(W: HomoMatrix, values) -> np.ndarray:
     the images that still take ``expm``.  :func:`_map_plan` keeps the
     last 64 plans, keyed by W's contents, dtype and shape and the source
     and target ids, so an equal W (a fresh ``HomoMatrix`` included)
-    reuses its plan and a W changed in place gets a new one; a call with
-    a W seen before costs one ``tobytes`` and a hash.  A call then forms
-    u, the polynomials and e^{aD} for its points, multiplies the factors
-    by batched matmuls and reads them back with one batched
-    ``spaces.sigma_inv_matrix``.
+    reuses its plan and a W changed in place gets a new one.  A call with
+    a W seen before costs one ``tobytes`` and a hash; a call with a new W
+    also builds and stores its plan, which costs more than the same
+    algebra formed inline, so a caller whose W changes on every call
+    gains nothing from the cache.  A call then forms u, the polynomials
+    and e^{aD} for its points, multiplies the factors by batched matmuls
+    and reads them back with one batched ``spaces.sigma_inv_matrix``.
 
     A factor is closed-form when [D, N] = c N for one scalar c.  That
     covers every root image (D = 0) and the Cartan images of
@@ -688,7 +688,7 @@ def coordinate_map_batch(W: HomoMatrix, values) -> np.ndarray:
     M = np.asarray(W.W)
     plan = _map_plan(M.tobytes(), M.dtype, M.shape, src, tgt)
     x = values.reshape(-1, src.dim)
-    spaces._check_cartan_bound(x[:, :plan.cartans].real)
+    spaces._check_cartan_bound(x[:, :len(spaces._chart_table(src).cart)].real)
     a = spaces.exp_factors(src, x).T
     n = tgt.N
     with np.errstate(over="ignore", invalid="ignore"):

@@ -43,18 +43,14 @@ class TestVerify:
         assert run(["verify", "--scope", "bogus"]) == 2
 
     def test_rerun_byte_identical(self, tmp_path):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        run(["verify", "--scope", "core", "--seed", "7", "--out", str(a)])
-        run(["verify", "--scope", "core", "--seed", "7", "--out", str(b)])
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_appendix_rerun_with_cold_plans_byte_identical(self, tmp_path):
+        # the second appendix run rebuilds its coordinate-map plans
         from cartannet import homo
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        run(["verify", "--scope", "appendix", "--out", str(a)])
-        homo._map_plan.cache_clear()
-        run(["verify", "--scope", "appendix", "--out", str(b)])
-        assert a.read_bytes() == b.read_bytes()
+        for scope in ("core", "appendix"):
+            a, b = tmp_path / f"{scope}-a.json", tmp_path / f"{scope}-b.json"
+            run(["verify", "--scope", scope, "--seed", "7", "--out", str(a)])
+            homo._map_plan.cache_clear()
+            run(["verify", "--scope", scope, "--seed", "7", "--out", str(b)])
+            assert a.read_bytes() == b.read_bytes()
 
     def test_perturbed_fixture_fails(self, tmp_path, monkeypatch):
         # negative control: break a pinned entry of the canonical solution

@@ -612,7 +612,7 @@ class TestMapPlan:
         assert len(arrays) >= 4
         for arr in arrays:
             with pytest.raises(ValueError):
-                arr.reshape(-1)[0] = 1.0
+                arr[(0,) * arr.ndim] = 1.0
 
     @pytest.mark.parametrize("case", range(4))
     def test_cold_and_warm_outputs_are_byte_identical(self, case):
