@@ -381,8 +381,12 @@ def cmd_train(args):
     try:
         config = _net_config_from(cfg)
         tcfg = _object(cfg.get("train", {}), "train", (
-            "learning_rate", "epochs", "batch_size", "gradient_mode",
-            "fd_step"))
+            "learning_rate", "epochs", "batch_size", "gradient_mode"))
+        # configs written when there were two gradient modes may still
+        # name the one that is left
+        if tcfg.get("gradient_mode", "analytic") != "analytic":
+            raise SystemExit2("train.gradient_mode must be 'analytic', got "
+                              f"{tcfg['gradient_mode']!r}")
         tc = train.TrainConfig(
             learning_rate=_number(tcfg.get("learning_rate", 0.01),
                                   "train.learning_rate"),
@@ -390,8 +394,6 @@ def cmd_train(args):
             batch_size=_integer(tcfg.get("batch_size", 32),
                                 "train.batch_size"),
             seed=args.seed,
-            gradient_mode=tcfg.get("gradient_mode", "analytic"),
-            fd_step=_number(tcfg.get("fd_step", 1e-5), "train.fd_step"),
         )
         dataset = train.load_csv(_path(cfg["dataset"], "dataset"))
         train.check_dataset(config, dataset)

@@ -31,7 +31,7 @@ import math
 import numpy as np
 
 from . import homo, isometry, spaces
-from .spaces import SolvCoords, SpaceId
+from .spaces import SpaceId
 
 __all__ = [
     "LayerSpec",
@@ -42,7 +42,6 @@ __all__ = [
     "init_params",
     "flatten",
     "unflatten",
-    "forward",
     "stages",
     "forward_batch",
     "save_model",
@@ -255,12 +254,6 @@ def forward_batch(config: NetworkConfig, params: ParamSet, X: np.ndarray) -> np.
     for values, tape in stages(config, params, X):
         del tape
     return spaces._from_t_chart(values)
-
-
-def forward(config: NetworkConfig, params: ParamSet, x) -> SolvCoords:
-    """Last-hidden-layer point for a single input vector."""
-    values = forward_batch(config, params, np.asarray(x, dtype=float))[0]
-    return SolvCoords(config.last_space, np.real_if_close(values).astype(float))
 
 
 # ---------------------------------------------------------------------------

@@ -6,20 +6,18 @@ separator objects are built), and the loss is the softmax NLL over the
 class scores: the K signed distances d, or (0, d) for the binary head's
 one separator, whose softmax is sigmoid(d).
 
-Gradients come in two modes.  ``analytic`` is reverse mode: one forward
-pass through ``net.stages``, the chain ``net.forward_batch`` runs, keeping
-each layer's output and fiber tape, then one hand-written pullback per
-stage in reverse order (injection, the fiber pullback
-``isometry._fiber_pullback``, the homomorphism pullback
-``homo._homomorphism_pullback``, and the head's pullback
-``classify._nll_vjp``, which reuses the head kernel's own forward, or the
-regression read-out).
-``finite-difference`` uses scaled central differences of ``loss_flat``.
-The test gate compares the two, and the tests check reverse mode against
+The gradient is reverse mode: one forward pass through ``net.stages``,
+the chain ``net.forward_batch`` runs, keeping each layer's output and fiber
+tape, then one hand-written pullback per stage in reverse order
+(injection, the fiber pullback ``isometry._fiber_pullback``, the
+homomorphism pullback ``homo._homomorphism_pullback``, and the head's
+pullback ``classify._nll_vjp``, which reuses the head kernel's own
+forward, or the regression read-out).  The tests check it against
 complex-step differentiation of the whole chain (every stage is
-complex-analytic) as the oracle.  Labels are checked where data enters
-(``Dataset``, :func:`check_labels`): :func:`gradient` checks its batch,
-and :func:`train_loop` checks the dataset once, so its steps do not."""
+complex-analytic) and against central differences of :func:`loss_flat`.
+Labels are checked where data enters (``Dataset``, :func:`check_labels`):
+:func:`gradient` checks its batch, and :func:`train_loop` checks the
+dataset once, so its steps do not."""
 
 from __future__ import annotations
 
@@ -90,8 +88,6 @@ class TrainConfig:
     epochs: int = 50
     batch_size: int = 32
     seed: int = 0
-    gradient_mode: str = "analytic"
-    fd_step: float = 1e-5
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -100,10 +96,6 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.gradient_mode not in ("analytic", "finite-difference"):
-            raise ValueError(f"unknown gradient mode {self.gradient_mode!r}")
-        if not (np.isfinite(self.fd_step) and self.fd_step > 0):
-            raise ValueError("fd_step must be finite and positive")
 
 
 # ---------------------------------------------------------------------------
@@ -184,12 +176,22 @@ def _head_vjp(config: net.NetworkConfig, params: net.ParamSet,
     return classify._nll_vjp(params.head, t, labels, _classes(config))
 
 
-def _reverse_gradient(config: net.NetworkConfig, params: net.ParamSet,
-                      features, labels) -> np.ndarray:
-    """Reverse-mode gradient of the batch loss: one forward pass through
+def gradient(config: net.NetworkConfig, flat: net.FlatParams,
+             features, labels) -> np.ndarray:
+    """Gradient of the batch loss with respect to the flat parameters.
+    Refuses with ValueError labels the head cannot read
+    (:func:`check_labels`)."""
+    return _gradient(config, flat, features, check_labels(config, labels))
+
+
+def _gradient(config: net.NetworkConfig, flat: net.FlatParams,
+              features, labels) -> np.ndarray:
+    """:func:`gradient` at labels already checked, as ints for a
+    separator head, in reverse mode: one forward pass through
     ``net.stages``, keeping every layer's output and fiber tape, then the
     pullbacks in reverse order, all in the chart (T, Y2) of the chain; the
     injection's own pullback turns g_T into g_Y1 = -T g_T."""
+    params = net.unflatten(config, flat)
     X = np.atleast_2d(np.asarray(features, dtype=float))
     outputs, tapes = zip(*net.stages(config, params, X))
     g, head = _head_vjp(config, params, outputs[-1], labels)
@@ -204,35 +206,7 @@ def _reverse_gradient(config: net.NetworkConfig, params: net.ParamSet,
         isometry._fiber_input(tapes[0], outputs[0]), g)
     grads = net.ParamSet(Q=g.T @ X, lam=g_lam, Ws=g_Ws, bs=g_bs,
                          psis=g_psis, head=head)
-    return net.flatten(config, grads).vector
-
-
-def gradient(config: net.NetworkConfig, tc: TrainConfig,
-             flat: net.FlatParams, features, labels) -> np.ndarray:
-    """Gradient of the batch loss with respect to the flat parameters.
-    Refuses with ValueError labels the head cannot read
-    (:func:`check_labels`)."""
-    return _gradient(config, tc, flat, features, check_labels(config, labels))
-
-
-def _gradient(config: net.NetworkConfig, tc: TrainConfig,
-              flat: net.FlatParams, features, labels) -> np.ndarray:
-    """:func:`gradient` at labels already checked, as ints for a
-    separator head."""
-    if tc.gradient_mode == "analytic":
-        g = _reverse_gradient(config, net.unflatten(config, flat),
-                              features, labels)
-    else:
-        x = np.asarray(flat.vector, dtype=float)
-        g = np.empty_like(x)
-        for i in range(len(x)):
-            h = tc.fd_step * max(1.0, abs(x[i]))
-            xp = x.copy(); xp[i] += h
-            xm = x.copy(); xm[i] -= h
-            g[i] = (
-                np.real(loss_flat(config, xp, features, labels))
-                - np.real(loss_flat(config, xm, features, labels))
-            ) / (2.0 * h)
+    g = net.flatten(config, grads).vector
     if not np.all(np.isfinite(g)):
         raise DivergenceError("non-finite gradient")
     return g
@@ -244,6 +218,7 @@ def sgd_step(flat: net.FlatParams, grad: np.ndarray, lr: float) -> net.FlatParam
 
 
 _ADMISSIBLE_SLACK = 1e-6
+_RELATIVE_SLACK = 2.0 ** -40
 
 
 def _margins(config: net.NetworkConfig, vector) -> np.ndarray:
@@ -284,9 +259,16 @@ def _project(config: net.NetworkConfig, flat: net.FlatParams) -> tuple:
             alpha[k] = 0.0
             beta[k] = 0.0
             continue
-        c = np.sqrt(max(w2 - 2.0 * _ADMISSIBLE_SLACK, 0.0) / ab)
-        alpha[k] *= c
-        beta[k] *= c
+        a, b = alpha[k], beta[k]
+        # once |w|^2 is about 1e10 the absolute slack is below the rounding
+        # of |w|^2 - alpha beta, so a margin that does not come out
+        # positive, as w @ w or as the head's sum(w * w), is redone with a
+        # slack relative to |w|^2
+        for slack in (2.0 * _ADMISSIBLE_SLACK, w2 * _RELATIVE_SLACK):
+            c = np.sqrt(max(w2 - slack, 0.0) / ab)
+            alpha[k], beta[k] = a * c, b * c
+            if min(w2, np.sum(w[k] * w[k])) > alpha[k] * beta[k]:
+                break
     return net.flatten(config, params), len(crossing)
 
 
@@ -324,10 +306,12 @@ def train_loop(tc: TrainConfig, config: net.NetworkConfig, dataset: Dataset,
     (``min_margin``).  The loop stops early, and returns the parameters
     from the start of the failing epoch, when the loss diverges, a stage
     input leaves the Cartan bound, or a separator is evaluated outside
-    admissibility (a finite-difference quotient can step across
-    |w|^2 - alpha beta = 0).  Labels the head cannot read are refused
-    (:func:`check_dataset`) before the first step, as is a dataset
-    without training rows; the steps do not check the labels again."""
+    admissibility.  Every step ends in :func:`project_admissible`, so
+    what reaches the last case is an inadmissible ``init``: its first
+    gradient stops the loop with an empty history.  Labels the head
+    cannot read are refused (:func:`check_dataset`) before the first step,
+    as is a dataset without training rows; the steps do not check the
+    labels again."""
     check_dataset(config, dataset)
     train = dataset.subset("train")
     test = dataset.subset("test")
@@ -344,7 +328,7 @@ def train_loop(tc: TrainConfig, config: net.NetworkConfig, dataset: Dataset,
         try:
             for start in range(0, len(train), tc.batch_size):
                 idx = order[start : start + tc.batch_size]
-                g = _gradient(config, tc, flat, train.features[idx],
+                g = _gradient(config, flat, train.features[idx],
                               labels[idx])
                 grad_norm = max(grad_norm, float(np.linalg.norm(g)))
                 flat, moved = _project(config,

@@ -327,7 +327,7 @@ class TestStrictNumbersAndSections:
         assert bool(list(tmp_path.glob("*.jsonl"))) == (code == 0)
         return code
 
-    @pytest.mark.parametrize("field", ["learning_rate", "fd_step"])
+    @pytest.mark.parametrize("field", ["learning_rate"])
     @pytest.mark.parametrize("value", [None, "nan", "0.1", True,
                                        float("nan"), float("-inf")])
     def test_bad_float_field_exit_2(self, tmp_path, field, value):
@@ -477,7 +477,8 @@ class TestUnwritableOutputs:
 class TestUnknownKeys:
     """A key that no part of a command reads, at the top level of its
     config or in the ``net`` or ``train`` section, exits 2 with one
-    ``error:`` line naming it, before any work is done."""
+    ``error:`` line naming it, before any work is done; so does a
+    ``gradient_mode`` other than "analytic"."""
 
     @staticmethod
     def configs(tmp_path):
@@ -498,6 +499,7 @@ class TestUnknownKeys:
 
     @pytest.mark.parametrize("command, section, key", [
         ("train", "train", "lerning_rate"),
+        ("train", "train", "fd_step"),
         ("train", "net", "layer"),
         ("train", None, "bogus"),
         ("solve-homo", None, "bogus"),
@@ -525,11 +527,33 @@ class TestUnknownKeys:
         assert err.startswith("error:") and err.count("\n") == 1
         assert repr(key) in err
 
+    @pytest.mark.parametrize("value", ["finite-difference", 1])
+    def test_gradient_mode_other_than_analytic_exit_2(
+            self, tmp_path, monkeypatch, capsys, value):
+        # "analytic", the one gradient there is, is the one value accepted
+        doc = self.configs(tmp_path)["train"]
+        doc["train"]["gradient_mode"] = value
+        metrics = tmp_path / "m.jsonl"
+        doc["metrics_out"] = str(metrics)
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("worked on a refused gradient mode")
+
+        for name in ("load_csv", "train_loop"):
+            monkeypatch.setattr(train, name, must_not_run)
+        cfg = write_json(tmp_path / "config.json", doc)
+        out = tmp_path / "trained.json"
+        capsys.readouterr()
+        assert run(["train", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists() and not metrics.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "gradient_mode" in err and repr(value) in err
+
     def test_every_key_read_is_accepted(self, tmp_path):
         doc = self.configs(tmp_path)["train"]
         doc["net"].update(K=None)
-        doc["train"].update(learning_rate=0.01, gradient_mode="analytic",
-                            fd_step=1e-5)
+        doc["train"].update(learning_rate=0.01, gradient_mode="analytic")
         doc["metrics_out"] = str(tmp_path / "m.jsonl")
         cfg = write_json(tmp_path / "config.json", doc)
         assert run(["train", "--config", cfg,
@@ -539,19 +563,6 @@ class TestUnknownKeys:
                           "spread": 0.5})
         assert run(["gen-data", "--config", gen,
                     "--out", str(tmp_path / "gen.csv")]) == 0
-
-
-class TestFdStep:
-    def test_zero_fd_step_exit_2(self, tmp_path):
-        data = TestUnwritableOutputs.dataset(tmp_path)
-        cfg = write_json(tmp_path / "train.json", {
-            "net": {"input_dim": 2, "layers": [3], "task": "binary"},
-            "train": {"epochs": 1, "batch_size": 16,
-                      "gradient_mode": "finite-difference", "fd_step": 0},
-            "dataset": data})
-        model = tmp_path / "model.json"
-        assert run(["train", "--config", cfg, "--out", str(model)]) == 2
-        assert not model.exists()
 
 
 class TestEntryPoint:

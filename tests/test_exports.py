@@ -1,5 +1,6 @@
-"""Every name a module exports through ``__all__`` exists, and every
-name it imports is used or exported."""
+"""Every name a module exports through ``__all__`` exists, every name
+it imports is used or exported, and every parameter of its functions is
+read."""
 
 import ast
 import importlib
@@ -46,3 +47,29 @@ def test_no_unused_imports(name):
     unused = {n: line for n, line in imported_names(tree).items()
               if n not in read and n not in exported}
     assert unused == {}
+
+
+def unread_parameters(tree):
+    """(function, line, parameter) of every parameter, ``self`` included,
+    that its function or lambda never loads."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        params += [a.arg for a in (args.vararg, args.kwarg) if a]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found += [(getattr(node, "name", "<lambda>"), node.lineno, p)
+                  for p in params if p not in read]
+    return found
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_unread_parameters(name):
+    # a parameter that only carried something no longer used is dropped
+    module = importlib.import_module(name)
+    assert unread_parameters(ast.parse(inspect.getsource(module))) == []

@@ -102,7 +102,7 @@ class TestAgainstComplexStep:
             if first.fiber_dim:
                 assume(branches.any() and not branches.all())
             flat = net.flatten(config, params)
-            got = train.gradient(config, train.TrainConfig(), flat, X, y)
+            got = train.gradient(config, flat, X, y)
             assert_close(got, complex_step_gradient(config, flat, X, y))
 
         check()
@@ -200,8 +200,8 @@ class TestErrorsPropagate:
         params.Q[0] = 2.0 * spaces.CARTAN_BOUND
         X = np.ones((4, 3))
         with pytest.raises(spaces.CartanBoundError):
-            train.gradient(config, train.TrainConfig(),
-                           net.flatten(config, params), X, np.zeros(4, int))
+            train.gradient(config, net.flatten(config, params), X,
+                           np.zeros(4, int))
 
     def test_degenerate_separator(self):
         config = self.config()
@@ -210,8 +210,8 @@ class TestErrorsPropagate:
         params.head["alpha"][1] = params.head["beta"][1] = 1.0
         X = np.ones((4, 3))
         with pytest.raises(classify.DegenerateSeparatorError):
-            train.gradient(config, train.TrainConfig(),
-                           net.flatten(config, params), X, np.zeros(4, int))
+            train.gradient(config, net.flatten(config, params), X,
+                           np.zeros(4, int))
 
 
 class TestSinglePass:
@@ -241,11 +241,11 @@ class TestSinglePass:
         flat = net.flatten(config, net.init_params(config, seed=3))
         X = np.random.default_rng(3).uniform(-1.0, 1.0, (5, 3))
         y = np.arange(5) % 3
-        want = train.gradient(config, train.TrainConfig(), flat, X, y)
+        want = train.gradient(config, flat, X, y)
         fibers = self.counting(monkeypatch, isometry, "_fiber_forward")
         heads = self.counting(monkeypatch, classify, "_head")
         distances = self.counting(monkeypatch, classify, "signed_distance")
-        got = train.gradient(config, train.TrainConfig(), flat, X, y)
+        got = train.gradient(config, flat, X, y)
         assert fibers == [layer.space for layer in config.layers]
         assert len(heads) == 1 and distances == []
         assert np.array_equal(got, want)

@@ -193,7 +193,7 @@ def network(dims, task, K=None, input_dim=4, seed=0):
 
 
 class TestForwardRows:
-    """``forward`` and ``forward_batch`` run the same chain.  A one-row
+    """A one-row batch and a wider one run the same chain.  A one-row
     batch reaches BLAS as a matrix-vector product and a wider batch as a
     matrix product, and numpy sums the features of a lone point pairwise,
     so the two agree to rounding, not bit for bit."""
@@ -204,7 +204,7 @@ class TestForwardRows:
         X = np.random.default_rng(1).uniform(-1.0, 1.0, (40, 4))
         batch = net.forward_batch(config, params, X)
         for x, row in zip(X, batch):
-            point = net.forward(config, params, x).values
+            point = net.forward_batch(config, params, x[None])[0]
             assert point.shape == row.shape
             assert np.allclose(point, row, rtol=4e-15, atol=4e-15)
 
@@ -256,8 +256,7 @@ class TestColumnsThroughTheChain:
         self.watch(monkeypatch, homo, "_homomorphism_forward", 2, seen)
         self.watch(monkeypatch, isometry, "_fiber_pullback", 1, seen)
         self.watch(monkeypatch, homo, "_homomorphism_pullback", 3, seen)
-        train.gradient(config, train.TrainConfig(),
-                       net.flatten(config, params), X, y)
+        train.gradient(config, net.flatten(config, params), X, y)
         names = [n for n, _ in seen]
         assert names.count("_fiber_pullback") == len(NETS[name])
         assert all(ok for _, ok in seen), seen

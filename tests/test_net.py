@@ -147,8 +147,8 @@ class TestForward:
         cfg = two_layer_config()
         total = len(net.flatten(cfg, net.init_params(cfg, 0)).vector)
         p = net.unflatten(cfg, np.zeros(total))
-        out = net.forward(cfg, p, np.ones(4))
-        assert np.max(np.abs(out.values)) < 1e-12
+        out = net.forward_batch(cfg, p, np.ones((1, 4)))
+        assert np.max(np.abs(out)) < 1e-12
 
     def test_batch_matches_single(self):
         cfg = two_layer_config()
@@ -157,8 +157,8 @@ class TestForward:
         X = rng.normal(size=(7, 4))
         batch = net.forward_batch(cfg, params, X)
         for i in range(7):
-            single = net.forward(cfg, params, X[i])
-            assert np.max(np.abs(batch[i] - single.values)) < 1e-12
+            single = net.forward_batch(cfg, params, X[i : i + 1])
+            assert np.max(np.abs(batch[i] - single[0])) < 1e-12
 
     def test_finite_jacobian(self):
         cfg = two_layer_config()

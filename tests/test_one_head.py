@@ -110,8 +110,8 @@ class TestLabelChecks:
         params.Q[:] = np.eye(3)
         for name, value in bank.head.items():
             params.head[name][:] = value
-        return train.gradient(config, train.TrainConfig(),
-                              net.flatten(config, params), points, labels)
+        return train.gradient(config, net.flatten(config, params), points,
+                              labels)
 
     @pytest.mark.parametrize("label", [np.nan, np.inf, -np.inf])
     def test_dataset_refuses_non_finite_labels(self, label):
@@ -183,7 +183,7 @@ class TestLabelsCheckedOnce:
         X = np.zeros((3, 2))
         for labels in (np.array([0, 1, K or 2]), np.array([0.0, 1.0, K or 2])):
             with pytest.raises(ValueError, match="labels must be integers"):
-                train.gradient(config, train.TrainConfig(), flat, X, labels)
+                train.gradient(config, flat, X, labels)
 
     def test_train_loop_checks_once_per_pass(self, monkeypatch):
         # one check of the dataset, then one per epoch for each of the

@@ -5,6 +5,7 @@ import pytest
 
 from cartannet import classify, homo, isometry, net, spaces, train
 from cartannet.spaces import SolvCoords, SpaceId
+from central_difference import central_difference_gradient
 
 H3 = SpaceId.so(1, 2)
 H5 = SpaceId.so(1, 4)
@@ -64,19 +65,6 @@ class TestTrainConfig:
             train.TrainConfig(epochs=-1)
         with pytest.raises(ValueError):
             train.TrainConfig(batch_size=0)
-        with pytest.raises(ValueError):
-            train.TrainConfig(gradient_mode="autodiff")
-
-
-class TestFdStep:
-    @pytest.mark.parametrize("step", [0.0, -1e-5, float("nan"),
-                                      float("inf")])
-    def test_fd_step_must_be_finite_and_positive(self, step):
-        # a zero step made every difference quotient 0/0, and train_loop
-        # stopped silently at epoch 0
-        with pytest.raises(ValueError):
-            train.TrainConfig(gradient_mode="finite-difference",
-                              fd_step=step)
 
 
 class TestLoss:
@@ -117,16 +105,15 @@ class TestLoss:
 
 class TestGradient:
     def test_analytic_matches_finite_difference(self):
-        # gate: the two gradient modes agree to a small relative error
+        # gate: the reverse gradient and central differences of the loss
+        # agree to a small relative error
         cfg = small_config("binary")
         flat = net.flatten(cfg, net.init_params(cfg, seed=8))
         rng = np.random.default_rng(9)
         X = rng.normal(size=(10, 2))
         y = rng.integers(0, 2, 10)
-        tc_a = train.TrainConfig(gradient_mode="analytic")
-        tc_f = train.TrainConfig(gradient_mode="finite-difference")
-        ga = train.gradient(cfg, tc_a, flat, X, y)
-        gf = train.gradient(cfg, tc_f, flat, X, y)
+        ga = train.gradient(cfg, flat, X, y)
+        gf = central_difference_gradient(cfg, flat, X, y)
         rel = np.linalg.norm(ga - gf) / max(np.linalg.norm(ga), 1e-12)
         assert rel < 1e-6
 
@@ -136,8 +123,7 @@ class TestGradient:
         rng = np.random.default_rng(11)
         X = rng.normal(size=(20, 2))
         y = rng.integers(0, 2, 20)
-        tc = train.TrainConfig(learning_rate=1e-3)
-        g = train.gradient(cfg, tc, flat, X, y)
+        g = train.gradient(cfg, flat, X, y)
         before = float(np.real(train.loss_flat(cfg, flat.vector, X, y)))
         stepped = train.sgd_step(flat, g, 1e-4)
         after = float(np.real(train.loss_flat(cfg, stepped.vector, X, y)))
@@ -215,7 +201,7 @@ class TestTrainLoop:
         norms = []
         for start in range(0, len(tr), tc.batch_size):
             idx = order[start : start + tc.batch_size]
-            g = train.gradient(cfg, tc, flat, tr.features[idx], tr.labels[idx])
+            g = train.gradient(cfg, flat, tr.features[idx], tr.labels[idx])
             norms.append(np.linalg.norm(g))
             flat = train.project_admissible(
                 cfg, train.sgd_step(flat, g, tc.learning_rate))
@@ -282,7 +268,7 @@ class TestTrainLoop:
         moved = 0
         for start in range(0, len(tr), tc.batch_size):
             idx = order[start : start + tc.batch_size]
-            g = train.gradient(cfg, tc, flat, tr.features[idx], tr.labels[idx])
+            g = train.gradient(cfg, flat, tr.features[idx], tr.labels[idx])
             stepped = train.sgd_step(flat, g, tc.learning_rate)
             flat = train.project_admissible(cfg, stepped)
             old, new = (net.unflatten(cfg, f.vector).head
@@ -298,6 +284,28 @@ class TestTrainLoop:
         assert [r["projected"] for r in rerun] == [
             r["projected"] for r in history]
 
+    @pytest.mark.parametrize("w,alpha,beta", [
+        ((1e5, 0.0), 1e5, 1.00001e5),
+        ((3e5, 4e5), 5e5, 5.0001e5),
+    ])
+    def test_projection_admissible_at_large_norm(self, w, alpha, beta):
+        # at |w|^2 ~ 1e10 an absolute slack of 2e-6 is below the rounding
+        # of |w|^2 - alpha beta: shrinking alpha, beta to it gives margins
+        # 0.0 and -3.05e-5 here
+        cfg = net.NetworkConfig(input_dim=4,
+                                layers=(net.LayerSpec(H5), net.LayerSpec(H3)),
+                                task="binary")
+        params = net.init_params(cfg, seed=0)
+        params.head["w"][0] = w
+        params.head["alpha"][0] = alpha
+        params.head["beta"][0] = beta
+        out, moved = train._project(cfg, net.flatten(cfg, params))
+        assert moved == 1
+        assert train._margins(cfg, out.vector)[0] > 0
+        head = net.unflatten(cfg, out.vector).head
+        u, _ = classify._head(head, np.array([[1.0, 0.0, 0.0]]))
+        assert np.all(np.isfinite(u))
+
     def test_projection_keeps_admissible_input(self):
         cfg = small_config("multiclass", K=3)
         flat = net.flatten(cfg, net.init_params(cfg, seed=15))
@@ -311,19 +319,22 @@ class TestTrainLoop:
         params, _ = train.train_loop(tc, cfg, ds)
         assert np.all(np.isfinite(net.flatten(cfg, params).vector))
 
-    def test_finite_difference_stops_at_inadmissible_quotient(self):
-        # lr 5.0 drives a separator onto the admissibility boundary; a
-        # finite-difference quotient then steps across it
-        ds = train.gen_synthetic("blobs", n=80, dim=4, seed=1, classes=4)
+    def test_inadmissible_init_stops_before_a_step(self):
+        # |w|^2 - alpha beta = 1 - 4 < 0: the first gradient evaluates the
+        # separator outside admissibility, so the loop stops at epoch 0
+        ds = train.gen_synthetic("blobs", n=80, dim=4, seed=1)
         cfg = net.NetworkConfig(input_dim=4,
                                 layers=(net.LayerSpec(H5), net.LayerSpec(H3)),
-                                task="multiclass", K=4)
-        tc = train.TrainConfig(learning_rate=5.0, epochs=2, batch_size=16,
-                               gradient_mode="finite-difference")
-        params, history = train.train_loop(tc, cfg, ds)
+                                task="binary")
+        init = net.init_params(cfg, seed=0)
+        init.head["alpha"][:] = 2.0
+        init.head["beta"][:] = 2.0
+        init.head["w"][:] = [1.0, 0.0]
+        start = net.flatten(cfg, init).vector.copy()
+        tc = train.TrainConfig(learning_rate=0.01, epochs=2, batch_size=16)
+        params, history = train.train_loop(tc, cfg, ds, init=init)
         assert history == []
-        init = net.flatten(cfg, net.init_params(cfg, seed=tc.seed)).vector
-        assert np.array_equal(net.flatten(cfg, params).vector, init)
+        assert np.array_equal(net.flatten(cfg, params).vector, start)
 
     def test_empty_train_split_rejected(self):
         ds = train.Dataset(np.zeros((2, 2)), np.zeros(2),
