@@ -61,9 +61,7 @@ class Separator:
 
     @property
     def admissible(self) -> bool:
-        w2 = float(np.real(np.sum(self.w * self.w)))
-        ab = float(np.real(self.alpha * self.beta))
-        return w2 - ab > 0.0
+        return float(np.real(_margin(self.alpha, self.beta, self.w))) > 0.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -87,6 +85,18 @@ class SeparatorBank:
 
     def __len__(self):
         return len(self.separators)
+
+
+def _norm2(w):
+    """|w|^2 (...,) of normals w (..., s), the one form every reader of
+    the margin uses, so all of them agree to the last bit."""
+    return (w[..., None, :] @ w[..., :, None])[..., 0, 0]
+
+
+def _margin(alpha, beta, w):
+    """Margins |w|^2 - alpha beta of separators stacked as alpha, beta
+    (...,) and w (..., s)."""
+    return _norm2(w) - alpha * beta
 
 
 def _h_stack(alpha, beta, w, t):
@@ -120,11 +130,10 @@ def _head(head, t):
     norm).  Raises :class:`DegenerateSeparatorError` unless every
     separator is admissible."""
     alpha, beta, w = head["alpha"], head["beta"], head["w"]
-    norm2 = np.sum(w * w, axis=-1) - alpha * beta
+    norm2 = _margin(alpha, beta, w)
     if np.any(np.real(norm2) <= 0.0):
         raise DegenerateSeparatorError(
-            "separator admissibility |w|^2 - alpha*beta must be positive"
-        )
+            "separator admissibility |w|^2 - alpha*beta must be positive")
     norm = 2.0 * np.sqrt(norm2)
     h, parts = _h_stack(alpha, beta, w, t)
     return h / norm, (alpha, beta, w) + parts + (norm,)
@@ -272,8 +281,7 @@ def find_surface_point(sep: Separator, space: SpaceId, seed: int = 0) -> SolvCoo
     space._require_r1()
     if not sep.admissible:
         raise DegenerateSeparatorError(
-            "separator admissibility |w|^2 - alpha*beta must be positive"
-        )
+            "separator admissibility |w|^2 - alpha*beta must be positive")
     eta = spaces.build_eta(space).entries
     y = np.random.default_rng(seed).uniform(-1.0, 1.0, size=space.dim)
     y1, y2 = y[0], y[1:]

@@ -252,7 +252,7 @@ class ConstraintSystem:
 
     def residual_stack(self, W) -> np.ndarray:
         """Residual vectors (S, m) of a stack (S, d2, d1), row-major in
-        (i, b < c) like :meth:`residual_vector`."""
+        (i, b < c)."""
         W = self._stack(W)
         iu0, iu1 = self._pairs
         R = self._tensor_stack(W)[:, :, iu0, iu1]
@@ -278,12 +278,6 @@ class ConstraintSystem:
         J5[:, :, p, :, iu1] -= np.moveaxis(T2[:, iu0], 1, 0)
         return J
 
-    def residual_tensor(self, W: np.ndarray) -> np.ndarray:
-        return self._tensor_stack(self._stack(np.asarray(W)[None]))[0]
-
-    def residual_vector(self, W: np.ndarray) -> np.ndarray:
-        return self.residual_stack(np.asarray(W)[None])[0]
-
 
 def build_constraints(source: MCStructure, target: MCStructure) -> ConstraintSystem:
     """Constraint system for homomorphisms E^i_target = W^i_a e^a_source."""
@@ -293,7 +287,7 @@ def build_constraints(source: MCStructure, target: MCStructure) -> ConstraintSys
 def residual(W, system: ConstraintSystem) -> float:
     """Root-sum-square of all constraint values; 0 iff W is exact."""
     W = W.W if isinstance(W, HomoMatrix) else np.asarray(W, dtype=float)
-    return float(np.linalg.norm(system.residual_vector(W)))
+    return float(np.linalg.norm(system.residual_stack(W[None])[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +323,6 @@ def tag_branch(W: np.ndarray, tol: float = 1e-6) -> str:
         mask[2] = False
         if np.max(np.abs(W[:, mask])) <= tol and np.max(np.abs(W[:, 2])) > tol:
             return "cartan-column-3"
-        return "untagged"
     return "untagged"
 
 
@@ -343,9 +336,8 @@ def _pattern_starts(system: ConstraintSystem, rng):
         # branch with three active Cartan rows (delta, -delta, delta-1)
         W0 = rng.uniform(-1.0, 1.0, size=_INJ_SHAPE)
         delta = rng.uniform(-1.0, 1.0)
-        W0[0] = (delta, 0, 0)
-        W0[1] = (-delta, 0, 0)
-        W0[2] = (delta - 1.0, 0, 0)
+        W0[:3] = 0.0
+        W0[:3, 0] = (delta, -delta, delta - 1.0)
         W0[3:6, 1:] = 0.0
         fixed = np.zeros(_INJ_SHAPE, dtype=bool)
         fixed[:3, :] = True
@@ -353,9 +345,8 @@ def _pattern_starts(system: ConstraintSystem, rng):
         out.append((W0.reshape(-1), ~fixed.reshape(-1)))
         # branch with a single active Cartan row (0, 0, -1)
         W1 = rng.uniform(-1.0, 1.0, size=_INJ_SHAPE)
-        W1[0] = (0, 0, 0)
-        W1[1] = (0, 0, 0)
-        W1[2] = (-1.0, 0, 0)
+        W1[:3] = 0.0
+        W1[2, 0] = -1.0
         W1[4] = 0.0
         fixed = np.zeros(_INJ_SHAPE, dtype=bool)
         fixed[:3, :] = True
@@ -655,18 +646,11 @@ def coordinate_map_batch(W: HomoMatrix, values) -> np.ndarray:
     target coordinates: sigma_target^{-1}(prod_k expm(a_k phi(T_k))), with
     a = exp_factors(x) and the images phi(T_k) = W^i_k T'_i.
 
-    What W alone fixes is planned once per W (see :class:`_MapPlan`): the
-    images, their split D + N with [D, N] = c N, the powers N^p / p! and
-    the images that still take ``expm``.  :func:`_map_plan` keeps the
-    last 64 plans, keyed by W's contents, dtype and shape and the source
-    and target ids, so an equal W (a fresh ``HomoMatrix`` included)
-    reuses its plan and a W changed in place gets a new one.  A call with
-    a W seen before costs one ``tobytes`` and a hash; a call with a new W
-    also builds and stores its plan, which costs more than the same
-    algebra formed inline, so a caller whose W changes on every call
-    gains nothing from the cache.  A call then forms u, the polynomials
-    and e^{aD} for its points, multiplies the factors by batched matmuls
-    and reads them back with one batched ``spaces.sigma_inv_matrix``.
+    What W alone fixes is planned once per W (:class:`_MapPlan`, of
+    which :func:`_map_plan` keeps the last 64); a W seen before costs one
+    ``tobytes`` and a hash, a new W also the plan.  A call then forms u,
+    the polynomials and e^{aD} for its points, multiplies the factors by
+    batched matmuls and reads them back with one ``sigma_inv_matrix``.
 
     A factor is closed-form when [D, N] = c N for one scalar c.  That
     covers every root image (D = 0) and the Cartan images of

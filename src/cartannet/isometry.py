@@ -52,12 +52,27 @@ class GroupElement:
 
     ``kind`` is one of ``solvable`` (triangular, positive diagonal),
     ``paint`` (eta-orthogonal and stabilizing the solvable algebra),
-    ``grassmannian`` (eta-orthogonal, not paint) or ``external``.
-    """
+    ``grassmannian`` (eta-orthogonal, not paint) or ``external``.  A
+    non-external g must be eta-orthogonal, to 1e-10 max(1, max|g|^2), on
+    so spaces and have |det g| = 1, to 1e-10, on sl spaces (ValueError)."""
 
     space: SpaceId
     matrix: np.ndarray
     kind: str
+
+    def __post_init__(self):
+        g, space = self.matrix, self.space
+        if self.kind not in ("solvable", "paint", "grassmannian", "external"):
+            raise ValueError(f"unknown kind {self.kind!r}")
+        if self.kind == "external":
+            return
+        if space.family == "so":
+            err = _eta_defect(g, space)  # max|g|^2 only past 1e-10
+            fits = err <= 1e-10 or err <= 1e-10 * np.abs(g).max() ** 2
+        else:
+            fits = abs(abs(np.linalg.det(g)) - 1.0) <= 1e-10
+        if not fits:
+            raise ValueError(f"the matrix is not a {self.kind} element")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -330,8 +345,17 @@ def _fiber_input(tape, out):
     return out if tape is None else tape[2].T
 
 
-def _is_eta_orthogonal(g: np.ndarray, eta: np.ndarray, tol=1e-10) -> bool:
-    return bool(np.max(np.abs(g.T @ eta @ g - eta)) <= tol)
+@functools.cache
+def _eta_rows(space: SpaceId):
+    """eta of an so space and the rows perm with eta @ g = g[perm]."""
+    eta = spaces.build_eta(space).entries
+    return eta, np.argmax(eta, axis=1)
+
+
+def _eta_defect(g: np.ndarray, space: SpaceId):
+    """max |g^T eta g - eta|, with eta g as a row permutation of g."""
+    eta, perm = _eta_rows(space)
+    return np.abs(g.T @ g[perm] - eta).max()
 
 
 def _stabilizes_solvable(g: np.ndarray, space: SpaceId, tol=1e-10) -> bool:
@@ -343,29 +367,25 @@ def _stabilizes_solvable(g: np.ndarray, space: SpaceId, tol=1e-10) -> bool:
 
 
 def classify_element(g: np.ndarray, space: SpaceId) -> GroupElement:
-    """Tag a matrix as solvable / paint / grassmannian / external."""
+    """Tag a matrix as solvable / paint / grassmannian / external.  The
+    isometric elements are the eta-orthogonal ones on so spaces and the
+    orthogonal ones, of |det| 1, on sl spaces."""
     g = np.asarray(g, dtype=float)
     det = np.linalg.det(g)
     if abs(det) < 1e-300:
         raise ValueError("matrix must be invertible")
+    upper = np.allclose(g, np.triu(g), atol=1e-12) and np.all(np.diag(g) > 0)
     if space.family == "so":
-        eta = spaces.build_eta(space).entries
-        if _is_eta_orthogonal(g, eta):
-            upper = np.allclose(g, np.triu(g), atol=1e-12)
-            if upper and np.all(np.diag(g) > 0):
-                return GroupElement(space, g, "solvable")
-            if _stabilizes_solvable(g, space):
-                return GroupElement(space, g, "paint")
-            return GroupElement(space, g, "grassmannian")
-        gn = g / np.sign(det) / abs(det) ** (1.0 / space.N)
-        return GroupElement(space, gn, "external")
-    # sl family: the isometric elements are the orthogonal ones
-    if np.allclose(g.T @ g, np.eye(space.N), atol=1e-10):
-        if _stabilizes_solvable(g, space):
-            return GroupElement(space, g, "paint")
-        return GroupElement(space, g, "grassmannian")
-    upper = np.allclose(g, np.triu(g), atol=1e-12)
-    if upper and np.all(np.diag(g) > 0) and abs(det - 1.0) < 1e-10:
+        isometric = _eta_defect(g, space) <= 1e-10
+        solvable = isometric and upper
+    else:
+        isometric = (np.allclose(g.T @ g, np.eye(space.N), atol=1e-10)
+                     and abs(abs(det) - 1.0) <= 1e-10)
+        solvable = not isometric and upper and abs(det - 1.0) < 1e-10
+    if solvable:
         return GroupElement(space, g, "solvable")
-    gn = g / np.sign(det) / abs(det) ** (1.0 / space.N)
-    return GroupElement(space, gn, "external")
+    if isometric:
+        return GroupElement(space, g, "paint" if _stabilizes_solvable(g, space)
+                            else "grassmannian")
+    return GroupElement(space, g / np.sign(det) / abs(det) ** (1.0 / space.N),
+                        "external")

@@ -212,33 +212,22 @@ class CosetPoint:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_eta(space: SpaceId) -> EtaForm:
     """Invariant form: antidiagonal 1s on the r outer corner pairs, identity
-    on the q-dimensional middle block; Omega rotates it to the diagonal
-    signature (+1 x (r+q), -1 x r)."""
+    on the q-dimensional middle block; Omega, with rows (e_i + e_{n-1-i}) /
+    sqrt2 (i < r), e_a (middle) and (e_i - e_{n-1-i}) / sqrt2, rotates it to
+    the diagonal signature (+1 x (r+q), -1 x r).  Built once, read-only."""
     if space.family != "so":
         raise ValueError("eta form is defined for the so family only")
-    n = space.N
-    r, q = space.r, space.q
-    eta = np.zeros((n, n))
-    for i in range(r):
-        eta[i, n - 1 - i] = 1.0
-        eta[n - 1 - i, i] = 1.0
-    for a in range(r, r + q):
-        eta[a, a] = 1.0
-    omega = np.zeros((n, n))
-    row = 0
-    for i in range(r):  # +1 eigenvectors from the corner pairs
-        omega[row, i] = 1.0 / SQRT2
-        omega[row, n - 1 - i] = 1.0 / SQRT2
-        row += 1
-    for a in range(r, r + q):  # middle block is already diagonal
-        omega[row, a] = 1.0
-        row += 1
-    for i in range(r):  # -1 eigenvectors
-        omega[row, i] = 1.0 / SQRT2
-        omega[row, n - 1 - i] = -1.0 / SQRT2
-        row += 1
+    n, r, q = space.N, space.r, space.q
+    i, a = np.arange(r), np.arange(r, r + q)
+    eta, omega = np.zeros((n, n)), np.zeros((n, n))
+    eta[i, n - 1 - i] = eta[n - 1 - i, i] = eta[a, a] = omega[a, a] = 1.0
+    omega[i, i] = omega[i, n - 1 - i] = omega[r + q + i, i] = 1.0 / SQRT2
+    omega[r + q + i, n - 1 - i] = -1.0 / SQRT2
+    eta.setflags(write=False)
+    omega.setflags(write=False)
     return EtaForm(n=n, entries=eta, basis="triangular", omega=omega)
 
 

@@ -145,8 +145,7 @@ def _head_loss(config: net.NetworkConfig, params: net.ParamSet,
 def loss(config: net.NetworkConfig, params: net.ParamSet,
          features, labels) -> float:
     """Task loss of a batch: the separator head's NLL or read-out MSE."""
-    val = _loss_any(config, params, features, labels)
-    return float(np.real(val))
+    return float(np.real(_loss_any(config, params, features, labels)))
 
 
 def _loss_any(config, params, features, labels):
@@ -221,21 +220,30 @@ _ADMISSIBLE_SLACK = 1e-6
 _RELATIVE_SLACK = 2.0 ** -40
 
 
-def _margins(config: net.NetworkConfig, vector) -> np.ndarray:
-    """Margins |w|^2 - alpha beta (K,) from the head block (alpha, beta, w)
-    that ends the flat vector; each |w|^2 is a dot product, as ``w @ w``."""
+def _head_block(config: net.NetworkConfig, vector) -> tuple:
+    """Views alpha (K,), beta (K,) and w (K, s) of the head block that
+    ends the flat vector."""
     k, s = config.n_separators, config.last_space.subpaint_dim
     head = vector[len(vector) - k * (2 + s):]
-    alpha, beta, w = head[:k], head[k:2 * k], head[2 * k:].reshape(k, 1, s)
-    return (w @ w.swapaxes(1, 2))[:, 0, 0] - alpha * beta
+    return head[:k], head[k:2 * k], head[2 * k:].reshape(k, s)
+
+
+def _margins(config: net.NetworkConfig, vector) -> np.ndarray:
+    """Margins |w|^2 - alpha beta (K,) of the head block."""
+    return classify._margin(*_head_block(config, vector))
 
 
 def project_admissible(config: net.NetworkConfig,
                        flat: net.FlatParams) -> net.FlatParams:
     """Project separator parameters back into the admissible region
-    |w|^2 - alpha*beta > 0 by shrinking alpha, beta when an SGD step
-    crosses the boundary.  Returns ``flat`` itself when no separator
-    crosses, and else moves exactly the crossing ones."""
+    |w|^2 - alpha*beta > 0 when an SGD step leaves a margin not above
+    ``_ADMISSIBLE_SLACK``.  A crossing separator with |w|^2 <= 2
+    ``_ADMISSIBLE_SLACK`` restarts as w = e_0, alpha = beta = 0; any other
+    has alpha beta > 0, and alpha, beta shrink once to the margin slack =
+    max(2 ``_ADMISSIBLE_SLACK``, 2^-40 |w|^2), which the rounding (a few
+    ulps of |w|^2) keeps positive at every finite |w|.  Returns ``flat``
+    itself when no separator crosses, and else moves exactly the crossing
+    ones, in a copy of the vector."""
     return _project(config, flat)[0]
 
 
@@ -247,29 +255,19 @@ def _project(config: net.NetworkConfig, flat: net.FlatParams) -> tuple:
         ~(_margins(config, flat.vector) > _ADMISSIBLE_SLACK))
     if not len(crossing):
         return flat, 0
-    params = net.unflatten(config, flat.vector.copy())
-    alpha, beta, w = params.head["alpha"], params.head["beta"], params.head["w"]
+    vector = flat.vector.copy()
+    alpha, beta, w = _head_block(config, vector)
     for k in crossing:
-        w2 = float(w[k] @ w[k])
-        ab = float(alpha[k] * beta[k])
-        if w2 <= 2.0 * _ADMISSIBLE_SLACK or ab <= 0.0:
-            # normal vector collapsed: restart this separator mildly
-            w[k] = np.zeros_like(w[k])
-            w[k][0] = 1.0
-            alpha[k] = 0.0
-            beta[k] = 0.0
+        w2 = float(classify._norm2(w[k]))
+        if w2 <= 2.0 * _ADMISSIBLE_SLACK:
+            w[k] = 0.0
+            w[k, 0] = 1.0
+            alpha[k] = beta[k] = 0.0
             continue
-        a, b = alpha[k], beta[k]
-        # once |w|^2 is about 1e10 the absolute slack is below the rounding
-        # of |w|^2 - alpha beta, so a margin that does not come out
-        # positive, as w @ w or as the head's sum(w * w), is redone with a
-        # slack relative to |w|^2
-        for slack in (2.0 * _ADMISSIBLE_SLACK, w2 * _RELATIVE_SLACK):
-            c = np.sqrt(max(w2 - slack, 0.0) / ab)
-            alpha[k], beta[k] = a * c, b * c
-            if min(w2, np.sum(w[k] * w[k])) > alpha[k] * beta[k]:
-                break
-    return net.flatten(config, params), len(crossing)
+        slack = max(2.0 * _ADMISSIBLE_SLACK, w2 * _RELATIVE_SLACK)
+        c = np.sqrt((w2 - slack) / (alpha[k] * beta[k]))
+        alpha[k], beta[k] = alpha[k] * c, beta[k] * c
+    return net.FlatParams(vector, flat.layout), len(crossing)
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +304,10 @@ def train_loop(tc: TrainConfig, config: net.NetworkConfig, dataset: Dataset,
     (``min_margin``).  The loop stops early, and returns the parameters
     from the start of the failing epoch, when the loss diverges, a stage
     input leaves the Cartan bound, or a separator is evaluated outside
-    admissibility.  Every step ends in :func:`project_admissible`, so
-    what reaches the last case is an inadmissible ``init``: its first
-    gradient stops the loop with an empty history.  Labels the head
+    admissibility.  Every step ends in :func:`project_admissible`, whose
+    margins are the head kernel's, so only an inadmissible ``init``
+    reaches the last case: its first gradient stops the loop with an
+    empty history.  Labels the head
     cannot read are refused (:func:`check_dataset`) before the first step,
     as is a dataset without training rows; the steps do not check the
     labels again."""
@@ -349,7 +348,6 @@ def train_loop(tc: TrainConfig, config: net.NetworkConfig, dataset: Dataset,
         except (DivergenceError, CartanBoundError,
                 classify.DegenerateSeparatorError):
             flat = last_good
-            params = net.unflatten(config, flat.vector)
             break
         record = {"epoch": epoch, "train_loss": train_loss,
                   "grad_norm": grad_norm, "projected": projected,

@@ -1,5 +1,5 @@
 """Batched Maurer-Cartan constraint kernels: residual and Jacobian stacks
-against complex-step derivatives and the single-W calls, and the batched
+against complex-step derivatives and one-W stacks, and the batched
 min-norm Gauss-Newton step against ``np.linalg.lstsq``."""
 
 import numpy as np
@@ -42,14 +42,15 @@ def reference_residual(system, W):
 
 
 def complex_step_jacobian(system, W):
-    """Columns Im(residual_vector(W + i h e_k)) / h; exact for the quadratic
+    """Columns Im(residual_stack(W + i h e_k)) / h; exact for the quadratic
     residual, whose second-order term is real."""
     flat = W.reshape(-1).astype(complex)
     cols = []
     for k in range(flat.size):
         step = flat.copy()
         step[k] += 1j * H
-        cols.append(system.residual_vector(step.reshape(W.shape)).imag / H)
+        cols.append(system.residual_stack(step.reshape(1, *W.shape))[0].imag
+                    / H)
     return np.stack(cols, axis=1)
 
 
@@ -71,17 +72,13 @@ class TestResidualStack:
         got = system.residual_stack(W)
         for row, w in zip(got, W):
             assert np.max(np.abs(row - system.residual_stack(w[None])[0])) <= 1e-15
-            assert np.max(np.abs(row - system.residual_vector(w))) <= 1e-15
             assert homo.residual(w, system) == np.linalg.norm(
-                system.residual_vector(w))
+                system.residual_stack(w[None])[0])
 
     def test_tensor_is_antisymmetric_extension(self):
         system = SYSTEMS["r1(1)->borel_sl(4)"]
         W = np.random.default_rng(0).uniform(-1, 1, system.shape)
-        R = system.residual_tensor(W)
-        iu = np.triu_indices(system.source.d, k=1)
-        assert np.array_equal(R[:, iu[0], iu[1]].reshape(-1),
-                              system.residual_vector(W))
+        R = system._tensor_stack(W[None])[0]
         assert np.max(np.abs(R + R.transpose(0, 2, 1))) <= 1e-15
 
 

@@ -1,11 +1,16 @@
 """Every name a module exports through ``__all__`` exists, every name
-it imports is used or exported, and every parameter of its functions is
-read."""
+it imports is used or exported, every package it imports from outside
+the standard library is a declared dependency, and every parameter of its
+functions is read."""
 
 import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
+import re
+import sys
+import tomllib
 
 import pytest
 
@@ -47,6 +52,35 @@ def test_no_unused_imports(name):
     unused = {n: line for n, line in imported_names(tree).items()
               if n not in read and n not in exported}
     assert unused == {}
+
+
+def declared_dependencies():
+    """Distribution names of the ``[project] dependencies`` entries."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(path, "rb") as fh:
+        entries = tomllib.load(fh)["project"]["dependencies"]
+    return {re.split(r"[\s<>=!~;\[]", entry)[0] for entry in entries}
+
+
+def third_party_imports(tree):
+    """Top-level packages outside the standard library that a module
+    imports anywhere, relative imports excluded."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_imports_are_declared_dependencies(name):
+    # scipy (scipy.linalg.expm in homo) is the one module-specific import
+    module = importlib.import_module(name)
+    found = third_party_imports(ast.parse(inspect.getsource(module)))
+    assert found <= declared_dependencies()
+    assert ("scipy" in found) == (name == "cartannet.homo")
 
 
 def unread_parameters(tree):

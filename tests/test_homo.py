@@ -96,7 +96,7 @@ class TestConstraints:
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            injection_system().residual_tensor(np.zeros((3, 9)))
+            injection_system().residual_stack(np.zeros((1, 3, 9)))
 
 
 class TestFixtures:

@@ -161,3 +161,26 @@ class TestClassifyElement:
         g = isometry.classify_element(np.diag([2.0, 1.0, 1.0, 1.0]), H3)
         with pytest.raises(ValueError):
             isometry.isometry_action(g, SolvCoords(H3, np.zeros(3)))
+
+
+class TestGroupElementTag:
+    def test_tag_checked_against_matrix(self):
+        # diag(2, 1, 1, 1) is not eta-orthogonal; tagged grassmannian it
+        # used to act on (0.3, 0.1, -0.2) as (0.993, 0.1, -0.2)
+        with pytest.raises(ValueError):
+            isometry.GroupElement(H3, np.diag([2.0, 1.0, 1.0, 1.0]),
+                                  "grassmannian")
+        # a det-2 matrix is not in SL(4)
+        with pytest.raises(ValueError):
+            isometry.GroupElement(SpaceId.sl(4), np.diag([2.0, 1.0, 1.0, 1.0]),
+                                  "solvable")
+        with pytest.raises(ValueError):
+            isometry.GroupElement(H3, np.eye(4), "rotation")
+        isometry.GroupElement(H3, np.diag([2.0, 1.0, 1.0, 1.0]), "external")
+        isometry.GroupElement(SpaceId.sl(4), -np.eye(4), "paint")
+
+    def test_eta_is_built_once_read_only(self):
+        eta = spaces.build_eta(H5)
+        assert spaces.build_eta(H5) is eta
+        assert not eta.entries.flags.writeable
+        assert not eta.omega.flags.writeable
