@@ -35,8 +35,6 @@ __all__ = [
     "signed_distance",
     "sigmoid",
     "sigma_tilde",
-    "binary_prob",
-    "binary_nll",
     "softmax_probs",
     "multiclass_nll",
     "find_surface_point",
@@ -182,12 +180,6 @@ def sigma_tilde(x):
     return sigmoid(np.sinh(np.asarray(x)))
 
 
-def binary_prob(sep: Separator, p):
-    """Probability of class 1: sigmoid of the signed distance; the
-    prediction rule 'probability > 1/2' coincides with 'h > 0'."""
-    return sigmoid(signed_distance(sep, p))
-
-
 def _logsumexp(d):
     """log sum_k e^{d_k} over the last axis (the rows of d.T), shifted by
     the (constant) maximum of the real parts so that it neither overflows
@@ -216,15 +208,21 @@ def _checked_labels(labels, classes):
     return labels.astype(int)
 
 
-def _class_scores(head, t, classes):
-    """Class scores (..., classes) at rows t of the chart (T, Y2) from one
-    run of :func:`_head` on K separators: their signed distances d, or
-    (0, d) when one separator splits two classes (the binary head:
-    sigmoid(d) is the softmax over (0, d)).  Also returns u and what
-    :func:`_head_vjp` reuses."""
+def _n_classes(separators: int) -> int:
+    """Classes of a head of K separators: K, or 2 for one separator."""
+    return max(separators, 2)
+
+
+def _class_scores(head, t):
+    """Class scores (..., C) at rows t of the chart (T, Y2) from one run
+    of :func:`_head` on the K separators of a head, C =
+    :func:`_n_classes` (K): their signed distances d, or (0, d) when one
+    separator splits two classes (the binary head: sigmoid(d) is the
+    softmax over (0, d)).  Also returns u and what :func:`_head_vjp`
+    reuses."""
     u, saved = _head(head, t)
     d = np.arcsinh(u)
-    if classes > u.shape[-1]:
+    if _n_classes(u.shape[-1]) > u.shape[-1]:
         d = np.stack([np.zeros_like(d[..., 0]), d[..., 0]]).T
     return d, u, saved
 
@@ -237,37 +235,31 @@ def _nll(scores, labels):
     return np.sum(_logsumexp(scores) - picked)
 
 
-def _nll_vjp(head, t, labels, classes):
+def _nll_vjp(head, t, labels):
     """Gradient of :func:`_nll` over :func:`_class_scores` at real rows t
     (B, d) of the chart (T, Y2), with respect to t and to the head (a dict
-    shaped like it), for int labels in 0..classes-1, checked where the
-    data entered.  dNLL/dscore_c = softmax_c - [c = y]; the binary head's
+    shaped like it), for int labels in 0..C-1, checked where the data
+    entered.  dNLL/dscore_c = softmax_c - [c = y]; the binary head's
     constant zero score has no parameters, so its column is dropped."""
-    scores, u, saved = _class_scores(head, t, classes)
+    scores, u, saved = _class_scores(head, t)
     g = _softmax(scores)
     g.T[labels, np.arange(len(labels))] -= 1.0
-    return _head_vjp(u, saved, g[:, classes - u.shape[-1]:])
-
-
-def binary_nll(points, labels, sep: Separator):
-    """Negative log likelihood of binary labels (0/1) under the sigmoid
-    head: the sum of softplus(d) - y d over the signed distances d, the
-    softmax NLL over the class scores (0, d)."""
-    return _nll(_class_scores(SeparatorBank((sep,)).head,
-                              spaces._to_t_chart(points), 2)[0], labels)
+    return _head_vjp(u, saved, g[:, g.shape[-1] - u.shape[-1]:])
 
 
 def softmax_probs(bank: SeparatorBank, p):
-    """Softmax over the K signed distances, stabilized by subtracting the
-    (constant) maximum of their real parts."""
-    return _softmax(np.arcsinh(_head(bank.head, spaces._to_t_chart(p))[0]))
+    """Class probabilities (..., C): the softmax over :func:`_class_scores`;
+    for a bank of one, column 1 is sigmoid(d), above 1/2 exactly where
+    h > 0."""
+    return _softmax(_class_scores(bank.head, spaces._to_t_chart(p))[0])
 
 
 def multiclass_nll(points, labels, bank: SeparatorBank):
-    """Negative log likelihood of labels in 0..K-1 under the softmax head:
-    the sum of logsumexp(d) - d_y over the signed distances d."""
-    return _nll(_class_scores(bank.head, spaces._to_t_chart(points),
-                              len(bank))[0], labels)
+    """Negative log likelihood of labels in 0..C-1 under the softmax over
+    :func:`_class_scores`: the sum of logsumexp(scores) - scores_y, for a
+    bank of one that of softplus(d) - y d over 0/1 labels."""
+    return _nll(_class_scores(bank.head, spaces._to_t_chart(points))[0],
+                labels)
 
 
 def find_surface_point(sep: Separator, space: SpaceId, seed: int = 0) -> SolvCoords:

@@ -41,7 +41,6 @@ __all__ = [
     "residual",
     "solve_numeric",
     "r1_homomorphism",
-    "r1_homomorphism_batch",
     "coframe",
     "coordinate_map_batch",
     "integrate_coordinate_map",
@@ -519,20 +518,12 @@ def _homomorphism_pullback(W, b, t, grad):
     return g_t.T, g2 @ cols[1:].T, g2 @ (1.0 - cols[0])
 
 
-def r1_homomorphism_batch(W, b, values) -> np.ndarray:
-    """Closed-form group homomorphism between r=1 layers on a batch (..., d)
-    of raw coordinates: (Y1, Y2) -> (Y1, W Y2 + (1 - e^{-Y1}) b), by
-    :func:`_homomorphism_forward`; Y1 passes through as given.  Complex
-    inputs propagate analytically."""
-    out = _homomorphism_forward(W, b, spaces._to_t_chart(values))
-    out[..., 0] = np.asarray(values)[..., 0]
-    return out
-
-
 def r1_homomorphism(W: np.ndarray, b: np.ndarray, coords: SolvCoords,
                     target: SpaceId | None = None) -> SolvCoords:
     """Closed-form group homomorphism between r=1 layers:
-    (Y1, Y2) -> (Y1, W Y2 + (1 - e^{-Y1}) b)."""
+    (Y1, Y2) -> (Y1, W Y2 + (1 - e^{-Y1}) b), by
+    :func:`_homomorphism_forward`; Y1 passes through as given.  Complex
+    inputs propagate analytically."""
     coords.space._require_r1()
     W = np.asarray(W)
     s1 = coords.space.subpaint_dim
@@ -546,7 +537,9 @@ def r1_homomorphism(W: np.ndarray, b: np.ndarray, coords: SolvCoords,
         target = SpaceId.so(1, s2)
     elif target.subpaint_dim != s2:
         raise ValueError("target space inconsistent with W")
-    return SolvCoords(target, r1_homomorphism_batch(W, b, coords.values))
+    out = _homomorphism_forward(W, b, spaces._to_t_chart(coords.values))
+    out[0] = coords.values[0]
+    return SolvCoords(target, out)
 
 
 # ---------------------------------------------------------------------------
@@ -583,13 +576,17 @@ class _MapPlan:
     a D_i, whose divided differences of exp sum to the closed form
         expm(a (D + N)) = (sum_{p<m} (u N)^p / p!) e^{a D},
         u = (e^{a c} - 1) / c, or u = a when c = 0 (D and N commute),
-    with N^m = 0 (m <= n).  Any other image takes one
+    with N^m = 0 (m <= n).  numpy divides a complex value by a real c as
+    its product with 1 / c, inf below ~5.6e-309, so where c is subnormal
+    u is the series a (1 + a c / 2): a itself where c = 0, and exact to
+    the last bit while |a c| < 2^-52.  Any other image takes one
     ``scipy.linalg.expm`` on its whole (B, n, n) stack."""
 
     images: np.ndarray  # (K, n, n)
     D: np.ndarray  # (K, n): the diagonals
-    zero: np.ndarray | None  # (K, 1): c == 0; None when every c is 0
-    safe: np.ndarray | None  # (K, 1): c, with 1 where c == 0
+    c: np.ndarray  # (K, 1): the gaps
+    tiny: np.ndarray | None  # (K, 1): c is 0 or subnormal; None if all 0
+    safe: np.ndarray | None  # (K, 1): c, with 1 where tiny
     # (K, m, n*n): N^p / p! for p < m, cut at the last nonzero power so
     # that no u^p multiplies a vanished power, and its exponents (m,)
     powers: np.ndarray
@@ -621,10 +618,10 @@ def _map_plan(data: bytes, dtype: np.dtype, shape: tuple, source: SpaceId,
     hi = np.maximum.reduce(gaps, axis=(1, 2), where=live, initial=-np.inf)
     lo = np.minimum.reduce(gaps, axis=(1, 2), where=live, initial=np.inf)
     c = np.where(hi == -np.inf, 0.0, hi)[:, None]
-    zero = safe = None
+    tiny = safe = None
     if c.any():
-        zero = c == 0
-        safe = np.where(zero, 1.0, c)
+        tiny = np.abs(c) < np.finfo(c.dtype).tiny
+        safe = np.where(tiny, 1.0, c)
     powers = np.empty((K, n, n * n), dtype=N.dtype)
     powers[:, 0] = np.eye(n).reshape(-1)
     m, power = 1, N
@@ -632,9 +629,9 @@ def _map_plan(data: bytes, dtype: np.dtype, shape: tuple, source: SpaceId,
         powers[:, m] = power.reshape(K, n * n)
         m += 1
         power = power @ N / m
-    plan = _MapPlan(images, D.copy(), zero, safe, powers[:, :m].copy(),
+    plan = _MapPlan(images, D.copy(), c, tiny, safe, powers[:, :m].copy(),
                     np.arange(m), tuple(np.flatnonzero(hi > lo)))
-    for field in (images, plan.D, zero, safe, plan.powers, plan.ramp):
+    for field in (images, plan.D, c, tiny, safe, plan.powers, plan.ramp):
         if field is not None:
             field.setflags(write=False)
     return plan
@@ -677,8 +674,9 @@ def coordinate_map_batch(W: HomoMatrix, values) -> np.ndarray:
     n = tgt.N
     with np.errstate(over="ignore", invalid="ignore"):
         u = a
-        if plan.safe is not None:
-            u = np.where(plan.zero, a, np.expm1(a * plan.safe) / plan.safe)
+        if plan.tiny is not None:
+            u = np.where(plan.tiny, a * (1.0 + 0.5 * a * plan.c),
+                         np.expm1(a * plan.safe) / plan.safe)
         poly = (u[..., None] ** plan.ramp) @ plan.powers
         F = (poly.reshape(a.shape + (n, n))
              * np.exp(a[..., None] * plan.D[:, None, :])[..., None, :])

@@ -621,29 +621,48 @@ def cholesky_crout(M: CosetPoint) -> TriangularElement:
 # ---------------------------------------------------------------------------
 
 
+def _r1_group_element(space: SpaceId, y1, sub) -> SolvCoords:
+    """The r=1 group-law result (y1, sub); refuses (FactorizationError) a
+    sub that is not finite, where the matrix route has no factor either."""
+    if not np.isfinite(sub).all():
+        raise FactorizationError("the group-law result is not finite")
+    return SolvCoords(space, np.concatenate([[y1], sub]))
+
+
 def group_product(u: SolvCoords, w: SolvCoords) -> SolvCoords:
     """Product coordinates: sigma_inv(sigma(u) sigma(w)).
 
     For r=1 the closed form (validated against the matrix definition) is
-    (u.w)_1 = u_1 + w_1 and (u.w)_sub = w_sub + e^{-w_1} u_sub."""
+    (u.w)_1 = u_1 + w_1 and (u.w)_sub = w_sub + e^{-w_1} u_sub.  Like
+    sigma and sigma_inv, it refuses (CartanBoundError) a Cartan
+    coordinate of u, w or the product beyond CARTAN_BOUND or NaN, before
+    any exp (compared one by one: an array would double the cost of the
+    product), and (FactorizationError) a product that is not finite,
+    without a warning."""
     if u.space != w.space:
         raise ValueError("group_product requires matching spaces")
     if u.space.is_r1:
-        w1 = u.values[0] + w.values[0]
-        sub = w.values[1:] + np.exp(-w.values[0]) * u.values[1:]
-        return SolvCoords(u.space, np.concatenate([[w1], sub]))
+        u1, w1 = u.values[0], w.values[0]
+        with np.errstate(over="ignore"):
+            if not all(abs(c.real) <= CARTAN_BOUND for c in (u1, w1, u1 + w1)):
+                raise CartanBoundError("Cartan coordinate not finite or "
+                                       f"beyond the bound {CARTAN_BOUND}")
+            sub = w.values[1:] + np.exp(-w1) * u.values[1:]
+        return _r1_group_element(u.space, u1 + w1, sub)
     return sigma_inv(
         TriangularElement(u.space, sigma(u).matrix @ sigma(w).matrix)
     )
 
 
 def group_inverse(u: SolvCoords) -> SolvCoords:
-    """Inverse element coordinates."""
+    """Inverse element coordinates.  For r=1, the closed form
+    (-u_1, -e^{u_1} u_sub), with the refusals of :func:`group_product`."""
     if u.space.is_r1:
-        return SolvCoords(
-            u.space,
-            np.concatenate([[-u.values[0]], -np.exp(u.values[0]) * u.values[1:]]),
-        )
+        u1 = u.values[0]
+        _check_cartan_bound(np.real(u1))
+        with np.errstate(over="ignore"):
+            sub = -np.exp(u1) * u.values[1:]
+        return _r1_group_element(u.space, -u1, sub)
     return sigma_inv(
         TriangularElement(u.space, np.linalg.inv(sigma(u).matrix))
     )

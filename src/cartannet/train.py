@@ -103,11 +103,6 @@ class TrainConfig:
 # ---------------------------------------------------------------------------
 
 
-def _classes(config: net.NetworkConfig) -> int:
-    """Classes of a separator head: K, or 2 for one separator."""
-    return max(config.n_separators, 2)
-
-
 def check_labels(config: net.NetworkConfig, labels):
     """Labels as the head reads them: refuses with ValueError, for a
     separator head, anything but integers in 0..K-1 (0/1 for the binary
@@ -115,7 +110,8 @@ def check_labels(config: net.NetworkConfig, labels):
     given."""
     if config.task == "regression":
         return labels
-    return classify._checked_labels(labels, _classes(config))
+    return classify._checked_labels(
+        labels, classify._n_classes(config.n_separators))
 
 
 def check_dataset(config: net.NetworkConfig, dataset: Dataset):
@@ -138,7 +134,7 @@ def _head_loss(config: net.NetworkConfig, params: net.ParamSet,
         pred = points @ params.head["v"] + params.head["c"][0]
         resid = pred - np.asarray(labels, dtype=float)
         return np.sum(resid * resid) / len(labels), None
-    scores = classify._class_scores(params.head, t, _classes(config))[0]
+    scores = classify._class_scores(params.head, t)[0]
     return classify._nll(scores, labels), scores
 
 
@@ -172,7 +168,7 @@ def _head_vjp(config: net.NetworkConfig, params: net.ParamSet,
         g_points = np.multiply.outer(v, g_pred).T
         return (spaces._cotangent_to_t_chart(t, g_points),
                 {"v": g_pred @ points, "c": np.array([np.sum(g_pred)])})
-    return classify._nll_vjp(params.head, t, labels, _classes(config))
+    return classify._nll_vjp(params.head, t, labels)
 
 
 def gradient(config: net.NetworkConfig, flat: net.FlatParams,
@@ -233,22 +229,16 @@ def _margins(config: net.NetworkConfig, vector) -> np.ndarray:
     return classify._margin(*_head_block(config, vector))
 
 
-def project_admissible(config: net.NetworkConfig,
-                       flat: net.FlatParams) -> net.FlatParams:
+def _project(config: net.NetworkConfig, flat: net.FlatParams) -> tuple:
     """Project separator parameters back into the admissible region
     |w|^2 - alpha*beta > 0 when an SGD step leaves a margin not above
-    ``_ADMISSIBLE_SLACK``.  A crossing separator with |w|^2 <= 2
-    ``_ADMISSIBLE_SLACK`` restarts as w = e_0, alpha = beta = 0; any other
-    has alpha beta > 0, and alpha, beta shrink once to the margin slack =
-    max(2 ``_ADMISSIBLE_SLACK``, 2^-40 |w|^2), which the rounding (a few
-    ulps of |w|^2) keeps positive at every finite |w|.  Returns ``flat``
-    itself when no separator crosses, and else moves exactly the crossing
-    ones, in a copy of the vector."""
-    return _project(config, flat)[0]
-
-
-def _project(config: net.NetworkConfig, flat: net.FlatParams) -> tuple:
-    """:func:`project_admissible` and the number of separators it moved."""
+    ``_ADMISSIBLE_SLACK``, and count the separators moved.  A crossing
+    separator with |w|^2 <= 2 ``_ADMISSIBLE_SLACK`` restarts as w = e_0,
+    alpha = beta = 0; any other has alpha beta > 0, and alpha, beta shrink
+    once to the margin slack = max(2 ``_ADMISSIBLE_SLACK``, 2^-40 |w|^2),
+    which the rounding (a few ulps of |w|^2) keeps positive at every
+    finite |w|.  Returns ``flat`` itself when no separator crosses, and
+    else moves exactly the crossing ones, in a copy of the vector."""
     if config.task == "regression":
         return flat, 0
     crossing = np.flatnonzero(
@@ -296,7 +286,7 @@ def train_loop(tc: TrainConfig, config: net.NetworkConfig, dataset: Dataset,
 
     History records one JSON-serializable dict per epoch, with the
     largest 2-norm of a batch gradient in the epoch (``grad_norm``), the
-    number of separators :func:`project_admissible` moved in the epoch
+    number of separators :func:`_project` moved in the epoch
     (``projected``), per layer the largest |Y1| of its output on the
     train split over ``CARTAN_BOUND`` (``cartan_fraction``, from the pass
     that gives ``train_loss``) and, for separator heads, the smallest
@@ -304,7 +294,7 @@ def train_loop(tc: TrainConfig, config: net.NetworkConfig, dataset: Dataset,
     (``min_margin``).  The loop stops early, and returns the parameters
     from the start of the failing epoch, when the loss diverges, a stage
     input leaves the Cartan bound, or a separator is evaluated outside
-    admissibility.  Every step ends in :func:`project_admissible`, whose
+    admissibility.  Every step ends in :func:`_project`, whose
     margins are the head kernel's, so only an inadmissible ``init``
     reaches the last case: its first gradient stops the loop with an
     empty history.  Labels the head

@@ -23,8 +23,7 @@ from cartannet.spaces import (
 SPACES = [hyperbolic(2), hyperbolic(5), hyperbolic(17), SpaceId.so(2, 2),
           SpaceId.so(2, 3), SpaceId.so(3, 2), SpaceId.sl(3), SpaceId.sl(4),
           SpaceId.sl(5)]
-PROPERTY = settings(max_examples=20, deadline=None, derandomize=True,
-                    database=None)
+PROPERTY = settings(max_examples=20)
 H = 1e-30  # complex step
 
 

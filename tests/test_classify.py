@@ -153,13 +153,15 @@ class TestBinaryHead:
         rng = np.random.default_rng(5)
         sep = rand_sep(rng)
         p = classify.find_surface_point(sep, H3, seed=1)
-        assert np.isclose(classify.binary_prob(sep, p), 0.5)
+        bank = classify.SeparatorBank((sep,))
+        assert np.isclose(classify.softmax_probs(bank, p)[1], 0.5)
 
     def test_threshold_equals_sign_rule(self):
         rng = np.random.default_rng(6)
         sep = rand_sep(rng)
         pts = rng.uniform(-1.5, 1.5, (200, 3))
-        by_prob = classify.binary_prob(sep, pts) > 0.5
+        bank = classify.SeparatorBank((sep,))
+        by_prob = classify.softmax_probs(bank, pts)[:, 1] > 0.5
         by_sign = classify.h_value(sep, pts) > 0
         assert np.array_equal(by_prob, by_sign)
 
@@ -168,8 +170,9 @@ class TestBinaryHead:
         sep = rand_sep(rng)
         p = classify.find_surface_point(sep, H3, seed=2)
         pts = p.values[None, :]
+        bank = classify.SeparatorBank((sep,))
         for y in (0, 1):
-            nll = classify.binary_nll(pts, np.array([y]), sep)
+            nll = classify.multiclass_nll(pts, np.array([y]), bank)
             assert np.isclose(nll, np.log(2.0))
 
     def test_nll_matches_product_form(self):
@@ -177,15 +180,17 @@ class TestBinaryHead:
         sep = rand_sep(rng)
         pts = rng.uniform(-1, 1, (20, 3))
         y = rng.integers(0, 2, 20)
-        prob = classify.binary_prob(sep, pts)
+        bank = classify.SeparatorBank((sep,))
+        prob = classify.softmax_probs(bank, pts)[:, 1]
         direct = -np.log(np.prod(np.where(y == 1, prob, 1 - prob)))
-        assert np.isclose(classify.binary_nll(pts, y, sep), direct,
+        assert np.isclose(classify.multiclass_nll(pts, y, bank), direct,
                           atol=1e-12)
 
     def test_empty_data(self):
-        sep = classify.Separator(0.0, 0.0, np.array([1.0, 0.0]))
+        bank = classify.SeparatorBank((
+            classify.Separator(0.0, 0.0, np.array([1.0, 0.0])),))
         with pytest.raises(ValueError):
-            classify.binary_nll(np.zeros((0, 3)), np.zeros(0), sep)
+            classify.multiclass_nll(np.zeros((0, 3)), np.zeros(0), bank)
 
 
 class TestSoftmaxHead:
@@ -262,16 +267,16 @@ class TestUnlikelyLabels:
         pts = np.array([[0.0, y2, 0.0]])
 
         def nll(alpha):
-            sep = classify.Separator(alpha, 0.0, np.array([1.0, 0.0]))
-            return classify.binary_nll(pts, np.array([0]), sep)
+            bank = classify.SeparatorBank((
+                classify.Separator(alpha, 0.0, np.array([1.0, 0.0])),))
+            return classify.multiclass_nll(pts, np.array([0]), bank)
 
         assert np.isclose(nll(0.0), np.logaddexp(0.0, 30.0), rtol=1e-14)
         grad = np.imag(nll(1j * self.H)) / self.H
         assert np.isclose(grad, 1.0 / np.sqrt(4.0 + y2 * y2), rtol=1e-12)
 
 
-PROPERTY = settings(max_examples=30, deadline=None, derandomize=True,
-                    database=None)
+PROPERTY = settings(max_examples=30)
 
 
 def closed_form_distance(alpha, beta, w, z):
@@ -336,6 +341,8 @@ class TestStackedHead:
                          for s in bank.separators], axis=1)
         got = np.arcsinh(classify._head(bank.head, spaces._to_t_chart(z))[0])
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+        if len(bank) == 1:  # a bank of one scores (0, d)
+            want = np.hstack([np.zeros_like(want), want])
         probs = np.exp(want) / np.sum(np.exp(want), axis=1, keepdims=True)
         assert np.allclose(classify.softmax_probs(bank, z), probs,
                            rtol=1e-12, atol=1e-14)
@@ -353,8 +360,7 @@ class TestStackedHead:
         with pytest.raises(classify.DegenerateSeparatorError):
             classify.multiclass_nll(x, labels, bank)
         with pytest.raises(classify.DegenerateSeparatorError):
-            classify._nll_vjp(bank.head, spaces._to_t_chart(x), labels,
-                              len(bank))
+            classify._nll_vjp(bank.head, spaces._to_t_chart(x), labels)
 
 
 @st.composite

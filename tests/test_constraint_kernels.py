@@ -18,8 +18,7 @@ SYSTEMS = {
         "borel_sl(3)->borel_sl(3)": ("borel_sl(3)", "borel_sl(3)"),
     }.items()
 }
-PROPERTY = settings(max_examples=20, deadline=None, derandomize=True,
-                    database=None)
+PROPERTY = settings(max_examples=20)
 H = 1e-30  # complex step
 
 

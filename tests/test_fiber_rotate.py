@@ -14,8 +14,7 @@ from cartannet import isometry, net, spaces
 from cartannet.spaces import SolvCoords
 
 SPACES = [spaces.hyperbolic(n) for n in (3, 5, 9, 17)]
-PROPERTY = settings(max_examples=30, deadline=None, derandomize=True,
-                    database=None)
+PROPERTY = settings(max_examples=30)
 H = 1e-30  # complex step
 
 

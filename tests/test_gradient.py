@@ -16,8 +16,7 @@ from cartannet import classify, homo, isometry, net, spaces, train
 
 CS_STEP = 1e-30
 RTOL = 1e-12
-PROPERTY = settings(max_examples=4, deadline=None, derandomize=True,
-                    database=None)
+PROPERTY = settings(max_examples=4)
 
 LAYERS = {
     "H2": (2,),

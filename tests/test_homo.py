@@ -376,8 +376,7 @@ class TestIntegration:
         assert np.max(np.abs(out.values)) < 1e-12
 
 
-PROPERTY = settings(max_examples=30, deadline=None, derandomize=True,
-                    database=None)
+PROPERTY = settings(max_examples=30)
 
 
 def away(p, i, gap=0.3):
@@ -502,6 +501,19 @@ class TestCoordinateMapBatch:
                   - homo.coordinate_map_batch(W, X - 1e-6 * step)) / 2e-6
             assert np.max(np.abs(cs - fd)) <= 1e-7 * max(
                 1.0, np.max(np.abs(cs)))
+
+    @pytest.mark.parametrize("v", [1e-310, 1e-318, 5e-324])
+    def test_complex_step_at_a_subnormal_gap(self, v):
+        # W_10's Cartan image has the gap c = v, where 1 / c is inf
+        W = fixtures.restriction_W10((v, v, v))
+        X = np.random.default_rng(0).uniform(-1.0, 1.0, (2, W.source.dim))
+        step = np.eye(W.source.dim)[0]
+        cs = np.imag(homo.coordinate_map_batch(W, X + 1e-20j * step)) / 1e-20
+        fd = (homo.coordinate_map_batch(W, X + 1e-6 * step)
+              - homo.coordinate_map_batch(W, X - 1e-6 * step)) / 2e-6
+        assert np.max(np.abs(cs - fd)) <= 1e-7 * max(1.0, np.max(np.abs(cs)))
+        for x, row in zip(X, homo.coordinate_map_batch(W, X)):
+            assert np.max(np.abs(row - expm_product(W, x))) <= 1e-13
 
     @PROPERTY
     @given(coordinate_maps())

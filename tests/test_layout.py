@@ -18,8 +18,7 @@ from hypothesis.extra import numpy as hnp
 from cartannet import classify, homo, isometry, net, spaces, train
 from cartannet.spaces import SolvCoords
 
-PROPERTY = settings(max_examples=25, deadline=None, derandomize=True,
-                    database=None)
+PROPERTY = settings(max_examples=25)
 DIMS = (2, 3, 5, 9, 17)
 
 
@@ -70,10 +69,10 @@ def fiber_stage(space, t, angles, grad):
         isometry._fiber_forward(space, t, angles)[1], grad)
 
 
-def nll_pullback(head, t, labels, classes):
+def nll_pullback(head, t, labels):
     """The head's pullback at rows t of the chart (T, Y2), its gradient
     dict flattened to (g_t, g_alpha, g_beta, g_w)."""
-    g_t, g_head = classify._nll_vjp(head, t, labels, classes)
+    g_t, g_head = classify._nll_vjp(head, t, labels)
     return g_t, g_head["alpha"], g_head["beta"], g_head["w"]
 
 
@@ -86,15 +85,15 @@ def kernels(c):
     space, angles, W, b, bank = (c["space"], c["angles"], c["W"], c["b"],
                                  c["bank"])
     sep = bank.separators[0]
-    binary = classify.SeparatorBank((sep,)).head
+    binary = classify.SeparatorBank((sep,))
     t = spaces._to_t_chart
     return {
         "fiber_rotate": (
             lambda p, g, go, y: isometry.fiber_rotate(space, p, angles), True),
         "_fiber_pullback": (
             lambda p, g, go, y: fiber_stage(space, t(p), angles, g), True),
-        "r1_homomorphism_batch": (
-            lambda p, g, go, y: homo.r1_homomorphism_batch(W, b, p), True),
+        "_homomorphism_forward": (
+            lambda p, g, go, y: homo._homomorphism_forward(W, b, t(p)), True),
         "_homomorphism_pullback": (
             lambda p, g, go, y: homo._homomorphism_pullback(W, b, t(p), go),
             False),
@@ -103,15 +102,17 @@ def kernels(c):
             lambda p, g, go, y: classify.signed_distance(sep, p), True),
         "softmax_probs": (
             lambda p, g, go, y: classify.softmax_probs(bank, p), True),
-        "binary_nll": (
-            lambda p, g, go, y: classify.binary_nll(p, y % 2, sep), True),
+        "softmax_probs[binary]": (
+            lambda p, g, go, y: classify.softmax_probs(binary, p), True),
+        "multiclass_nll[binary]": (
+            lambda p, g, go, y: classify.multiclass_nll(p, y % 2, binary),
+            True),
         "multiclass_nll": (
             lambda p, g, go, y: classify.multiclass_nll(p, y, bank), True),
         "_nll_vjp[binary]": (
-            lambda p, g, go, y: nll_pullback(binary, t(p), y % 2, 2), False),
+            lambda p, g, go, y: nll_pullback(binary.head, t(p), y % 2), False),
         "_nll_vjp[multiclass]": (
-            lambda p, g, go, y: nll_pullback(bank.head, t(p), y, len(bank)),
-            False),
+            lambda p, g, go, y: nll_pullback(bank.head, t(p), y), False),
     }
 
 
@@ -163,12 +164,16 @@ class TestLayoutContract:
                 assert b.shape in (p.shape, (1,) + p.shape), name
                 assert np.array_equal(p, b.reshape(p.shape)), name
             if name in ("h_value", "signed_distance", "softmax_probs",
-                        "binary_nll", "multiclass_nll"):
+                        "softmax_probs[binary]", "multiclass_nll[binary]",
+                        "multiclass_nll"):
                 assert_same(f(SolvCoords(space, x), g, go, y), point)
         W, b = c["W"], c["b"]
         if space.subpaint_dim == W.shape[1]:
             via_coords = homo.r1_homomorphism(W, b, SolvCoords(space, x))
-            assert_same(via_coords.values, homo.r1_homomorphism_batch(W, b, x))
+            row = homo._homomorphism_forward(
+                W, b, spaces._to_t_chart(x[None]))[0]
+            row[0] = x[0]  # Y1 passes through as given
+            assert_same(via_coords.values, row)
 
 
 NETS = {

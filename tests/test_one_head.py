@@ -16,8 +16,7 @@ from hypothesis.extra import numpy as hnp
 
 from cartannet import classify, cli, isometry, net, spaces, train
 
-PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
-                    database=None)
+PROPERTY = settings(max_examples=60)
 
 
 def softplus_nll(d, labels):
@@ -51,7 +50,8 @@ class TestBinaryIsTheTwoScoreSoftmax:
     def test_nll_is_the_softplus_formula_bit_for_bit(self, case):
         sep, points, labels = case
         d = classify.signed_distance(sep, points)
-        got = classify.binary_nll(points, labels, sep)
+        bank = classify.SeparatorBank((sep,))
+        got = classify.multiclass_nll(points, labels, bank)
         assert got.tobytes() == softplus_nll(d, labels).tobytes()
 
     @PROPERTY
@@ -59,7 +59,8 @@ class TestBinaryIsTheTwoScoreSoftmax:
     def test_nll_is_the_softplus_formula_at_complex_points(self, case, eps):
         sep, points, labels = case
         z = points + 1j * eps
-        got = classify.binary_nll(z, labels, sep)
+        bank = classify.SeparatorBank((sep,))
+        got = classify.multiclass_nll(z, labels, bank)
         assert got == softplus_nll(classify.signed_distance(sep, z), labels)
 
     @PROPERTY
@@ -72,7 +73,7 @@ class TestBinaryIsTheTwoScoreSoftmax:
         g_d = classify.sigmoid(np.arcsinh(u)) - labels[:, None]
         g_t, g_head = classify._head_vjp(u, saved, g_d)
         want = (g_t, g_head["alpha"][0], g_head["beta"][0], g_head["w"][0])
-        got_t, got_head = classify._nll_vjp(head, t, labels, 2)
+        got_t, got_head = classify._nll_vjp(head, t, labels)
         got = (got_t, got_head["alpha"][0], got_head["beta"][0],
                got_head["w"][0])
         for a, b in zip(got, want):
@@ -125,7 +126,7 @@ class TestLabelChecks:
         points = np.zeros((2, 3))
         bank = classify.SeparatorBank((self.BINARY,))
         with pytest.raises(ValueError):
-            classify.binary_nll(points, np.array(labels), self.BINARY)
+            classify.multiclass_nll(points, np.array(labels), bank)
         with pytest.raises(ValueError):
             self.gradient(bank, points, np.array(labels))
 

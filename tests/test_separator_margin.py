@@ -9,8 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from cartannet import classify, net, spaces, train
 
-PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
-                    database=None)
+PROPERTY = settings(max_examples=60)
 
 
 def config_for(n, K):

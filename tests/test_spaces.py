@@ -233,6 +233,24 @@ class TestGroupLaw:
                 assert np.max(np.abs(
                     spaces.group_product(iu, u).values)) < 1e-12
 
+    @pytest.mark.parametrize("args, error", [
+        # an input, or the product, beyond the Cartan bound, before any exp
+        (((0, 1, 1), (-800, 0, 0)), CartanBoundError),
+        (((800, 1, 1),), CartanBoundError),
+        (((200, 1, 1), (200, 0, 0)), CartanBoundError),
+        # inside the bound, but e^{-w1} u_sub overflows
+        (((0, 1e300, 1), (-290, 0, 0)), FactorizationError),
+        (((290, 1e300, 1),), FactorizationError),
+    ])
+    def test_r1_refuses_what_the_matrix_route_refuses(self, args, error):
+        # the r=1 closed forms refuse what sigma and sigma_inv refuse, and
+        # a non-finite result, without a RuntimeWarning
+        op = spaces.group_product if len(args) == 2 else spaces.group_inverse
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error):
+                op(*(SolvCoords(H3, np.array(a, float)) for a in args))
+
 
 class TestMetricAndDistance:
     def test_metric_closed_form(self):
@@ -530,8 +548,7 @@ class TestR1DistanceProperties:
     with the largest coordinate m of the translated points, since rounding
     g.u to floats moves it by about eps * m in distance."""
 
-    PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
-                        database=None)
+    PROPERTY = settings(max_examples=100)
 
     @PROPERTY
     @given(r1_triples())

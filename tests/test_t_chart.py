@@ -14,8 +14,7 @@ from hypothesis.extra import numpy as hnp
 
 from cartannet import classify, isometry, net, spaces
 
-PROPERTY = settings(max_examples=25, deadline=None, derandomize=True,
-                    database=None)
+PROPERTY = settings(max_examples=25)
 BATCH = 37  # no layer width or parameter count of the networks below
 
 NETS = {

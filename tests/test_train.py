@@ -142,7 +142,7 @@ class TestProjection:
     def test_admissible_untouched(self):
         cfg = small_config("binary")
         flat = net.flatten(cfg, net.init_params(cfg, seed=13))
-        out = train.project_admissible(cfg, flat)
+        out = train._project(cfg, flat)[0]
         assert np.array_equal(out.vector, flat.vector)
 
     def test_inadmissible_projected(self):
@@ -151,7 +151,7 @@ class TestProjection:
         params.head["w"][0][:] = [0.5, 0.0]
         params.head["alpha"][0] = 2.0
         params.head["beta"][0] = 2.0
-        flat = train.project_admissible(cfg, net.flatten(cfg, params))
+        flat = train._project(cfg, net.flatten(cfg, params))[0]
         fixed = net.unflatten(cfg, flat.vector)
         sep = classify.Separator(fixed.head["alpha"][0],
                                  fixed.head["beta"][0], fixed.head["w"][0])
@@ -203,8 +203,8 @@ class TestTrainLoop:
             idx = order[start : start + tc.batch_size]
             g = train.gradient(cfg, flat, tr.features[idx], tr.labels[idx])
             norms.append(np.linalg.norm(g))
-            flat = train.project_admissible(
-                cfg, train.sgd_step(flat, g, tc.learning_rate))
+            flat = train._project(
+                cfg, train.sgd_step(flat, g, tc.learning_rate))[0]
         assert rec["grad_norm"] == max(norms)
         w = params.head["w"][0]
         margin = w @ w - params.head["alpha"][0] * params.head["beta"][0]
@@ -270,7 +270,7 @@ class TestTrainLoop:
             idx = order[start : start + tc.batch_size]
             g = train.gradient(cfg, flat, tr.features[idx], tr.labels[idx])
             stepped = train.sgd_step(flat, g, tc.learning_rate)
-            flat = train.project_admissible(cfg, stepped)
+            flat = train._project(cfg, stepped)[0]
             old, new = (net.unflatten(cfg, f.vector).head
                         for f in (stepped, flat))
             moved += sum(
@@ -309,7 +309,7 @@ class TestTrainLoop:
     def test_projection_keeps_admissible_input(self):
         cfg = small_config("multiclass", K=3)
         flat = net.flatten(cfg, net.init_params(cfg, seed=15))
-        assert train.project_admissible(cfg, flat) is flat
+        assert train._project(cfg, flat)[0] is flat
 
     def test_divergence_guard_returns_finite(self):
         # an absurd learning rate must not crash the loop
