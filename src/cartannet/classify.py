@@ -6,7 +6,8 @@ totally geodesic hypersurface, and the signed geodesic distance to it is
 exactly arcsinh(h / (2 sqrt(|w|^2 - alpha beta))).  The signed distances
 are the class scores of one softmax head: K separators give K scores d,
 and the binary head's one separator gives (0, d), whose softmax is
-sigmoid(d).  One batched kernel evaluates all K separators at once from
+sigmoid(d); a regression network's output is the d of its one
+separator.  One batched kernel evaluates all K separators at once from
 their parameters stacked as a head {alpha (K,), beta (K,), w (K, s)},
 and the one likelihood gradient reuses its intermediates.  The kernel
 reads the points in the chart (T, Y2), T = e^{-Y1}, the stage chain of

@@ -33,7 +33,6 @@ __all__ = [
     "MCStructure",
     "HomoMatrix",
     "ConstraintSystem",
-    "aN_root_system",
     "borel_mc",
     "r1_mc",
     "mc_structure",
@@ -86,21 +85,8 @@ class HomoMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Root systems and Maurer-Cartan structures
+# Root labels and Maurer-Cartan structures
 # ---------------------------------------------------------------------------
-
-
-def aN_root_system(ell: int):
-    """Root system of sl(ell+1): returns (all_roots, positive_labels) where
-    roots are eps-basis integer vectors and every positive root
-    eps_i - eps_j (i < j) carries the unique label [h=j-i, k=i]."""
-    if ell < 1:
-        raise ValueError("rank must be >= 1")
-    eps = np.eye(ell + 1, dtype=int)
-    positives = [(RootLabel(h, k), eps[k - 1] - eps[k - 1 + h])
-                 for h, k in spaces._sl_root_labels(ell + 1)]
-    roots = [v for _, v in positives] + [-v for _, v in positives]
-    return roots, positives
 
 
 def _borel_labels(n: int):

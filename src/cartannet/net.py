@@ -91,11 +91,7 @@ class NetworkConfig:
 
     @property
     def n_separators(self) -> int:
-        if self.task == "binary":
-            return 1
-        if self.task == "multiclass":
-            return self.K
-        return 0
+        return self.K if self.task == "multiclass" else 1
 
 
 @dataclasses.dataclass
@@ -105,9 +101,9 @@ class ParamSet:
     ``Q`` injects features into layer-1 coordinates, ``lam`` holds the
     injection fiber angles, and per transition i the triple
     (``Ws[i]``, ``bs[i]``, ``psis[i]``) parameterizes the homomorphism and
-    the post-homomorphism fiber rotations.  ``head`` holds the classifier
-    parameters: arrays ``alpha``/``beta`` (length K) and ``w`` (K x s) for
-    separator heads, or ``v``/``c`` for the linear regression read-out."""
+    the post-homomorphism fiber rotations.  ``head`` holds the separator
+    head every task reads: arrays ``alpha``/``beta`` (length K) and ``w``
+    (K x s), with K = 1 for the binary and the regression task."""
 
     Q: np.ndarray
     lam: np.ndarray
@@ -140,15 +136,10 @@ def layout_for(config: NetworkConfig) -> tuple:
         layout.append((f"W{i}", (so, si)))
         layout.append((f"b{i}", (so,)))
         layout.append((f"psi{i}", (max(so - 1, 0),)))
-    s_last = spaces_[-1].subpaint_dim
-    if config.task in ("binary", "multiclass"):
-        k = config.n_separators
-        layout.append(("alpha", (k,)))
-        layout.append(("beta", (k,)))
-        layout.append(("w", (k, s_last)))
-    else:
-        layout.append(("v", (spaces_[-1].dim,)))
-        layout.append(("c", (1,)))
+    k = config.n_separators
+    layout.append(("alpha", (k,)))
+    layout.append(("beta", (k,)))
+    layout.append(("w", (k, spaces_[-1].subpaint_dim)))
     return tuple(layout)
 
 
@@ -165,13 +156,10 @@ def init_params(config: NetworkConfig, seed: int = 0) -> ParamSet:
     for W in params.Ws:
         sw = 1.0 / np.sqrt(W.shape[1])
         W[:] = rng.uniform(-sw, sw, size=W.shape)
-    head = params.head
-    if "w" in head:
-        head["w"][:] = rng.uniform(-1.0, 1.0, size=head["w"].shape)
-        # keep separators admissible: unit-normalize the normal vectors
-        head["w"] /= np.linalg.norm(head["w"], axis=1, keepdims=True)
-    else:
-        head["v"][:] = rng.uniform(-s, s, size=head["v"].shape)
+    w = params.head["w"]
+    w[:] = rng.uniform(-1.0, 1.0, size=w.shape)
+    # keep separators admissible: unit-normalize the normal vectors
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
     return params
 
 
@@ -207,8 +195,7 @@ def unflatten(config: NetworkConfig, flat) -> ParamSet:
         Ws=[blocks[f"W{i}"] for i in range(n_trans)],
         bs=[blocks[f"b{i}"] for i in range(n_trans)],
         psis=[blocks[f"psi{i}"] for i in range(n_trans)],
-        head={k: blocks[k] for k in ("alpha", "beta", "w", "v", "c")
-              if k in blocks},
+        head={k: blocks[k] for k in ("alpha", "beta", "w")},
     )
 
 

@@ -1,18 +1,20 @@
 """Losses, gradients, SGD training, and synthetic data generation.
 
-Every classification task has one separator head: the head kernel
-``classify._head`` reads the stacked arrays of ``params.head`` (no
-separator objects are built), and the loss is the softmax NLL over the
-class scores: the K signed distances d, or (0, d) for the binary head's
-one separator, whose softmax is sigmoid(d).
+Every task has one separator head: the head kernel ``classify._head``
+reads the stacked arrays of ``params.head`` (no separator objects are
+built) and gives the class scores, the K signed distances d, or (0, d)
+for a head of one separator.  The tasks differ only in the loss on those
+scores: the softmax NLL for classification (for one separator, softmax
+over (0, d) is sigmoid(d)), and for regression the mean squared error of
+the prediction d, the signed distance to the one separator.
 
 The gradient is reverse mode: one forward pass through ``net.stages``,
 the chain ``net.forward_batch`` runs, keeping each layer's output and fiber
 tape, then one hand-written pullback per stage in reverse order
 (injection, the fiber pullback ``isometry._fiber_pullback``, the
 homomorphism pullback ``homo._homomorphism_pullback``, and the head's
-pullback ``classify._nll_vjp``, which reuses the head kernel's own
-forward, or the regression read-out).  The tests check it against
+pullback ``classify._head_vjp`` of the NLL's or the MSE's gradient, which
+reuses the head kernel's own forward).  The tests check it against
 complex-step differentiation of the whole chain (every stage is
 complex-analytic) and against central differences of :func:`loss_flat`.
 Labels are checked where data enters (``Dataset``, :func:`check_labels`):
@@ -104,12 +106,12 @@ class TrainConfig:
 
 
 def check_labels(config: net.NetworkConfig, labels):
-    """Labels as the head reads them: refuses with ValueError, for a
-    separator head, anything but integers in 0..K-1 (0/1 for the binary
-    head) and returns them as ints; regression labels are returned as
-    given."""
+    """Labels as the loss reads them: for classification, refuses with
+    ValueError anything but integers in 0..K-1 (0/1 for the binary head)
+    and returns them as ints; regression targets, the signed distances the
+    head should give, are returned as floats."""
     if config.task == "regression":
-        return labels
+        return np.asarray(labels, dtype=float)
     return classify._checked_labels(
         labels, classify._n_classes(config.n_separators))
 
@@ -126,21 +128,20 @@ def check_dataset(config: net.NetworkConfig, dataset: Dataset):
 def _head_loss(config: net.NetworkConfig, params: net.ParamSet,
                t, labels):
     """Loss of the head at the points of the last layer, as rows t of the
-    chart (T, Y2) of the stage chain, and the class scores it came from
-    (None for regression)."""
-    if config.task == "regression":
-        # linear read-out of the solvable coordinates
-        points = spaces._from_t_chart(t.copy())
-        pred = points @ params.head["v"] + params.head["c"][0]
-        resid = pred - np.asarray(labels, dtype=float)
-        return np.sum(resid * resid) / len(labels), None
+    chart (T, Y2) of the stage chain, and the class scores it came from:
+    for regression the mean squared error of the last score, the signed
+    distance d, else the NLL."""
     scores = classify._class_scores(params.head, t)[0]
+    if config.task == "regression":
+        resid = scores[:, -1] - labels
+        return np.sum(resid * resid) / len(labels), scores
     return classify._nll(scores, labels), scores
 
 
 def loss(config: net.NetworkConfig, params: net.ParamSet,
          features, labels) -> float:
-    """Task loss of a batch: the separator head's NLL or read-out MSE."""
+    """Task loss of a batch: the separator head's NLL, or its MSE for
+    regression."""
     return float(np.real(_loss_any(config, params, features, labels)))
 
 
@@ -159,15 +160,12 @@ def loss_flat(config: net.NetworkConfig, vector, features, labels):
 def _head_vjp(config: net.NetworkConfig, params: net.ParamSet,
               t, labels):
     """Gradient of ``_head_loss`` with respect to the rows t and the head
-    parameters (a dict shaped like ``params.head``)."""
+    parameters (a dict shaped like ``params.head``), at labels checked by
+    :func:`check_labels`."""
     if config.task == "regression":
-        v = params.head["v"]
-        points = spaces._from_t_chart(t.copy())
-        pred = points @ v + params.head["c"][0]
-        g_pred = 2.0 * (pred - np.asarray(labels, dtype=float)) / len(labels)
-        g_points = np.multiply.outer(v, g_pred).T
-        return (spaces._cotangent_to_t_chart(t, g_points),
-                {"v": g_pred @ points, "c": np.array([np.sum(g_pred)])})
+        u, saved = classify._head(params.head, t)
+        g_d = 2.0 * (np.arcsinh(u) - labels[:, None]) / len(labels)
+        return classify._head_vjp(u, saved, g_d)
     return classify._nll_vjp(params.head, t, labels)
 
 
@@ -239,8 +237,6 @@ def _project(config: net.NetworkConfig, flat: net.FlatParams) -> tuple:
     which the rounding (a few ulps of |w|^2) keeps positive at every
     finite |w|.  Returns ``flat`` itself when no separator crosses, and
     else moves exactly the crossing ones, in a copy of the vector."""
-    if config.task == "regression":
-        return flat, 0
     crossing = np.flatnonzero(
         ~(_margins(config, flat.vector) > _ADMISSIBLE_SLACK))
     if not len(crossing):
@@ -274,7 +270,7 @@ def _scores(config: net.NetworkConfig, params: net.ParamSet,
     # gives their numbers bit for bit
     value, scores = _head_loss(config, params, spaces._to_t_chart(points),
                                labels)
-    if scores is None:
+    if config.task == "regression":
         return float(np.real(value)), None
     pred = np.argmax(np.real(scores), axis=-1)
     return float(np.real(value)), float(np.mean(pred == labels))
@@ -289,12 +285,11 @@ def train_loop(tc: TrainConfig, config: net.NetworkConfig, dataset: Dataset,
     number of separators :func:`_project` moved in the epoch
     (``projected``), per layer the largest |Y1| of its output on the
     train split over ``CARTAN_BOUND`` (``cartan_fraction``, from the pass
-    that gives ``train_loss``) and, for separator heads, the smallest
-    admissibility margin |w|^2 - alpha beta after the epoch
-    (``min_margin``).  The loop stops early, and returns the parameters
-    from the start of the failing epoch, when the loss diverges, a stage
-    input leaves the Cartan bound, or a separator is evaluated outside
-    admissibility.  Every step ends in :func:`_project`, whose
+    that gives ``train_loss``) and the smallest admissibility margin
+    |w|^2 - alpha beta after the epoch (``min_margin``).  The loop stops
+    early, and returns the parameters from the start of the failing
+    epoch, when the loss diverges, a stage input leaves the Cartan bound,
+    or a separator is evaluated outside admissibility.  Every step ends in :func:`_project`, whose
     margins are the head kernel's, so only an inadmissible ``init``
     reaches the last case: its first gradient stops the loop with an
     empty history.  Labels the head
@@ -341,9 +336,8 @@ def train_loop(tc: TrainConfig, config: net.NetworkConfig, dataset: Dataset,
             break
         record = {"epoch": epoch, "train_loss": train_loss,
                   "grad_norm": grad_norm, "projected": projected,
-                  "cartan_fraction": cartan_fraction}
-        if config.task != "regression":
-            record["min_margin"] = float(np.min(_margins(config, flat.vector)))
+                  "cartan_fraction": cartan_fraction,
+                  "min_margin": float(np.min(_margins(config, flat.vector)))}
         if len(test):
             record["test_loss"], accuracy = _scores(
                 config, params, test.features, test.labels)

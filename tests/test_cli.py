@@ -137,14 +137,19 @@ class TestSolveHomo:
 
 
 class TestDataTrainEval:
-    def setup_files(self, tmp_path):
+    def setup_files(self, tmp_path, task="binary"):
         data = tmp_path / "data.csv"
         gen = write_json(tmp_path / "gen.json",
                          {"kind": "blobs", "n": 60, "dim": 2, "classes": 2})
         assert run(["gen-data", "--config", gen, "--seed", "0",
                     "--out", str(data)]) == 0
+        if task == "regression":
+            # a smooth float target of the same features
+            ds = train.load_csv(data)
+            ds.labels = np.sin(ds.features[:, 0]) + 0.5 * ds.features[:, 1]
+            train.save_csv(data, ds)
         tcfg = write_json(tmp_path / "train.json", {
-            "net": {"input_dim": 2, "layers": [3], "task": "binary"},
+            "net": {"input_dim": 2, "layers": [3], "task": task},
             "train": {"learning_rate": 0.01, "epochs": 3, "batch_size": 16},
             "dataset": str(data),
         })
@@ -175,27 +180,57 @@ class TestDataTrainEval:
         assert {"epoch", "train_loss", "test_loss", "accuracy"} <= set(
             json.loads(lines[-1]))
 
+    @staticmethod
+    def task_folders(tmp_path):
+        for task in ("binary", "regression"):
+            folder = tmp_path / task
+            folder.mkdir()
+            yield task, folder
+
     def test_train_deterministic(self, tmp_path):
-        _, tcfg = self.setup_files(tmp_path)
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        run(["train", "--config", tcfg, "--seed", "1", "--out", str(a)])
-        run(["train", "--config", tcfg, "--seed", "1", "--out", str(b)])
-        assert a.read_bytes() == b.read_bytes()
+        for task, folder in self.task_folders(tmp_path):
+            _, tcfg = self.setup_files(folder, task)
+            a, b = folder / "a.json", folder / "b.json"
+            run(["train", "--config", tcfg, "--seed", "1", "--out", str(a)])
+            run(["train", "--config", tcfg, "--seed", "1", "--out", str(b)])
+            assert a.read_bytes() == b.read_bytes(), task
 
     def test_eval_reproduces_final_metrics(self, tmp_path):
-        data, tcfg = self.setup_files(tmp_path)
+        for task, folder in self.task_folders(tmp_path):
+            data, tcfg = self.setup_files(folder, task)
+            model = folder / "model.json"
+            run(["train", "--config", tcfg, "--seed", "0",
+                 "--out", str(model)])
+            last = json.loads((folder / "model.json.metrics.jsonl")
+                              .read_text().splitlines()[-1])
+            ecfg = write_json(folder / "eval.json",
+                              {"model": str(model), "dataset": str(data)})
+            out = folder / "metrics.json"
+            assert run(["eval", "--config", ecfg, "--out", str(out)]) == 0
+            doc = json.loads(out.read_text())
+            if task == "regression":
+                assert doc["mse"] == last["test_loss"]
+                continue
+            assert abs(doc["accuracy"] - last["accuracy"]) <= 1e-12
+            n_test = doc["n"]
+            assert abs(doc["nll"] * n_test - last["test_loss"]) <= 1e-9
+
+    def test_eval_refuses_a_v_c_model(self, tmp_path):
+        # a regression model stored with the linear read-out v, c in place
+        # of the separator head is refused, not misread
+        data, tcfg = self.setup_files(tmp_path, "regression")
         model = tmp_path / "model.json"
-        run(["train", "--config", tcfg, "--seed", "0", "--out", str(model)])
-        last = json.loads((tmp_path / "model.json.metrics.jsonl")
-                          .read_text().splitlines()[-1])
+        assert run(["train", "--config", tcfg, "--seed", "0",
+                    "--out", str(model)]) == 0
+        doc = json.loads(model.read_text())
+        doc["layout"][-3:] = [["v", [3]], ["c", [1]]]
+        model.write_text(json.dumps(doc))
         ecfg = write_json(tmp_path / "eval.json",
                           {"model": str(model), "dataset": str(data)})
-        out = tmp_path / "metrics.json"
-        assert run(["eval", "--config", ecfg, "--out", str(out)]) == 0
-        doc = json.loads(out.read_text())
-        assert abs(doc["accuracy"] - last["accuracy"]) <= 1e-12
-        n_test = doc["n"]
-        assert abs(doc["nll"] * n_test - last["test_loss"]) <= 1e-9
+        before = sorted(tmp_path.rglob("*"))
+        assert run(["eval", "--config", ecfg, "--out",
+                    str(tmp_path / "metrics.json")]) == 2
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_train_without_out_exit_2_before_training(self, tmp_path,
                                                        monkeypatch):

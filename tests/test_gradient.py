@@ -70,11 +70,8 @@ def networks(draw, dims, task, K):
     for psi, b in zip(params.psis, params.bs):
         psi[:] = uniform(draw, psi.shape, np.pi)
         b[:] = uniform(draw, b.shape, 0.5)
-    if task != "regression":
-        params.head["alpha"][:] = uniform(draw, (config.n_separators,), 0.3)
-        params.head["beta"][:] = uniform(draw, (config.n_separators,), 0.3)
-    else:
-        params.head["c"][:] = uniform(draw, (1,), 1.0)
+    params.head["alpha"][:] = uniform(draw, (config.n_separators,), 0.3)
+    params.head["beta"][:] = uniform(draw, (config.n_separators,), 0.3)
     rows = draw(st.integers(1, 6))
     X = uniform(draw, (rows, config.input_dim), 2.0)
     # two rows with Cartan coordinate +-4 after the injection

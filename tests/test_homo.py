@@ -26,21 +26,6 @@ def restriction_system():
     return homo.build_constraints(homo.borel_mc(4), homo.r1_mc(1))
 
 
-class TestRootSystem:
-    def test_a3_counts(self):
-        # oracle: A_3 has 12 roots, 6 positive
-        roots, positives = homo.aN_root_system(3)
-        assert len(roots) == 12 and len(positives) == 6
-
-    def test_labels_partition_by_height(self):
-        _, positives = homo.aN_root_system(3)
-        by_h = {}
-        for lab, vec in positives:
-            by_h.setdefault(lab.h, []).append(vec)
-            assert int(np.sum(vec)) == 0 and np.max(vec) == 1
-        assert {h: len(v) for h, v in by_h.items()} == {1: 3, 2: 2, 3: 1}
-
-
 class TestMCStructures:
     def test_r1_structure(self):
         # oracle: dE^1 = 0 and f^{1+a}_{1,1+a} = +1

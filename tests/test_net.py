@@ -229,18 +229,22 @@ class TestPersistence:
         net.save_model(p2, cfg, params)
         assert p1.read_bytes() == p2.read_bytes()
 
-    @pytest.mark.parametrize("edit", ["format_version", "layout"])
+    @pytest.mark.parametrize("edit", ["format_version", "layout", "v_c"])
     def test_load_refuses_a_foreign_document(self, tmp_path, edit):
-        # a document of another format version, or whose layout does not
-        # match its config
-        cfg = two_layer_config()
+        # a document of another format version, whose layout does not
+        # match its config, or a regression model stored with the linear
+        # read-out v (dim,), c (1,) in place of the separator head, whose
+        # parameter count it shares
+        cfg = two_layer_config("regression" if edit == "v_c" else "multiclass")
         path = tmp_path / "model.json"
         net.save_model(path, cfg, net.init_params(cfg, seed=16))
         doc = json.loads(path.read_text())
         if edit == "format_version":
             doc["format_version"] = "v0"
-        else:
+        elif edit == "layout":
             doc["layout"][2:4] = reversed(doc["layout"][2:4])  # W0, b0
+        else:
+            doc["layout"][-3:] = [["v", [H3.dim]], ["c", [1]]]
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError):
             net.load_model(path)

@@ -22,10 +22,9 @@ def origin_head_params(config, seed=0):
     params = net.init_params(config, seed=seed)
     flat = net.flatten(config, params)
     params = net.unflatten(config, np.zeros_like(flat.vector))
-    if config.task != "regression":
-        for k in range(len(params.head["alpha"])):
-            params.head["w"][k][:] = 0.0
-            params.head["w"][k][0] = 1.0
+    for k in range(len(params.head["alpha"])):
+        params.head["w"][k][:] = 0.0
+        params.head["w"][k][0] = 1.0
     return params
 
 
@@ -89,7 +88,9 @@ class TestLoss:
         params = origin_head_params(cfg)
         X = np.random.default_rng(4).normal(size=(5, 2))
         y = np.array([1.0, -1.0, 2.0, 0.0, 0.5])
-        # zero parameters predict 0, so the loss is the mean square label
+        # every input goes to the origin, which lies on the reference
+        # separator, so every prediction is 0 and the loss is the mean
+        # square label
         assert np.isclose(train.loss(cfg, params, X, y), np.mean(y ** 2))
 
     def test_loss_flat_matches_loss(self):
@@ -212,7 +213,7 @@ class TestTrainLoop:
         reg = small_config("regression")
         ds.labels = ds.labels.astype(float)
         _, (rec,) = train.train_loop(tc, reg, ds)
-        assert "min_margin" not in rec and rec["grad_norm"] > 0
+        assert rec["min_margin"] > 0 and rec["grad_norm"] > 0
 
     def test_history_cartan_fraction(self, monkeypatch):
         # per layer, the largest |Y1| of its output over the train split
@@ -352,17 +353,20 @@ class TestTrainLoop:
         assert 0.0 <= out["accuracy"] <= 1.0
 
     def test_evaluate_regression_keys(self):
-        # the mean squared residual of the linear read-out on the test split
+        # the mean squared residual of the signed distance to the head's
+        # one separator on the test split
         ds = self.blob_dataset()
         ds.labels = ds.labels.astype(float)
         cfg = small_config("regression")
         params = net.init_params(cfg, seed=1)
-        params.head["c"][:] = 0.25
+        params.head["alpha"][:] = 0.25
         out = train.evaluate(cfg, params, ds)
         assert set(out) == {"n", "mse"}
         test = ds.subset("test")
         points = net.forward_batch(cfg, params, test.features)
-        resid = points @ params.head["v"] + 0.25 - test.labels
+        sep = classify.Separator(params.head["alpha"][0],
+                                 params.head["beta"][0], params.head["w"][0])
+        resid = classify.signed_distance(sep, points) - test.labels
         assert out["n"] == len(test)
         assert np.isclose(out["mse"], np.mean(resid * resid), rtol=1e-12)
 
