@@ -3,7 +3,7 @@
 Subpackages:
 
 - ``spaces``: solvable coordinates, coset representatives, group law,
-  metric and distance for the r=1 (hyperbolic) and sl(N) families.
+  and geodesic distance for the r=1 (hyperbolic) and sl(N) families.
 - ``isometry``: paint rotations, fiber rotations and the compensator-free
   adjoint action pipeline.
 - ``homo``: Maurer-Cartan structures, homomorphism constraint systems,

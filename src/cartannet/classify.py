@@ -26,19 +26,14 @@ import dataclasses
 import numpy as np
 
 from . import spaces
-from .spaces import SQRT2, SolvCoords, SpaceId
 
 __all__ = [
     "DegenerateSeparatorError",
     "Separator",
     "SeparatorBank",
-    "h_value",
     "signed_distance",
-    "sigmoid",
-    "sigma_tilde",
     "softmax_probs",
     "multiclass_nll",
-    "find_surface_point",
 ]
 
 
@@ -113,13 +108,6 @@ def _h_stack(alpha, beta, w, t):
     return h.T, (y2, T, inv, up)
 
 
-def h_value(sep: Separator, p):
-    """Defining function of the separator; its sign is the side of p.
-    Accepts a SolvCoords or a batch array of coordinate rows."""
-    return _h_stack(sep.alpha, sep.beta, sep.w[None],
-                    spaces._to_t_chart(p))[0][..., 0]
-
-
 def _head(head, t):
     """The separator head kernel: u = h / norm (..., K) for all K
     separators of a head {alpha (K,), beta (K,), w (K, s)} at once, at
@@ -130,7 +118,7 @@ def _head(head, t):
     separator is admissible."""
     alpha, beta, w = head["alpha"], head["beta"], head["w"]
     norm2 = _margin(alpha, beta, w)
-    if np.any(np.real(norm2) <= 0.0):
+    if not (np.real(norm2) > 0.0).all():  # NaN fails the test too
         raise DegenerateSeparatorError(
             "separator admissibility |w|^2 - alpha*beta must be positive")
     norm = 2.0 * np.sqrt(norm2)
@@ -164,23 +152,6 @@ def signed_distance(sep: Separator, p):
                             spaces._to_t_chart(p))[0][..., 0])
 
 
-def sigmoid(x):
-    """Overflow-safe logistic function; satisfies s(-x) = 1 - s(x)."""
-    x = np.asarray(x)
-    pos = np.real(x) >= 0
-    # evaluate both stable branches on shifted arguments to avoid overflow
-    xp = np.where(pos, x, 0.0)
-    xm = np.where(pos, 0.0, x)
-    return np.where(pos, 1.0 / (1.0 + np.exp(-xp)), np.exp(xm) / (1.0 + np.exp(xm)))
-
-
-def sigma_tilde(x):
-    """sigmoid composed with sinh; the head that makes the geodesic
-    distance and the raw normalized h agree: sigma_tilde(dist) =
-    sigmoid(h / normalization)."""
-    return sigmoid(np.sinh(np.asarray(x)))
-
-
 def _logsumexp(d):
     """log sum_k e^{d_k} over the last axis (the rows of d.T), shifted by
     the (constant) maximum of the real parts so that it neither overflows
@@ -209,6 +180,16 @@ def _checked_labels(labels, classes):
     return labels.astype(int)
 
 
+def _batch_labels(labels, shape):
+    """Labels as an array, refused with ValueError unless of ``shape``,
+    one per point of the batch."""
+    labels = np.asarray(labels)
+    if labels.shape != shape:
+        raise ValueError(f"expected labels of shape {shape}, "
+                         f"got {labels.shape}")
+    return labels
+
+
 def _n_classes(separators: int) -> int:
     """Classes of a head of K separators: K, or 2 for one separator."""
     return max(separators, 2)
@@ -231,7 +212,8 @@ def _class_scores(head, t):
 def _nll(scores, labels):
     """Negative log likelihood of labels in 0..C-1 under the softmax over
     the class scores (B, C): the sum of logsumexp(scores) - scores_y."""
-    labels = _checked_labels(labels, scores.shape[-1])
+    labels = _checked_labels(_batch_labels(labels, scores.shape[:-1]),
+                             scores.shape[-1])
     picked = np.take_along_axis(scores.T, labels[None], axis=0)[0]
     return np.sum(_logsumexp(scores) - picked)
 
@@ -261,25 +243,3 @@ def multiclass_nll(points, labels, bank: SeparatorBank):
     bank of one that of softplus(d) - y d over 0/1 labels."""
     return _nll(_class_scores(bank.head, spaces._to_t_chart(points))[0],
                 labels)
-
-
-def find_surface_point(sep: Separator, space: SpaceId, seed: int = 0) -> SolvCoords:
-    """Produce a witness point on the {h = 0} surface.
-
-    h = <n, v> in the eta form for the hyperboloid vector v = (e^{Y1}
-    (1 + |Y2|^2 / 4), Y2 / sqrt2, -e^{-Y1}), <v, v> = -2, and n = (-alpha,
-    sqrt2 w, beta), with <n, n> = 2 (|w|^2 - alpha beta) > 0 if admissible.
-    So a seeded point's v, eta-projected off n and rescaled to <v, v> = -2,
-    lies on the surface, on the same sheet (the segment stays timelike)."""
-    space._require_r1()
-    if not sep.admissible:
-        raise DegenerateSeparatorError(
-            "separator admissibility |w|^2 - alpha*beta must be positive")
-    eta = spaces.build_eta(space).entries
-    y = np.random.default_rng(seed).uniform(-1.0, 1.0, size=space.dim)
-    y1, y2 = y[0], y[1:]
-    v = np.r_[np.exp(y1) * (1.0 + 0.25 * y2 @ y2), y2 / SQRT2, -np.exp(-y1)]
-    n = np.real(np.r_[-sep.alpha, SQRT2 * sep.w, sep.beta]).astype(float)
-    v = v - (n @ eta @ v) / (n @ eta @ n) * n
-    v = v * np.sqrt(-2.0 / (v @ eta @ v))
-    return SolvCoords(space, np.r_[-np.log(-v[-1]), SQRT2 * v[1:-1]])

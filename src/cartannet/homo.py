@@ -81,7 +81,6 @@ class HomoMatrix:
     target: SpaceId | None = None
     residual: float | None = None
     branch_tag: str | None = None
-    seed: int | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -139,15 +138,14 @@ def borel_mc(n: int) -> MCStructure:
     if n < 2:
         raise ValueError("n must be >= 2")
     f_comb = _borel_combinatorial(n)
-    spec = spaces.solvable_generators(SpaceId.sl(n))
-    f_comm = spec.structure_constants
+    space = SpaceId.sl(n)
+    f_comm = spaces.solvable_generators(space).structure_constants
     if not np.array_equal(np.round(f_comm, 9), np.round(f_comb, 9)):
         raise AssertionError(
             "combinatorial and commutator structure constants disagree"
         )
-    return MCStructure(
-        d=spec.d, f=f_comb, labels=tuple(_borel_labels(n)), name=f"borel_sl({n})"
-    )
+    return MCStructure(d=space.dim, f=f_comb, labels=tuple(_borel_labels(n)),
+                       name=f"borel_sl({n})")
 
 
 def r1_mc(q: int) -> MCStructure:
@@ -174,7 +172,7 @@ def mc_structure(space: SpaceId) -> MCStructure:
         return borel_mc(space.N)
     spec = spaces.solvable_generators(space)
     return MCStructure(
-        d=spec.d,
+        d=space.dim,
         f=spec.structure_constants,
         labels=tuple(spec.ordering),
         name=str(space),
@@ -471,7 +469,6 @@ def solve_numeric(system: ConstraintSystem, seeds: int, seed: int = 0):
             W=W,
             residual=residual(W, system),
             branch_tag=tag_branch(W),
-            seed=seed,
         )
         for W in found[kept].reshape(-1, d2, d1)
     ]
@@ -537,7 +534,7 @@ def coframe(space: SpaceId, values: np.ndarray) -> np.ndarray:
     """Coframe matrix E with E^i = E[i, j] dY_j at the given coordinates,
     for every family: the left-invariant form L^{-1} dL of the chart
     L = sigma(Y), with derivatives taken by complex step (exact to machine
-    precision), expanded on ``solvable_generators(space).generators`` by
+    precision), expanded on ``solvable_generators(space).stack`` by
     one least-squares solve."""
     values = np.asarray(values, dtype=float)
     d = space.dim

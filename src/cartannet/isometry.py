@@ -42,7 +42,6 @@ __all__ = [
     "build_fiber_generators",
     "fiber_rotation",
     "fiber_rotate",
-    "classify_element",
 ]
 
 
@@ -98,7 +97,6 @@ class FiberGenerator:
     component of the subPaint vector."""
 
     space: SpaceId
-    index: int
     matrix: np.ndarray
 
 
@@ -192,7 +190,7 @@ def build_fiber_generators(space: SpaceId):
         jb = np.zeros((n, n))
         jb[0, 1 + j] = 1.0
         jb[1 + j, 0] = -1.0
-        gens.append(FiberGenerator(space, j, omega.T @ jb @ omega))
+        gens.append(FiberGenerator(space, omega.T @ jb @ omega))
     return gens
 
 
@@ -356,36 +354,3 @@ def _eta_defect(g: np.ndarray, space: SpaceId):
     """max |g^T eta g - eta|, with eta g as a row permutation of g."""
     eta, perm = _eta_rows(space)
     return np.abs(g.T @ g[perm] - eta).max()
-
-
-def _stabilizes_solvable(g: np.ndarray, space: SpaceId, tol=1e-10) -> bool:
-    gens = spaces.solvable_generators(space).stack
-    basis = gens.reshape(len(gens), -1).T
-    ad = (g @ gens @ np.linalg.inv(g)).reshape(len(gens), -1).T
-    coef = np.linalg.lstsq(basis, ad, rcond=None)[0]  # one solve, all T
-    return not np.max(np.abs(basis @ coef - ad)) > tol
-
-
-def classify_element(g: np.ndarray, space: SpaceId) -> GroupElement:
-    """Tag a matrix as solvable / paint / grassmannian / external.  The
-    isometric elements are the eta-orthogonal ones on so spaces and the
-    orthogonal ones, of |det| 1, on sl spaces."""
-    g = np.asarray(g, dtype=float)
-    det = np.linalg.det(g)
-    if abs(det) < 1e-300:
-        raise ValueError("matrix must be invertible")
-    upper = np.allclose(g, np.triu(g), atol=1e-12) and np.all(np.diag(g) > 0)
-    if space.family == "so":
-        isometric = _eta_defect(g, space) <= 1e-10
-        solvable = isometric and upper
-    else:
-        isometric = (np.allclose(g.T @ g, np.eye(space.N), atol=1e-10)
-                     and abs(abs(det) - 1.0) <= 1e-10)
-        solvable = not isometric and upper and abs(det - 1.0) < 1e-10
-    if solvable:
-        return GroupElement(space, g, "solvable")
-    if isometric:
-        return GroupElement(space, g, "paint" if _stabilizes_solvable(g, space)
-                            else "grassmannian")
-    return GroupElement(space, g / np.sign(det) / abs(det) ** (1.0 / space.N),
-                        "external")

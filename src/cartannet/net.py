@@ -279,7 +279,9 @@ def save_model(path, config: NetworkConfig, params: ParamSet):
 
 
 def load_model(path):
-    """Read a model JSON document; returns (config, params)."""
+    """Read a model JSON document; returns (config, params).  Refuses
+    (ValueError) another format version, a layout that does not match the
+    config and parameters that are not finite (JSON NaN or Infinity)."""
     with open(path) as fh:
         doc = json.load(fh)
     if doc.get("format_version") != FORMAT_VERSION:
@@ -288,5 +290,7 @@ def load_model(path):
     layout = tuple((name, tuple(shape)) for name, shape in doc["layout"])
     if layout != layout_for(config):
         raise ValueError("model layout inconsistent with its config")
-    params = unflatten(config, np.asarray(doc["flat_params"], dtype=float))
-    return config, params
+    vector = np.asarray(doc["flat_params"], dtype=float)
+    if not np.isfinite(vector).all():
+        raise ValueError("model parameters must be finite")
+    return config, unflatten(config, vector)

@@ -41,8 +41,6 @@ __all__ = [
     "to_coset",
     "group_product",
     "group_inverse",
-    "metric_at",
-    "ts_project",
     "structure_constants_from_generators",
 ]
 
@@ -148,9 +146,7 @@ class EtaForm:
     """Invariant bilinear form in triangular (eta_t) and diagonal (eta_b)
     bases, with the orthogonal change of basis Omega eta_t Omega^T = eta_b."""
 
-    n: int
     entries: np.ndarray
-    basis: str
     omega: np.ndarray
 
 
@@ -158,15 +154,12 @@ class EtaForm:
 class SolvAlgebraSpec:
     """Basis of the solvable Lie algebra with its structure constants.
 
-    ``generators[i]`` are upper-triangular matrices, Cartan generators first,
-    then root generators by ascending height, and read-only views of the
-    rows of ``stack`` (d, N, N); ``structure_constants[i,j,k]`` is f^i_{jk}
-    with [T_j, T_k] = f^i_{jk} T_i.
+    ``stack`` (d, N, N) holds the upper-triangular generators, read-only,
+    Cartan generators first, then root generators by ascending height;
+    ``structure_constants[i,j,k]`` is f^i_{jk} with [T_j, T_k] = f^i_{jk} T_i.
     """
 
     space: SpaceId
-    d: int
-    generators: tuple
     structure_constants: np.ndarray
     ordering: tuple
     stack: np.ndarray
@@ -228,7 +221,7 @@ def build_eta(space: SpaceId) -> EtaForm:
     omega[r + q + i, n - 1 - i] = -1.0 / SQRT2
     eta.setflags(write=False)
     omega.setflags(write=False)
-    return EtaForm(n=n, entries=eta, basis="triangular", omega=omega)
+    return EtaForm(entries=eta, omega=omega)
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +324,6 @@ def solvable_generators(space: SpaceId) -> SolvAlgebraSpec:
     stack.setflags(write=False)
     return SolvAlgebraSpec(
         space=space,
-        d=space.dim,
-        generators=tuple(stack),
         structure_constants=f,
         ordering=tuple(labels),
         stack=stack,
@@ -381,12 +372,11 @@ def _check_t_bound(t_real) -> None:
         )
 
 
-def _fresh_columns(values, *mixed) -> np.ndarray:
+def _fresh_columns(values) -> np.ndarray:
     """A copy of rows (..., d) as contiguous columns (d, ...), of at least
-    float type and of the type of any ``mixed`` array."""
+    float type."""
     values = np.asarray(values)
-    return np.array(values.T, dtype=np.result_type(values, *mixed, float),
-                    order="C")
+    return np.array(values.T, dtype=np.result_type(values, float), order="C")
 
 
 def _to_t_columns(cols) -> np.ndarray:
@@ -412,16 +402,9 @@ def _from_t_chart(t) -> np.ndarray:
     return t
 
 
-def _cotangent_to_t_chart(t, grad) -> np.ndarray:
-    """A cotangent (..., d) of coordinates as one of the T chart at the
-    rows t, in fresh columns: g_T = -g_Y1 / T, since dY1/dT = -1/T."""
-    g = _fresh_columns(grad, t)
-    g[0] /= -t[..., 0]
-    return g.T
-
-
 def _cotangent_from_t_chart(t, g) -> np.ndarray:
-    """Inverse of :func:`_cotangent_to_t_chart`, in place: g_Y1 = -T g_T."""
+    """A cotangent (..., d) of the T chart at the rows t as one of
+    coordinates, in place: g_Y1 = -T g_T, since dT/dY1 = -T."""
     g[..., 0] *= -t[..., 0]
     return g
 
@@ -429,7 +412,7 @@ def _cotangent_from_t_chart(t, g) -> np.ndarray:
 def exp_factors(space: SpaceId, values) -> np.ndarray:
     """Exponents a of the chart as an ordered product of one-parameter
     subgroups: sigma(x) = prod_k expm(a_k T_k) over
-    ``solvable_generators(space).generators``.  a = x for the so family
+    ``solvable_generators(space).stack``.  a = x for the so family
     and a = (-x_cartan / 2, -x_roots) for sl.  Batched / complex safe."""
     values = np.asarray(values)
     if space.family == "so":
@@ -668,21 +651,6 @@ def group_inverse(u: SolvCoords) -> SolvCoords:
     )
 
 
-def metric_at(coords: SolvCoords) -> np.ndarray:
-    """Left-invariant metric G(w) for r=1:
-    ds^2 = dw1^2 + sum_a (1/4)(w_{1+a} dw1 + dw_{1+a})^2."""
-    space = coords.space
-    space._require_r1()
-    d = space.dim
-    w = coords.values
-    G = np.zeros((d, d))
-    G[0, 0] = 1.0 + 0.25 * float(np.sum(w[1:] ** 2))
-    for a in range(1, d):
-        G[0, a] = G[a, 0] = 0.25 * w[a]
-        G[a, a] = 0.25
-    return G
-
-
 def _distance_constant(space: SpaceId) -> float:
     # Calibrated so the Cartan-axis distance equals metric arc length
     # (r=1); for sl the normalization is the standard affine-invariant one.
@@ -729,12 +697,3 @@ def coords_distance(u: SolvCoords, w: SolvCoords) -> float:
             "a singular value of L_u^{-1} L_w underflowed to zero")
     return 2.0 * _distance_constant(u.space) * float(
         np.sqrt(np.sum(np.log(s) ** 2)))
-
-
-def ts_project(coords: SolvCoords) -> SolvCoords:
-    """Projection onto the maximally split submanifold: keeps the Cartan
-    coordinate and the first subPaint component, zeroes the fiber ones."""
-    coords.space._require_r1()
-    v = np.array(coords.values, copy=True)
-    v[2:] = 0.0
-    return SolvCoords(coords.space, v)

@@ -37,7 +37,6 @@ __all__ = [
     "DivergenceError",
     "check_labels",
     "check_dataset",
-    "loss",
     "loss_flat",
     "gradient",
     "sgd_step",
@@ -109,9 +108,12 @@ def check_labels(config: net.NetworkConfig, labels):
     """Labels as the loss reads them: for classification, refuses with
     ValueError anything but integers in 0..K-1 (0/1 for the binary head)
     and returns them as ints; regression targets, the signed distances the
-    head should give, are returned as floats."""
+    head should give, are returned as floats.  Refuses an empty batch."""
     if config.task == "regression":
-        return np.asarray(labels, dtype=float)
+        labels = np.asarray(labels, dtype=float)
+        if labels.size == 0:
+            raise ValueError("empty data")
+        return labels
     return classify._checked_labels(
         labels, classify._n_classes(config.n_separators))
 
@@ -133,28 +135,19 @@ def _head_loss(config: net.NetworkConfig, params: net.ParamSet,
     distance d, else the NLL."""
     scores = classify._class_scores(params.head, t)[0]
     if config.task == "regression":
+        labels = classify._batch_labels(labels, scores.shape[:-1])
         resid = scores[:, -1] - labels
         return np.sum(resid * resid) / len(labels), scores
     return classify._nll(scores, labels), scores
 
 
-def loss(config: net.NetworkConfig, params: net.ParamSet,
-         features, labels) -> float:
-    """Task loss of a batch: the separator head's NLL, or its MSE for
-    regression."""
-    return float(np.real(_loss_any(config, params, features, labels)))
-
-
-def _loss_any(config, params, features, labels):
+def loss_flat(config: net.NetworkConfig, vector, features, labels):
+    """Task loss of a batch as a function of the flat parameter vector
+    (any dtype): the separator head's NLL, or its MSE for regression."""
+    params = net.unflatten(config, np.asarray(vector))
     for t, tape in net.stages(config, params, features):
         del tape
     return _head_loss(config, params, t, labels)[0]
-
-
-def loss_flat(config: net.NetworkConfig, vector, features, labels):
-    """Loss as a function of the flat parameter vector (any dtype)."""
-    params = net.unflatten(config, np.asarray(vector))
-    return _loss_any(config, params, features, labels)
 
 
 def _head_vjp(config: net.NetworkConfig, params: net.ParamSet,
@@ -172,8 +165,9 @@ def _head_vjp(config: net.NetworkConfig, params: net.ParamSet,
 def gradient(config: net.NetworkConfig, flat: net.FlatParams,
              features, labels) -> np.ndarray:
     """Gradient of the batch loss with respect to the flat parameters.
-    Refuses with ValueError labels the head cannot read
-    (:func:`check_labels`)."""
+    Refuses with ValueError labels that are not one per row of
+    ``features`` or that the head cannot read (:func:`check_labels`)."""
+    labels = classify._batch_labels(labels, (len(np.atleast_2d(features)),))
     return _gradient(config, flat, features, check_labels(config, labels))
 
 

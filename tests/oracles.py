@@ -1,0 +1,111 @@
+"""Reference functions shared by the tests and called by nothing in the
+package: the invariant metric of an r=1 space, the separator's defining
+function h, a witness point on a separator, the logistic function, the
+classification of an isometry-group element and the cotangent chart
+change the pullbacks invert.  They call the package's private kernels,
+so what they check is the code the package runs."""
+
+import numpy as np
+
+from cartannet import classify, isometry, spaces
+from cartannet.spaces import SQRT2, SolvCoords, SpaceId
+
+
+def metric_at(coords: SolvCoords) -> np.ndarray:
+    """Left-invariant metric G(w) for r=1:
+    ds^2 = dw1^2 + sum_a (1/4)(w_{1+a} dw1 + dw_{1+a})^2."""
+    space = coords.space
+    space._require_r1()
+    d = space.dim
+    w = coords.values
+    G = np.zeros((d, d))
+    G[0, 0] = 1.0 + 0.25 * float(np.sum(w[1:] ** 2))
+    for a in range(1, d):
+        G[0, a] = G[a, 0] = 0.25 * w[a]
+        G[a, a] = 0.25
+    return G
+
+
+def h_value(sep: classify.Separator, p):
+    """Defining function of the separator; its sign is the side of p.
+    Accepts a SolvCoords or a batch array of coordinate rows."""
+    return classify._h_stack(sep.alpha, sep.beta, sep.w[None],
+                             spaces._to_t_chart(p))[0][..., 0]
+
+
+def find_surface_point(sep: classify.Separator, space: SpaceId,
+                       seed: int = 0) -> SolvCoords:
+    """Produce a witness point on the {h = 0} surface.
+
+    h = <n, v> in the eta form for the hyperboloid vector v = (e^{Y1}
+    (1 + |Y2|^2 / 4), Y2 / sqrt2, -e^{-Y1}), <v, v> = -2, and n = (-alpha,
+    sqrt2 w, beta), with <n, n> = 2 (|w|^2 - alpha beta) > 0 if admissible.
+    So a seeded point's v, eta-projected off n and rescaled to <v, v> = -2,
+    lies on the surface, on the same sheet (the segment stays timelike)."""
+    space._require_r1()
+    if not sep.admissible:
+        raise classify.DegenerateSeparatorError(
+            "separator admissibility |w|^2 - alpha*beta must be positive")
+    eta = spaces.build_eta(space).entries
+    y = np.random.default_rng(seed).uniform(-1.0, 1.0, size=space.dim)
+    y1, y2 = y[0], y[1:]
+    v = np.r_[np.exp(y1) * (1.0 + 0.25 * y2 @ y2), y2 / SQRT2, -np.exp(-y1)]
+    n = np.real(np.r_[-sep.alpha, SQRT2 * sep.w, sep.beta]).astype(float)
+    v = v - (n @ eta @ v) / (n @ eta @ n) * n
+    v = v * np.sqrt(-2.0 / (v @ eta @ v))
+    return SolvCoords(space, np.r_[-np.log(-v[-1]), SQRT2 * v[1:-1]])
+
+
+def sigmoid(x):
+    """Overflow-safe logistic function; satisfies s(-x) = 1 - s(x)."""
+    x = np.asarray(x)
+    pos = np.real(x) >= 0
+    # evaluate both stable branches on shifted arguments to avoid overflow
+    xp = np.where(pos, x, 0.0)
+    xm = np.where(pos, 0.0, x)
+    return np.where(pos, 1.0 / (1.0 + np.exp(-xp)),
+                    np.exp(xm) / (1.0 + np.exp(xm)))
+
+
+def _stabilizes_solvable(g: np.ndarray, space: SpaceId, tol=1e-10) -> bool:
+    gens = spaces.solvable_generators(space).stack
+    basis = gens.reshape(len(gens), -1).T
+    ad = (g @ gens @ np.linalg.inv(g)).reshape(len(gens), -1).T
+    coef = np.linalg.lstsq(basis, ad, rcond=None)[0]  # one solve, all T
+    return not np.max(np.abs(basis @ coef - ad)) > tol
+
+
+def classify_element(g: np.ndarray, space: SpaceId) -> isometry.GroupElement:
+    """Tag a matrix as solvable / paint / grassmannian / external.  The
+    isometric elements are the eta-orthogonal ones on so spaces and the
+    orthogonal ones, of |det| 1, on sl spaces."""
+    g = np.asarray(g, dtype=float)
+    det = np.linalg.det(g)
+    if abs(det) < 1e-300:
+        raise ValueError("matrix must be invertible")
+    upper = np.allclose(g, np.triu(g), atol=1e-12) and np.all(np.diag(g) > 0)
+    if space.family == "so":
+        isometric = isometry._eta_defect(g, space) <= 1e-10
+        solvable = isometric and upper
+    else:
+        isometric = (np.allclose(g.T @ g, np.eye(space.N), atol=1e-10)
+                     and abs(abs(det) - 1.0) <= 1e-10)
+        solvable = not isometric and upper and abs(det - 1.0) < 1e-10
+    if solvable:
+        return isometry.GroupElement(space, g, "solvable")
+    if isometric:
+        return isometry.GroupElement(
+            space, g, "paint" if _stabilizes_solvable(g, space)
+            else "grassmannian")
+    return isometry.GroupElement(
+        space, g / np.sign(det) / abs(det) ** (1.0 / space.N), "external")
+
+
+def _cotangent_to_t_chart(t, grad) -> np.ndarray:
+    """A cotangent (..., d) of coordinates as one of the T chart at the
+    rows t, in fresh columns: g_T = -g_Y1 / T, since dY1/dT = -1/T; the
+    inverse of ``spaces._cotangent_from_t_chart``."""
+    grad = np.asarray(grad)
+    g = np.array(grad.T, dtype=np.result_type(grad, t, float), order="C")
+    g[0] /= -t[..., 0]
+    return g.T

@@ -34,7 +34,7 @@ def cartan_count(space):
 def product_of_exponentials(space, x):
     """oracle: sigma(x) = prod_k expm(a_k T_k) with a = exp_factors(x)."""
     L = np.eye(space.N)
-    gens = spaces.solvable_generators(space).generators
+    gens = spaces.solvable_generators(space).stack
     for a, T in zip(spaces.exp_factors(space, x), gens):
         L = L @ scipy.linalg.expm(a * T)
     return L

@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from cartannet import classify, spaces
 from cartannet.spaces import SolvCoords, SpaceId
+from oracles import find_surface_point, h_value, sigmoid
 
 H2 = SpaceId.so(1, 1)
 H3 = SpaceId.so(1, 2)
@@ -28,12 +29,12 @@ class TestHValue:
         # oracle: alpha = beta = 0, w = e_j picks out coordinate 1+j
         sep = classify.Separator(0.0, 0.0, np.array([0.0, 1.0]))
         p = SolvCoords(H3, [0.4, 0.7, -0.3])
-        assert np.isclose(classify.h_value(sep, p), -0.3)
+        assert np.isclose(h_value(sep, p), -0.3)
 
     def test_origin_value(self):
         sep = classify.Separator(0.4, -0.1, np.array([1.0, 0.0]))
         o = SolvCoords(H3, np.zeros(3))
-        assert np.isclose(classify.h_value(sep, o), 0.3)
+        assert np.isclose(h_value(sep, o), 0.3)
 
     def test_full_formula(self):
         a, b = 0.5, -0.25
@@ -42,12 +43,12 @@ class TestHValue:
         sep = classify.Separator(a, b, w)
         want = (a * np.exp(-0.6) + w @ y[1:]
                 + b * np.exp(0.6) * (1 + (y[1] ** 2 + y[2] ** 2) / 4))
-        assert np.isclose(classify.h_value(sep, SolvCoords(H3, y)), want)
+        assert np.isclose(h_value(sep, SolvCoords(H3, y)), want)
 
     def test_dimension_mismatch(self):
         sep = classify.Separator(0.0, 0.0, np.array([1.0]))
         with pytest.raises(ValueError):
-            classify.h_value(sep, SolvCoords(H3, np.zeros(3)))
+            h_value(sep, SolvCoords(H3, np.zeros(3)))
 
 
 class TestSignedDistance:
@@ -55,7 +56,7 @@ class TestSignedDistance:
         rng = np.random.default_rng(0)
         for seed in range(10):
             sep = rand_sep(rng)
-            p = classify.find_surface_point(sep, H3, seed=seed)
+            p = find_surface_point(sep, H3, seed=seed)
             assert abs(classify.signed_distance(sep, p)) < 1e-10
 
     def test_axis_formula(self):
@@ -121,30 +122,27 @@ def _surface_point_at(sep, y2):
 
 class TestSigmoids:
     def test_basic_values(self):
-        assert classify.sigmoid(0.0) == 0.5
-        assert classify.sigma_tilde(0.0) == 0.5
+        assert sigmoid(0.0) == 0.5
 
     def test_complement_symmetry(self):
         rng = np.random.default_rng(3)
         x = rng.uniform(-30, 30, 100)
-        assert np.max(np.abs(classify.sigmoid(x)
-                             + classify.sigmoid(-x) - 1.0)) < 1e-15
-        assert np.max(np.abs(classify.sigma_tilde(x)
-                             + classify.sigma_tilde(-x) - 1.0)) < 1e-15
+        assert np.max(np.abs(sigmoid(x)
+                             + sigmoid(-x) - 1.0)) < 1e-15
 
     def test_overflow_safe(self):
         for x in (-1000.0, 1000.0):
-            v = classify.sigmoid(x)
+            v = sigmoid(x)
             assert np.isfinite(v) and 0.0 <= v <= 1.0
 
     def test_tilde_identity(self):
-        # oracle: sigma_tilde(signed_distance) == sigmoid(normalized h)
+        # oracle: sigmoid(sinh(signed_distance)) == sigmoid(normalized h)
         rng = np.random.default_rng(4)
         sep = rand_sep(rng)
         norm = 2 * np.sqrt(sep.w @ sep.w - sep.alpha * sep.beta)
         pts = rng.uniform(-1, 1, (100, 3))
-        lhs = classify.sigma_tilde(classify.signed_distance(sep, pts))
-        rhs = classify.sigmoid(classify.h_value(sep, pts) / norm)
+        lhs = sigmoid(np.sinh(classify.signed_distance(sep, pts)))
+        rhs = sigmoid(h_value(sep, pts) / norm)
         assert np.max(np.abs(lhs - rhs)) < 1e-14
 
 
@@ -152,7 +150,7 @@ class TestBinaryHead:
     def test_half_on_surface(self):
         rng = np.random.default_rng(5)
         sep = rand_sep(rng)
-        p = classify.find_surface_point(sep, H3, seed=1)
+        p = find_surface_point(sep, H3, seed=1)
         bank = classify.SeparatorBank((sep,))
         assert np.isclose(classify.softmax_probs(bank, p)[1], 0.5)
 
@@ -162,13 +160,13 @@ class TestBinaryHead:
         pts = rng.uniform(-1.5, 1.5, (200, 3))
         bank = classify.SeparatorBank((sep,))
         by_prob = classify.softmax_probs(bank, pts)[:, 1] > 0.5
-        by_sign = classify.h_value(sep, pts) > 0
+        by_sign = h_value(sep, pts) > 0
         assert np.array_equal(by_prob, by_sign)
 
     def test_nll_on_surface_is_log2(self):
         rng = np.random.default_rng(7)
         sep = rand_sep(rng)
-        p = classify.find_surface_point(sep, H3, seed=2)
+        p = find_surface_point(sep, H3, seed=2)
         pts = p.values[None, :]
         bank = classify.SeparatorBank((sep,))
         for y in (0, 1):
@@ -221,7 +219,7 @@ class TestSoftmaxHead:
         probs = classify.softmax_probs(bank, pts)
         d1 = classify.signed_distance(s1, pts)
         d2 = classify.signed_distance(s2, pts)
-        assert np.max(np.abs(probs[:, 0] - classify.sigmoid(d1 - d2))) < 1e-12
+        assert np.max(np.abs(probs[:, 0] - sigmoid(d1 - d2))) < 1e-12
 
     def test_multiclass_nll_uniform(self):
         rng = np.random.default_rng(12)
@@ -394,6 +392,6 @@ class TestSurfaceWitness:
     def test_witness_lies_on_the_surface(self, case):
         sep, space, seed = case
         assert sep.admissible
-        p = classify.find_surface_point(sep, space, seed=seed)
+        p = find_surface_point(sep, space, seed=seed)
         assert p.space == space
         assert abs(classify.signed_distance(sep, p)) <= 1e-10

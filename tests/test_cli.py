@@ -232,6 +232,24 @@ class TestDataTrainEval:
                     str(tmp_path / "metrics.json")]) == 2
         assert sorted(tmp_path.rglob("*")) == before
 
+    def test_eval_empty_data_exit_2(self, tmp_path, capsys):
+        # a header-only CSV is empty data for every task
+        for task, folder in self.task_folders(tmp_path):
+            config = net.NetworkConfig(input_dim=2, layers=(hyperbolic(3),),
+                                       task=task)
+            model = folder / "model.json"
+            net.save_model(model, config, net.init_params(config))
+            data = folder / "data.csv"
+            data.write_text("f0,f1,label\n")
+            ecfg = write_json(folder / "eval.json",
+                              {"model": str(model), "dataset": str(data)})
+            out = folder / "metrics.json"
+            capsys.readouterr()
+            assert run(["eval", "--config", ecfg, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "empty data" in err, task
+            assert not out.exists()
+
     def test_train_without_out_exit_2_before_training(self, tmp_path,
                                                        monkeypatch):
         _, tcfg = self.setup_files(tmp_path)
@@ -675,17 +693,25 @@ class TestFlags:
 class TestModelDocuments:
     """A model document ``eval`` cannot read exits 2."""
 
-    @pytest.mark.parametrize("edit", ["format_version", "layout"])
+    @pytest.mark.parametrize("edit", ["format_version", "layout", "nan_w",
+                                      "nan_alpha", "inf_beta"])
     def test_eval_exit_2(self, tmp_path, edit, capsys):
         config = net.NetworkConfig(input_dim=2, layers=(hyperbolic(3),),
                                    task="binary")
         model = tmp_path / "model.json"
         net.save_model(model, config, net.init_params(config))
         doc = json.loads(model.read_text())
+        # flat_params ends in the head alpha, beta, w (2,); JSON writes a
+        # non-finite float as NaN or Infinity
+        non_finite = {"nan_w": (-1, np.nan), "nan_alpha": (-4, np.nan),
+                      "inf_beta": (-3, np.inf)}
         if edit == "format_version":
             doc["format_version"] = "v0"
-        else:
+        elif edit == "layout":
             doc["layout"][0][1] = [3, 3]
+        else:
+            index, value = non_finite[edit]
+            doc["flat_params"][index] = value
         model.write_text(json.dumps(doc))
         data = TestUnwritableOutputs.dataset(tmp_path)
         ecfg = write_json(tmp_path / "eval.json",

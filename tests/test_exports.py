@@ -1,7 +1,8 @@
-"""Every name a module exports through ``__all__`` exists, every name
-it imports is used or exported, every package it imports from outside
-the standard library is a declared dependency, and every parameter of its
-functions is read."""
+"""Every name a module exports through ``__all__`` exists and has a
+caller, every name it imports is used or exported, every package it
+imports from outside the standard library is a declared dependency, and
+every parameter of its functions is read.  The README's Python examples,
+which count as callers, run."""
 
 import ast
 import importlib
@@ -18,6 +19,21 @@ import cartannet
 
 MODULES = ["cartannet"] + [
     f"cartannet.{info.name}" for info in pkgutil.iter_modules(cartannet.__path__)]
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+README_BLOCKS = re.findall(r"```python\n(.*?)```",
+                           (ROOT / "README.md").read_text(), re.S)
+
+#: Exports that need no caller in the package, the benchmark or the
+#: README: the documented one-point entries and the reference coordinate
+#: maps of ``fixtures``.
+UNCALLED_EXPORTS = {
+    "cartannet.classify": {"signed_distance"},
+    "cartannet.fixtures": {"phi_canonical", "phi_family_11",
+                           "phi_restriction_W3"},
+    "cartannet.homo": {"r1_homomorphism", "integrate_coordinate_map"},
+    "cartannet.isometry": {"isometry_action"},
+    "cartannet.spaces": {"coords_distance"},
+}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -26,6 +42,58 @@ def test_all_names_exist(name):
     exported = getattr(module, "__all__", [])
     assert len(set(exported)) == len(exported), "duplicate export"
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def read_names(source):
+    """The names and attributes that code reads."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(ast.parse(source))
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def string_constants(source):
+    return {n.value for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+
+
+def called_names():
+    """Every name read in ``src/`` (a definition and an ``__all__`` entry
+    are not reads), named in ``bench/*.py`` (whose tracer names the
+    functions it wraps as strings) or read in a README example."""
+    found = set()
+    for path in (ROOT / "src" / "cartannet").glob("*.py"):
+        found |= read_names(path.read_text())
+    for path in (ROOT / "bench").glob("*.py"):
+        text = path.read_text()
+        found |= read_names(text) | string_constants(text)
+    for block in README_BLOCKS:
+        found |= read_names(block)
+    return found
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_export_has_a_caller(name):
+    # an export only tests call is a test helper: it lives in tests/
+    exported = getattr(importlib.import_module(name), "__all__", [])
+    allowed = UNCALLED_EXPORTS.get(name, set())
+    called = called_names()
+    assert [n for n in exported if n not in called and n not in allowed] == []
+
+
+def test_uncalled_exports_exist():
+    # the allowlist names only functions that are there
+    missing = [(name, n) for name, allowed in UNCALLED_EXPORTS.items()
+               for n in sorted(allowed) if not callable(
+                   getattr(importlib.import_module(name), n, None))]
+    assert missing == []
+
+
+def test_readme_examples_run(tmp_path, monkeypatch):
+    # the export guard counts these blocks as callers, so they must run
+    assert len(README_BLOCKS) >= 2
+    monkeypatch.chdir(tmp_path)
+    for i, block in enumerate(README_BLOCKS):
+        exec(compile(block, f"README.md python block {i}", "exec"), {})
 
 
 def imported_names(tree):

@@ -411,7 +411,7 @@ def coordinate_maps(draw, bound=1.0):
 def expm_product(W, x):
     """oracle: sigma_tgt^{-1}(prod_k expm(a_k phi(T_k))), one scipy expm
     per source generator."""
-    gens = spaces.solvable_generators(W.target).generators
+    gens = spaces.solvable_generators(W.target).stack
     images = np.einsum("ik,imn->kmn", W.W, np.stack(gens))
     L = np.eye(W.target.N)
     for a, T in zip(spaces.exp_factors(W.source, x), images):

@@ -17,6 +17,7 @@ from hypothesis.extra import numpy as hnp
 
 from cartannet import classify, homo, isometry, net, spaces, train
 from cartannet.spaces import SolvCoords
+from oracles import h_value
 
 PROPERTY = settings(max_examples=25)
 DIMS = (2, 3, 5, 9, 17)
@@ -97,7 +98,7 @@ def kernels(c):
         "_homomorphism_pullback": (
             lambda p, g, go, y: homo._homomorphism_pullback(W, b, t(p), go),
             False),
-        "h_value": (lambda p, g, go, y: classify.h_value(sep, p), True),
+        "h_value": (lambda p, g, go, y: h_value(sep, p), True),
         "signed_distance": (
             lambda p, g, go, y: classify.signed_distance(sep, p), True),
         "softmax_probs": (

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from cartannet import classify, cli, isometry, net, spaces, train
+from oracles import h_value, sigmoid
 
 PROPERTY = settings(max_examples=60)
 
@@ -70,7 +71,7 @@ class TestBinaryIsTheTwoScoreSoftmax:
         head = classify.SeparatorBank((sep,)).head
         t = spaces._to_t_chart(points)
         u, saved = classify._head(head, t)
-        g_d = classify.sigmoid(np.arcsinh(u)) - labels[:, None]
+        g_d = sigmoid(np.arcsinh(u)) - labels[:, None]
         g_t, g_head = classify._head_vjp(u, saved, g_d)
         want = (g_t, g_head["alpha"][0], g_head["beta"][0], g_head["w"][0])
         got_t, got_head = classify._nll_vjp(head, t, labels)
@@ -89,9 +90,9 @@ class TestBinaryIsTheTwoScoreSoftmax:
         params.Q[:] = np.eye(3, 2)
         params.head["w"][:] = [[1.0, 0.0]]
         X = np.array([[0.0, 1e-17], [0.0, -1e-17], [0.0, 0.5], [0.0, -0.5]])
-        h = classify.h_value(classify.Separator(0.0, 0.0, np.array([1.0, 0.0])),
+        h = h_value(classify.Separator(0.0, 0.0, np.array([1.0, 0.0])),
                              net.forward_batch(config, params, X))
-        assert classify.sigmoid(h[0] / 2.0) == 0.5
+        assert sigmoid(h[0] / 2.0) == 0.5
         _, accuracy = train._scores(config, params, X, (h > 0).astype(int))
         assert accuracy == 1.0
 
@@ -155,6 +156,25 @@ class TestLabelChecks:
                                        layers=(spaces.hyperbolic(3),),
                                        task="regression")
         train.check_labels(regression, np.array([0.5, -7.25]))
+
+    @pytest.mark.parametrize("labels", [[0], [0, 1, 0]])
+    def test_labels_must_match_the_batch(self, labels):
+        # labels of another length than the 8 rows are refused, not
+        # broadcast, by the loss, the gradient and the NLL
+        X = np.random.default_rng(0).normal(size=(8, 4))
+        layers = (spaces.hyperbolic(5), spaces.hyperbolic(3))
+        for task, K in (("binary", None), ("multiclass", 3),
+                        ("regression", None)):
+            config = net.NetworkConfig(input_dim=4, layers=layers,
+                                       task=task, K=K)
+            flat = net.flatten(config, net.init_params(config))
+            with pytest.raises(ValueError, match="labels of shape"):
+                train.loss_flat(config, flat.vector, X, labels)
+            with pytest.raises(ValueError, match="labels of shape"):
+                train.gradient(config, flat, X, labels)
+        bank = classify.SeparatorBank((self.BINARY,) * 3)
+        with pytest.raises(ValueError, match="labels of shape"):
+            classify.multiclass_nll(np.zeros((8, 3)), labels, bank)
 
     @pytest.mark.parametrize("task, K, bad", [("binary", None, 2),
                                               ("multiclass", 3, 3),
@@ -293,12 +313,9 @@ def reference_init(config, seed):
         blocks += [rng.uniform(-sw, sw, size=(b.subpaint_dim, a.subpaint_dim)),
                    np.zeros(b.subpaint_dim), np.zeros(max(b.subpaint_dim - 1, 0))]
     k = config.n_separators
-    if k:
-        w = rng.uniform(-1.0, 1.0, size=(k, dims[-1].subpaint_dim))
-        blocks += [np.zeros(k), np.zeros(k),
-                   w / np.linalg.norm(w, axis=1, keepdims=True)]
-    else:
-        blocks += [rng.uniform(-s, s, size=dims[-1].dim), np.zeros(1)]
+    w = rng.uniform(-1.0, 1.0, size=(k, dims[-1].subpaint_dim))
+    blocks += [np.zeros(k), np.zeros(k),
+               w / np.linalg.norm(w, axis=1, keepdims=True)]
     return np.concatenate([b.reshape(-1) for b in blocks])
 
 

@@ -3,6 +3,7 @@ every separator with a margin the head kernel, ``Separator.admissible``
 and ``train._margins`` all read as positive, at any finite |w|."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -80,3 +81,15 @@ def test_projected_heads_are_admissible_to_every_reader(case):
     assert all(classify.Separator(a, b, w).admissible
                for a, b, w in zip(head["alpha"], head["beta"], head["w"]))
     assert np.all(train._margins(config, out.vector) > 0)
+
+
+def test_a_nan_margin_is_refused_by_every_reader():
+    # NaN fails "margin > 0", so the head refuses what
+    # Separator.admissible refuses instead of scoring NaN
+    point = np.zeros((1, 3))
+    for alpha, beta, w in ((np.nan, 1.0, [1.0, 0.0]),
+                           (0.0, 0.0, [np.nan, 1.0])):
+        sep = classify.Separator(alpha, beta, np.array(w))
+        assert not sep.admissible
+        with pytest.raises(classify.DegenerateSeparatorError):
+            classify.signed_distance(sep, point)
