@@ -62,7 +62,9 @@ class Separator:
 class SeparatorBank:
     """K separators on a shared layer.  Their parameters are stacked once,
     as ``head`` = {alpha (K,), beta (K,), w (K, s)}, the form the head
-    kernel reads and the one a network's separator head is stored in."""
+    kernel reads and the one a network's separator head is stored in.
+    A parameter that is not finite raises DegenerateSeparatorError here,
+    where alpha beta = inf * 0 would leave the head a NaN margin."""
 
     separators: tuple
     head: dict = dataclasses.field(init=False, repr=False, compare=False)
@@ -76,6 +78,9 @@ class SeparatorBank:
             "alpha": np.array([s.alpha for s in seps]),
             "beta": np.array([s.beta for s in seps]),
             "w": np.stack([s.w for s in seps])})
+        if not all(np.isfinite(v).all() for v in self.head.values()):
+            raise DegenerateSeparatorError(
+                "separator parameters must be finite")
 
     def __len__(self):
         return len(self.separators)

@@ -348,6 +348,9 @@ def _pattern_starts(system: ConstraintSystem, rng):
 
 
 _QUANTUM = 1e-9
+#: The residual norm at which the Gauss-Newton polish stops: the
+#: rounding floor of the constraint kernels.
+_POLISH_FLOOR = 1e-14
 
 
 def _quantize(x: np.ndarray, quantum: float) -> np.ndarray:
@@ -392,9 +395,11 @@ def _lockstep_gauss_newton(system: ConstraintSystem, X0: np.ndarray,
     Each row follows its own trajectory: iterates are quantized to 1e-9
     so the run is reproducible bit-for-bit; a row stops once its residual
     norm is <= 1e-7, is dropped after 200 iterations or when no step
-    length alpha = 1, 1/2, ... > 1e-6 lowers its residual; then 4
-    full-precision Newton steps polish it, the result is rounded to
-    1e-12 and kept if its residual is <= 1e-10."""
+    length alpha = 1, 1/2, ... > 1e-6 lowers its residual; then
+    full-precision Newton steps polish it while its residual norm is
+    above the rounding floor 1e-14, at most 4 of them (a row that enters
+    at or below the floor takes none), the result is rounded to 1e-12,
+    with no -0.0, and kept if its residual is <= 1e-10."""
     def residuals(X):
         return system.residual_stack(X.reshape(len(X), *system.shape))
 
@@ -426,11 +431,18 @@ def _lockstep_gauss_newton(system: ConstraintSystem, X0: np.ndarray,
             alpha *= 0.5
         active = np.delete(active, pending)
     rows = np.sort(np.asarray(converged, dtype=int))
-    Xc = X[rows]
-    # full-precision polish (quadratic convergence from a quantized point)
+    Xc, Rc = X[rows], R[rows]
+    # full-precision polish (quadratic convergence from a quantized
+    # point); a step below the floor lowers nothing
     for _ in range(4):
-        Xc = Xc + _steps(system, Xc, residuals(Xc), masks, group[rows])
-    Xc = _quantize(Xc, 1e-12)
+        live = np.flatnonzero(np.linalg.norm(Rc, axis=1) > _POLISH_FLOOR)
+        if not len(live):
+            break
+        Xc[live] += _steps(system, Xc[live], Rc[live], masks,
+                           group[rows[live]])
+        Rc[live] = residuals(Xc[live])
+    # + 0.0 turns a -0.0 into 0.0, whatever steps a row took
+    Xc = _quantize(Xc, 1e-12) + 0.0
     return Xc[np.linalg.norm(residuals(Xc), axis=1) <= 1e-10]
 
 

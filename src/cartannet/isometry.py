@@ -345,9 +345,12 @@ def _fiber_input(tape, out):
 
 @functools.cache
 def _eta_rows(space: SpaceId):
-    """eta of an so space and the rows perm with eta @ g = g[perm]."""
+    """eta of an so space and the rows perm with eta @ g = g[perm], both
+    read-only."""
     eta = spaces.build_eta(space).entries
-    return eta, np.argmax(eta, axis=1)
+    perm = np.argmax(eta, axis=1)
+    perm.setflags(write=False)
+    return eta, perm
 
 
 def _eta_defect(g: np.ndarray, space: SpaceId):

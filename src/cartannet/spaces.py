@@ -37,11 +37,13 @@ __all__ = [
     "sigma_matrix",
     "sigma_inv_matrix",
     "exp_factors",
+    "cholesky_crout_matrix",
     "cholesky_crout",
     "to_coset",
     "group_product",
     "group_inverse",
     "structure_constants_from_generators",
+    "coords_distance",
 ]
 
 #: Bound on the Cartan coordinate(s); beyond this e^{w} overflows usefully.
@@ -154,9 +156,10 @@ class EtaForm:
 class SolvAlgebraSpec:
     """Basis of the solvable Lie algebra with its structure constants.
 
-    ``stack`` (d, N, N) holds the upper-triangular generators, read-only,
-    Cartan generators first, then root generators by ascending height;
+    ``stack`` (d, N, N) holds the upper-triangular generators, Cartan
+    generators first, then root generators by ascending height;
     ``structure_constants[i,j,k]`` is f^i_{jk} with [T_j, T_k] = f^i_{jk} T_i.
+    Both arrays are read-only.
     """
 
     space: SpaceId
@@ -205,6 +208,13 @@ class CosetPoint:
 # ---------------------------------------------------------------------------
 
 
+def _read_only(*arrays):
+    """Freezes arrays a per-process cache hands out: one in-place write
+    would corrupt every later call."""
+    for a in arrays:
+        a.setflags(write=False)
+
+
 @functools.cache
 def build_eta(space: SpaceId) -> EtaForm:
     """Invariant form: antidiagonal 1s on the r outer corner pairs, identity
@@ -219,8 +229,7 @@ def build_eta(space: SpaceId) -> EtaForm:
     eta[i, n - 1 - i] = eta[n - 1 - i, i] = eta[a, a] = omega[a, a] = 1.0
     omega[i, i] = omega[i, n - 1 - i] = omega[r + q + i, i] = 1.0 / SQRT2
     omega[r + q + i, n - 1 - i] = -1.0 / SQRT2
-    eta.setflags(write=False)
-    omega.setflags(write=False)
+    _read_only(eta, omega)
     return EtaForm(entries=eta, omega=omega)
 
 
@@ -321,7 +330,7 @@ def solvable_generators(space: SpaceId) -> SolvAlgebraSpec:
         raise AssertionError("generator count does not match the dimension")
     f = structure_constants_from_generators(gens)
     stack = np.stack(gens)
-    stack.setflags(write=False)
+    _read_only(f, stack)
     return SolvAlgebraSpec(
         space=space,
         structure_constants=f,
@@ -423,6 +432,24 @@ def exp_factors(space: SpaceId, values) -> np.ndarray:
 
 
 @dataclasses.dataclass(frozen=True)
+class _SigmaInvTable:
+    """The root coordinates of sigma_inv as polynomials in the entries of
+    R = diag(L)^{-1} L.  ``rows`` and ``cols`` (e,) name the entries the
+    polynomials read, r = L[rows, cols] / diag[rows]; the coordinates are
+    prod(r[monomials], -1) @ coefs over the m monomials (m, degree), each
+    a list of reads padded with the read of R[0, 0] = 1, with coefs (m,
+    roots).  Where every coordinate is one entry times a coefficient
+    (degree one, the r=1 family), ``monomials`` is None, the entries come
+    one per coordinate and the coordinates are r * coefs, coefs (roots,).
+    Every array is read-only."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    monomials: np.ndarray | None
+    coefs: np.ndarray
+
+
+@dataclasses.dataclass(frozen=True)
 class _ChartTable:
     """sigma(x) = diag(exp(x_cartan @ cart)) prod_blocks (I + sum_k X_k).
 
@@ -431,8 +458,11 @@ class _ChartTable:
     other in both orders.  Since T_k^3 = 0, their factors expm(x_k T_k) =
     I + X_k then multiply to I + sum_k X_k, and the same sum at -x undoes
     it.  Each block is (terms, rows, cols, inv): its (2k, N*N) terms T_k
-    then T_k^2 / 2, and for sigma_inv the last nonzero entry (rows[k],
-    cols[k]) of each T_k with inv[k] = 1 / T_k[rows[k], cols[k]]."""
+    then T_k^2 / 2, and the last nonzero entry (rows[k], cols[k]) of each
+    T_k with inv[k] = 1 / T_k[rows[k], cols[k]], which the block peel of
+    :func:`_sigma_inv_table` reads.  ``inverse``, the table of
+    :func:`sigma_inv_matrix`, is built on its first read.  Every array is
+    read-only."""
 
     cart: np.ndarray  # (c, N): scaled Cartan diagonals
     # (2, N): the range [lo, hi] sigma_inv accepts for each diagonal entry:
@@ -443,7 +473,11 @@ class _ChartTable:
     cart_inv: np.ndarray  # (c,): 1 / cart[i, cart_entry[i]]
     blocks: tuple  # at least one, possibly empty
     terms: np.ndarray  # (2 * roots, blocks * N*N): every block's terms
-    eye: np.ndarray  # (N, N): read-only identity
+    eye: np.ndarray  # (N, N): identity
+
+    @functools.cached_property
+    def inverse(self) -> _SigmaInvTable:
+        return _sigma_inv_table(self)
 
 
 @functools.cache
@@ -480,12 +514,13 @@ def _chart_table(space: SpaceId) -> _ChartTable:
                            np.full(n, np.finfo(float).max)])
     diag_range[:, cart_entry] = np.exp(np.multiply.outer(
         [-CARTAN_BOUND, CARTAN_BOUND], np.abs(cart[range(c), cart_entry])))
-    eye = np.eye(n)
-    eye.setflags(write=False)
-    return _ChartTable(cart, diag_range, cart_entry,
-                       1.0 / cart[range(c), cart_entry],
-                       tuple(blocks),
-                       terms.reshape(2 * (d - c), len(groups) * n * n), eye)
+    table = _ChartTable(cart, diag_range, cart_entry,
+                        1.0 / cart[range(c), cart_entry], tuple(blocks),
+                        terms.reshape(2 * (d - c), len(groups) * n * n),
+                        np.eye(n))
+    _read_only(cart, diag_range, cart_entry, table.cart_inv, table.terms,
+               table.eye, *(a for block in blocks for a in block))
+    return table
 
 
 def sigma_matrix(space: SpaceId, values) -> np.ndarray:
@@ -509,39 +544,104 @@ def sigma_matrix(space: SpaceId, values) -> np.ndarray:
     return np.multiply(np.exp(cartan @ table.cart)[..., :, None], U, out=U)
 
 
-def sigma_inv_matrix(space: SpaceId, L) -> np.ndarray:
-    """Inverse of :func:`sigma_matrix`: Cartans from the log-diagonal, then
-    each root block read off and peeled from the left.  Batched
-    (..., N, N) -> (..., d) and complex safe.
+def _add_to(total, p, scale=1.0):
+    """total += scale p, in place, for polynomials {monomial: coefficient},
+    a monomial being the sorted tuple of its variables."""
+    for m, v in p.items():
+        total[m] = total.get(m, 0.0) + scale * v
+    return total
 
-    L must be a chart image: the kernel reads its diagonal and one entry
-    per root coordinate, and the entries it does not read are outside its
-    contract (a NaN there is not noticed).  It refuses what
-    :func:`sigma_matrix` refuses, before any division, by one range test
-    of the diagonal's real parts: an inf or NaN on the diagonal, or a
-    Cartan coordinate beyond CARTAN_BOUND, raises CartanBoundError; a
-    diagonal entry <= 0 raises ValueError."""
+
+def _polynomial_product(p, q):
+    out = {}
+    for a, u in p.items():
+        for b, v in q.items():
+            m = tuple(sorted(a + b))
+            out[m] = out.get(m, 0.0) + u * v
+    return out
+
+
+def _sigma_inv_table(table: _ChartTable) -> _SigmaInvTable:
+    """The table of :func:`sigma_inv_matrix`, built by peeling the root
+    blocks of sigma once on polynomial entries: with R = sigma(x) / its
+    diagonal, block by block from the left, x_k = R[rows[k], cols[k]]
+    inv[k] and R <- (I + X(-x)) R.  The variables are the strictly-upper
+    entries (i, j) of R, its diagonal is 1; a coefficient below 1e-12 is
+    a rounding residue of a cancellation and is dropped."""
+    n = len(table.eye)
+    R = {(i, j): {() if i == j else ((i, j),): 1.0}
+         for i in range(n) for j in range(i, n)}
+    roots = []
+    for b, (terms, rows, cols, inv) in enumerate(table.blocks):
+        x = [_add_to({}, R[i, j], s) for i, j, s in zip(rows, cols, inv)]
+        roots += x
+        if b + 1 == len(table.blocks):
+            break
+        X = {}  # X(-x) = sum_k -x_k T_k + x_k^2 T_k^2 / 2
+        for p, T in zip([_add_to({}, p, -1.0) for p in x]
+                        + [_polynomial_product(p, p) for p in x],
+                        terms.reshape(-1, n, n)):
+            for i, j in zip(*np.nonzero(T)):
+                _add_to(X.setdefault((i, j), {}), p, T[i, j])
+        peeled = {key: dict(p) for key, p in R.items()}
+        for (i, k), p in X.items():
+            for j in range(k, n):
+                _add_to(peeled[i, j], _polynomial_product(p, R[k, j]))
+        R = peeled
+    roots = [{m: v for m, v in p.items() if abs(v) >= 1e-12} for p in roots]
+    if all(len(p) == 1 and len(m) == 1 for p in roots for m in p):
+        entries = [m[0] for p in roots for m in p]
+        monomials = None
+        coefs = np.array([v for p in roots for v in p.values()])
+    else:
+        names = sorted({m for p in roots for m in p},
+                       key=lambda m: (len(m), m))
+        pad = (0, 0)  # R[0, 0] = 1, read last
+        entries = sorted({e for m in names for e in m}) + [pad]
+        read = {e: k for k, e in enumerate(entries)}
+        degree = len(names[-1])
+        monomials = np.array([[read[e] for e in m + (pad,) * (degree - len(m))]
+                              for m in names])
+        coefs = np.array([[p.get(m, 0.0) for p in roots] for m in names])
+        _read_only(monomials)
+    rows, cols = (np.array(v) for v in zip(*entries))
+    _read_only(rows, cols, coefs)
+    return _SigmaInvTable(rows, cols, monomials, coefs)
+
+
+def sigma_inv_matrix(space: SpaceId, L) -> np.ndarray:
+    """Inverse of :func:`sigma_matrix`: Cartans from the log-diagonal, and
+    every root coordinate a polynomial in the entries of R =
+    diag(L)^{-1} L (:func:`_sigma_inv_table`), read by one gather, one
+    product per monomial and one matmul.  Batched (..., N, N) -> (..., d)
+    and complex safe.
+
+    L must be a chart image: the kernel reads its diagonal and the
+    strictly-upper entries its polynomials name, and the entries it does
+    not read are outside its contract (a NaN there is not noticed).  It
+    refuses what :func:`sigma_matrix` refuses, before any division, by
+    one range test of the diagonal's real parts: an inf or NaN on the
+    diagonal, or a Cartan coordinate beyond CARTAN_BOUND, raises
+    CartanBoundError; a diagonal entry <= 0 raises ValueError."""
     table = _chart_table(space)
     L = np.asarray(L)
     diag = np.diagonal(L, axis1=-2, axis2=-1)
     lo, hi = table.diag_range
-    if not ((diag.real >= lo) & (diag.real <= hi)).all():
-        if (diag.real <= 0).any():
+    real = diag.real
+    if not ((real >= lo) & (real <= hi)).all():
+        if (real <= 0).any():
             raise ValueError("triangular element must have positive diagonal")
         raise CartanBoundError(
             f"Cartan coordinate not finite or beyond the bound {CARTAN_BOUND}:"
             " the triangular element must have a finite positive diagonal")
-    coords = [np.log(diag[..., table.cart_entry]) * table.cart_inv]
-    R = L / diag[..., :, None]
-    *peeled, last = table.blocks
-    for terms, rows, cols, inv in peeled:
-        x = R[..., rows, cols] * inv
-        coords.append(x)
-        R = R + (np.concatenate([-x, x * x], axis=-1) @ terms).reshape(
-            L.shape) @ R
-    _, rows, cols, inv = last
-    coords.append(R[..., rows, cols] * inv)
-    return np.concatenate(coords, axis=-1)
+    polys = table.inverse
+    r = L[..., polys.rows, polys.cols] / diag[..., polys.rows]
+    if polys.monomials is None:
+        roots = r * polys.coefs
+    else:
+        roots = np.prod(r[..., polys.monomials], axis=-1) @ polys.coefs
+    return np.concatenate(
+        [np.log(diag[..., table.cart_entry]) * table.cart_inv, roots], axis=-1)
 
 
 def sigma(coords: SolvCoords) -> TriangularElement:

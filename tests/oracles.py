@@ -1,9 +1,10 @@
 """Reference functions shared by the tests and called by nothing in the
 package: the invariant metric of an r=1 space, the separator's defining
 function h, a witness point on a separator, the logistic function, the
-classification of an isometry-group element and the cotangent chart
-change the pullbacks invert.  They call the package's private kernels,
-so what they check is the code the package runs."""
+classification of an isometry-group element, the cotangent chart
+change the pullbacks invert and the numeric block peel that the
+polynomial table of sigma_inv is built from.  They call the package's
+private kernels, so what they check is the code the package runs."""
 
 import numpy as np
 
@@ -109,3 +110,21 @@ def _cotangent_to_t_chart(t, grad) -> np.ndarray:
     g = np.array(grad.T, dtype=np.result_type(grad, t, float), order="C")
     g[0] /= -t[..., 0]
     return g.T
+
+
+def sigma_inv_peel(space: SpaceId, L) -> np.ndarray:
+    """The numeric block peel ``spaces._sigma_inv_table`` runs once on
+    polynomials: Cartans from the log-diagonal, then with R = diag(L)^{-1}
+    L, block by block from the left, x_k = R[rows[k], cols[k]] inv[k] and
+    R <- (I + X(-x)) R.  Batched (..., N, N) -> (..., d), no range test."""
+    table = spaces._chart_table(space)
+    L = np.asarray(L)
+    diag = np.diagonal(L, axis1=-2, axis2=-1)
+    coords = [np.log(diag[..., table.cart_entry]) * table.cart_inv]
+    R = L / diag[..., :, None]
+    for terms, rows, cols, inv in table.blocks:
+        x = R[..., rows, cols] * inv
+        coords.append(x)
+        R = R + (np.concatenate([-x, x * x], axis=-1) @ terms).reshape(
+            L.shape) @ R
+    return np.concatenate(coords, axis=-1)

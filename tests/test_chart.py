@@ -1,7 +1,10 @@
 """Contract of the chart kernels sigma_matrix / sigma_inv_matrix, for
 every family, against the ordered product of one-parameter subgroups."""
 
+import ast
+import dataclasses
 import functools
+import inspect
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cartannet import spaces
+from cartannet import isometry, spaces
 from cartannet.spaces import (
     CARTAN_BOUND,
     CartanBoundError,
@@ -19,6 +22,7 @@ from cartannet.spaces import (
     TriangularElement,
     hyperbolic,
 )
+from oracles import sigma_inv_peel
 
 SPACES = [hyperbolic(2), hyperbolic(5), hyperbolic(17), SpaceId.so(2, 2),
           SpaceId.so(2, 3), SpaceId.so(3, 2), SpaceId.sl(3), SpaceId.sl(4),
@@ -98,6 +102,97 @@ class TestRoundTrip:
             spaces._chart_table.__wrapped__))
         with pytest.raises(AssertionError):
             spaces._chart_table(space)
+
+
+TABLE_SPACES = [hyperbolic(2), hyperbolic(5), hyperbolic(17),
+                SpaceId.so(2, 2), SpaceId.so(2, 4), SpaceId.so(3, 3),
+                SpaceId.sl(3), SpaceId.sl(4), SpaceId.sl(5), SpaceId.sl(6)]
+
+
+@st.composite
+def far_points(draw):
+    """(space, x) with every coordinate in [-20, 20]."""
+    space = draw(st.sampled_from(TABLE_SPACES))
+    return space, draw(hnp.arrays(float, (space.dim,),
+                                  elements=st.floats(-20.0, 20.0)))
+
+
+def term_scale(space, L):
+    """sum_m |c_m monomial_m| over the terms of each root coordinate's
+    polynomial: the scale of the rounding of any evaluation of it."""
+    table = spaces._chart_table(space).inverse
+    diag = np.diagonal(L, axis1=-2, axis2=-1)
+    r = np.abs(L[..., table.rows, table.cols] / diag[..., table.rows])
+    if table.monomials is None:
+        return r * np.abs(table.coefs)
+    return np.prod(r[..., table.monomials], axis=-1) @ np.abs(table.coefs)
+
+
+class TestSigmaInvTable:
+    """sigma_inv reads each root coordinate as a polynomial in the entries
+    of diag(L)^{-1} L, built once per space by running the block peel of
+    ``oracles.sigma_inv_peel`` on polynomials."""
+
+    @settings(max_examples=200)
+    @given(far_points())
+    def test_table_matches_the_peel(self, case):
+        # the same polynomials, evaluated expanded and nested: they agree
+        # to 1e-14 of the size of their terms, which on r=1 (one term,
+        # the same arithmetic) is exact
+        space, x = case
+        L = spaces.sigma_matrix(space, x)
+        got, want = spaces.sigma_inv_matrix(space, L), sigma_inv_peel(space, L)
+        c = cartan_count(space)
+        assert np.array_equal(got[:c], want[:c])
+        if space.is_r1:
+            assert np.array_equal(got, want)
+        assert np.all(np.abs(got[c:] - want[c:])
+                      <= 1e-14 * np.maximum(1.0, term_scale(space, L)))
+
+    @pytest.mark.parametrize("space, monomials, degree", [
+        (SpaceId.sl(3), 4, 2), (SpaceId.sl(4), 9, 2), (SpaceId.sl(5), 20, 4),
+        (SpaceId.sl(6), 37, 4), (SpaceId.so(2, 4), 14, 2),
+        (SpaceId.so(3, 3), 34, 3)], ids=str)
+    def test_table_size(self, space, monomials, degree):
+        table = spaces._chart_table(space).inverse
+        assert table.monomials.shape == (monomials, degree)
+        assert table.coefs.shape == (monomials, space.dim - cartan_count(space))
+
+    @pytest.mark.parametrize("space", [hyperbolic(2), hyperbolic(17)], ids=str)
+    def test_r1_reads_one_entry_per_coordinate(self, space):
+        table = spaces._chart_table(space).inverse
+        assert table.monomials is None
+        assert table.rows.shape == table.coefs.shape == (space.dim - 1,)
+
+    def test_the_kernel_has_no_loop(self):
+        tree = ast.parse(inspect.getsource(spaces.sigma_inv_matrix))
+        assert not [n for n in ast.walk(tree)
+                    if isinstance(n, (ast.For, ast.While, ast.comprehension))]
+
+
+def arrays_in(value):
+    """Every array a cached value holds, through dataclasses and tuples."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if dataclasses.is_dataclass(value):
+        value = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    if isinstance(value, (tuple, list)):
+        return [a for v in value for a in arrays_in(v)]
+    return []
+
+
+@pytest.mark.parametrize("space", [hyperbolic(5), SpaceId.so(2, 3),
+                                   SpaceId.sl(4)], ids=str)
+def test_per_process_caches_are_read_only(space):
+    # one in-place write to a cached array would corrupt every later
+    # sigma, sigma_inv or eta check in the process
+    cached = [spaces._chart_table(space), spaces._chart_table(space).inverse,
+              spaces.solvable_generators(space)]
+    if space.family == "so":
+        cached += [spaces.build_eta(space), isometry._eta_rows(space)]
+    arrays = arrays_in(cached)
+    assert len(arrays) >= 10
+    assert [a.shape for a in arrays if a.flags.writeable] == []
 
 
 class TestComplexStep:

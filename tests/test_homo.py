@@ -174,6 +174,29 @@ class TestSolveNumeric:
         got = homo._lockstep_gauss_newton(system, X0, np.zeros_like(X0, bool))
         assert got.shape == (0, 27)
 
+    def test_the_polish_stops_at_the_rounding_floor(self, monkeypatch):
+        # a converged row takes full-precision steps only while its
+        # residual norm is above 1e-14: none from an exact solution
+        # (residual 0), one from a start 1e-8 off it, not the cap of 4
+        system = restriction_system()
+        steps, calls = homo._steps, []
+
+        def counted(*args):
+            calls.append(len(args[1]))
+            return steps(*args)
+
+        monkeypatch.setattr(homo, "_steps", counted)
+        W = np.zeros(system.shape)
+        W[:, 2] = (0.5, -0.25, 0.125)  # a cartan-column-3 solution
+        for offset, want in ((0.0, []), (1e-8, [1])):
+            calls.clear()
+            X0 = (W + offset * np.cos(np.arange(W.size)).reshape(W.shape))
+            X0 = X0.reshape(1, -1)
+            got = homo._lockstep_gauss_newton(system, X0,
+                                              np.ones_like(X0, bool))
+            assert calls == want
+            assert homo.residual(got[0].reshape(W.shape), system) <= 1e-10
+
     def test_large_system_memory(self):
         # borel_sl(5) -> borel_sl(5): m = 1274 residuals in n = 196
         # unknowns; a dense m x n x n Jacobian tensor alone would be 390 MB

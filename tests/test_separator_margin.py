@@ -93,3 +93,20 @@ def test_a_nan_margin_is_refused_by_every_reader():
         assert not sep.admissible
         with pytest.raises(classify.DegenerateSeparatorError):
             classify.signed_distance(sep, point)
+
+
+@pytest.mark.parametrize("alpha, beta, w", [
+    (np.inf, 0.0, [1.0, 0.0]), (-np.inf, 0.0, [1.0, 0.0]),
+    (0.0, np.inf, [1.0, 0.0]), (0.0, -np.inf, [1.0, 0.0]),
+    (0.0, 0.0, [np.inf, 1.0])])
+def test_an_infinite_parameter_is_refused_by_every_reader(alpha, beta, w):
+    # alpha beta = inf * 0 is NaN with a RuntimeWarning, so a head with
+    # an infinite parameter is refused where it is built
+    point = np.zeros((1, 3))
+    sep = classify.Separator(alpha, beta, np.array(w))
+    with pytest.raises(classify.DegenerateSeparatorError):
+        classify.signed_distance(sep, point)
+    with pytest.raises(classify.DegenerateSeparatorError):
+        classify.softmax_probs(classify.SeparatorBank((sep,)), point)
+    with pytest.raises(classify.DegenerateSeparatorError):
+        classify.multiclass_nll(point, [0], classify.SeparatorBank((sep, sep)))
