@@ -177,8 +177,12 @@ def flatten(config: NetworkConfig, params: ParamSet) -> FlatParams:
 
 
 def unflatten(config: NetworkConfig, flat) -> ParamSet:
-    """Inverse of flatten; accepts a FlatParams or a bare vector."""
+    """Inverse of flatten; accepts a bare vector, or a FlatParams of this
+    config's layout (ValueError for another: two layouts of one length
+    would read each other's blocks)."""
     layout = layout_for(config)
+    if isinstance(flat, FlatParams) and flat.layout != layout:
+        raise ValueError("parameter layout does not match the config")
     vec = flat.vector if isinstance(flat, FlatParams) else np.asarray(flat)
     total = sum(math.prod(s) for _, s in layout)
     if vec.shape != (total,):

@@ -19,7 +19,10 @@ complex-step differentiation of the whole chain (every stage is
 complex-analytic) and against central differences of :func:`loss_flat`.
 Labels are checked where data enters (``Dataset``, :func:`check_labels`):
 :func:`gradient` checks its batch, and :func:`train_loop` checks the
-dataset once, so its steps do not."""
+dataset once, so its steps do not.  A run trains in place: it holds one
+parameter vector and one gradient vector, each unpacked once into views,
+and a step writes the pullbacks into the gradient's views, subtracts the
+gradient from the parameters and projects their head block."""
 
 from __future__ import annotations
 
@@ -39,7 +42,6 @@ __all__ = [
     "check_dataset",
     "loss_flat",
     "gradient",
-    "sgd_step",
     "train_loop",
     "evaluate",
     "gen_synthetic",
@@ -91,8 +93,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
+        if not (self.learning_rate > 0 and np.isfinite(self.learning_rate)):
+            raise ValueError("learning rate must be positive and finite")
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                   for v in (self.epochs, self.batch_size)):
+            raise ValueError("epochs and batch_size must be integers")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
@@ -164,44 +169,41 @@ def _head_vjp(config: net.NetworkConfig, params: net.ParamSet,
 
 def gradient(config: net.NetworkConfig, flat: net.FlatParams,
              features, labels) -> np.ndarray:
-    """Gradient of the batch loss with respect to the flat parameters.
-    Refuses with ValueError labels that are not one per row of
-    ``features`` or that the head cannot read (:func:`check_labels`)."""
-    labels = classify._batch_labels(labels, (len(np.atleast_2d(features)),))
-    return _gradient(config, flat, features, check_labels(config, labels))
+    """Gradient of the batch loss with respect to the flat parameters;
+    DivergenceError if it is not finite.  Refuses with ValueError labels
+    that are not one per row of ``features`` or that the head cannot read
+    (:func:`check_labels`)."""
+    labels = check_labels(config, classify._batch_labels(
+        labels, (len(np.atleast_2d(features)),)))
+    vector = np.empty(np.shape(getattr(flat, "vector", flat)))
+    _gradient(config, net.unflatten(config, flat), features, labels,
+              net.unflatten(config, vector))
+    if not np.all(np.isfinite(vector)):
+        raise DivergenceError("non-finite gradient")
+    return vector
 
 
-def _gradient(config: net.NetworkConfig, flat: net.FlatParams,
-              features, labels) -> np.ndarray:
+def _gradient(config: net.NetworkConfig, params: net.ParamSet,
+              features, labels, grads: net.ParamSet):
     """:func:`gradient` at labels already checked, as ints for a
-    separator head, in reverse mode: one forward pass through
+    separator head, written into ``grads``, views of a gradient vector
+    (:func:`net.unflatten`), in reverse mode: one forward pass through
     ``net.stages``, keeping every layer's output and fiber tape, then the
     pullbacks in reverse order, all in the chart (T, Y2) of the chain; the
     injection's own pullback turns g_T into g_Y1 = -T g_T."""
-    params = net.unflatten(config, flat)
     X = np.atleast_2d(np.asarray(features, dtype=float))
     outputs, tapes = zip(*net.stages(config, params, X))
     g, head = _head_vjp(config, params, outputs[-1], labels)
-    n_trans = len(outputs) - 1
-    g_Ws, g_bs, g_psis = [None] * n_trans, [None] * n_trans, [None] * n_trans
-    for i in reversed(range(n_trans)):
-        g, g_psis[i] = isometry._fiber_pullback(tapes[i + 1], g)
-        g, g_Ws[i], g_bs[i] = homo._homomorphism_pullback(
+    for name, value in head.items():
+        grads.head[name][...] = value
+    for i in reversed(range(len(outputs) - 1)):
+        g, grads.psis[i][...] = isometry._fiber_pullback(tapes[i + 1], g)
+        g, grads.Ws[i][...], grads.bs[i][...] = homo._homomorphism_pullback(
             params.Ws[i], params.bs[i], outputs[i], g)
-    g, g_lam = isometry._fiber_pullback(tapes[0], g)
+    g, grads.lam[...] = isometry._fiber_pullback(tapes[0], g)
     g = spaces._cotangent_from_t_chart(
         isometry._fiber_input(tapes[0], outputs[0]), g)
-    grads = net.ParamSet(Q=g.T @ X, lam=g_lam, Ws=g_Ws, bs=g_bs,
-                         psis=g_psis, head=head)
-    g = net.flatten(config, grads).vector
-    if not np.all(np.isfinite(g)):
-        raise DivergenceError("non-finite gradient")
-    return g
-
-
-def sgd_step(flat: net.FlatParams, grad: np.ndarray, lr: float) -> net.FlatParams:
-    """Pure gradient-descent update on the flat vector."""
-    return net.FlatParams(vector=flat.vector - lr * grad, layout=flat.layout)
+    np.matmul(g.T, X, out=grads.Q)
 
 
 _ADMISSIBLE_SLACK = 1e-6
@@ -221,7 +223,7 @@ def _margins(config: net.NetworkConfig, vector) -> np.ndarray:
     return classify._margin(*_head_block(config, vector))
 
 
-def _project(config: net.NetworkConfig, flat: net.FlatParams) -> tuple:
+def _project(config: net.NetworkConfig, vector) -> int:
     """Project separator parameters back into the admissible region
     |w|^2 - alpha*beta > 0 when an SGD step leaves a margin not above
     ``_ADMISSIBLE_SLACK``, and count the separators moved.  A crossing
@@ -229,13 +231,12 @@ def _project(config: net.NetworkConfig, flat: net.FlatParams) -> tuple:
     alpha = beta = 0; any other has alpha beta > 0, and alpha, beta shrink
     once to the margin slack = max(2 ``_ADMISSIBLE_SLACK``, 2^-40 |w|^2),
     which the rounding (a few ulps of |w|^2) keeps positive at every
-    finite |w|.  Returns ``flat`` itself when no separator crosses, and
-    else moves exactly the crossing ones, in a copy of the vector."""
+    finite |w|.  Edits exactly the crossing separators, in place in the
+    head block of the flat ``vector``, and returns their count."""
     crossing = np.flatnonzero(
-        ~(_margins(config, flat.vector) > _ADMISSIBLE_SLACK))
+        ~(_margins(config, vector) > _ADMISSIBLE_SLACK))
     if not len(crossing):
-        return flat, 0
-    vector = flat.vector.copy()
+        return 0
     alpha, beta, w = _head_block(config, vector)
     for k in crossing:
         w2 = float(classify._norm2(w[k]))
@@ -247,7 +248,7 @@ def _project(config: net.NetworkConfig, flat: net.FlatParams) -> tuple:
         slack = max(2.0 * _ADMISSIBLE_SLACK, w2 * _RELATIVE_SLACK)
         c = np.sqrt((w2 - slack) / (alpha[k] * beta[k]))
         alpha[k], beta[k] = alpha[k] * c, beta[k] * c
-    return net.FlatParams(vector, flat.layout), len(crossing)
+    return len(crossing)
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +275,9 @@ def train_loop(tc: TrainConfig, config: net.NetworkConfig, dataset: Dataset,
                init: net.ParamSet | None = None):
     """Seeded mini-batch SGD; returns (params, history).
 
+    A run steps a private copy of ``init``'s vector in place, by one
+    gradient vector that :func:`_gradient` fills, and returns its views.
+
     History records one JSON-serializable dict per epoch, with the
     largest 2-norm of a batch gradient in the epoch (``grad_norm``), the
     number of separators :func:`_project` moved in the epoch
@@ -281,12 +285,12 @@ def train_loop(tc: TrainConfig, config: net.NetworkConfig, dataset: Dataset,
     train split over ``CARTAN_BOUND`` (``cartan_fraction``, from the pass
     that gives ``train_loss``) and the smallest admissibility margin
     |w|^2 - alpha beta after the epoch (``min_margin``).  The loop stops
-    early, and returns the parameters from the start of the failing
-    epoch, when the loss diverges, a stage input leaves the Cartan bound,
-    or a separator is evaluated outside admissibility.  Every step ends in :func:`_project`, whose
-    margins are the head kernel's, so only an inadmissible ``init``
-    reaches the last case: its first gradient stops the loop with an
-    empty history.  Labels the head
+    early, and restores the parameters from the start of the failing
+    epoch, when the gradient or the loss diverges, a stage input leaves
+    the Cartan bound, or a separator is evaluated outside admissibility.
+    Every step ends in :func:`_project`, whose margins are the head
+    kernel's, so only an inadmissible ``init`` reaches the last case: its
+    first gradient stops the loop with an empty history.  Labels the head
     cannot read are refused (:func:`check_dataset`) before the first step,
     as is a dataset without training rows; the steps do not check the
     labels again."""
@@ -295,24 +299,26 @@ def train_loop(tc: TrainConfig, config: net.NetworkConfig, dataset: Dataset,
     test = dataset.subset("test")
     labels = (train.labels if config.task == "regression"
               else train.labels.astype(int))
-    params = init if init is not None else net.init_params(config, seed=tc.seed)
-    flat = net.flatten(config, params)
+    vector = net.flatten(config, init if init is not None
+                         else net.init_params(config, seed=tc.seed)).vector
+    gradient = np.empty_like(vector)
+    params, grads = (net.unflatten(config, v) for v in (vector, gradient))
     rng = np.random.default_rng(tc.seed)
     history = []
     for epoch in range(tc.epochs):
         order = rng.permutation(len(train))
-        last_good = flat
+        last_good = vector.copy()
         grad_norm, projected = 0.0, 0
         try:
             for start in range(0, len(train), tc.batch_size):
                 idx = order[start : start + tc.batch_size]
-                g = _gradient(config, flat, train.features[idx],
-                              labels[idx])
-                grad_norm = max(grad_norm, float(np.linalg.norm(g)))
-                flat, moved = _project(config,
-                                       sgd_step(flat, g, tc.learning_rate))
-                projected += moved
-            params = net.unflatten(config, flat.vector)
+                _gradient(config, params, train.features[idx], labels[idx],
+                          grads)
+                if not np.all(np.isfinite(gradient)):
+                    raise DivergenceError("non-finite gradient")
+                grad_norm = max(grad_norm, float(np.linalg.norm(gradient)))
+                vector -= tc.learning_rate * gradient
+                projected += _project(config, vector)
             cartan_fraction = []
             for t, tape in net.stages(config, params, train.features):
                 del tape
@@ -326,19 +332,19 @@ def train_loop(tc: TrainConfig, config: net.NetworkConfig, dataset: Dataset,
                 raise DivergenceError(f"loss diverged at epoch {epoch}")
         except (DivergenceError, CartanBoundError,
                 classify.DegenerateSeparatorError):
-            flat = last_good
+            vector[:] = last_good
             break
         record = {"epoch": epoch, "train_loss": train_loss,
                   "grad_norm": grad_norm, "projected": projected,
                   "cartan_fraction": cartan_fraction,
-                  "min_margin": float(np.min(_margins(config, flat.vector)))}
+                  "min_margin": float(np.min(_margins(config, vector)))}
         if len(test):
             record["test_loss"], accuracy = _scores(
                 config, params, test.features, test.labels)
             if accuracy is not None:
                 record["accuracy"] = accuracy
         history.append(record)
-    return net.unflatten(config, flat.vector), history
+    return params, history
 
 
 def evaluate(config: net.NetworkConfig, params: net.ParamSet,

@@ -2,13 +2,14 @@
 package: the invariant metric of an r=1 space, the separator's defining
 function h, a witness point on a separator, the logistic function, the
 classification of an isometry-group element, the cotangent chart
-change the pullbacks invert and the numeric block peel that the
-polynomial table of sigma_inv is built from.  They call the package's
-private kernels, so what they check is the code the package runs."""
+change the pullbacks invert, the numeric block peel that the polynomial
+table of sigma_inv is built from and a replay of the training loop.
+They call the package's private kernels, so what they check is the code
+the package runs."""
 
 import numpy as np
 
-from cartannet import classify, isometry, spaces
+from cartannet import classify, isometry, net, spaces, train
 from cartannet.spaces import SQRT2, SolvCoords, SpaceId
 
 
@@ -128,3 +129,61 @@ def sigma_inv_peel(space: SpaceId, L) -> np.ndarray:
         R = R + (np.concatenate([-x, x * x], axis=-1) @ terms).reshape(
             L.shape) @ R
     return np.concatenate(coords, axis=-1)
+
+
+def replay_train_loop(tc: train.TrainConfig, config, dataset):
+    """``train.train_loop`` step by step from public pieces: the public
+    ``train.gradient``, the pure step v - lr g and ``train._project`` on
+    the new vector.  ``projected`` counts the separators whose alpha,
+    beta or w the projection changed, and ``train_loss`` and
+    ``cartan_fraction`` come from ``loss_flat`` and a pass of
+    ``net.stages`` of their own.  Returns (params, history)."""
+    tr, test = dataset.subset("train"), dataset.subset("test")
+    v = net.flatten(config, net.init_params(config, seed=tc.seed)).vector
+    layout = net.layout_for(config)
+    rng = np.random.default_rng(tc.seed)
+    history = []
+    for epoch in range(tc.epochs):
+        order = rng.permutation(len(tr))
+        start_v = v
+        grad_norm, projected = 0.0, 0
+        try:
+            for start in range(0, len(tr), tc.batch_size):
+                idx = order[start : start + tc.batch_size]
+                g = train.gradient(config, net.FlatParams(v, layout),
+                                   tr.features[idx], tr.labels[idx])
+                grad_norm = max(grad_norm, float(np.linalg.norm(g)))
+                stepped = v - tc.learning_rate * g
+                v = stepped.copy()
+                train._project(config, v)
+                old, new = (net.unflatten(config, u).head
+                            for u in (stepped, v))
+                projected += sum(
+                    not all(np.array_equal(old[key][k], new[key][k])
+                            for key in ("alpha", "beta", "w"))
+                    for k in range(config.n_separators))
+            params = net.unflatten(config, v)
+            fractions = [
+                float(np.max(np.abs(np.log(t[:, 0])))) / spaces.CARTAN_BOUND
+                for t, _ in net.stages(config, params, tr.features)]
+            train_loss = float(np.real(
+                train.loss_flat(config, v, tr.features, tr.labels)))
+            if not train_loss <= train.DIVERGENCE_LIMIT:
+                raise train.DivergenceError(f"loss diverged at {epoch}")
+        except (train.DivergenceError, spaces.CartanBoundError,
+                classify.DegenerateSeparatorError):
+            v = start_v
+            break
+        record = {"epoch": epoch, "train_loss": train_loss,
+                  "grad_norm": grad_norm, "projected": projected,
+                  "cartan_fraction": fractions,
+                  "min_margin": float(np.min(classify._margin(
+                      params.head["alpha"], params.head["beta"],
+                      params.head["w"])))}
+        if len(test):
+            record["test_loss"], accuracy = train._scores(
+                config, params, test.features, test.labels)
+            if accuracy is not None:
+                record["accuracy"] = accuracy
+        history.append(record)
+    return net.unflatten(config, v), history

@@ -77,10 +77,11 @@ class TestProjection:
     def test_matches_one_separator_at_a_time(self, case):
         config, flat = case
         want, moved = reference_projection(config, flat)
-        got, count = train._project(config, flat)
+        got = flat.vector.copy()
+        count = train._project(config, got)
         assert count == moved
-        assert got.vector.tobytes() == want.tobytes()
-        assert (got is flat) == (moved == 0)
+        assert got.tobytes() == want.tobytes()
+        assert (got.tobytes() == flat.vector.tobytes()) == (moved == 0)
 
     @PROPERTY
     @given(heads())
@@ -98,7 +99,9 @@ class TestProjection:
         original = net.unflatten
         monkeypatch.setattr(net, "unflatten",
                             lambda *a: calls.append(1) or original(*a))
-        assert train._project(config, flat)[0] is flat
+        vector = flat.vector.copy()
+        assert train._project(config, vector) == 0
+        assert vector.tobytes() == flat.vector.tobytes()
         assert calls == []
 
     def test_one_margin_pass_per_step(self, monkeypatch):

@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from cartannet import isometry, net, spaces
+from cartannet import isometry, net, spaces, train
 from cartannet.spaces import SolvCoords, SpaceId
 
 H3 = SpaceId.so(1, 2)
@@ -67,6 +67,22 @@ class TestFlatten:
         cfg = two_layer_config()
         with pytest.raises(ValueError):
             net.unflatten(cfg, np.zeros(3))
+
+    def test_layout_mismatch_of_equal_length(self):
+        # H4 with K=2 and H3 with K=3 both hold 16 parameters at
+        # input_dim 1: a vector of one is refused by the other, and the
+        # public gradient refuses it too
+        h4, h3 = (net.NetworkConfig(1, (net.LayerSpec(SpaceId.so(1, n)),),
+                                    task="multiclass", K=k)
+                  for n, k in ((3, 2), (2, 3)))
+        flat = net.flatten(h4, net.init_params(h4))
+        assert len(flat.vector) == len(net.flatten(h3, net.init_params(
+            h3)).vector) == 16
+        with pytest.raises(ValueError, match="layout"):
+            net.unflatten(h3, flat)
+        with pytest.raises(ValueError, match="layout"):
+            train.gradient(h3, flat, np.ones((2, 1)), [0, 1])
+        assert net.unflatten(h3, flat.vector).Q.shape == (3, 1)
 
 
 def chain(input_dim, layers, Q, lam, W=None, b=None, psi=None):

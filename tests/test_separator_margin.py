@@ -38,9 +38,9 @@ def test_large_norm_head_projects_to_what_the_head_accepts():
     params.head["w"][0] = (67889.75983545351, 78576.49153648804)
     params.head["alpha"][0] = 66093.46955379711
     params.head["beta"][0] = 163152.04188096413
-    out, moved = train._project(config, net.flatten(config, params))
-    assert moved == 0
-    u, _ = classify._head(head_of(config, out.vector), origin_row(config))
+    vector = net.flatten(config, params).vector
+    assert train._project(config, vector) == 0
+    u, _ = classify._head(head_of(config, vector), origin_row(config))
     assert np.all(np.isfinite(u))
 
 
@@ -74,13 +74,14 @@ def wide_heads(draw):
 @given(wide_heads())
 def test_projected_heads_are_admissible_to_every_reader(case):
     config, flat = case
-    out = train._project(config, flat)[0]
-    head = head_of(config, out.vector)
+    vector = flat.vector.copy()
+    train._project(config, vector)
+    head = head_of(config, vector)
     u, _ = classify._head(head, origin_row(config))
     assert np.all(np.isfinite(u))
     assert all(classify.Separator(a, b, w).admissible
                for a, b, w in zip(head["alpha"], head["beta"], head["w"]))
-    assert np.all(train._margins(config, out.vector) > 0)
+    assert np.all(train._margins(config, vector) > 0)
 
 
 def test_a_nan_margin_is_refused_by_every_reader():

@@ -6,6 +6,7 @@ import pytest
 from cartannet import classify, homo, isometry, net, spaces, train
 from cartannet.spaces import SolvCoords, SpaceId
 from central_difference import central_difference_gradient
+from oracles import replay_train_loop
 
 H3 = SpaceId.so(1, 2)
 H5 = SpaceId.so(1, 4)
@@ -70,6 +71,16 @@ class TestTrainConfig:
             train.TrainConfig(epochs=-1)
         with pytest.raises(ValueError):
             train.TrainConfig(batch_size=0)
+        # non-finite rates and counts that are not integers, as the CLI
+        # refuses them
+        for field, value in [("learning_rate", np.nan),
+                             ("learning_rate", np.inf),
+                             ("learning_rate", -np.inf), ("epochs", 2.5),
+                             ("batch_size", 16.0), ("epochs", True),
+                             ("batch_size", "16")]:
+            with pytest.raises(ValueError):
+                train.TrainConfig(**{field: value})
+        assert train.TrainConfig(epochs=np.int64(2)).epochs == 2
 
 
 class TestLoss:
@@ -122,25 +133,18 @@ class TestGradient:
         y = rng.integers(0, 2, 20)
         g = train.gradient(cfg, flat, X, y)
         before = float(np.real(train.loss_flat(cfg, flat.vector, X, y)))
-        stepped = train.sgd_step(flat, g, 1e-4)
-        after = float(np.real(train.loss_flat(cfg, stepped.vector, X, y)))
+        stepped = flat.vector - 1e-4 * g
+        after = float(np.real(train.loss_flat(cfg, stepped, X, y)))
         assert after < before
-
-    def test_sgd_step_is_pure(self):
-        cfg = small_config("binary")
-        flat = net.flatten(cfg, net.init_params(cfg, seed=12))
-        keep = flat.vector.copy()
-        out = train.sgd_step(flat, np.ones_like(flat.vector), 0.5)
-        assert np.array_equal(flat.vector, keep)
-        assert np.allclose(out.vector, keep - 0.5)
 
 
 class TestProjection:
     def test_admissible_untouched(self):
         cfg = small_config("binary")
         flat = net.flatten(cfg, net.init_params(cfg, seed=13))
-        out = train._project(cfg, flat)[0]
-        assert np.array_equal(out.vector, flat.vector)
+        vector = flat.vector.copy()
+        assert train._project(cfg, vector) == 0
+        assert np.array_equal(vector, flat.vector)
 
     def test_inadmissible_projected(self):
         cfg = small_config("binary")
@@ -148,8 +152,9 @@ class TestProjection:
         params.head["w"][0][:] = [0.5, 0.0]
         params.head["alpha"][0] = 2.0
         params.head["beta"][0] = 2.0
-        flat = train._project(cfg, net.flatten(cfg, params))[0]
-        fixed = net.unflatten(cfg, flat.vector)
+        vector = net.flatten(cfg, params).vector
+        assert train._project(cfg, vector) == 1
+        fixed = net.unflatten(cfg, vector)
         sep = classify.Separator(fixed.head["alpha"][0],
                                  fixed.head["beta"][0], fixed.head["w"][0])
         assert sep.admissible
@@ -192,17 +197,8 @@ class TestTrainLoop:
         tc = train.TrainConfig(learning_rate=0.01, epochs=1, batch_size=16)
         params, (rec,) = train.train_loop(tc, cfg, ds)
         # one epoch: the largest batch gradient norm, recomputed in order
-        flat = net.flatten(cfg, net.init_params(cfg, seed=tc.seed))
-        tr = ds.subset("train")
-        order = np.random.default_rng(tc.seed).permutation(len(tr))
-        norms = []
-        for start in range(0, len(tr), tc.batch_size):
-            idx = order[start : start + tc.batch_size]
-            g = train.gradient(cfg, flat, tr.features[idx], tr.labels[idx])
-            norms.append(np.linalg.norm(g))
-            flat = train._project(
-                cfg, train.sgd_step(flat, g, tc.learning_rate))[0]
-        assert rec["grad_norm"] == max(norms)
+        assert rec["grad_norm"] == replay_train_loop(tc, cfg, ds)[1][0][
+            "grad_norm"]
         w = params.head["w"][0]
         margin = w @ w - params.head["alpha"][0] * params.head["beta"][0]
         assert rec["min_margin"] == margin > 0
@@ -259,27 +255,50 @@ class TestTrainLoop:
                                 task="multiclass", K=4)
         tc = train.TrainConfig(learning_rate=0.3, epochs=2, batch_size=16)
         _, history = train.train_loop(tc, cfg, ds)
-        flat = net.flatten(cfg, net.init_params(cfg, seed=tc.seed))
-        tr = ds.subset("train")
-        order = np.random.default_rng(tc.seed).permutation(len(tr))
-        moved = 0
-        for start in range(0, len(tr), tc.batch_size):
-            idx = order[start : start + tc.batch_size]
-            g = train.gradient(cfg, flat, tr.features[idx], tr.labels[idx])
-            stepped = train.sgd_step(flat, g, tc.learning_rate)
-            flat = train._project(cfg, stepped)[0]
-            old, new = (net.unflatten(cfg, f.vector).head
-                        for f in (stepped, flat))
-            moved += sum(
-                old["alpha"][k] != new["alpha"][k]
-                or old["beta"][k] != new["beta"][k]
-                or not np.array_equal(old["w"][k], new["w"][k])
-                for k in range(cfg.n_separators))
-        assert history[0]["projected"] == moved >= 1
+        moved = [r["projected"] for r in replay_train_loop(tc, cfg, ds)[1]]
+        assert [r["projected"] for r in history] == moved
+        assert moved[0] >= 1
         assert all(isinstance(rec["projected"], int) for rec in history)
         rerun = train.train_loop(tc, cfg, ds)[1]
         assert [r["projected"] for r in rerun] == [
             r["projected"] for r in history]
+
+    @pytest.mark.parametrize("lr, data_seed, epochs_run", [
+        (0.3, 0, 3), (1000.0, 0, 0), (3.0, 2, 1)])
+    def test_matches_the_replay_bit_for_bit(self, lr, data_seed, epochs_run):
+        # lr 0.3 projects separators; lr 1000 fails in the first epoch and
+        # lr 3 in the second, each restoring the start of its epoch
+        ds = train.gen_synthetic("blobs", n=80, dim=4, seed=data_seed,
+                                 classes=4)
+        cfg = net.NetworkConfig(input_dim=4,
+                                layers=(net.LayerSpec(H5), net.LayerSpec(H3)),
+                                task="multiclass", K=4)
+        tc = train.TrainConfig(learning_rate=lr, epochs=3, batch_size=16)
+        params, history = train.train_loop(tc, cfg, ds)
+        want_params, want = replay_train_loop(tc, cfg, ds)
+        assert len(history) == epochs_run
+        assert history == want
+        assert (net.flatten(cfg, params).vector.tobytes()
+                == net.flatten(cfg, want_params).vector.tobytes())
+        if lr == 0.3:
+            assert sum(r["projected"] for r in history) >= 1
+
+    def test_unpacks_a_fixed_number_of_times(self, monkeypatch):
+        # the run packs and unpacks its vectors once, not once per step
+        ds = self.blob_dataset()
+        cfg = small_config("multiclass", K=2)
+        calls = []
+        for name in ("flatten", "unflatten"):
+            monkeypatch.setattr(net, name, lambda *a, f=getattr(net, name):
+                                calls.append(f.__name__) or f(*a))
+        runs = []
+        for epochs in (1, 3):
+            calls.clear()
+            tc = train.TrainConfig(learning_rate=0.01, epochs=epochs,
+                                   batch_size=16)
+            assert len(train.train_loop(tc, cfg, ds)[1]) == epochs
+            runs.append((calls.count("flatten"), calls.count("unflatten")))
+        assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("w,alpha,beta", [
         ((1e5, 0.0), 1e5, 1.00001e5),
@@ -296,17 +315,19 @@ class TestTrainLoop:
         params.head["w"][0] = w
         params.head["alpha"][0] = alpha
         params.head["beta"][0] = beta
-        out, moved = train._project(cfg, net.flatten(cfg, params))
-        assert moved == 1
-        assert train._margins(cfg, out.vector)[0] > 0
-        head = net.unflatten(cfg, out.vector).head
+        vector = net.flatten(cfg, params).vector
+        assert train._project(cfg, vector) == 1
+        assert train._margins(cfg, vector)[0] > 0
+        head = net.unflatten(cfg, vector).head
         u, _ = classify._head(head, np.array([[1.0, 0.0, 0.0]]))
         assert np.all(np.isfinite(u))
 
     def test_projection_keeps_admissible_input(self):
         cfg = small_config("multiclass", K=3)
         flat = net.flatten(cfg, net.init_params(cfg, seed=15))
-        assert train._project(cfg, flat)[0] is flat
+        vector = flat.vector.copy()
+        assert train._project(cfg, vector) == 0
+        assert vector.tobytes() == flat.vector.tobytes()
 
     def test_divergence_guard_returns_finite(self):
         # an absurd learning rate must not crash the loop
