@@ -430,6 +430,19 @@ def cmd_eval(args):
 # ---------------------------------------------------------------------------
 
 
+def _seed(text):
+    """A ``--seed`` value: an integer >= 0, the seeds numpy accepts.
+    Anything else exits 2 through argparse."""
+    message = f"must be an integer >= 0, got {text!r}"
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(message) from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(message)
+    return seed
+
+
 @functools.cache
 def build_parser():
     """The command-line parser, built once per process: parsing only reads
@@ -439,7 +452,7 @@ def build_parser():
         description="Cartan networks on solvable symmetric spaces",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    options = {"--config": {}, "--seed": {"type": int, "default": 0},
+    options = {"--config": {}, "--seed": {"type": _seed, "default": 0},
                "--out": {}, "--scope": {}}
     # each subcommand declares only the flags it reads
     for name, fn, flags in (

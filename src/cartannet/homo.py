@@ -11,10 +11,12 @@ polynomial in the strictly upper part of phi(T_k) whenever its diagonal
 shifts that part by one scalar: every root image, and every Cartan image
 of W_canonical, of r=1 layer maps and of restrictions into r=1 spaces.
 The remaining Cartan images (those of W_family_11/12) take one batched
-``scipy.linalg.expm`` each.  Everything fixed by W alone (the images, their
-D + N split, the powers of N and the images left to ``expm``) is a
-read-only plan built once per W, cached by W's contents, dtype and shape
-and the source and target ids; a call does only the per-point work.
+``scipy.linalg.expm`` each; scipy is imported on the first such call, so
+importing the package does not load it.  Everything fixed by W alone (the
+images, their D + N split, the powers of N and the images left to
+``expm``) is a read-only plan built once per W, cached by W's contents,
+dtype and shape and the source and target ids; a call does only the
+per-point work.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import dataclasses
 import functools
 
 import numpy as np
-import scipy.linalg
 
 from . import spaces
 from .spaces import SolvCoords, SpaceId
@@ -649,7 +650,8 @@ def coordinate_map_batch(W: HomoMatrix, values) -> np.ndarray:
     ``W_canonical`` (N = 0), of r=1 layer maps and of every restriction
     into an r=1 space.  The Cartan images of ``W_family_11/12`` take one
     ``scipy.linalg.expm`` each on the whole (B, n, n) stack; nothing loops
-    over points.  Complex inputs propagate analytically.
+    over points.  scipy is imported by the first call that needs ``expm``,
+    and by no other.  Complex inputs propagate analytically.
 
     Refuses (ValueError) a W whose shape is not (d2, d1), (CartanBoundError)
     a source Cartan coordinate beyond CARTAN_BOUND or NaN, before any exp,
@@ -675,6 +677,10 @@ def coordinate_map_batch(W: HomoMatrix, values) -> np.ndarray:
         poly = (u[..., None] ** plan.ramp) @ plan.powers
         F = (poly.reshape(a.shape + (n, n))
              * np.exp(a[..., None] * plan.D[:, None, :])[..., None, :])
+        if plan.expm:
+            # imported here, on the first W that needs it, so that no other
+            # import of the package loads scipy
+            import scipy.linalg
         for k in plan.expm:
             F[k] = scipy.linalg.expm(a[k, :, None, None] * plan.images[k])
         L = F[0]
@@ -695,9 +701,10 @@ def integrate_coordinate_map(W: HomoMatrix, source_coords: SolvCoords) -> SolvCo
     sigma_target^{-1}(prod_k expm(a_k(x) phi(T_k))) with a = exp_factors(x)
     the exponents of the source chart's one-parameter subgroups.  One row
     of :func:`coordinate_map_batch`, with its checks: only the Cartan
-    images of ``W_family_11/12`` call ``scipy.linalg.expm``, and W's plan
-    is built on the first call with a W of these contents, so repeated
-    calls do only the work of their one point."""
+    images of ``W_family_11/12`` call ``scipy.linalg.expm``, which imports
+    scipy on the first such call, and W's plan is built on the first call
+    with a W of these contents, so repeated calls do only the work of
+    their one point."""
     src, tgt = W.source, W.target
     if src is None or tgt is None:
         raise ValueError("coordinate maps require source/target space ids")

@@ -96,12 +96,14 @@ class TrainConfig:
         if not (self.learning_rate > 0 and np.isfinite(self.learning_rate)):
             raise ValueError("learning rate must be positive and finite")
         if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-                   for v in (self.epochs, self.batch_size)):
-            raise ValueError("epochs and batch_size must be integers")
+                   for v in (self.epochs, self.batch_size, self.seed)):
+            raise ValueError("epochs, batch_size and seed must be integers")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -403,18 +405,23 @@ def gen_synthetic(kind: str, n: int, dim: int, seed: int = 0,
 
 
 def _label_token(y) -> str:
-    return str(int(y)) if isinstance(y, (int, np.integer)) else repr(float(y))
+    """The token of one label of ``labels.tolist()``: an int as an integer,
+    anything else (a bool included) with ``repr(float)``."""
+    return str(y) if type(y) is int else repr(float(y))
 
 
 def save_csv(path, dataset: Dataset):
     """Write features and labels as CSV with header f0,...,f{d-1},label.
-    Integer labels are written as integers, others with ``repr(float)``."""
+    Integer labels are written as integers, others with ``repr(float)``.
+    No token needs quoting, so each row is one join, ended by the CRLF
+    that ``csv.writer`` writes."""
     d = dataset.features.shape[1]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"f{j}" for j in range(d)] + ["label"])
-        for x, y in zip(dataset.features, dataset.labels):
-            writer.writerow([repr(float(v)) for v in x] + [_label_token(y)])
+        fh.write(",".join([f"f{j}" for j in range(d)] + ["label"]) + "\r\n")
+        fh.writelines(
+            ",".join([*map(repr, x), _label_token(y)]) + "\r\n"
+            for x, y in zip(dataset.features.tolist(),
+                            dataset.labels.tolist()))
 
 
 def _parse_label(token: str):

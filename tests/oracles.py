@@ -3,9 +3,12 @@ package: the invariant metric of an r=1 space, the separator's defining
 function h, a witness point on a separator, the logistic function, the
 classification of an isometry-group element, the cotangent chart
 change the pullbacks invert, the numeric block peel that the polynomial
-table of sigma_inv is built from and a replay of the training loop.
+table of sigma_inv is built from, a replay of the training loop and the
+``csv.writer`` form of a dataset file.
 They call the package's private kernels, so what they check is the code
 the package runs."""
+
+import csv
 
 import numpy as np
 
@@ -187,3 +190,17 @@ def replay_train_loop(tc: train.TrainConfig, config, dataset):
                 record["accuracy"] = accuracy
         history.append(record)
     return net.unflatten(config, v), history
+
+
+def save_csv_writer(path, dataset: train.Dataset):
+    """``train.save_csv`` row by row through ``csv.writer``: features with
+    ``repr(float)``, integer labels (numpy's included) as integers and
+    every other label, a numpy bool included, with ``repr(float)``."""
+    d = dataset.features.shape[1]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"f{j}" for j in range(d)] + ["label"])
+        for x, y in zip(dataset.features, dataset.labels):
+            token = (str(int(y)) if isinstance(y, (int, np.integer))
+                     else repr(float(y)))
+            writer.writerow([repr(float(v)) for v in x] + [token])

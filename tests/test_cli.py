@@ -690,6 +690,29 @@ class TestFlags:
         capsys.readouterr()
 
 
+    @pytest.mark.parametrize("seed", ["-1", "2.5", "seven", ""])
+    def test_bad_seed_exit_2(self, tmp_path, capsys, seed):
+        # a seed numpy refuses is a usage error, refused by the parser
+        # before any command runs, not a check failure (exit 1)
+        data = tmp_path / "data.csv"
+        gen = write_json(tmp_path / "gen.json",
+                         {"kind": "blobs", "n": 20, "dim": 2, "classes": 2})
+        assert run(["gen-data", "--config", gen, "--out", str(data)]) == 0
+        solve = write_json(tmp_path / "solve.json",
+                           {"source": "r1(1)", "target": "r1(1)", "seeds": 1})
+        fit = write_json(tmp_path / "train.json", {
+            "net": {"input_dim": 2, "layers": [3], "task": "binary"},
+            "train": {"epochs": 1}, "dataset": str(data)})
+        out = tmp_path / "out"
+        for argv in (["verify", "--scope", "core"],
+                     ["solve-homo", "--config", solve],
+                     ["gen-data", "--config", gen],
+                     ["train", "--config", fit]):
+            assert run(argv + ["--seed", seed, "--out", str(out)]) == 2, argv
+            assert not out.exists()
+        assert "--seed: must be an integer >= 0" in capsys.readouterr().err
+
+
 class TestModelDocuments:
     """A model document ``eval`` cannot read exits 2."""
 

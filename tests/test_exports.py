@@ -2,7 +2,8 @@
 caller, every name it imports is used or exported, every package it
 imports from outside the standard library is a declared dependency, and
 every parameter of its functions is read.  The README's Python examples,
-which count as callers, run."""
+which count as callers, run.  Importing the package loads no scipy; the
+one call that needs it loads it."""
 
 import ast
 import importlib
@@ -10,12 +11,16 @@ import inspect
 import pathlib
 import pkgutil
 import re
+import subprocess
 import sys
 import tomllib
 
+import numpy as np
 import pytest
 
 import cartannet
+from cartannet import fixtures, homo, spaces
+from cartannet.spaces import SolvCoords
 
 MODULES = ["cartannet"] + [
     f"cartannet.{info.name}" for info in pkgutil.iter_modules(cartannet.__path__)]
@@ -133,11 +138,22 @@ def declared_dependencies():
     return {re.split(r"[\s<>=!~;\[]", entry)[0] for entry in entries}
 
 
-def third_party_imports(tree):
-    """Top-level packages outside the standard library that a module
-    imports anywhere, relative imports excluded."""
+def import_time_nodes(tree):
+    """The nodes of a module that run when it is imported: all but the
+    bodies of its functions."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def third_party_imports(nodes):
+    """Top-level packages outside the standard library that the import
+    statements among ``nodes`` name, relative imports excluded."""
     names = set()
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Import):
             names |= {alias.name.split(".")[0] for alias in node.names}
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -147,11 +163,57 @@ def third_party_imports(tree):
 
 @pytest.mark.parametrize("name", MODULES)
 def test_imports_are_declared_dependencies(name):
-    # scipy (scipy.linalg.expm in homo) is the one module-specific import
-    module = importlib.import_module(name)
-    found = third_party_imports(ast.parse(inspect.getsource(module)))
+    # scipy serves only the expm of the W_family_11/12 coordinate maps in
+    # homo, which imports it inside the call: no module imports it when
+    # it is itself imported, so scipy stays off the package's import path
+    tree = ast.parse(inspect.getsource(importlib.import_module(name)))
+    found = third_party_imports(ast.walk(tree))
     assert found <= declared_dependencies()
     assert ("scipy" in found) == (name == "cartannet.homo")
+    assert "scipy" not in third_party_imports(import_time_nodes(tree))
+
+
+def fresh_process(script):
+    """What ``script`` prints when run by a new interpreter."""
+    return subprocess.run([sys.executable, "-c", script], check=True,
+                          capture_output=True, text=True).stdout
+
+
+@pytest.mark.parametrize("name", ["cartannet", "cartannet.cli"])
+def test_import_loads_no_scipy(name):
+    loaded = fresh_process(
+        f"import sys, {name}\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert loaded == "[]\n"
+
+
+def test_family_11_map_loads_scipy_on_first_use():
+    # a W_family_11 Cartan image takes scipy.linalg.expm: a fresh process
+    # loads scipy on that call and gets the same bits as this one
+    rng = np.random.default_rng(1)
+    d = rng.uniform(-1, 1, 14)
+    d[0], d[10] = 0.7, 1.2  # away from the poles d1 = 0 and d11 = 0, 1/2
+    x = rng.uniform(-0.5, 0.5, (5, 3))
+    out = fresh_process(f"""
+import sys
+import numpy as np
+from cartannet import fixtures, homo
+before = "scipy" in sys.modules
+got = homo.coordinate_map_batch(fixtures.W_family_11({d[:11].tolist()}),
+                                np.array({x.tolist()}))
+print(before, "scipy.linalg" in sys.modules, got.tobytes().hex())
+""").split()
+    W = fixtures.W_family_11(d[:11])
+    got = homo.coordinate_map_batch(W, x)
+    assert out == ["False", "True", got.tobytes().hex()]
+    # the map fixes the origin; the fixture's branch is its left
+    # translate by the fixture's value there
+    origin = fixtures.phi_family_11(d, np.zeros(3))
+    for w, row in zip(x, got):
+        want = fixtures.phi_family_11(d, w).values
+        image = spaces.group_product(origin, SolvCoords(W.target, row)).values
+        assert np.max(np.abs(image - want)) <= 1e-13 * max(
+            1.0, np.max(np.abs(want)))
 
 
 def unread_parameters(tree):

@@ -6,7 +6,7 @@ import pytest
 from cartannet import classify, homo, isometry, net, spaces, train
 from cartannet.spaces import SolvCoords, SpaceId
 from central_difference import central_difference_gradient
-from oracles import replay_train_loop
+from oracles import replay_train_loop, save_csv_writer
 
 H3 = SpaceId.so(1, 2)
 H5 = SpaceId.so(1, 4)
@@ -77,10 +77,13 @@ class TestTrainConfig:
                              ("learning_rate", np.inf),
                              ("learning_rate", -np.inf), ("epochs", 2.5),
                              ("batch_size", 16.0), ("epochs", True),
-                             ("batch_size", "16")]:
+                             ("batch_size", "16"), ("seed", -1),
+                             ("seed", 1.0), ("seed", False), ("seed", "3"),
+                             ("seed", None), ("seed", np.int64(-2))]:
             with pytest.raises(ValueError):
                 train.TrainConfig(**{field: value})
         assert train.TrainConfig(epochs=np.int64(2)).epochs == 2
+        assert train.TrainConfig(seed=np.uint32(7)).seed == 7
 
 
 class TestLoss:
@@ -439,6 +442,22 @@ class TestCsv:
                   for line in path.read_text().splitlines()[1:]]
         assert tokens == [str(int(y)) for y in ds.labels]
         assert train.load_csv(path).labels.dtype.kind == "i"
+
+    @pytest.mark.parametrize("labels", [
+        np.array([0, 3, 1, 2, 0, 1]),
+        np.array([0.5, -0.0, 1e300, 5e-324, -2.2250738585072014e-308,
+                  1.0 / 3.0]),
+        np.array([True, False, True, True, False, False]),
+    ], ids=["int", "float", "bool"])
+    def test_bytes_match_csv_writer(self, tmp_path, labels):
+        features = np.random.default_rng(6).normal(size=(6, 3)) * np.array(
+            [1.0, 1e-200, 1e200])
+        features[0] = [-0.0, 0.0, 1.7976931348623157e308]
+        ds = train.Dataset(features, labels, ["train"] * 6)
+        train.save_csv(tmp_path / "a.csv", ds)
+        save_csv_writer(tmp_path / "b.csv", ds)
+        assert ((tmp_path / "a.csv").read_bytes()
+                == (tmp_path / "b.csv").read_bytes())
 
     def test_header_validation(self, tmp_path):
         path = tmp_path / "bad.csv"
