@@ -9,7 +9,11 @@ and the binary head's one separator gives (0, d), whose softmax is
 sigmoid(d); a regression network's output is the d of its one
 separator.  One batched kernel evaluates all K separators at once from
 their parameters stacked as a head {alpha (K,), beta (K,), w (K, s)},
-and the one likelihood gradient reuses its intermediates.  The kernel
+and the one likelihood gradient reuses its intermediates.  The norms
+2 sqrt(|w|^2 - alpha beta) and the admissibility check read the head
+apart from h (:func:`_norm`), so training can take h from the head turned
+by the last layer's rotation while the norms stay the head's own.  The
+kernel
 reads the points in the chart (T, Y2), T = e^{-Y1}, the stage chain of
 ``net`` hands it, where h = alpha T + <w, Y2> + beta (1 + |Y2|^2 / 4) / T
 needs no exp; the public functions take coordinates and convert them at
@@ -113,39 +117,64 @@ def _h_stack(alpha, beta, w, t):
     return h.T, (y2, T, inv, up)
 
 
+def _norm(head):
+    """The norms 2 sqrt(|w|^2 - alpha beta) (K,) of a head {alpha (K,),
+    beta (K,), w (K, s)}.  Raises :class:`DegenerateSeparatorError`
+    unless every separator is admissible."""
+    norm2 = _margin(head["alpha"], head["beta"], head["w"])
+    if not (np.real(norm2) > 0.0).all():  # NaN fails the test too
+        raise DegenerateSeparatorError(
+            "separator admissibility |w|^2 - alpha*beta must be positive")
+    return 2.0 * np.sqrt(norm2)
+
+
 def _head(head, t):
     """The separator head kernel: u = h / norm (..., K) for all K
     separators of a head {alpha (K,), beta (K,), w (K, s)} at once, at
     rows t of the chart (T, Y2), so that arcsinh(u) are the signed
-    distances, with norm = 2 sqrt(|w|^2 - alpha beta) (K,).  Also returns
-    what :func:`_head_vjp` reuses: (alpha, beta, w, Y2, T, 1 / T, up,
-    norm).  Raises :class:`DegenerateSeparatorError` unless every
-    separator is admissible."""
-    alpha, beta, w = head["alpha"], head["beta"], head["w"]
-    norm2 = _margin(alpha, beta, w)
-    if not (np.real(norm2) > 0.0).all():  # NaN fails the test too
-        raise DegenerateSeparatorError(
-            "separator admissibility |w|^2 - alpha*beta must be positive")
-    norm = 2.0 * np.sqrt(norm2)
-    h, parts = _h_stack(alpha, beta, w, t)
-    return h / norm, (alpha, beta, w) + parts + (norm,)
+    distances, with the norms of :func:`_norm`.  Also returns what
+    :func:`_scaled_h_vjp` reuses.  Raises
+    :class:`DegenerateSeparatorError` unless every separator is
+    admissible."""
+    return _scaled_h(head, _norm(head), t)
 
 
-def _head_vjp(u, saved, g_d):
+def _scaled_h(coefs, norm, t):
+    """u = h / norm (..., K) for h of the separators stacked in ``coefs``
+    {alpha (K,), beta (K,), w (K, s)} at rows t of the chart (T, Y2), over
+    the norms (K,) of :func:`_norm`: a head's own, or, for the head turned
+    by a layer's rotation (``isometry._turn_head``), those of the head
+    before the turn.  Also returns what :func:`_scaled_h_vjp` reuses:
+    (coefs, Y2, T, 1 / T, up, norm)."""
+    h, parts = _h_stack(coefs["alpha"], coefs["beta"], coefs["w"], t)
+    return h / norm, (coefs,) + parts + (norm,)
+
+
+def _scaled_h_vjp(u, saved, g_d):
     """Gradients of sum(g_d * d) over the (B, K) signed distances
-    d = arcsinh(u) that :func:`_head` computed at real rows t (B, d), with
-    respect to t and to the head, as a dict shaped like it."""
-    alpha, beta, w, y2, T, inv, up, norm = saved
+    d = arcsinh(u) that :func:`_scaled_h` computed at real rows t (B, d),
+    with respect to t, to its coefficients (a dict shaped like them) and
+    to the margins |w|^2 - alpha beta (K,) its norms came from."""
+    coefs, y2, T, inv, up, norm = saved
     u, g_d = u.T, g_d.T
     g_h = g_d / (norm[:, None] * np.sqrt(1.0 + u * u))
     g_n2 = -2.0 * np.sum(g_h * u, axis=1) / norm
-    g_beta_h = beta @ g_h
+    g_beta_h = coefs["beta"] @ g_h
     g_t = np.concatenate(
-        [(alpha @ g_h - g_beta_h * up * inv)[None],
-         w.T @ g_h + 0.5 * g_beta_h * inv * y2])
-    return g_t.T, {"alpha": g_h @ T - beta * g_n2,
-                   "beta": g_h @ up - alpha * g_n2,
-                   "w": g_h @ y2.T + 2.0 * g_n2[:, None] * w}
+        [(coefs["alpha"] @ g_h - g_beta_h * up * inv)[None],
+         coefs["w"].T @ g_h + 0.5 * g_beta_h * inv * y2])
+    return g_t.T, {"alpha": g_h @ T, "beta": g_h @ up,
+                   "w": g_h @ y2.T}, g_n2
+
+
+def _margin_vjp(head, g_n2, grads):
+    """Adds to ``grads``, a dict shaped like the head, in place, the
+    gradient of its margins |w|^2 - alpha beta for their cotangent g_n2
+    (K,), and returns it."""
+    grads["alpha"] -= head["beta"] * g_n2
+    grads["beta"] -= head["alpha"] * g_n2
+    grads["w"] += 2.0 * g_n2[:, None] * head["w"]
+    return grads
 
 
 def signed_distance(sep: Separator, p):
@@ -202,16 +231,21 @@ def _n_classes(separators: int) -> int:
 
 def _class_scores(head, t):
     """Class scores (..., C) at rows t of the chart (T, Y2) from one run
-    of :func:`_head` on the K separators of a head, C =
-    :func:`_n_classes` (K): their signed distances d, or (0, d) when one
-    separator splits two classes (the binary head: sigmoid(d) is the
-    softmax over (0, d)).  Also returns u and what :func:`_head_vjp`
-    reuses."""
+    of :func:`_head` on the K separators of a head (:func:`_scores`).
+    Also returns u and what :func:`_scaled_h_vjp` reuses."""
     u, saved = _head(head, t)
+    return _scores(u), u, saved
+
+
+def _scores(u):
+    """Class scores (..., C) of the K separators' u = h / norm (..., K),
+    C = :func:`_n_classes` (K): their signed distances d = arcsinh(u), or
+    (0, d) when one separator splits two classes (the binary head:
+    sigmoid(d) is the softmax over (0, d))."""
     d = np.arcsinh(u)
     if _n_classes(u.shape[-1]) > u.shape[-1]:
         d = np.stack([np.zeros_like(d[..., 0]), d[..., 0]]).T
-    return d, u, saved
+    return d
 
 
 def _nll(scores, labels):
@@ -223,16 +257,15 @@ def _nll(scores, labels):
     return np.sum(_logsumexp(scores) - picked)
 
 
-def _nll_vjp(head, t, labels):
-    """Gradient of :func:`_nll` over :func:`_class_scores` at real rows t
-    (B, d) of the chart (T, Y2), with respect to t and to the head (a dict
-    shaped like it), for int labels in 0..C-1, checked where the data
-    entered.  dNLL/dscore_c = softmax_c - [c = y]; the binary head's
-    constant zero score has no parameters, so its column is dropped."""
-    scores, u, saved = _class_scores(head, t)
+def _nll_grad(scores, labels, separators):
+    """Gradient of :func:`_nll` with respect to the signed distances
+    (B, K) of the ``separators`` K that gave the class scores (B, C), for
+    int labels in 0..C-1, checked where the data entered:
+    dNLL/dscore_c = softmax_c - [c = y], with the binary head's constant
+    zero score dropped."""
     g = _softmax(scores)
     g.T[labels, np.arange(len(labels))] -= 1.0
-    return _head_vjp(u, saved, g[:, g.shape[-1] - u.shape[-1]:])
+    return g[:, g.shape[-1] - separators:]
 
 
 def softmax_probs(bank: SeparatorBank, p):

@@ -328,8 +328,7 @@ def _fiber_pullback(tape, grad):
     g_stack[1:] += g_out[2:]
     g = np.empty(cols.shape)
     np.matmul(G.T, g_stack, out=g[1:])  # row 1: x_0 = P's, then s_0's
-    N = g[1:] @ x.T
-    g_angles = np.einsum("ji,ij->j", p, (N - N.T)[:, 1:])
+    g_angles = _angle_gradient(p, g[1:] @ x.T)
     g_up = g_R + g[1]
     g[0] = g_R - g[1] - g_up * up / T
     g[1] = g_out[1] + q * s[0]
@@ -337,10 +336,58 @@ def _fiber_pullback(tape, grad):
     return g.reshape(grad.T.shape).T, g_angles
 
 
-def _fiber_input(tape, out):
-    """The rows (B, d) a fiber stage read, from its tape and output (a
-    stage without fibers is the identity)."""
-    return out if tape is None else tape[2].T
+def _angle_gradient(p, N):
+    """Gradient of the angles of G = :func:`_givens_product` for a loss
+    with dL/dG = G N: angle j gets p_j (N - N^T) e_j, p_j the row 0 of
+    G_{j-1} ... G_1.  A stage that applies G to stacks x has
+    N = (G^T g) x^T for the cotangent g of G x."""
+    return np.einsum("ji,ij->j", p, (N - N.T)[:, 1:])
+
+
+def _turn_head(head, angles):
+    """A separator head {alpha (K,), beta (K,), w (K, s)} turned by the
+    rotation G of a layer's fiber ``angles``: its h at rows t is the
+    head's h at the rows :func:`_fiber_forward` makes of t, since the
+    stage is an isometry and h is linear in the hyperboloid vector.
+
+    With R = up + T, P = up - T and the output's P' and s' = (s_0, G x),
+    h = m R + c . (P', s'_1, ..., s'_f) + w_0 s_0 for m = (alpha + beta)/2
+    and c = ((beta - alpha)/2, w_1, ..., w_f) (K, f+1), so cf = c G gives
+    alpha' = m - cf_0, beta' = m + cf_0 and w' = (w_0, cf_1, ..., cf_f).
+    Its margin |w'|^2 - alpha' beta' equals the head's but rounds at the
+    size of m^2, so it is read from the head.  Returns the turned head and
+    the tape of :func:`_turn_head_pullback`: the head itself and None
+    without fibers."""
+    if not len(angles):
+        return head, None
+    G, p = _givens_product(np.cos(angles), np.sin(angles))
+    alpha, beta, w = head["alpha"], head["beta"], head["w"]
+    m = 0.5 * (alpha + beta)
+    c = w.astype(np.result_type(w, alpha, beta))
+    c[:, 0] = 0.5 * (beta - alpha)
+    cf = c @ G
+    turned = {"alpha": m - cf[:, 0], "beta": m + cf[:, 0], "w": cf.copy()}
+    turned["w"][:, 0] = w[:, 0]
+    return turned, (G, p, cf)
+
+
+def _turn_head_pullback(tape, grads):
+    """Pullback of :func:`_turn_head` at real arguments: the gradient with
+    respect to the head (a dict shaped like it) and to the angles, from
+    ``grads``, a dict of the turned head's gradient.  g_c = g_cf G^T, and
+    the angles get :func:`_angle_gradient` of N = cf^T g_cf."""
+    if tape is None:
+        return grads, np.zeros(0)
+    G, p, cf = tape
+    g_alpha, g_beta, g_w = grads["alpha"], grads["beta"], grads["w"]
+    g_cf = g_w.copy()
+    g_cf[:, 0] = g_beta - g_alpha
+    g_c = g_cf @ G.T
+    g_m = g_alpha + g_beta
+    head = {"alpha": 0.5 * (g_m - g_c[:, 0]),
+            "beta": 0.5 * (g_m + g_c[:, 0]), "w": g_c}
+    g_c[:, 0] = g_w[:, 0]  # w_0 is not turned
+    return head, _angle_gradient(p, cf.T @ g_cf)
 
 
 @functools.cache

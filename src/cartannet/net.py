@@ -7,7 +7,10 @@ b) and a product of compact fiber rotations.  There is no pointwise
 activation; all nonlinearity comes from the group structure.
 
 One chain, :func:`stages`, runs a batch layer by layer for
-:func:`forward_batch` and for the reverse gradient in ``train``.  It runs
+:func:`forward_batch` and for the reverse gradient in ``train``, which
+reads the last layer's rows before its fiber stage and turns the head
+instead, so the chain runs a layer's fiber stage only when the next layer
+or the caller reads its output.  It runs
 in the chart (T, Y2) with T = e^{-Y1}, where both stages have closed
 forms: the homomorphism ``homo._homomorphism_forward`` is affine,
 (T, Y2) -> (T, W Y2 + (1 - T) b), and a layer's fiber rotations
@@ -42,6 +45,7 @@ __all__ = [
     "init_params",
     "flatten",
     "unflatten",
+    "Stage",
     "stages",
     "forward_batch",
     "save_model",
@@ -218,33 +222,58 @@ def _named_blocks(params: ParamSet) -> dict:
 # ---------------------------------------------------------------------------
 
 
+class Stage:
+    """One layer of a batch's pass through the chain: the rows (B, d) its
+    fiber stage reads, in the chart (T, Y2), and that stage's space and
+    angles.  ``rotated`` runs the fiber stage on first use and keeps its
+    output rows and tape (read by ``isometry._fiber_pullback``)."""
+
+    __slots__ = ("space", "rows", "angles", "_rotated")
+
+    def __init__(self, space: SpaceId, rows: np.ndarray, angles: np.ndarray):
+        self.space, self.rows, self.angles = space, rows, angles
+        self._rotated = None
+
+    @property
+    def rotated(self) -> tuple:
+        if self._rotated is None:
+            self._rotated = isometry._fiber_forward(self.space, self.rows,
+                                                    self.angles)
+        return self._rotated
+
+
 def stages(config: NetworkConfig, params: ParamSet, X: np.ndarray):
-    """Yield, per layer, its output for a batch of inputs as rows (B, d)
-    of the chart (T, Y2), T = e^{-Y1}, and the tape of its fiber stage
-    (read by ``isometry._fiber_pullback``); a caller that drops each tape,
-    as the chain does, frees it before the next stage runs.  Complex
-    inputs propagate analytically, for complex step."""
+    """Yield, per layer, its :class:`Stage` for a batch of inputs.  The
+    chain rotates a layer's rows when the next layer needs them, so the
+    last layer's fiber stage runs only when its ``rotated`` is read: a
+    caller that reads the last ``rows`` alone, as the reverse gradient
+    does, never rotates them.  The chain lets go of each stage before the
+    next layer's homomorphism runs, so a caller that does too, as
+    :func:`forward_batch` does, frees the stage's input and tape there.
+    Complex inputs propagate analytically, for complex step."""
     X = np.asarray(X)
     if not np.all(np.isfinite(np.real(X))):
         raise ValueError("non-finite network input")
     if X.ndim == 1:
         X = X[None, :]
-    values = spaces._to_t_columns(params.Q @ X.T).T
+    rows = spaces._to_t_columns(params.Q @ X.T).T
     for i, layer in enumerate(config.layers):
         if i:
-            values = homo._homomorphism_forward(params.Ws[i - 1],
-                                                params.bs[i - 1], values)
-        values, tape = isometry._fiber_forward(
-            layer.space, values, params.psis[i - 1] if i else params.lam)
-        yield values, tape
-        del tape
+            rows = stage.rotated[0]
+            del stage
+            rows = homo._homomorphism_forward(params.Ws[i - 1],
+                                              params.bs[i - 1], rows)
+        stage = Stage(layer.space, rows,
+                      params.psis[i - 1] if i else params.lam)
+        yield stage
 
 
 def forward_batch(config: NetworkConfig, params: ParamSet, X: np.ndarray) -> np.ndarray:
     """Coordinates of the last hidden layer for a batch of inputs."""
-    for values, tape in stages(config, params, X):
-        del tape
-    return spaces._from_t_chart(values)
+    for stage in stages(config, params, X):
+        rows = stage.rotated[0]
+        del stage
+    return spaces._from_t_chart(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,19 @@ the prediction d, the signed distance to the one separator.
 
 The gradient is reverse mode: one forward pass through ``net.stages``,
 the chain ``net.forward_batch`` runs, keeping each layer's output and fiber
-tape, then one hand-written pullback per stage in reverse order
-(injection, the fiber pullback ``isometry._fiber_pullback``, the
-homomorphism pullback ``homo._homomorphism_pullback``, and the head's
-pullback ``classify._head_vjp`` of the NLL's or the MSE's gradient, which
-reuses the head kernel's own forward).  The tests check it against
-complex-step differentiation of the whole chain (every stage is
-complex-analytic) and against central differences of :func:`loss_flat`.
+tape, but the last layer's fiber rotation G is an isometry, so it turns
+the head's K separators (``isometry._turn_head``) instead of the B points:
+the head reads that layer's unrotated rows, with the norms and the
+admissibility check of the unturned head.  Then one hand-written pullback
+per stage in reverse order: the head's (``classify._scaled_h_vjp`` of the
+NLL's or the MSE's gradient, which reuses the head kernel's own forward,
+then ``isometry._turn_head_pullback`` and ``classify._margin_vjp``), the
+homomorphism pullback ``homo._homomorphism_pullback``, the fiber pullback
+``isometry._fiber_pullback`` and the injection's.  :func:`loss_flat`,
+:func:`evaluate` and the epoch's pass over the train split rotate the
+points through every layer.  The tests check the gradient against
+complex-step differentiation of :func:`loss_flat` (every stage is
+complex-analytic) and against its central differences.
 Labels are checked where data enters (``Dataset``, :func:`check_labels`):
 :func:`gradient` checks its batch, and :func:`train_loop` checks the
 dataset once, so its steps do not.  A run trains in place: it holds one
@@ -152,21 +158,31 @@ def loss_flat(config: net.NetworkConfig, vector, features, labels):
     """Task loss of a batch as a function of the flat parameter vector
     (any dtype): the separator head's NLL, or its MSE for regression."""
     params = net.unflatten(config, np.asarray(vector))
-    for t, tape in net.stages(config, params, features):
-        del tape
-    return _head_loss(config, params, t, labels)[0]
+    for stage in net.stages(config, params, features):
+        pass
+    return _head_loss(config, params, stage.rotated[0], labels)[0]
 
 
 def _head_vjp(config: net.NetworkConfig, params: net.ParamSet,
-              t, labels):
-    """Gradient of ``_head_loss`` with respect to the rows t and the head
-    parameters (a dict shaped like ``params.head``), at labels checked by
-    :func:`check_labels`."""
+              stage: net.Stage, labels):
+    """Gradient of ``_head_loss`` at the last layer's output with respect
+    to the rows its fiber stage reads, ``stage.rows``, to the head
+    parameters (a dict shaped like ``params.head``) and to that stage's
+    angles, at labels checked by :func:`check_labels`.  The head turned by
+    the stage's rotation (``isometry._turn_head``) gives the same h at
+    ``stage.rows`` as the head at the rotated rows, so the batch is not
+    rotated; the norms, and the margins they pull back to, are the head's
+    own (``classify._norm``)."""
+    turned, turn = isometry._turn_head(params.head, stage.angles)
+    u, saved = classify._scaled_h(turned, classify._norm(params.head),
+                                  stage.rows)
     if config.task == "regression":
-        u, saved = classify._head(params.head, t)
         g_d = 2.0 * (np.arcsinh(u) - labels[:, None]) / len(labels)
-        return classify._head_vjp(u, saved, g_d)
-    return classify._nll_vjp(params.head, t, labels)
+    else:
+        g_d = classify._nll_grad(classify._scores(u), labels, u.shape[-1])
+    g_t, g_turned, g_n2 = classify._scaled_h_vjp(u, saved, g_d)
+    g_head, g_angles = isometry._turn_head_pullback(turn, g_turned)
+    return g_t, classify._margin_vjp(params.head, g_n2, g_head), g_angles
 
 
 def gradient(config: net.NetworkConfig, flat: net.FlatParams,
@@ -189,22 +205,28 @@ def _gradient(config: net.NetworkConfig, params: net.ParamSet,
               features, labels, grads: net.ParamSet):
     """:func:`gradient` at labels already checked, as ints for a
     separator head, written into ``grads``, views of a gradient vector
-    (:func:`net.unflatten`), in reverse mode: one forward pass through
-    ``net.stages``, keeping every layer's output and fiber tape, then the
-    pullbacks in reverse order, all in the chart (T, Y2) of the chain; the
-    injection's own pullback turns g_T into g_Y1 = -T g_T."""
+    (:func:`net.unflatten`), in reverse mode, all in the chart (T, Y2) of
+    the chain: one forward pass through ``net.stages`` that stops at the
+    last layer's unrotated rows, whose Cartan bound it checks as that
+    layer's fiber stage would, and keeps every other layer's output and
+    fiber tape; then :func:`_head_vjp`, which turns the head by the last
+    layer's rotation instead of rotating the batch, and the pullbacks of
+    the other stages in reverse order.  The injection's own pullback turns
+    g_T into g_Y1 = -T g_T."""
     X = np.atleast_2d(np.asarray(features, dtype=float))
-    outputs, tapes = zip(*net.stages(config, params, X))
-    g, head = _head_vjp(config, params, outputs[-1], labels)
+    chain = list(net.stages(config, params, X))
+    g_angles = [grads.lam, *grads.psis]
+    spaces._check_t_bound(chain[-1].rows.T[0])
+    g, head, g_angles[-1][...] = _head_vjp(config, params, chain[-1],
+                                           labels)
     for name, value in head.items():
         grads.head[name][...] = value
-    for i in reversed(range(len(outputs) - 1)):
-        g, grads.psis[i][...] = isometry._fiber_pullback(tapes[i + 1], g)
+    for i in reversed(range(len(chain) - 1)):
+        out, tape = chain[i].rotated
         g, grads.Ws[i][...], grads.bs[i][...] = homo._homomorphism_pullback(
-            params.Ws[i], params.bs[i], outputs[i], g)
-    g, grads.lam[...] = isometry._fiber_pullback(tapes[0], g)
-    g = spaces._cotangent_from_t_chart(
-        isometry._fiber_input(tapes[0], outputs[0]), g)
+            params.Ws[i], params.bs[i], out, g)
+        g, g_angles[i][...] = isometry._fiber_pullback(tape, g)
+    g = spaces._cotangent_from_t_chart(chain[0].rows, g)
     np.matmul(g.T, X, out=grads.Q)
 
 
@@ -322,8 +344,8 @@ def train_loop(tc: TrainConfig, config: net.NetworkConfig, dataset: Dataset,
                 vector -= tc.learning_rate * gradient
                 projected += _project(config, vector)
             cartan_fraction = []
-            for t, tape in net.stages(config, params, train.features):
-                del tape
+            for stage in net.stages(config, params, train.features):
+                t = stage.rotated[0]
                 # max |Y1| = max |log T|, from the extremes of T
                 cartan_fraction.append(float(max(
                     np.log(np.max(t[:, 0])), -np.log(np.min(t[:, 0]))))
@@ -431,18 +453,44 @@ def _parse_label(token: str):
         return float(token)
 
 
+def _malformed_row(path, fields: int) -> str:
+    """Names the first data line of the CSV at ``path`` that is not
+    ``fields`` numbers as ``np.loadtxt`` reads them."""
+    with open(path, newline="") as fh:
+        for number, line in enumerate(fh, start=1):
+            if number == 1 or not line.strip():
+                continue
+            try:
+                row = np.loadtxt([line], delimiter=",", comments=None,
+                                 ndmin=2)
+            except ValueError:
+                return f"line {number}: not a row of numbers: {line.strip()!r}"
+            if row.shape[1] != fields:
+                return (f"line {number}: {row.shape[1]} fields where the "
+                        f"header names {fields}")
+    return "malformed rows"
+
+
 def load_csv(path) -> Dataset:
     """Read a dataset CSV (no split tags: deterministic 80/20 assignment).
-    The feature columns are parsed by one ``np.loadtxt`` call; a label
-    token that is an integer is read as an int, else as a float."""
+    One ``np.loadtxt`` call parses every row, its label included, so a
+    row with more or fewer fields than the header, or with a field that is
+    not a number (a ``#`` line too: nothing is a comment), is a ValueError
+    that names its line.  A label token that is an integer is read as an
+    int, else as a float."""
     with open(path, newline="") as fh:
         header = next(csv.reader([fh.readline()]))
         if header[-1] != "label" or not header[0].startswith("f"):
             raise ValueError("unexpected CSV header")
         lines = [line for line in fh if line.strip()]
     d = len(header) - 1
-    X = (np.loadtxt(lines, delimiter=",", usecols=range(d), ndmin=2)
-         if lines else np.empty((0, d)))
+    try:
+        table = (np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+                 if lines else np.empty((0, d + 1)))
+    except ValueError:
+        table = None
+    if table is None or table.shape[1] != d + 1:
+        raise ValueError(_malformed_row(path, d + 1))
     y = np.array([_parse_label(line.rsplit(",", 1)[1]) for line in lines])
     split = np.array(["train" if i % 5 else "test" for i in range(len(lines))])
-    return Dataset(X, y, split)
+    return Dataset(np.ascontiguousarray(table[:, :d]), y, split)

@@ -167,8 +167,9 @@ def replay_train_loop(tc: train.TrainConfig, config, dataset):
                     for k in range(config.n_separators))
             params = net.unflatten(config, v)
             fractions = [
-                float(np.max(np.abs(np.log(t[:, 0])))) / spaces.CARTAN_BOUND
-                for t, _ in net.stages(config, params, tr.features)]
+                float(np.max(np.abs(np.log(stage.rotated[0][:, 0]))))
+                / spaces.CARTAN_BOUND
+                for stage in net.stages(config, params, tr.features)]
             train_loss = float(np.real(
                 train.loss_flat(config, v, tr.features, tr.labels)))
             if not train_loss <= train.DIVERGENCE_LIMIT:

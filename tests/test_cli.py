@@ -412,6 +412,57 @@ class TestStrictNumbersAndSections:
             assert not out.exists()
 
 
+class TestMalformedCsv:
+    """A dataset row that is not one number per header field exits 2 with
+    one error line naming it, in ``train`` before any training and in
+    ``eval`` before any output is written."""
+
+    ROWS = {
+        "extra-field": "1.0,2.0,3.0,0",
+        "no-label": "1.0,2.0",
+        "comment": "# a note",
+    }
+
+    @staticmethod
+    def dataset(tmp_path, row):
+        data = tmp_path / "data.csv"
+        gen = write_json(tmp_path / "gen.json", TestStrictIntegers.GEN)
+        assert run(["gen-data", "--config", gen, "--out", str(data)]) == 0
+        with open(data, "a") as fh:
+            fh.write(row + "\r\n")
+        return data
+
+    @pytest.mark.parametrize("row", list(ROWS.values()), ids=list(ROWS))
+    def test_train_exit_2(self, tmp_path, monkeypatch, capsys, row):
+        data = self.dataset(tmp_path, row)
+
+        def must_not_train(*args, **kwargs):
+            raise AssertionError("trained on a malformed dataset")
+
+        monkeypatch.setattr(train, "train_loop", must_not_train)
+        tcfg = write_json(tmp_path / "train.json", {
+            "net": {"input_dim": 2, "layers": [3], "task": "binary"},
+            "train": {"epochs": 1, "batch_size": 16}, "dataset": str(data)})
+        model = tmp_path / "model.json"
+        assert run(["train", "--config", tcfg, "--out", str(model)]) == 2
+        assert "line 62: " in capsys.readouterr().err
+        assert not model.exists()
+
+    @pytest.mark.parametrize("row", list(ROWS.values()), ids=list(ROWS))
+    def test_eval_exit_2(self, tmp_path, capsys, row):
+        data = self.dataset(tmp_path, row)
+        config = net.NetworkConfig(input_dim=2, layers=(hyperbolic(3),),
+                                   task="binary")
+        model = tmp_path / "model.json"
+        net.save_model(model, config, net.init_params(config))
+        ecfg = write_json(tmp_path / "eval.json", {
+            "model": str(model), "dataset": str(data)})
+        out = tmp_path / "metrics.json"
+        assert run(["eval", "--config", ecfg, "--out", str(out)]) == 2
+        assert "line 62: " in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestPathFields:
     """Path fields must be JSON strings: anything else exits 2 before
     training starts or any output is written (``open`` would take a

@@ -213,8 +213,9 @@ class TestErrorsPropagate:
 
 class TestSinglePass:
     """Reverse mode runs each stage forward once: every fiber stage's
-    Givens chain once, handing its tape to the pullback, and the separator
-    head once, its VJP reusing that forward."""
+    Givens chain once, handing its tape to the pullback, except the last
+    layer's, whose rotation turns the head instead of the batch, and the
+    separator head once, its VJP reusing that forward."""
 
     @staticmethod
     def counting(monkeypatch, module, name):
@@ -240,9 +241,12 @@ class TestSinglePass:
         y = np.arange(5) % 3
         want = train.gradient(config, flat, X, y)
         fibers = self.counting(monkeypatch, isometry, "_fiber_forward")
-        heads = self.counting(monkeypatch, classify, "_head")
+        pullbacks = self.counting(monkeypatch, isometry, "_fiber_pullback")
+        heads = self.counting(monkeypatch, classify, "_scaled_h")
         distances = self.counting(monkeypatch, classify, "signed_distance")
         got = train.gradient(config, flat, X, y)
-        assert fibers == [layer.space for layer in config.layers]
+        # no point rotation for the last layer: its angles turn the head
+        assert fibers == [layer.space for layer in config.layers[:-1]]
+        assert len(pullbacks) == len(config.layers) - 1
         assert len(heads) == 1 and distances == []
         assert np.array_equal(got, want)

@@ -71,9 +71,12 @@ def fiber_stage(space, t, angles, grad):
 
 
 def nll_pullback(head, t, labels):
-    """The head's pullback at rows t of the chart (T, Y2), its gradient
-    dict flattened to (g_t, g_alpha, g_beta, g_w)."""
-    g_t, g_head = classify._nll_vjp(head, t, labels)
+    """The NLL's pullback through the head at rows t of the chart
+    (T, Y2), its gradient dict flattened to (g_t, g_alpha, g_beta, g_w)."""
+    scores, u, saved = classify._class_scores(head, t)
+    g_t, g_head, g_n2 = classify._scaled_h_vjp(
+        u, saved, classify._nll_grad(scores, labels, u.shape[-1]))
+    classify._margin_vjp(head, g_n2, g_head)
     return g_t, g_head["alpha"], g_head["beta"], g_head["w"]
 
 
@@ -110,9 +113,9 @@ def kernels(c):
             True),
         "multiclass_nll": (
             lambda p, g, go, y: classify.multiclass_nll(p, y, bank), True),
-        "_nll_vjp[binary]": (
+        "nll_pullback[binary]": (
             lambda p, g, go, y: nll_pullback(binary.head, t(p), y % 2), False),
-        "_nll_vjp[multiclass]": (
+        "nll_pullback[multiclass]": (
             lambda p, g, go, y: nll_pullback(bank.head, t(p), y), False),
     }
 
@@ -244,8 +247,8 @@ class TestColumnsThroughTheChain:
         seen = []
         self.watch(monkeypatch, isometry, "_fiber_forward", 1, seen)
         self.watch(monkeypatch, homo, "_homomorphism_forward", 2, seen)
-        for _ in net.stages(config, params, X):
-            pass
+        for stage in net.stages(config, params, X):
+            stage.rotated
         assert [n for n, _ in seen].count("_fiber_forward") == len(NETS[name])
         assert all(ok for _, ok in seen), seen
 
@@ -264,5 +267,7 @@ class TestColumnsThroughTheChain:
         self.watch(monkeypatch, homo, "_homomorphism_pullback", 3, seen)
         train.gradient(config, net.flatten(config, params), X, y)
         names = [n for n, _ in seen]
-        assert names.count("_fiber_pullback") == len(NETS[name])
+        # the last layer's rotation turns the head, not the batch
+        assert names.count("_fiber_forward") == len(NETS[name]) - 1
+        assert names.count("_fiber_pullback") == len(NETS[name]) - 1
         assert all(ok for _, ok in seen), seen

@@ -1,5 +1,8 @@
 """Losses, gradients, SGD loop, synthetic data, CSV persistence."""
 
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -231,8 +234,10 @@ class TestTrainLoop:
         monkeypatch.undo()
         tr = ds.subset("train")
         batches = -(-len(tr) // tc.batch_size)
-        # a gradient per batch, then the train and the test split once
-        assert len(stages) == (batches + 2) * len(cfg.layers)
+        # a gradient per batch, which rotates every layer but the last,
+        # then the train and the test split once through every layer
+        assert len(stages) == (batches * (len(cfg.layers) - 1)
+                               + 2 * len(cfg.layers))
         peaks = np.zeros(len(cfg.layers))
         for x in tr.features:
             for i, p in enumerate(layer_points(params, x)):
@@ -464,3 +469,64 @@ class TestCsv:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError):
             train.load_csv(path)
+
+    #: Rows that are not one number per header field, each on line 4 of
+    #: a file whose line 3 is blank.
+    MALFORMED = {
+        "extra-field": "1.0,2.0,3.0,0",
+        "no-label": "1.0,2.0",
+        "comment": "# a note",
+        "trailing-comment": "1.0,2.0,0 # a note",
+        "empty-label": "1.0,2.0,",
+    }
+
+    @pytest.mark.parametrize("row", list(MALFORMED.values()),
+                             ids=list(MALFORMED))
+    def test_malformed_row_names_its_line(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"f0,f1,label\n0.5,-0.5,1\n\n{row}\n0.5,0.5,0\n")
+        with pytest.raises(ValueError, match="^line 4: "):
+            train.load_csv(path)
+
+    def test_rows_all_one_field_short(self, tmp_path):
+        # every row agrees with every other, but not with the header
+        path = tmp_path / "bad.csv"
+        path.write_text("f0,f1,label\n1.0,2.0\n3.0,4.0\n")
+        with pytest.raises(ValueError, match="^line 2: 2 fields"):
+            train.load_csv(path)
+
+
+def benchmark_gate():
+    """``SEED_COMMIT_CORRECT`` and ``MARGIN`` of the train-blobs4 workload,
+    read from ``bench/workloads.py`` without importing it."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench/workloads.py"
+    workload = next(node for node in ast.parse(path.read_text()).body
+                    if isinstance(node, ast.ClassDef)
+                    and node.name == "TrainBlobs4")
+    return {target.id: ast.literal_eval(node.value)
+            for node in workload.body if isinstance(node, ast.Assign)
+            for target in node.targets if isinstance(target, ast.Name)
+            and target.id in ("SEED_COMMIT_CORRECT", "MARGIN")}
+
+
+class TestBenchmarkGate:
+    def test_train_blobs4_accuracy_floor(self, tmp_path):
+        # the floor the train-blobs4 benchmark checks on every run, for
+        # each of its input seeds: blobs through the CSV round trip,
+        # H5 -> H3 with K = 4, lr 0.003, 2 epochs of batches of 32
+        gate = benchmark_gate()
+        config = net.NetworkConfig(
+            input_dim=4, layers=(net.LayerSpec(H5), net.LayerSpec(H3)),
+            task="multiclass", K=4)
+        path = tmp_path / "blobs4.csv"
+        below = []
+        for seed, entry in enumerate(gate["SEED_COMMIT_CORRECT"]):
+            train.save_csv(path, train.gen_synthetic(
+                "blobs", n=400, dim=4, seed=seed, classes=4))
+            tc = train.TrainConfig(learning_rate=0.003, epochs=2,
+                                   batch_size=32, seed=seed)
+            _, history = train.train_loop(tc, config, train.load_csv(path))
+            floor = (entry - gate["MARGIN"]) / 80
+            if not (len(history) == 2 and history[-1]["accuracy"] >= floor):
+                below.append(seed)
+        assert len(gate["SEED_COMMIT_CORRECT"]) == 100 and below == []
