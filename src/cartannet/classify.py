@@ -3,24 +3,32 @@
 A separator is the zero set of h(Y) = alpha e^{-Y1} + <w, Y2>
 + beta e^{Y1} (1 + |Y2|^2 / 4); when |w|^2 - alpha beta > 0 this is a
 totally geodesic hypersurface, and the signed geodesic distance to it is
-exactly arcsinh(h / (2 sqrt(|w|^2 - alpha beta))).  The signed distances
-are the class scores of one softmax head: K separators give K scores d,
-and the binary head's one separator gives (0, d), whose softmax is
-sigmoid(d); a regression network's output is the d of its one
-separator.  One batched kernel evaluates all K separators at once from
-their parameters stacked as a head {alpha (K,), beta (K,), w (K, s)},
-and the one likelihood gradient reuses its intermediates.  The norms
-2 sqrt(|w|^2 - alpha beta) and the admissibility check read the head
-apart from h (:func:`_norm`), so training can take h from the head turned
-by the last layer's rotation while the norms stay the head's own.  The
-kernel
-reads the points in the chart (T, Y2), T = e^{-Y1}, the stage chain of
-``net`` hands it, where h = alpha T + <w, Y2> + beta (1 + |Y2|^2 / 4) / T
-needs no exp; the public functions take coordinates and convert them at
-their ends.  It computes on the columns (d, B) of the points, one row per
-separator, and returns (..., K) as views of those rows.  All functions
-propagate complex inputs analytically, so complex-step differentiation,
-the gradient tests' oracle, is exact.
+exactly arcsinh(h / (2 sqrt(|w|^2 - alpha beta))).  h is the eta-pairing
+<n, v> of the spacelike normal n = (-alpha, sqrt2 w, beta) with the
+hyperboloid vector v = (e^{Y1} (1 + |Y2|^2 / 4), Y2 / sqrt2, -e^{-Y1}), and
+the margin |w|^2 - alpha beta is <n, n> / 2.  The signed distances are the
+class scores of one softmax head: K separators give K scores d, and the
+binary head's one separator gives (0, d), whose softmax is sigmoid(d); a
+regression network's output is the d of its one separator.
+
+The head kernel reads the points in the chart (T, Y2), T = e^{-Y1}, the
+stage chain of ``net`` hands it, as their lift Phi = (T, Y2, up),
+up = (1 + |Y2|^2 / 4) / T, and each separator as its covector
+C = (alpha, w, beta) on it: h = C Phi needs no exp, and the K separators,
+stacked as the rows of C (K, d+1), give h at B points as one matrix
+product (K, d+1) @ (d+1, B).  Its pullback is g_C = g_h Phi^T and
+g_Phi = C^T g_h.  A map that acts linearly on v acts linearly on Phi, so
+a layer's fiber rotation turns the covectors instead of the points
+(``isometry._turn_head``).  The norms 2 sqrt(|w|^2 - alpha beta) and the
+admissibility check read the margins apart from h (:func:`_norms`), so
+training can take h from the turned head while the norms stay the head's
+own.  A :class:`SeparatorBank` builds its covectors and margins once; a
+network's head {alpha (K,), beta (K,), w (K, s)} is stacked into C
+(:func:`_coefs`) where it is read.  The public functions take coordinates
+and convert them at their ends.  The kernel computes on the columns
+(d, B) of the points, one row per separator, and returns (..., K) as views
+of those rows.  All functions propagate complex inputs analytically, so
+complex-step differentiation, the gradient tests' oracle, is exact.
 """
 
 from __future__ import annotations
@@ -65,26 +73,38 @@ class Separator:
 @dataclasses.dataclass(frozen=True)
 class SeparatorBank:
     """K separators on a shared layer.  Their parameters are stacked once,
-    as ``head`` = {alpha (K,), beta (K,), w (K, s)}, the form the head
-    kernel reads and the one a network's separator head is stored in.
-    A parameter that is not finite raises DegenerateSeparatorError here,
-    where alpha beta = inf * 0 would leave the head a NaN margin."""
+    as ``head`` = {alpha (K,), beta (K,), w (K, s)}, the form a network's
+    separator head is stored in, and read once into what the head kernel
+    reads: their covectors ``coefs`` = (alpha, w, beta) (K, s+2)
+    (:func:`_coefs`) and their margins |w|^2 - alpha beta (K,), all
+    read-only.  A parameter that is not finite raises
+    DegenerateSeparatorError here, where alpha beta = inf * 0 would leave
+    the head a NaN margin; an inadmissible separator raises where the head
+    reads the margins (:func:`_norms`)."""
 
     separators: tuple
     head: dict = dataclasses.field(init=False, repr=False, compare=False)
+    coefs: np.ndarray = dataclasses.field(init=False, repr=False,
+                                          compare=False)
+    margins: np.ndarray = dataclasses.field(init=False, repr=False,
+                                            compare=False)
 
     def __post_init__(self):
         seps = tuple(self.separators)
         if len(seps) < 1:
             raise ValueError("bank must contain at least one separator")
-        object.__setattr__(self, "separators", seps)
-        object.__setattr__(self, "head", {
-            "alpha": np.array([s.alpha for s in seps]),
-            "beta": np.array([s.beta for s in seps]),
-            "w": np.stack([s.w for s in seps])})
-        if not all(np.isfinite(v).all() for v in self.head.values()):
+        head = {"alpha": np.array([s.alpha for s in seps]),
+                "beta": np.array([s.beta for s in seps]),
+                "w": np.stack([s.w for s in seps])}
+        if not all(np.isfinite(v).all() for v in head.values()):
             raise DegenerateSeparatorError(
                 "separator parameters must be finite")
+        coefs = _coefs(head)
+        margins = _margin(head["alpha"], head["beta"], head["w"])
+        spaces._read_only(coefs, margins, *head.values())
+        for name, value in (("separators", seps), ("head", head),
+                            ("coefs", coefs), ("margins", margins)):
+            object.__setattr__(self, name, value)
 
     def __len__(self):
         return len(self.separators)
@@ -102,79 +122,108 @@ def _margin(alpha, beta, w):
     return _norm2(w) - alpha * beta
 
 
-def _h_stack(alpha, beta, w, t):
-    """h (..., K) of K separators stacked as alpha, beta (K,) and w (K, s)
-    at a point or batch t of the chart (T, Y2), with the parts (Y2, T,
-    1 / T, up = (1 + |Y2|^2 / 4) / T) it was built from, all as columns."""
+def _coefs(head):
+    """The covectors C = (alpha, w, beta) (K, s+2) of the separators of a
+    head {alpha (K,), beta (K,), w (K, s)}, one per row."""
+    w = head["w"]
+    coefs = np.empty((len(w), w.shape[-1] + 2),
+                     np.result_type(head["alpha"], head["beta"], w))
+    coefs[:, 0], coefs[:, 1:-1], coefs[:, -1] = (head["alpha"], w,
+                                                 head["beta"])
+    return coefs
+
+
+def _head_of(coefs):
+    """The head {alpha (K,), beta (K,), w (K, s)} of covectors C (K, s+2),
+    as views of C: the inverse of :func:`_coefs`."""
+    return {"alpha": coefs[:, 0], "beta": coefs[:, -1], "w": coefs[:, 1:-1]}
+
+
+def _lift(t):
+    """The lift Phi = (T, Y2, up) (d+1, ...) of rows t (..., d) of the
+    chart (T, Y2), up = (1 + |Y2|^2 / 4) / T, as columns: h = C Phi."""
     cols = spaces._columns(t)
-    T, y2 = cols[0], cols[1:]
-    if len(y2) != w.shape[-1]:
-        raise ValueError("separator normal has the wrong dimension")
-    inv = 1.0 / T
-    up = (1.0 + 0.25 * spaces._sum_squares(y2)) * inv
-    h = (np.multiply.outer(alpha, T) + w @ y2
-         + np.multiply.outer(beta, up))
-    return h.T, (y2, T, inv, up)
+    phi = np.empty((len(cols) + 1,) + cols.shape[1:],
+                   np.result_type(cols, float))
+    phi[:-1] = cols
+    phi[-1] = (1.0 + 0.25 * spaces._sum_squares(cols[1:])) / cols[0]
+    return phi
+
+
+def _norms(margins):
+    """The norms 2 sqrt(margins) (K,) of K separators' margins
+    |w|^2 - alpha beta.  Raises :class:`DegenerateSeparatorError` unless
+    every separator is admissible."""
+    if not (np.real(margins) > 0.0).all():  # NaN fails the test too
+        raise DegenerateSeparatorError(
+            "separator admissibility |w|^2 - alpha*beta must be positive")
+    return 2.0 * np.sqrt(margins)
 
 
 def _norm(head):
-    """The norms 2 sqrt(|w|^2 - alpha beta) (K,) of a head {alpha (K,),
-    beta (K,), w (K, s)}.  Raises :class:`DegenerateSeparatorError`
-    unless every separator is admissible."""
-    norm2 = _margin(head["alpha"], head["beta"], head["w"])
-    if not (np.real(norm2) > 0.0).all():  # NaN fails the test too
-        raise DegenerateSeparatorError(
-            "separator admissibility |w|^2 - alpha*beta must be positive")
-    return 2.0 * np.sqrt(norm2)
+    """The norms (:func:`_norms`) of a head {alpha (K,), beta (K,),
+    w (K, s)}, from its margins."""
+    return _norms(_margin(head["alpha"], head["beta"], head["w"]))
 
 
 def _head(head, t):
-    """The separator head kernel: u = h / norm (..., K) for all K
-    separators of a head {alpha (K,), beta (K,), w (K, s)} at once, at
-    rows t of the chart (T, Y2), so that arcsinh(u) are the signed
-    distances, with the norms of :func:`_norm`.  Also returns what
+    """The separator head kernel on a head {alpha (K,), beta (K,),
+    w (K, s)}: u = h / norm (..., K) for all K separators at once, at rows
+    t of the chart (T, Y2), so that arcsinh(u) are the signed distances,
+    with the norms of :func:`_norm`.  Also returns what
     :func:`_scaled_h_vjp` reuses.  Raises
     :class:`DegenerateSeparatorError` unless every separator is
     admissible."""
-    return _scaled_h(head, _norm(head), t)
+    return _scaled_h(_coefs(head), _norm(head), t)
+
+
+def _bank_head(bank: SeparatorBank, p):
+    """:func:`_head` of a bank at coordinate rows p (..., d), from the
+    covectors and margins it holds."""
+    return _scaled_h(bank.coefs, _norms(bank.margins),
+                     spaces._to_t_chart(p))
 
 
 def _scaled_h(coefs, norm, t):
-    """u = h / norm (..., K) for h of the separators stacked in ``coefs``
-    {alpha (K,), beta (K,), w (K, s)} at rows t of the chart (T, Y2), over
-    the norms (K,) of :func:`_norm`: a head's own, or, for the head turned
-    by a layer's rotation (``isometry._turn_head``), those of the head
-    before the turn.  Also returns what :func:`_scaled_h_vjp` reuses:
-    (coefs, Y2, T, 1 / T, up, norm)."""
-    h, parts = _h_stack(coefs["alpha"], coefs["beta"], coefs["w"], t)
-    return h / norm, (coefs,) + parts + (norm,)
+    """u = h / norm (..., K) for h = C Phi of the separators whose
+    covectors are the rows of ``coefs`` C (K, d+1), at the lift Phi
+    (:func:`_lift`) of rows t (..., d) of the chart (T, Y2), over the norms
+    (K,) of :func:`_norms`: a head's own, or, for the head turned by a
+    layer's rotation (``isometry._turn_head``), those of the head before
+    the turn.  Also returns what :func:`_scaled_h_vjp` reuses:
+    (C, Phi, norm)."""
+    phi = _lift(t)
+    if len(phi) != coefs.shape[-1]:
+        raise ValueError("separator normal has the wrong dimension")
+    return (coefs @ phi).T / norm, (coefs, phi, norm)
 
 
 def _scaled_h_vjp(u, saved, g_d):
     """Gradients of sum(g_d * d) over the (B, K) signed distances
     d = arcsinh(u) that :func:`_scaled_h` computed at real rows t (B, d),
-    with respect to t, to its coefficients (a dict shaped like them) and
-    to the margins |w|^2 - alpha beta (K,) its norms came from."""
-    coefs, y2, T, inv, up, norm = saved
+    with respect to t, to its covectors C (K, d+1) and to the margins
+    |w|^2 - alpha beta (K,) its norms came from: g_C = g_h Phi^T, and t
+    gets g_Phi = C^T g_h through up = (1 + |Y2|^2 / 4) / T."""
+    coefs, phi, norm = saved
     u, g_d = u.T, g_d.T
     g_h = g_d / (norm[:, None] * np.sqrt(1.0 + u * u))
     g_n2 = -2.0 * np.sum(g_h * u, axis=1) / norm
-    g_beta_h = coefs["beta"] @ g_h
-    g_t = np.concatenate(
-        [(coefs["alpha"] @ g_h - g_beta_h * up * inv)[None],
-         coefs["w"].T @ g_h + 0.5 * g_beta_h * inv * y2])
-    return g_t.T, {"alpha": g_h @ T, "beta": g_h @ up,
-                   "w": g_h @ y2.T}, g_n2
+    g_phi = coefs.T @ g_h
+    g_up = g_phi[-1] / phi[0]
+    g_t = g_phi[:-1]
+    g_t[0] -= g_up * phi[-1]
+    g_t[1:] += (0.5 * g_up) * phi[1:-1]
+    return g_t.T, g_h @ phi.T, g_n2
 
 
-def _margin_vjp(head, g_n2, grads):
-    """Adds to ``grads``, a dict shaped like the head, in place, the
-    gradient of its margins |w|^2 - alpha beta for their cotangent g_n2
-    (K,), and returns it."""
-    grads["alpha"] -= head["beta"] * g_n2
-    grads["beta"] -= head["alpha"] * g_n2
-    grads["w"] += 2.0 * g_n2[:, None] * head["w"]
-    return grads
+def _margin_vjp(coefs, g_n2, g_coefs):
+    """Adds to ``g_coefs``, a gradient of the covectors C (K, s+2), in
+    place, the gradient of their margins |w|^2 - alpha beta for the
+    cotangent g_n2 (K,), and returns it."""
+    g_coefs[:, 0] -= coefs[:, -1] * g_n2
+    g_coefs[:, -1] -= coefs[:, 0] * g_n2
+    g_coefs[:, 1:-1] += 2.0 * g_n2[:, None] * coefs[:, 1:-1]
+    return g_coefs
 
 
 def signed_distance(sep: Separator, p):
@@ -182,8 +231,7 @@ def signed_distance(sep: Separator, p):
     arcsinh(h / (2 sqrt(|w|^2 - alpha beta))).  Odd in h, zero exactly on
     the surface, and equal (up to sign) to the infimum of the geodesic
     distance over the surface."""
-    return np.arcsinh(_head(SeparatorBank((sep,)).head,
-                            spaces._to_t_chart(p))[0][..., 0])
+    return np.arcsinh(_bank_head(SeparatorBank((sep,)), p)[0][..., 0])
 
 
 def _logsumexp(d):
@@ -269,15 +317,15 @@ def _nll_grad(scores, labels, separators):
 
 
 def softmax_probs(bank: SeparatorBank, p):
-    """Class probabilities (..., C): the softmax over :func:`_class_scores`;
-    for a bank of one, column 1 is sigmoid(d), above 1/2 exactly where
-    h > 0."""
-    return _softmax(_class_scores(bank.head, spaces._to_t_chart(p))[0])
+    """Class probabilities (..., C): the softmax over the class scores
+    (:func:`_scores`) of the bank's head at coordinate rows p; for a bank
+    of one, column 1 is sigmoid(d), above 1/2 exactly where h > 0."""
+    return _softmax(_scores(_bank_head(bank, p)[0]))
 
 
 def multiclass_nll(points, labels, bank: SeparatorBank):
     """Negative log likelihood of labels in 0..C-1 under the softmax over
-    :func:`_class_scores`: the sum of logsumexp(scores) - scores_y, for a
+    the class scores (:func:`_scores`) of the bank's head at coordinate
+    rows ``points``: the sum of logsumexp(scores) - scores_y, for a
     bank of one that of softplus(d) - y d over 0/1 labels."""
-    return _nll(_class_scores(bank.head, spaces._to_t_chart(points))[0],
-                labels)
+    return _nll(_scores(_bank_head(bank, points)[0]), labels)

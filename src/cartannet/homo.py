@@ -202,7 +202,9 @@ class ConstraintSystem:
 
     @functools.cached_property
     def _pairs(self):
-        return np.triu_indices(self.source.d, k=1)
+        pairs = np.triu_indices(self.source.d, k=1)
+        spaces._read_only(*pairs)
+        return pairs
 
     @functools.cached_property
     def _linear_jacobian(self):
@@ -211,7 +213,9 @@ class ConstraintSystem:
         iu0, iu1 = self._pairs
         J = np.zeros((d2, len(iu0), d2, d1))
         J[np.arange(d2), :, np.arange(d2)] = self.source.f[:, iu0, iu1].T
-        return J.reshape(-1, d2 * d1)
+        J = J.reshape(-1, d2 * d1)
+        spaces._read_only(J)
+        return J
 
     def _stack(self, W) -> np.ndarray:
         W = np.asarray(W)

@@ -14,12 +14,20 @@ oracle of the closed form.
 
 A fiber rotation of an r=1 space is one Givens rotation of v in the
 diagonal eta basis.  A layer's f fiber rotations are therefore one element
-of SO(f+1), built from the angles alone and applied to a batch by one
-matrix product (:func:`fiber_rotate`).  The stage kernel runs in the chart
-(T, Y2), T = e^{-w1}, of the network's stage chain; the coordinate
-functions convert at their ends.  Like every batched r=1 kernel it takes
-rows (..., d), computes on their contiguous columns (d, ...) and returns
-the transpose of a fresh column block.
+G of SO(f+1), built from the angles alone and applied to a batch by one
+matrix product (:func:`fiber_rotate`).  Fixed angles fix G: the rotation
+plan (:func:`_rotation`) builds G and the partial rows its pullback reads
+once per angle vector, keyed by its contents, dtype and shape, and hands
+them out read-only, so a network evaluated on many batches with the same
+parameters builds each layer's rotation once, and angles rewritten in
+place, as a training step does, get their own.  The stage kernel runs in
+the chart (T, Y2), T = e^{-w1}, of the network's stage chain; the
+coordinate functions convert at their ends.  Like every batched r=1
+kernel it takes rows (..., d), computes on their contiguous columns
+(d, ...) and returns the transpose of a fresh column block.  The same
+plan turns a separator head instead of the batch (:func:`_turn_head`):
+the stage maps the lift (T, Y2, up) of the head kernel linearly, so it
+maps the separators' covectors linearly too.
 """
 
 from __future__ import annotations
@@ -258,12 +266,33 @@ def _givens_product(cos, sin):
     return rows[order] * v[weights], rows[:-1] * lower
 
 
+def _rotation(angles):
+    """(G, p) of :func:`_givens_product` at the cosines and sines of
+    ``angles`` (f,), from the plan :func:`_rotation_plan` keeps for their
+    contents, dtype and shape: read-only, and built once per angle
+    vector."""
+    angles = np.asarray(angles)
+    return _rotation_plan(angles.tobytes(), angles.dtype, angles.shape)
+
+
+@functools.lru_cache(maxsize=64)
+def _rotation_plan(data: bytes, dtype: np.dtype, shape: tuple):
+    """The rotation of the angle vector whose contents are ``data``, so
+    that equal angles reuse it and angles changed in place get their own;
+    the dtype keeps a complex vector apart from a real one of the same
+    bytes, so complex steps stay exact."""
+    angles = np.frombuffer(data, dtype).reshape(shape)
+    G, p = _givens_product(np.cos(angles), np.sin(angles))
+    spaces._read_only(G, p)
+    return G, p
+
+
 def _fiber_forward(space: SpaceId, t, angles):
     """The fiber stage of :func:`fiber_rotate` in the chart (T, Y2),
     T = e^{-w1}, of the stage chain: rows t (..., d) to rows (..., d).
 
     With up = e^{w1} (1 + s.s/4) = (4 + s.s) / (4 T), R = up + T and
-    P = up - T, one matrix product applies G = :func:`_givens_product` to
+    P = up - T, one matrix product applies G (:func:`_rotation`) to
     the stack x = (P, s_1, ..., s_f).  T is read back as
     (4 + s.s) / (2 (R + P)) where P > 0 and as (R - P) / 2 elsewhere
     (R^2 - P^2 - s.s = 4), so neither form cancels.  Refuses
@@ -284,7 +313,7 @@ def _fiber_forward(space: SpaceId, t, angles):
     spaces._check_t_bound(cols[0].real)
     if fibers == 0:
         return t, None
-    G, p = _givens_product(np.cos(angles), np.sin(angles))
+    G, p = _rotation(angles)
     T, s = cols[0], cols[1:]
     up = (4.0 + spaces._sum_squares(s)) / (4.0 * T)
     x = np.empty((fibers + 1, cols.shape[1]), np.result_type(T, G))
@@ -344,50 +373,62 @@ def _angle_gradient(p, N):
     return np.einsum("ji,ij->j", p, (N - N.T)[:, 1:])
 
 
-def _turn_head(head, angles):
-    """A separator head {alpha (K,), beta (K,), w (K, s)} turned by the
-    rotation G of a layer's fiber ``angles``: its h at rows t is the
-    head's h at the rows :func:`_fiber_forward` makes of t, since the
-    stage is an isometry and h is linear in the hyperboloid vector.
+def _turn_head(coefs, angles):
+    """Separator covectors C (K, f+3) on the lift Phi = (T, s_0, s_1, ...,
+    s_f, up) of the head kernel (``classify._scaled_h``) turned by the
+    rotation G of a layer's f fiber ``angles``: the stage maps the lift of
+    its input rows to that of its output rows by one matrix, Phi' = A Phi,
+    so C A gives at a stage's input rows the h that C gives at its output
+    rows.
 
-    With R = up + T, P = up - T and the output's P' and s' = (s_0, G x),
-    h = m R + c . (P', s'_1, ..., s'_f) + w_0 s_0 for m = (alpha + beta)/2
-    and c = ((beta - alpha)/2, w_1, ..., w_f) (K, f+1), so cf = c G gives
-    alpha' = m - cf_0, beta' = m + cf_0 and w' = (w_0, cf_1, ..., cf_f).
-    Its margin |w'|^2 - alpha' beta' equals the head's but rounds at the
-    size of m^2, so it is read from the head.  Returns the turned head and
-    the tape of :func:`_turn_head_pullback`: the head itself and None
-    without fibers."""
+    With R = up + T and x = (P, s_1, ..., s_f), P = up - T, the stage
+    keeps R and s_0 and maps x to G x = (P', s'_1, ..., s'_f), and
+    T' = (R - P') / 2, up' = (R + P') / 2; so A = A_0 + E_out G E_in for
+    the tables of :func:`_turn_tables`.  The turned margins equal the
+    head's but round at the size of (alpha + beta)^2 / 4, so they are read
+    from the head.  Returns C A and the tape of
+    :func:`_turn_head_pullback`: C itself and None without fibers."""
     if not len(angles):
-        return head, None
-    G, p = _givens_product(np.cos(angles), np.sin(angles))
-    alpha, beta, w = head["alpha"], head["beta"], head["w"]
-    m = 0.5 * (alpha + beta)
-    c = w.astype(np.result_type(w, alpha, beta))
-    c[:, 0] = 0.5 * (beta - alpha)
-    cf = c @ G
-    turned = {"alpha": m - cf[:, 0], "beta": m + cf[:, 0], "w": cf.copy()}
-    turned["w"][:, 0] = w[:, 0]
-    return turned, (G, p, cf)
+        return coefs, None
+    G, p = _rotation(angles)
+    E_in, E_out, A_0 = _turn_tables(len(p))
+    A = A_0 + E_out @ G @ E_in
+    turned = coefs @ A
+    return turned, (p, A, turned)
 
 
-def _turn_head_pullback(tape, grads):
-    """Pullback of :func:`_turn_head` at real arguments: the gradient with
-    respect to the head (a dict shaped like it) and to the angles, from
-    ``grads``, a dict of the turned head's gradient.  g_c = g_cf G^T, and
-    the angles get :func:`_angle_gradient` of N = cf^T g_cf."""
+def _turn_head_pullback(tape, g_turned):
+    """Pullback of :func:`_turn_head` at real arguments: the gradients
+    with respect to C and to the angles from ``g_turned``, that of C A.
+    C gets g_turned A^T.  Since A E_out = E_out G, the part of C A that G
+    moves is cf = (C A) E_out = (C E_out) G, with cotangent
+    g_cf = g_turned E_in^T, and the angles get :func:`_angle_gradient` of
+    N = cf^T g_cf."""
     if tape is None:
-        return grads, np.zeros(0)
-    G, p, cf = tape
-    g_alpha, g_beta, g_w = grads["alpha"], grads["beta"], grads["w"]
-    g_cf = g_w.copy()
-    g_cf[:, 0] = g_beta - g_alpha
-    g_c = g_cf @ G.T
-    g_m = g_alpha + g_beta
-    head = {"alpha": 0.5 * (g_m - g_c[:, 0]),
-            "beta": 0.5 * (g_m + g_c[:, 0]), "w": g_c}
-    g_c[:, 0] = g_w[:, 0]  # w_0 is not turned
-    return head, _angle_gradient(p, cf.T @ g_cf)
+        return g_turned, np.zeros(0)
+    p, A, turned = tape
+    E_in, E_out, _ = _turn_tables(len(p))
+    return g_turned @ A.T, _angle_gradient(
+        p, (turned @ E_out).T @ (g_turned @ E_in.T))
+
+
+@functools.cache
+def _turn_tables(f):
+    """E_in (f+1, f+3), which reads x = (up - T, s_1, ..., s_f) off the
+    lift Phi = (T, s_0, s_1, ..., s_f, up); E_out (f+3, f+1), which adds
+    (P', s'_1, ..., s'_f) into Phi' as (-P'/2, 0, s'_1, ..., s'_f, P'/2);
+    and A_0 (f+3, f+3), which carries (R/2, s_0, 0, ..., 0, R/2),
+    R = T + up.  Read-only."""
+    n = f + 3
+    E_in, E_out = np.zeros((f + 1, n)), np.zeros((n, f + 1))
+    A_0 = np.zeros((n, n))
+    E_in[0, [0, -1]] = -1.0, 1.0
+    E_out[[0, -1], 0] = -0.5, 0.5
+    E_in[1:, 2:-1] = E_out[2:-1, 1:] = np.eye(f)
+    A_0[np.ix_([0, -1], [0, -1])] = 0.5
+    A_0[1, 1] = 1.0
+    spaces._read_only(E_in, E_out, A_0)
+    return E_in, E_out, A_0
 
 
 @functools.cache

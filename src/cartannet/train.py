@@ -168,12 +168,13 @@ def _head_vjp(config: net.NetworkConfig, params: net.ParamSet,
     """Gradient of ``_head_loss`` at the last layer's output with respect
     to the rows its fiber stage reads, ``stage.rows``, to the head
     parameters (a dict shaped like ``params.head``) and to that stage's
-    angles, at labels checked by :func:`check_labels`.  The head turned by
-    the stage's rotation (``isometry._turn_head``) gives the same h at
-    ``stage.rows`` as the head at the rotated rows, so the batch is not
-    rotated; the norms, and the margins they pull back to, are the head's
-    own (``classify._norm``)."""
-    turned, turn = isometry._turn_head(params.head, stage.angles)
+    angles, at labels checked by :func:`check_labels`.  The head's
+    covectors turned by the stage's rotation (``isometry._turn_head``)
+    give the same h at ``stage.rows`` as the head at the rotated rows, so
+    the batch is not rotated; the norms, and the margins they pull back
+    to, are the head's own (``classify._norm``)."""
+    coefs = classify._coefs(params.head)
+    turned, turn = isometry._turn_head(coefs, stage.angles)
     u, saved = classify._scaled_h(turned, classify._norm(params.head),
                                   stage.rows)
     if config.task == "regression":
@@ -181,8 +182,9 @@ def _head_vjp(config: net.NetworkConfig, params: net.ParamSet,
     else:
         g_d = classify._nll_grad(classify._scores(u), labels, u.shape[-1])
     g_t, g_turned, g_n2 = classify._scaled_h_vjp(u, saved, g_d)
-    g_head, g_angles = isometry._turn_head_pullback(turn, g_turned)
-    return g_t, classify._margin_vjp(params.head, g_n2, g_head), g_angles
+    g_coefs, g_angles = isometry._turn_head_pullback(turn, g_turned)
+    return g_t, classify._head_of(
+        classify._margin_vjp(coefs, g_n2, g_coefs)), g_angles
 
 
 def gradient(config: net.NetworkConfig, flat: net.FlatParams,
@@ -477,7 +479,8 @@ def load_csv(path) -> Dataset:
     row with more or fewer fields than the header, or with a field that is
     not a number (a ``#`` line too: nothing is a comment), is a ValueError
     that names its line.  A label token that is an integer is read as an
-    int, else as a float."""
+    int, else as a float: all tokens at once as ints, and one at a time
+    only when one of them is not an integer."""
     with open(path, newline="") as fh:
         header = next(csv.reader([fh.readline()]))
         if header[-1] != "label" or not header[0].startswith("f"):
@@ -491,6 +494,10 @@ def load_csv(path) -> Dataset:
         table = None
     if table is None or table.shape[1] != d + 1:
         raise ValueError(_malformed_row(path, d + 1))
-    y = np.array([_parse_label(line.rsplit(",", 1)[1]) for line in lines])
+    tokens = [line.rsplit(",", 1)[1] for line in lines]
+    try:
+        y = np.array(list(map(int, tokens)))
+    except ValueError:  # a token that is not an integer
+        y = np.array(list(map(_parse_label, tokens)))
     split = np.array(["train" if i % 5 else "test" for i in range(len(lines))])
     return Dataset(np.ascontiguousarray(table[:, :d]), y, split)

@@ -34,8 +34,8 @@ def metric_at(coords: SolvCoords) -> np.ndarray:
 def h_value(sep: classify.Separator, p):
     """Defining function of the separator; its sign is the side of p.
     Accepts a SolvCoords or a batch array of coordinate rows."""
-    return classify._h_stack(sep.alpha, sep.beta, sep.w[None],
-                             spaces._to_t_chart(p))[0][..., 0]
+    return classify._scaled_h(classify.SeparatorBank((sep,)).coefs, 1.0,
+                              spaces._to_t_chart(p))[0][..., 0]
 
 
 def find_surface_point(sep: classify.Separator, space: SpaceId,

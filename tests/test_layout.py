@@ -74,9 +74,10 @@ def nll_pullback(head, t, labels):
     """The NLL's pullback through the head at rows t of the chart
     (T, Y2), its gradient dict flattened to (g_t, g_alpha, g_beta, g_w)."""
     scores, u, saved = classify._class_scores(head, t)
-    g_t, g_head, g_n2 = classify._scaled_h_vjp(
+    g_t, g_coefs, g_n2 = classify._scaled_h_vjp(
         u, saved, classify._nll_grad(scores, labels, u.shape[-1]))
-    classify._margin_vjp(head, g_n2, g_head)
+    g_head = classify._head_of(
+        classify._margin_vjp(classify._coefs(head), g_n2, g_coefs))
     return g_t, g_head["alpha"], g_head["beta"], g_head["w"]
 
 

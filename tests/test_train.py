@@ -464,6 +464,23 @@ class TestCsv:
         assert ((tmp_path / "a.csv").read_bytes()
                 == (tmp_path / "b.csv").read_bytes())
 
+    @pytest.mark.parametrize("tokens, want", [
+        (["0", "3", "1", "12"], np.array([0, 3, 1, 12])),
+        (["-2", "0", "-17", "+4"], np.array([-2, 0, -17, 4])),
+        (["0.5", "-1.25", "3.0", "-0.0"], np.array([0.5, -1.25, 3.0, -0.0])),
+        (["1e3", "2E-2", "-5e+1", "7"], np.array([1000.0, 0.02, -50.0, 7.0])),
+        (["1", "2.5", "-3", "4"], np.array([1.0, 2.5, -3.0, 4.0])),
+    ], ids=["int", "negative-int", "float", "exponent", "mixed"])
+    def test_label_tokens(self, tmp_path, tokens, want):
+        # integer tokens give an int array, any other token a float one
+        path = tmp_path / "labels.csv"
+        path.write_text("f0,f1,label\n" + "".join(
+            f"{i}.5,-1.0,{token}\r\n" for i, token in enumerate(tokens)))
+        labels = train.load_csv(path).labels
+        assert labels.dtype == want.dtype
+        assert np.array_equal(labels, want)
+        assert np.array_equal(np.signbit(labels), np.signbit(want))
+
     def test_header_validation(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")

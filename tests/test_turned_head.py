@@ -75,7 +75,8 @@ class TestTurnedHeadScores:
         def check(case):
             config, params, X = case
             last = list(net.stages(config, params, X))[-1]
-            turned, _ = isometry._turn_head(params.head, last.angles)
+            turned, _ = isometry._turn_head(classify._coefs(params.head),
+                                            last.angles)
             u, _ = classify._scaled_h(turned, classify._norm(params.head),
                                       last.rows)
             points = net.forward_batch(config, params, X)
@@ -111,11 +112,13 @@ class TestTurnPullback:
         head, angles, grads = case
 
         def loss(head, angles):
-            turned, _ = isometry._turn_head(head, angles)
-            return sum(np.sum(grads[k] * turned[k]) for k in grads)
+            turned, _ = isometry._turn_head(classify._coefs(head), angles)
+            return np.sum(classify._coefs(grads) * turned)
 
-        got_head, got_angles = isometry._turn_head_pullback(
-            isometry._turn_head(head, angles)[1], grads)
+        got_coefs, got_angles = isometry._turn_head_pullback(
+            isometry._turn_head(classify._coefs(head), angles)[1],
+            classify._coefs(grads))
+        got_head = classify._head_of(got_coefs)
         for name, value in head.items():
             want = np.empty(value.shape)
             for idx in np.ndindex(value.shape):
@@ -157,7 +160,8 @@ class TestChecksOfTheUnturnedHead:
         config, params = self.one_layer(
             {"w": [[0.6, 0.8]], "alpha": [1e6],
              "beta": [(1.0 - 2.0 ** -40) / 1e6]})
-        turned, _ = isometry._turn_head(params.head, params.lam)
+        turned = classify._head_of(isometry._turn_head(
+            classify._coefs(params.head), params.lam)[0])
         assert not classify._margin(turned["alpha"], turned["beta"],
                                     turned["w"])[0] > 0
         X = np.random.default_rng(0).uniform(-1.0, 1.0, (6, 2))
