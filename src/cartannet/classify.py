@@ -25,10 +25,18 @@ training can take h from the turned head while the norms stay the head's
 own.  A :class:`SeparatorBank` builds its covectors and margins once; a
 network's head {alpha (K,), beta (K,), w (K, s)} is stacked into C
 (:func:`_coefs`) where it is read.  The public functions take coordinates
-and convert them at their ends.  The kernel computes on the columns
-(d, B) of the points, one row per separator, and returns (..., K) as views
-of those rows.  All functions propagate complex inputs analytically, so
-complex-step differentiation, the gradient tests' oracle, is exact.
+and build the lift from them with one copy, T = e^{-Y1} taken in place
+(:func:`_bank_head`).  The kernels compute on columns: Phi is (d+1, B), h
+and u are (K, B), one row per separator, and the class scores,
+probabilities and their gradients (C, B), so every reduction over the
+separators or classes runs down the rows; each kernel returns the
+(B, K) or (B, C) transpose of its block, a view, and reads its inputs
+back through the same transpose, with no copy.  Those reductions are
+``np.add.reduce`` and ``np.maximum.reduce``, the calls ``np.sum`` and
+``np.max`` make, in the same order: at a training batch the head's
+arithmetic is smaller than numpy's per-call dispatch.  All functions
+propagate complex inputs analytically, so complex-step differentiation,
+the gradient tests' oracle, is exact.
 """
 
 from __future__ import annotations
@@ -139,14 +147,22 @@ def _head_of(coefs):
     return {"alpha": coefs[:, 0], "beta": coefs[:, -1], "w": coefs[:, 1:-1]}
 
 
-def _lift(t):
-    """The lift Phi = (T, Y2, up) (d+1, ...) of rows t (..., d) of the
-    chart (T, Y2), up = (1 + |Y2|^2 / 4) / T, as columns: h = C Phi."""
-    cols = spaces._columns(t)
-    phi = np.empty((len(cols) + 1,) + cols.shape[1:],
-                   np.result_type(cols, float))
-    phi[:-1] = cols
-    phi[-1] = (1.0 + 0.25 * spaces._sum_squares(cols[1:])) / cols[0]
+def _stack(rows):
+    """Columns (d+1, ...), of at least float type, that hold rows (..., d)
+    in their first d rows, copied once with the transpose; the last row is
+    left for :func:`_lift`."""
+    rows = np.asarray(rows)
+    phi = np.empty((rows.shape[-1] + 1,) + rows.shape[-2::-1],
+                   np.result_type(rows, float))
+    phi[:-1] = rows.T
+    return phi
+
+
+def _lift(phi):
+    """Completes, in place, the lift Phi = (T, Y2, up) (d+1, ...) of
+    columns whose first d rows hold (T, Y2) (:func:`_stack`):
+    up = (1 + |Y2|^2 / 4) / T goes in the last row, so that h = C Phi."""
+    phi[-1] = (1.0 + 0.25 * spaces._sum_squares(phi[1:-1])) / phi[0]
     return phi
 
 
@@ -154,7 +170,7 @@ def _norms(margins):
     """The norms 2 sqrt(margins) (K,) of K separators' margins
     |w|^2 - alpha beta.  Raises :class:`DegenerateSeparatorError` unless
     every separator is admissible."""
-    if not (np.real(margins) > 0.0).all():  # NaN fails the test too
+    if not (margins.real > 0.0).all():  # NaN fails the test too
         raise DegenerateSeparatorError(
             "separator admissibility |w|^2 - alpha*beta must be positive")
     return 2.0 * np.sqrt(margins)
@@ -179,9 +195,12 @@ def _head(head, t):
 
 def _bank_head(bank: SeparatorBank, p):
     """:func:`_head` of a bank at coordinate rows p (..., d), from the
-    covectors and margins it holds."""
-    return _scaled_h(bank.coefs, _norms(bank.margins),
-                     spaces._to_t_chart(p))
+    covectors and margins it holds.  The lift is built from the
+    coordinate rows with one copy, T = e^{-Y1} taken in its row in place
+    (``spaces._to_t_columns``)."""
+    phi = spaces._to_t_columns(_stack(
+        p.values if isinstance(p, spaces.SolvCoords) else p))
+    return _covector_h(bank.coefs, _norms(bank.margins), _lift(phi))
 
 
 def _scaled_h(coefs, norm, t):
@@ -192,7 +211,11 @@ def _scaled_h(coefs, norm, t):
     layer's rotation (``isometry._turn_head``), those of the head before
     the turn.  Also returns what :func:`_scaled_h_vjp` reuses:
     (C, Phi, norm)."""
-    phi = _lift(t)
+    return _covector_h(coefs, norm, _lift(_stack(t)))
+
+
+def _covector_h(coefs, norm, phi):
+    """:func:`_scaled_h` at the lift Phi (d+1, ...) itself."""
     if len(phi) != coefs.shape[-1]:
         raise ValueError("separator normal has the wrong dimension")
     return (coefs @ phi).T / norm, (coefs, phi, norm)
@@ -207,7 +230,7 @@ def _scaled_h_vjp(u, saved, g_d):
     coefs, phi, norm = saved
     u, g_d = u.T, g_d.T
     g_h = g_d / (norm[:, None] * np.sqrt(1.0 + u * u))
-    g_n2 = -2.0 * np.sum(g_h * u, axis=1) / norm
+    g_n2 = -2.0 * np.add.reduce(g_h * u, axis=1) / norm
     g_phi = coefs.T @ g_h
     g_up = g_phi[-1] / phi[0]
     g_t = g_phi[:-1]
@@ -220,9 +243,10 @@ def _margin_vjp(coefs, g_n2, g_coefs):
     """Adds to ``g_coefs``, a gradient of the covectors C (K, s+2), in
     place, the gradient of their margins |w|^2 - alpha beta for the
     cotangent g_n2 (K,), and returns it."""
-    g_coefs[:, 0] -= coefs[:, -1] * g_n2
-    g_coefs[:, -1] -= coefs[:, 0] * g_n2
-    g_coefs[:, 1:-1] += 2.0 * g_n2[:, None] * coefs[:, 1:-1]
+    g_alpha, g_w, g_beta = g_coefs[:, 0], g_coefs[:, 1:-1], g_coefs[:, -1]
+    g_alpha -= coefs[:, -1] * g_n2
+    g_beta -= coefs[:, 0] * g_n2
+    g_w += 2.0 * g_n2[:, None] * coefs[:, 1:-1]
     return g_coefs
 
 
@@ -239,15 +263,15 @@ def _logsumexp(d):
     the (constant) maximum of the real parts so that it neither overflows
     nor underflows and stays complex-analytic."""
     d = d.T
-    shift = np.max(np.real(d), axis=0)
-    return shift + np.log(np.sum(np.exp(d - shift), axis=0))
+    shift = np.maximum.reduce(d.real, axis=0)
+    return shift + np.log(np.add.reduce(np.exp(d - shift), axis=0))
 
 
 def _softmax(d):
     """Softmax over the last axis: e / sum(e), e = e^{d - max real part}."""
     e = d.T
-    e = np.exp(e - np.max(np.real(e), axis=0))
-    return (e / np.sum(e, axis=0)).T
+    e = np.exp(e - np.maximum.reduce(e.real, axis=0))
+    return (e / np.add.reduce(e, axis=0)).T
 
 
 def _checked_labels(labels, classes):
@@ -291,8 +315,10 @@ def _scores(u):
     (0, d) when one separator splits two classes (the binary head:
     sigmoid(d) is the softmax over (0, d))."""
     d = np.arcsinh(u)
-    if _n_classes(u.shape[-1]) > u.shape[-1]:
-        d = np.stack([np.zeros_like(d[..., 0]), d[..., 0]]).T
+    if u.shape[-1] == 1:  # _n_classes(1) == 2
+        pair = np.zeros((2,) + d.shape[:-1], d.dtype)
+        pair[1] = d[..., 0]
+        d = pair.T
     return d
 
 
@@ -302,7 +328,7 @@ def _nll(scores, labels):
     labels = _checked_labels(_batch_labels(labels, scores.shape[:-1]),
                              scores.shape[-1])
     picked = np.take_along_axis(scores.T, labels[None], axis=0)[0]
-    return np.sum(_logsumexp(scores) - picked)
+    return np.add.reduce(_logsumexp(scores) - picked, axis=None)
 
 
 def _nll_grad(scores, labels, separators):

@@ -262,16 +262,15 @@ def _givens_product(cos, sin):
     analytically."""
     factors, weights, order, lower = _givens_tables(len(cos))
     v = np.concatenate((_ONE, cos, sin, -sin, _ZERO))
-    rows = np.cumprod(v[factors], axis=0)
+    rows = np.multiply.accumulate(v[factors], axis=0)
     return rows[order] * v[weights], rows[:-1] * lower
 
 
 def _rotation(angles):
     """(G, p) of :func:`_givens_product` at the cosines and sines of
-    ``angles`` (f,), from the plan :func:`_rotation_plan` keeps for their
-    contents, dtype and shape: read-only, and built once per angle
-    vector."""
-    angles = np.asarray(angles)
+    ``angles`` (f,), an array, from the plan :func:`_rotation_plan`
+    keeps for their contents, dtype and shape: read-only, and built once
+    per angle vector."""
     return _rotation_plan(angles.tobytes(), angles.dtype, angles.shape)
 
 
@@ -324,7 +323,7 @@ def _fiber_forward(space: SpaceId, t, angles):
     P = out[1].copy()
     out[1] = s[0]
     R = up + T
-    upper = np.real(P) > 0
+    upper = P.real > 0
     RP = R + P
     out[0] = (np.where(upper, 4.0 + spaces._sum_squares(out[1:]), R - P)
               / np.where(upper, 2.0 * RP, 2.0))
@@ -391,10 +390,10 @@ def _turn_head(coefs, angles):
     if not len(angles):
         return coefs, None
     G, p = _rotation(angles)
-    E_in, E_out, A_0 = _turn_tables(len(p))
+    tables = E_in, E_out, A_0 = _turn_tables(len(p))
     A = A_0 + E_out @ G @ E_in
     turned = coefs @ A
-    return turned, (p, A, turned)
+    return turned, (p, A, turned, tables)
 
 
 def _turn_head_pullback(tape, g_turned):
@@ -406,8 +405,7 @@ def _turn_head_pullback(tape, g_turned):
     N = cf^T g_cf."""
     if tape is None:
         return g_turned, np.zeros(0)
-    p, A, turned = tape
-    E_in, E_out, _ = _turn_tables(len(p))
+    p, A, turned, (E_in, E_out, _) = tape
     return g_turned @ A.T, _angle_gradient(
         p, (turned @ E_out).T @ (g_turned @ E_in.T))
 

@@ -252,7 +252,7 @@ def stages(config: NetworkConfig, params: ParamSet, X: np.ndarray):
     :func:`forward_batch` does, frees the stage's input and tape there.
     Complex inputs propagate analytically, for complex step."""
     X = np.asarray(X)
-    if not np.all(np.isfinite(np.real(X))):
+    if not np.isfinite(X.real).all():
         raise ValueError("non-finite network input")
     if X.ndim == 1:
         X = X[None, :]

@@ -19,8 +19,9 @@ NLL's or the MSE's gradient, which reuses the head kernel's own forward,
 then ``isometry._turn_head_pullback`` and ``classify._margin_vjp``), the
 homomorphism pullback ``homo._homomorphism_pullback``, the fiber pullback
 ``isometry._fiber_pullback`` and the injection's.  :func:`loss_flat`,
-:func:`evaluate` and the epoch's pass over the train split rotate the
-points through every layer.  The tests check the gradient against
+:func:`evaluate` and the epoch record's pass rotate the points through
+every layer; that pass takes the train rows and the test rows through the
+chain together, once per epoch.  The tests check the gradient against
 complex-step differentiation of :func:`loss_flat` (every stage is
 complex-analytic) and against its central differences.
 Labels are checked where data enters (``Dataset``, :func:`check_labels`):
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import math
 
 import numpy as np
 
@@ -150,7 +152,7 @@ def _head_loss(config: net.NetworkConfig, params: net.ParamSet,
     if config.task == "regression":
         labels = classify._batch_labels(labels, scores.shape[:-1])
         resid = scores[:, -1] - labels
-        return np.sum(resid * resid) / len(labels), scores
+        return np.add.reduce(resid * resid, axis=None) / len(labels), scores
     return classify._nll(scores, labels), scores
 
 
@@ -193,10 +195,10 @@ def gradient(config: net.NetworkConfig, flat: net.FlatParams,
     DivergenceError if it is not finite.  Refuses with ValueError labels
     that are not one per row of ``features`` or that the head cannot read
     (:func:`check_labels`)."""
-    labels = check_labels(config, classify._batch_labels(
-        labels, (len(np.atleast_2d(features)),)))
+    X = np.atleast_2d(np.asarray(features, dtype=float))
+    labels = check_labels(config, classify._batch_labels(labels, (len(X),)))
     vector = np.empty(np.shape(getattr(flat, "vector", flat)))
-    _gradient(config, net.unflatten(config, flat), features, labels,
+    _gradient(config, net.unflatten(config, flat), X, labels,
               net.unflatten(config, vector))
     if not np.all(np.isfinite(vector)):
         raise DivergenceError("non-finite gradient")
@@ -204,9 +206,10 @@ def gradient(config: net.NetworkConfig, flat: net.FlatParams,
 
 
 def _gradient(config: net.NetworkConfig, params: net.ParamSet,
-              features, labels, grads: net.ParamSet):
-    """:func:`gradient` at labels already checked, as ints for a
-    separator head, written into ``grads``, views of a gradient vector
+              X, labels, grads: net.ParamSet):
+    """:func:`gradient` at float rows X (B, n) and labels already
+    checked, as ints for a separator head, written into ``grads``, views
+    of a gradient vector
     (:func:`net.unflatten`), in reverse mode, all in the chart (T, Y2) of
     the chain: one forward pass through ``net.stages`` that stops at the
     last layer's unrotated rows, whose Cartan bound it checks as that
@@ -215,7 +218,6 @@ def _gradient(config: net.NetworkConfig, params: net.ParamSet,
     layer's rotation instead of rotating the batch, and the pullbacks of
     the other stages in reverse order.  The injection's own pullback turns
     g_T into g_Y1 = -T g_T."""
-    X = np.atleast_2d(np.asarray(features, dtype=float))
     chain = list(net.stages(config, params, X))
     g_angles = [grads.lam, *grads.psis]
     spaces._check_t_bound(chain[-1].rows.T[0])
@@ -259,8 +261,7 @@ def _project(config: net.NetworkConfig, vector) -> int:
     which the rounding (a few ulps of |w|^2) keeps positive at every
     finite |w|.  Edits exactly the crossing separators, in place in the
     head block of the flat ``vector``, and returns their count."""
-    crossing = np.flatnonzero(
-        ~(_margins(config, vector) > _ADMISSIBLE_SLACK))
+    crossing = (~(_margins(config, vector) > _ADMISSIBLE_SLACK)).nonzero()[0]
     if not len(crossing):
         return 0
     alpha, beta, w = _head_block(config, vector)
@@ -286,15 +287,21 @@ def _scores(config: net.NetworkConfig, params: net.ParamSet,
             features, labels) -> tuple:
     """Loss and accuracy (None for regression) from one forward pass and
     one run of the head kernel, whose class scores give both."""
-    points = net.forward_batch(config, params, features)
+    return _scores_at(config, params,
+                      net.forward_batch(config, params, features), labels)
+
+
+def _scores_at(config: net.NetworkConfig, params: net.ParamSet,
+               points, labels) -> tuple:
+    """:func:`_scores` at the last layer's coordinates ``points``."""
     # from coordinates, as the public heads read them, so that evaluate
     # gives their numbers bit for bit
     value, scores = _head_loss(config, params, spaces._to_t_chart(points),
                                labels)
     if config.task == "regression":
-        return float(np.real(value)), None
-    pred = np.argmax(np.real(scores), axis=-1)
-    return float(np.real(value)), float(np.mean(pred == labels))
+        return float(value.real), None
+    pred = np.argmax(scores.real, axis=-1)
+    return float(value.real), float(np.mean(pred == labels))
 
 
 def train_loop(tc: TrainConfig, config: net.NetworkConfig, dataset: Dataset,
@@ -309,11 +316,18 @@ def train_loop(tc: TrainConfig, config: net.NetworkConfig, dataset: Dataset,
     number of separators :func:`_project` moved in the epoch
     (``projected``), per layer the largest |Y1| of its output on the
     train split over ``CARTAN_BOUND`` (``cartan_fraction``, from the pass
-    that gives ``train_loss``) and the smallest admissibility margin
-    |w|^2 - alpha beta after the epoch (``min_margin``).  The loop stops
-    early, and restores the parameters from the start of the failing
-    epoch, when the gradient or the loss diverges, a stage input leaves
-    the Cartan bound, or a separator is evaluated outside admissibility.
+    that gives ``train_loss``), the smallest admissibility margin
+    |w|^2 - alpha beta after the epoch (``min_margin``) and, when the
+    dataset has test rows, ``test_loss`` and ``accuracy`` (none for
+    regression).  A record runs the chain once, on the train rows
+    followed by the test rows (stacked once per run): ``cartan_fraction``
+    and ``train_loss`` read the train rows of each stage's output, and
+    the test scores read the rest through the coordinates, as
+    :func:`evaluate` does, to its bits.  The loop stops early, and
+    restores the parameters from the start of the failing epoch, when
+    the gradient or the loss diverges, a stage input, of a train or a
+    test row, leaves the Cartan bound, or a separator is evaluated
+    outside admissibility.
     Every step ends in :func:`_project`, whose margins are the head
     kernel's, so only an inadmissible ``init`` reaches the last case: its
     first gradient stops the loop with an empty history.  Labels the head
@@ -323,8 +337,12 @@ def train_loop(tc: TrainConfig, config: net.NetworkConfig, dataset: Dataset,
     check_dataset(config, dataset)
     train = dataset.subset("train")
     test = dataset.subset("test")
+    n = len(train)
     labels = (train.labels if config.task == "regression"
               else train.labels.astype(int))
+    # the rows of the epoch records' one pass: the train split, then the
+    # test split
+    scored = np.concatenate((train.features, test.features))
     vector = net.flatten(config, init if init is not None
                          else net.init_params(config, seed=tc.seed)).vector
     gradient = np.empty_like(vector)
@@ -332,30 +350,38 @@ def train_loop(tc: TrainConfig, config: net.NetworkConfig, dataset: Dataset,
     rng = np.random.default_rng(tc.seed)
     history = []
     for epoch in range(tc.epochs):
-        order = rng.permutation(len(train))
+        order = rng.permutation(n)
         last_good = vector.copy()
         grad_norm, projected = 0.0, 0
         try:
-            for start in range(0, len(train), tc.batch_size):
+            for start in range(0, n, tc.batch_size):
                 idx = order[start : start + tc.batch_size]
                 _gradient(config, params, train.features[idx], labels[idx],
                           grads)
-                if not np.all(np.isfinite(gradient)):
+                if not np.isfinite(gradient).all():
                     raise DivergenceError("non-finite gradient")
-                grad_norm = max(grad_norm, float(np.linalg.norm(gradient)))
+                # the 2-norm as np.linalg.norm takes it
+                grad_norm = max(grad_norm,
+                                math.sqrt(gradient.dot(gradient)))
                 vector -= tc.learning_rate * gradient
                 projected += _project(config, vector)
             cartan_fraction = []
-            for stage in net.stages(config, params, train.features):
-                t = stage.rotated[0]
+            for stage in net.stages(config, params, scored):
+                t = stage.rotated[0][:n]
                 # max |Y1| = max |log T|, from the extremes of T
                 cartan_fraction.append(float(max(
-                    np.log(np.max(t[:, 0])), -np.log(np.min(t[:, 0]))))
-                    / CARTAN_BOUND)
-            train_loss = float(np.real(_head_loss(config, params, t,
-                                                  train.labels)[0]))
+                    np.log(np.maximum.reduce(t[:, 0])),
+                    -np.log(np.minimum.reduce(t[:, 0])))) / CARTAN_BOUND)
+            rows = stage.rotated[0]
+            train_loss = float(_head_loss(config, params, rows[:n],
+                                          train.labels)[0].real)
             if not np.isfinite(train_loss) or train_loss > DIVERGENCE_LIMIT:
                 raise DivergenceError(f"loss diverged at epoch {epoch}")
+            if len(test):
+                # the coordinates forward_batch would give, in place
+                scores = _scores_at(config, params,
+                                    spaces._from_t_chart(rows[n:]),
+                                    test.labels)
         except (DivergenceError, CartanBoundError,
                 classify.DegenerateSeparatorError):
             vector[:] = last_good
@@ -365,8 +391,7 @@ def train_loop(tc: TrainConfig, config: net.NetworkConfig, dataset: Dataset,
                   "cartan_fraction": cartan_fraction,
                   "min_margin": float(np.min(_margins(config, vector)))}
         if len(test):
-            record["test_loss"], accuracy = _scores(
-                config, params, test.features, test.labels)
+            record["test_loss"], accuracy = scores
             if accuracy is not None:
                 record["accuracy"] = accuracy
         history.append(record)
@@ -424,8 +449,13 @@ def gen_synthetic(kind: str, n: int, dim: int, seed: int = 0,
         raise ValueError(f"unknown kind {kind!r}")
     order = rng.permutation(n)
     X, y = X[order], y[order]
-    split = np.array(["train" if i % 5 else "test" for i in range(n)])
-    return Dataset(X, y, split)
+    return Dataset(X, y, _split_tags(n))
+
+
+def _split_tags(n: int) -> np.ndarray:
+    """The deterministic 80/20 split tags (n,) of n rows: every fifth
+    row, from the first, is "test", the others "train"."""
+    return np.where(np.arange(n) % 5, "train", "test")
 
 
 def _label_token(y) -> str:
@@ -499,5 +529,5 @@ def load_csv(path) -> Dataset:
         y = np.array(list(map(int, tokens)))
     except ValueError:  # a token that is not an integer
         y = np.array(list(map(_parse_label, tokens)))
-    split = np.array(["train" if i % 5 else "test" for i in range(len(lines))])
-    return Dataset(np.ascontiguousarray(table[:, :d]), y, split)
+    return Dataset(np.ascontiguousarray(table[:, :d]), y,
+                   _split_tags(len(lines)))

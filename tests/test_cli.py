@@ -180,6 +180,35 @@ class TestDataTrainEval:
         assert {"epoch", "train_loss", "test_loss", "accuracy"} <= set(
             json.loads(lines[-1]))
 
+    def test_train_stops_on_a_test_row_beyond_the_bound(self, tmp_path,
+                                                        capsys):
+        # the epoch record checks the test rows inside the loop's guard:
+        # the run stops, exits 0 and writes the model it started from
+        data = tmp_path / "data.csv"
+        gen = write_json(tmp_path / "gen.json",
+                         {"kind": "blobs", "n": 100, "dim": 4, "classes": 4})
+        assert run(["gen-data", "--config", gen, "--seed", "0",
+                    "--out", str(data)]) == 0
+        ds = train.load_csv(data)
+        assert ds.split[0] == "test"
+        ds.features[0] *= 1e4
+        train.save_csv(data, ds)
+        tcfg = write_json(tmp_path / "train.json", {
+            "net": {"input_dim": 4, "layers": [5, 3], "task": "multiclass",
+                    "K": 4},
+            "train": {"learning_rate": 0.003, "epochs": 2, "batch_size": 32},
+            "dataset": str(data)})
+        model = tmp_path / "model.json"
+        capsys.readouterr()
+        assert run(["train", "--config", tcfg, "--seed", "0",
+                    "--out", str(model)]) == 0
+        assert json.loads(capsys.readouterr().out)["epochs_run"] == 0
+        config, params = net.load_model(model)
+        start = net.init_params(config, seed=0)
+        assert np.array_equal(net.flatten(config, params).vector,
+                              net.flatten(config, start).vector)
+        assert (tmp_path / "model.json.metrics.jsonl").read_text() == ""
+
     @staticmethod
     def task_folders(tmp_path):
         for task in ("binary", "regression"):

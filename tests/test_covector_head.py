@@ -120,3 +120,23 @@ def test_bank_holds_its_covectors_read_only():
     assert np.allclose(bank.margins, [0.855, 5.0], rtol=1e-15, atol=0)
     for array in (bank.coefs, bank.margins, *bank.head.values()):
         assert not array.flags.writeable
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_bank_head_reads_coordinates_as_the_chart_does(n):
+    # the public heads build the lift from the coordinate rows with one
+    # copy; they give the bits of the head kernel at the rows of the chart
+    # (T, Y2), for a batch, a single point and a SolvCoords point
+    @PROPERTY
+    @given(cases(n))
+    def check(case):
+        space, bank, values, _ = case
+        norms = classify._norms(bank.margins)
+        for p in (values, values[0], spaces.SolvCoords(space, values[0])):
+            got = classify._bank_head(bank, p)[0]
+            want = classify._scaled_h(bank.coefs, norms,
+                                      spaces._to_t_chart(p))[0]
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    check()

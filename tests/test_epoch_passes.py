@@ -1,7 +1,8 @@
 """Work per SGD step and per epoch record: the admissibility projection
 reads every margin once from the flat vector and reports how many
-separators it moved, and the scores of a split come from one run of the
-separator head."""
+separators it moved, the scores of a split come from one run of the
+separator head, and an epoch record takes the train and the test rows
+through the chain in one pass, inside the loop's guard."""
 
 import numpy as np
 import pytest
@@ -149,3 +150,43 @@ class TestScores:
         assert len(heads) == 1
         assert value == float(loss)
         assert accuracy == float(np.mean(pred == y))
+
+
+class TestOneRecordPass:
+    def test_one_chain_run_per_step_and_per_record(self, monkeypatch):
+        ds = train.gen_synthetic("blobs", n=80, dim=3, seed=0, classes=4)
+        config = config_for(3, 4)
+        tc = train.TrainConfig(learning_rate=0.01, epochs=2, batch_size=16)
+        runs = []
+        original = net.stages
+        monkeypatch.setattr(net, "stages",
+                            lambda *a: runs.append(len(a[2])) or original(*a))
+        _, history = train.train_loop(tc, config, ds)
+        steps = -(-len(ds.subset("train")) // tc.batch_size)
+        assert len(history) == tc.epochs
+        assert len(runs) == tc.epochs * (steps + 1)
+        # each record's one run reads the train rows, then the test rows
+        assert runs[steps::steps + 1] == [len(ds)] * tc.epochs
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_a_row_beyond_the_bound_stops_the_run(self, split):
+        # one row far outside the Cartan bound, in either split: the run
+        # stops in its first epoch and restores that epoch's start, the
+        # initial parameters
+        ds = train.gen_synthetic("blobs", n=100, dim=4, seed=0, classes=4)
+        config = net.NetworkConfig(
+            input_dim=4,
+            layers=(net.LayerSpec(spaces.hyperbolic(5)),
+                    net.LayerSpec(spaces.hyperbolic(3))),
+            task="multiclass", K=4)
+        row = np.flatnonzero(ds.split == split)[0]
+        ds.features[row] *= 1e4
+        tc = train.TrainConfig(learning_rate=0.003, epochs=2, batch_size=32)
+        start = net.flatten(config, net.init_params(config, seed=tc.seed))
+        with pytest.raises(spaces.CartanBoundError):
+            net.forward_batch(config, net.unflatten(config, start),
+                              ds.features[row])
+        params, history = train.train_loop(tc, config, ds)
+        assert history == []
+        assert (net.flatten(config, params).vector.tobytes()
+                == start.vector.tobytes())

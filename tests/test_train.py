@@ -235,9 +235,10 @@ class TestTrainLoop:
         tr = ds.subset("train")
         batches = -(-len(tr) // tc.batch_size)
         # a gradient per batch, which rotates every layer but the last,
-        # then the train and the test split once through every layer
+        # then the train and the test split, stacked, once through every
+        # layer
         assert len(stages) == (batches * (len(cfg.layers) - 1)
-                               + 2 * len(cfg.layers))
+                               + len(cfg.layers))
         peaks = np.zeros(len(cfg.layers))
         for x in tr.features:
             for i, p in enumerate(layer_points(params, x)):
@@ -271,16 +272,27 @@ class TestTrainLoop:
         assert [r["projected"] for r in rerun] == [
             r["projected"] for r in history]
 
-    @pytest.mark.parametrize("lr, data_seed, epochs_run", [
-        (0.3, 0, 3), (1000.0, 0, 0), (3.0, 2, 1)])
-    def test_matches_the_replay_bit_for_bit(self, lr, data_seed, epochs_run):
+    @pytest.mark.parametrize("lr, data_seed, epochs_run, task, split", [
+        pytest.param(0.3, 0, 3, "multiclass", "both", id="0.3-0-3"),
+        pytest.param(1000.0, 0, 0, "multiclass", "both", id="1000.0-0-0"),
+        pytest.param(3.0, 2, 1, "multiclass", "both", id="3.0-2-1"),
+        pytest.param(0.01, 0, 3, "regression", "both", id="regression"),
+        pytest.param(0.3, 0, 3, "multiclass", "train", id="no-test-rows")])
+    def test_matches_the_replay_bit_for_bit(self, lr, data_seed, epochs_run,
+                                            task, split):
         # lr 0.3 projects separators; lr 1000 fails in the first epoch and
-        # lr 3 in the second, each restoring the start of its epoch
+        # lr 3 in the second, each restoring the start of its epoch; a
+        # regression net, and a dataset whose rows are all train rows
         ds = train.gen_synthetic("blobs", n=80, dim=4, seed=data_seed,
                                  classes=4)
+        if task == "regression":
+            ds.labels = ds.labels.astype(float)
+        if split == "train":
+            ds = ds.subset("train")
         cfg = net.NetworkConfig(input_dim=4,
                                 layers=(net.LayerSpec(H5), net.LayerSpec(H3)),
-                                task="multiclass", K=4)
+                                task=task,
+                                K=4 if task == "multiclass" else None)
         tc = train.TrainConfig(learning_rate=lr, epochs=3, batch_size=16)
         params, history = train.train_loop(tc, cfg, ds)
         want_params, want = replay_train_loop(tc, cfg, ds)
@@ -290,6 +302,7 @@ class TestTrainLoop:
                 == net.flatten(cfg, want_params).vector.tobytes())
         if lr == 0.3:
             assert sum(r["projected"] for r in history) >= 1
+        assert all(("test_loss" in r) == (split == "both") for r in history)
 
     def test_unpacks_a_fixed_number_of_times(self, monkeypatch):
         # the run packs and unpacks its vectors once, not once per step
@@ -421,6 +434,23 @@ class TestSynthetic:
 
 
 class TestCsv:
+    @pytest.mark.parametrize("n", [0, 1, 2, 4, 5, 6, 11, 400])
+    def test_split_tags_are_the_per_row_strings(self, tmp_path, n):
+        # every fifth row, from the first, is a test row; the tags of a
+        # header-only CSV are strings too
+        want = np.array(["train" if i % 5 else "test" for i in range(n)],
+                        dtype="<U5")
+        path = tmp_path / "data.csv"
+        train.save_csv(path, train.Dataset(np.zeros((n, 2)), np.zeros(n),
+                                           np.zeros(n)))
+        for got in (train._split_tags(n), train.load_csv(path).split):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        if n >= 2:
+            split = train.gen_synthetic("blobs", n=n, dim=2, seed=1).split
+            assert split.tobytes() == want.tobytes()
+            assert split.dtype == want.dtype
+
     def test_roundtrip_bit_identical(self, tmp_path):
         ds = train.gen_synthetic("blobs", n=30, dim=3, seed=4)
         path = tmp_path / "data.csv"
