@@ -22,9 +22,11 @@ a layer's fiber rotation turns the covectors instead of the points
 (``isometry._turn_head``).  The norms 2 sqrt(|w|^2 - alpha beta) and the
 admissibility check read the margins apart from h (:func:`_norms`), so
 training can take h from the turned head while the norms stay the head's
-own.  A :class:`SeparatorBank` builds its covectors and margins once; a
-network's head {alpha (K,), beta (K,), w (K, s)} is stacked into C
-(:func:`_coefs`) where it is read.  The public functions take coordinates
+own.  A head {alpha (K,), beta (K,), w (K, s)}, a bank's or a network's,
+has one reader, :func:`_read_head`, which gives its covectors and margins:
+a :class:`SeparatorBank` reads its head once, training reads the
+network's at each call, and both enter the kernel (:func:`_scaled_h`)
+with covectors and norms.  The public functions take coordinates
 and build the lift from them with one copy, T = e^{-Y1} taken in place
 (:func:`_bank_head`).  The kernels compute on columns: Phi is (d+1, B), h
 and u are (K, B), one row per separator, and the class scores,
@@ -83,8 +85,8 @@ class SeparatorBank:
     """K separators on a shared layer.  Their parameters are stacked once,
     as ``head`` = {alpha (K,), beta (K,), w (K, s)}, the form a network's
     separator head is stored in, and read once into what the head kernel
-    reads: their covectors ``coefs`` = (alpha, w, beta) (K, s+2)
-    (:func:`_coefs`) and their margins |w|^2 - alpha beta (K,), all
+    reads: their covectors ``coefs`` = (alpha, w, beta) (K, s+2) and
+    their margins |w|^2 - alpha beta (K,) (:func:`_read_head`), all
     read-only.  A parameter that is not finite raises
     DegenerateSeparatorError here, where alpha beta = inf * 0 would leave
     the head a NaN margin; an inadmissible separator raises where the head
@@ -107,8 +109,7 @@ class SeparatorBank:
         if not all(np.isfinite(v).all() for v in head.values()):
             raise DegenerateSeparatorError(
                 "separator parameters must be finite")
-        coefs = _coefs(head)
-        margins = _margin(head["alpha"], head["beta"], head["w"])
+        coefs, margins = _read_head(head)
         spaces._read_only(coefs, margins, *head.values())
         for name, value in (("separators", seps), ("head", head),
                             ("coefs", coefs), ("margins", margins)):
@@ -130,20 +131,20 @@ def _margin(alpha, beta, w):
     return _norm2(w) - alpha * beta
 
 
-def _coefs(head):
-    """The covectors C = (alpha, w, beta) (K, s+2) of the separators of a
-    head {alpha (K,), beta (K,), w (K, s)}, one per row."""
-    w = head["w"]
+def _read_head(head):
+    """The one reading of a head {alpha (K,), beta (K,), w (K, s)}: its
+    covectors C = (alpha, w, beta) (K, s+2), one per row, and its margins
+    |w|^2 - alpha beta (K,)."""
+    alpha, beta, w = head["alpha"], head["beta"], head["w"]
     coefs = np.empty((len(w), w.shape[-1] + 2),
-                     np.result_type(head["alpha"], head["beta"], w))
-    coefs[:, 0], coefs[:, 1:-1], coefs[:, -1] = (head["alpha"], w,
-                                                 head["beta"])
-    return coefs
+                     np.result_type(alpha, beta, w))
+    coefs[:, 0], coefs[:, 1:-1], coefs[:, -1] = alpha, w, beta
+    return coefs, _margin(alpha, beta, w)
 
 
 def _head_of(coefs):
     """The head {alpha (K,), beta (K,), w (K, s)} of covectors C (K, s+2),
-    as views of C: the inverse of :func:`_coefs`."""
+    as views of C: the inverse of the covectors of :func:`_read_head`."""
     return {"alpha": coefs[:, 0], "beta": coefs[:, -1], "w": coefs[:, 1:-1]}
 
 
@@ -176,25 +177,8 @@ def _norms(margins):
     return 2.0 * np.sqrt(margins)
 
 
-def _norm(head):
-    """The norms (:func:`_norms`) of a head {alpha (K,), beta (K,),
-    w (K, s)}, from its margins."""
-    return _norms(_margin(head["alpha"], head["beta"], head["w"]))
-
-
-def _head(head, t):
-    """The separator head kernel on a head {alpha (K,), beta (K,),
-    w (K, s)}: u = h / norm (..., K) for all K separators at once, at rows
-    t of the chart (T, Y2), so that arcsinh(u) are the signed distances,
-    with the norms of :func:`_norm`.  Also returns what
-    :func:`_scaled_h_vjp` reuses.  Raises
-    :class:`DegenerateSeparatorError` unless every separator is
-    admissible."""
-    return _scaled_h(_coefs(head), _norm(head), t)
-
-
 def _bank_head(bank: SeparatorBank, p):
-    """:func:`_head` of a bank at coordinate rows p (..., d), from the
+    """:func:`_scaled_h` of a bank at coordinate rows p (..., d), from the
     covectors and margins it holds.  The lift is built from the
     coordinate rows with one copy, T = e^{-Y1} taken in its row in place
     (``spaces._to_t_columns``)."""
@@ -299,14 +283,6 @@ def _batch_labels(labels, shape):
 def _n_classes(separators: int) -> int:
     """Classes of a head of K separators: K, or 2 for one separator."""
     return max(separators, 2)
-
-
-def _class_scores(head, t):
-    """Class scores (..., C) at rows t of the chart (T, Y2) from one run
-    of :func:`_head` on the K separators of a head (:func:`_scores`).
-    Also returns u and what :func:`_scaled_h_vjp` reuses."""
-    u, saved = _head(head, t)
-    return _scores(u), u, saved
 
 
 def _scores(u):

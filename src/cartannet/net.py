@@ -66,9 +66,17 @@ class LayerSpec:
         self.space._require_r1()
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an int or a numpy integer, a bool excluded."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclasses.dataclass(frozen=True)
 class NetworkConfig:
-    """Architecture: input width, ordered layers, and task head."""
+    """Architecture: input width, ordered layers, and task head.  Refuses
+    (ValueError) an ``input_dim`` or ``K`` that is not an integer (bools
+    included), a ``K`` for a task other than multiclass, and a last layer
+    H^1, whose separators would have no normal w."""
 
     input_dim: int
     layers: tuple
@@ -76,6 +84,9 @@ class NetworkConfig:
     K: int | None = None
 
     def __post_init__(self):
+        if not (_is_integer(self.input_dim)
+                and (self.K is None or _is_integer(self.K))):
+            raise ValueError("input_dim and K must be integers")
         if self.input_dim < 1:
             raise ValueError("input_dim must be >= 1")
         if len(self.layers) < 1:
@@ -88,6 +99,11 @@ class NetworkConfig:
             raise ValueError(f"unknown task {self.task!r}")
         if self.task == "multiclass" and (self.K is None or self.K < 2):
             raise ValueError("multiclass requires K >= 2")
+        if self.task != "multiclass" and self.K is not None:
+            raise ValueError(f"the {self.task} task takes no K")
+        if self.last_space.subpaint_dim < 1:
+            raise ValueError("the last layer must be H^2 or higher: the "
+                             "separators of H^1 have no normal w")
 
     @property
     def last_space(self) -> SpaceId:
@@ -158,7 +174,7 @@ def init_params(config: NetworkConfig, seed: int = 0) -> ParamSet:
     s = 1.0 / np.sqrt(config.input_dim)
     params.Q[:] = rng.uniform(-s, s, size=params.Q.shape)
     for W in params.Ws:
-        sw = 1.0 / np.sqrt(W.shape[1])
+        sw = 1.0 / np.sqrt(max(W.shape[1], 1))  # H^1 inputs: W is empty
         W[:] = rng.uniform(-sw, sw, size=W.shape)
     w = params.head["w"]
     w[:] = rng.uniform(-1.0, 1.0, size=w.shape)

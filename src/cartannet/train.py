@@ -1,9 +1,10 @@
 """Losses, gradients, SGD training, and synthetic data generation.
 
-Every task has one separator head: the head kernel ``classify._head``
-reads the stacked arrays of ``params.head`` (no separator objects are
-built) and gives the class scores, the K signed distances d, or (0, d)
-for a head of one separator.  The tasks differ only in the loss on those
+Every task has one separator head: ``classify._read_head`` reads the
+stacked arrays of ``params.head`` (no separator objects are built) into
+covectors and margins, and the head kernel ``classify._scaled_h`` gives
+from them the class scores, the K signed distances d, or (0, d) for a
+head of one separator.  The tasks differ only in the loss on those
 scores: the softmax NLL for classification (for one separator, softmax
 over (0, d) is sigmoid(d)), and for regression the mean squared error of
 the prediction d, the signed distance to the one separator.
@@ -29,7 +30,8 @@ Labels are checked where data enters (``Dataset``, :func:`check_labels`):
 dataset once, so its steps do not.  A run trains in place: it holds one
 parameter vector and one gradient vector, each unpacked once into views,
 and a step writes the pullbacks into the gradient's views, subtracts the
-gradient from the parameters and projects their head block."""
+gradient from the parameters and projects the separators of the views
+in ``params.head``."""
 
 from __future__ import annotations
 
@@ -103,8 +105,8 @@ class TrainConfig:
     def __post_init__(self):
         if not (self.learning_rate > 0 and np.isfinite(self.learning_rate)):
             raise ValueError("learning rate must be positive and finite")
-        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-                   for v in (self.epochs, self.batch_size, self.seed)):
+        if not all(map(net._is_integer,
+                       (self.epochs, self.batch_size, self.seed))):
             raise ValueError("epochs, batch_size and seed must be integers")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
@@ -148,7 +150,9 @@ def _head_loss(config: net.NetworkConfig, params: net.ParamSet,
     chart (T, Y2) of the stage chain, and the class scores it came from:
     for regression the mean squared error of the last score, the signed
     distance d, else the NLL."""
-    scores = classify._class_scores(params.head, t)[0]
+    coefs, margins = classify._read_head(params.head)
+    scores = classify._scores(classify._scaled_h(
+        coefs, classify._norms(margins), t)[0])
     if config.task == "regression":
         labels = classify._batch_labels(labels, scores.shape[:-1])
         resid = scores[:, -1] - labels
@@ -174,10 +178,10 @@ def _head_vjp(config: net.NetworkConfig, params: net.ParamSet,
     covectors turned by the stage's rotation (``isometry._turn_head``)
     give the same h at ``stage.rows`` as the head at the rotated rows, so
     the batch is not rotated; the norms, and the margins they pull back
-    to, are the head's own (``classify._norm``)."""
-    coefs = classify._coefs(params.head)
+    to, are the head's own (``classify._read_head``)."""
+    coefs, margins = classify._read_head(params.head)
     turned, turn = isometry._turn_head(coefs, stage.angles)
-    u, saved = classify._scaled_h(turned, classify._norm(params.head),
+    u, saved = classify._scaled_h(turned, classify._norms(margins),
                                   stage.rows)
     if config.task == "regression":
         g_d = 2.0 * (np.arcsinh(u) - labels[:, None]) / len(labels)
@@ -238,20 +242,13 @@ _ADMISSIBLE_SLACK = 1e-6
 _RELATIVE_SLACK = 2.0 ** -40
 
 
-def _head_block(config: net.NetworkConfig, vector) -> tuple:
-    """Views alpha (K,), beta (K,) and w (K, s) of the head block that
-    ends the flat vector."""
-    k, s = config.n_separators, config.last_space.subpaint_dim
-    head = vector[len(vector) - k * (2 + s):]
-    return head[:k], head[k:2 * k], head[2 * k:].reshape(k, s)
+def _margins(head) -> np.ndarray:
+    """Margins |w|^2 - alpha beta (K,) of a head {alpha (K,), beta (K,),
+    w (K, s)}."""
+    return classify._margin(head["alpha"], head["beta"], head["w"])
 
 
-def _margins(config: net.NetworkConfig, vector) -> np.ndarray:
-    """Margins |w|^2 - alpha beta (K,) of the head block."""
-    return classify._margin(*_head_block(config, vector))
-
-
-def _project(config: net.NetworkConfig, vector) -> int:
+def _project(head) -> int:
     """Project separator parameters back into the admissible region
     |w|^2 - alpha*beta > 0 when an SGD step leaves a margin not above
     ``_ADMISSIBLE_SLACK``, and count the separators moved.  A crossing
@@ -260,11 +257,12 @@ def _project(config: net.NetworkConfig, vector) -> int:
     once to the margin slack = max(2 ``_ADMISSIBLE_SLACK``, 2^-40 |w|^2),
     which the rounding (a few ulps of |w|^2) keeps positive at every
     finite |w|.  Edits exactly the crossing separators, in place in the
-    head block of the flat ``vector``, and returns their count."""
-    crossing = (~(_margins(config, vector) > _ADMISSIBLE_SLACK)).nonzero()[0]
+    views of ``head`` {alpha (K,), beta (K,), w (K, s)}, and returns their
+    count."""
+    crossing = (~(_margins(head) > _ADMISSIBLE_SLACK)).nonzero()[0]
     if not len(crossing):
         return 0
-    alpha, beta, w = _head_block(config, vector)
+    alpha, beta, w = head["alpha"], head["beta"], head["w"]
     for k in crossing:
         w2 = float(classify._norm2(w[k]))
         if w2 <= 2.0 * _ADMISSIBLE_SLACK:
@@ -364,7 +362,7 @@ def train_loop(tc: TrainConfig, config: net.NetworkConfig, dataset: Dataset,
                 grad_norm = max(grad_norm,
                                 math.sqrt(gradient.dot(gradient)))
                 vector -= tc.learning_rate * gradient
-                projected += _project(config, vector)
+                projected += _project(params.head)
             cartan_fraction = []
             for stage in net.stages(config, params, scored):
                 t = stage.rotated[0][:n]
@@ -389,7 +387,7 @@ def train_loop(tc: TrainConfig, config: net.NetworkConfig, dataset: Dataset,
         record = {"epoch": epoch, "train_loss": train_loss,
                   "grad_norm": grad_norm, "projected": projected,
                   "cartan_fraction": cartan_fraction,
-                  "min_margin": float(np.min(_margins(config, vector)))}
+                  "min_margin": float(np.min(_margins(params.head)))}
         if len(test):
             record["test_loss"], accuracy = scores
             if accuracy is not None:
@@ -419,9 +417,13 @@ def evaluate(config: net.NetworkConfig, params: net.ParamSet,
 def gen_synthetic(kind: str, n: int, dim: int, seed: int = 0,
                   classes: int = 2, spread: float = 0.6) -> Dataset:
     """Seeded synthetic classification data with balanced classes and a
-    deterministic 80/20 train/test split."""
+    deterministic 80/20 train/test split.  ``"arcs"`` makes two classes
+    and takes no other ``classes``."""
     if n < 2 or dim < 2:
         raise ValueError("need n >= 2 and dim >= 2")
+    if classes < 2 or (kind == "arcs" and classes != 2):
+        raise ValueError(
+            f"need classes >= 2, exactly 2 for arcs; got {classes}")
     rng = np.random.default_rng(seed)
     if kind == "blobs":
         means = rng.normal(size=(classes, dim))

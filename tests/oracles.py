@@ -38,6 +38,14 @@ def h_value(sep: classify.Separator, p):
                               spaces._to_t_chart(p))[0][..., 0]
 
 
+def head_kernel(head, t):
+    """The head kernel on a head {alpha (K,), beta (K,), w (K, s)} at
+    rows t of the chart (T, Y2), as training's loss reads it: u = h / norm
+    (..., K) and what ``classify._scaled_h_vjp`` reuses."""
+    coefs, margins = classify._read_head(head)
+    return classify._scaled_h(coefs, classify._norms(margins), t)
+
+
 def find_surface_point(sep: classify.Separator, space: SpaceId,
                        seed: int = 0) -> SolvCoords:
     """Produce a witness point on the {h = 0} surface.
@@ -158,7 +166,7 @@ def replay_train_loop(tc: train.TrainConfig, config, dataset):
                 grad_norm = max(grad_norm, float(np.linalg.norm(g)))
                 stepped = v - tc.learning_rate * g
                 v = stepped.copy()
-                train._project(config, v)
+                train._project(net.unflatten(config, v).head)
                 old, new = (net.unflatten(config, u).head
                             for u in (stepped, v))
                 projected += sum(

@@ -328,6 +328,10 @@ class TestStrictIntegers:
     def test_fractional_gen_data_exit_2(self, tmp_path):
         assert self.gen_exit(tmp_path, n=60.9, dim=2.7, classes=2.5) == 2
 
+    @pytest.mark.parametrize("kind, classes", [("blobs", 1), ("arcs", 4)])
+    def test_classes_it_cannot_make_exit_2(self, tmp_path, kind, classes):
+        assert self.gen_exit(tmp_path, kind=kind, classes=classes) == 2
+
     def test_null_n_exit_2(self, tmp_path):
         assert self.gen_exit(tmp_path, n=None) == 2
 
@@ -365,6 +369,8 @@ class TestStrictIntegers:
         (None, {"batch_size": 16.5}),
         (None, {"batch_size": False}),
         (None, {"epochs": None}),
+        ({"K": 4}, None),
+        ({"layers": [3, 1]}, None),
     ])
     def test_each_train_field(self, tmp_path, net_doc, train_doc):
         assert self.train_exit(tmp_path, net_doc, train_doc) == 2

@@ -1,5 +1,5 @@
 """Work per SGD step and per epoch record: the admissibility projection
-reads every margin once from the flat vector and reports how many
+reads every margin once from the head's views and reports how many
 separators it moved, the scores of a split come from one run of the
 separator head, and an epoch record takes the train and the test rows
 through the chain in one pass, inside the loop's guard."""
@@ -79,7 +79,7 @@ class TestProjection:
         config, flat = case
         want, moved = reference_projection(config, flat)
         got = flat.vector.copy()
-        count = train._project(config, got)
+        count = train._project(net.unflatten(config, got).head)
         assert count == moved
         assert got.tobytes() == want.tobytes()
         assert (got.tobytes() == flat.vector.tobytes()) == (moved == 0)
@@ -91,19 +91,7 @@ class TestProjection:
         head = net.unflatten(config, flat.vector).head
         want = [float(w @ w) - float(a * b) for a, b, w
                 in zip(head["alpha"], head["beta"], head["w"])]
-        assert train._margins(config, flat.vector).tolist() == want
-
-    def test_admissible_vector_is_not_unpacked(self, monkeypatch):
-        config = config_for(3, 4)
-        flat = net.flatten(config, net.init_params(config, seed=1))
-        calls = []
-        original = net.unflatten
-        monkeypatch.setattr(net, "unflatten",
-                            lambda *a: calls.append(1) or original(*a))
-        vector = flat.vector.copy()
-        assert train._project(config, vector) == 0
-        assert vector.tobytes() == flat.vector.tobytes()
-        assert calls == []
+        assert train._margins(head).tolist() == want
 
     def test_one_margin_pass_per_step(self, monkeypatch):
         # one read of the margins per SGD step and one per epoch record;
@@ -143,8 +131,8 @@ class TestScores:
             loss = classify.multiclass_nll(points, y, bank)
             pred = np.argmax(classify.softmax_probs(bank, points), axis=-1)
         heads = []
-        original = classify._head
-        monkeypatch.setattr(classify, "_head",
+        original = classify._scaled_h
+        monkeypatch.setattr(classify, "_scaled_h",
                             lambda *a: heads.append(1) or original(*a))
         value, accuracy = train._scores(config, params, X, y)
         assert len(heads) == 1

@@ -1,7 +1,8 @@
 """Every name a module exports through ``__all__`` exists and has a
-caller, every name it imports is used or exported, every package it
-imports from outside the standard library is a declared dependency, and
-every parameter of its functions is read.  The README's Python examples,
+caller, every private module-level function and class is read in
+``src/`` outside its own definition, every name it imports is used or
+exported, every package it imports from outside the standard library is
+a declared dependency, and every parameter of its functions is read.  The README's Python examples,
 which count as callers, run.  Importing the package loads no scipy; the
 one call that needs it loads it."""
 
@@ -45,9 +46,11 @@ def test_all_names_exist(name):
 
 
 def read_names(source):
-    """The names and attributes that code reads."""
+    """The names and attributes that code, a source text or a parsed
+    node, reads."""
+    node = ast.parse(source) if isinstance(source, str) else source
     return {n.id if isinstance(n, ast.Name) else n.attr
-            for n in ast.walk(ast.parse(source))
+            for n in ast.walk(node)
             if isinstance(n, (ast.Name, ast.Attribute))}
 
 
@@ -94,6 +97,28 @@ def test_uncalled_exports_have_no_caller():
     stale = [(name, n) for name, allowed in UNCALLED_EXPORTS.items()
              for n in sorted(allowed) if n in called]
     assert stale == []
+
+
+def unread_private_definitions():
+    """(module, name) of every private module-level function and class
+    in ``src/`` that no other top-level statement there reads."""
+    statements = [(path.stem, node)
+                  for path in sorted((ROOT / "src" / "cartannet").glob("*.py"))
+                  for node in ast.parse(path.read_text()).body]
+    reads = [read_names(node) for _, node in statements]
+    return [(module, node.name)
+            for i, (module, node) in enumerate(statements)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and node.name.startswith("_")
+            and not any(node.name in names
+                        for j, names in enumerate(reads) if j != i)]
+
+
+def test_every_private_definition_is_read_in_src():
+    # a private helper that only tests read is reference code: it lives
+    # in tests/oracles.py
+    assert unread_private_definitions() == []
 
 
 def test_readme_examples_run(tmp_path, monkeypatch):

@@ -17,7 +17,7 @@ from hypothesis.extra import numpy as hnp
 
 from cartannet import classify, homo, isometry, net, spaces, train
 from cartannet.spaces import SolvCoords
-from oracles import h_value
+from oracles import h_value, head_kernel
 
 PROPERTY = settings(max_examples=25)
 DIMS = (2, 3, 5, 9, 17)
@@ -73,11 +73,12 @@ def fiber_stage(space, t, angles, grad):
 def nll_pullback(head, t, labels):
     """The NLL's pullback through the head at rows t of the chart
     (T, Y2), its gradient dict flattened to (g_t, g_alpha, g_beta, g_w)."""
-    scores, u, saved = classify._class_scores(head, t)
+    u, saved = head_kernel(head, t)
+    scores = classify._scores(u)
     g_t, g_coefs, g_n2 = classify._scaled_h_vjp(
         u, saved, classify._nll_grad(scores, labels, u.shape[-1]))
     g_head = classify._head_of(
-        classify._margin_vjp(classify._coefs(head), g_n2, g_coefs))
+        classify._margin_vjp(classify._read_head(head)[0], g_n2, g_coefs))
     return g_t, g_head["alpha"], g_head["beta"], g_head["w"]
 
 

@@ -33,6 +33,37 @@ class TestConfig:
         with pytest.raises(ValueError):
             net.LayerSpec(SpaceId.sl(3))
 
+    @pytest.mark.parametrize("fields", [
+        {"task": "binary", "K": 4},
+        {"task": "regression", "K": 4},
+        {"task": "multiclass", "K": 2.5},
+        {"task": "multiclass", "K": True},
+        {"input_dim": True},
+        {"input_dim": 2.0},
+    ])
+    def test_refuses_an_ignored_or_non_integer_field(self, fields):
+        # K is read by the multiclass task alone; input_dim and K are
+        # integers by the rule TrainConfig applies, bools excluded
+        with pytest.raises(ValueError):
+            net.NetworkConfig(**{"input_dim": 2, "layers": (H3,), **fields})
+
+    def test_accepts_numpy_integers(self):
+        cfg = net.NetworkConfig(np.int64(2), (H3,), "multiclass", np.int64(3))
+        assert cfg.n_separators == 3
+
+    @pytest.mark.parametrize("dims", [(1,), (3, 1)])
+    def test_refuses_a_last_layer_h1(self, dims):
+        # H^1 has no subPaint: its separators would have no normal w
+        with pytest.raises(ValueError):
+            net.NetworkConfig(2, tuple(map(spaces.hyperbolic, dims)))
+
+    def test_h1_trains_as_a_hidden_layer(self):
+        config = net.NetworkConfig(2, (spaces.hyperbolic(1), H3))
+        ds = train.gen_synthetic("blobs", n=40, dim=2, seed=0)
+        _, history = train.train_loop(train.TrainConfig(epochs=2), config,
+                                      ds)
+        assert len(history) == 2
+
     def test_accepts_bare_spaces(self):
         cfg = net.NetworkConfig(2, (H3, H5))
         assert cfg.layers[0].space == H3

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from cartannet import classify, net, spaces, train
+from oracles import head_kernel
 
 PROPERTY = settings(max_examples=60)
 
@@ -39,8 +40,8 @@ def test_large_norm_head_projects_to_what_the_head_accepts():
     params.head["alpha"][0] = 66093.46955379711
     params.head["beta"][0] = 163152.04188096413
     vector = net.flatten(config, params).vector
-    assert train._project(config, vector) == 0
-    u, _ = classify._head(head_of(config, vector), origin_row(config))
+    assert train._project(head_of(config, vector)) == 0
+    u, _ = head_kernel(head_of(config, vector), origin_row(config))
     assert np.all(np.isfinite(u))
 
 
@@ -75,13 +76,13 @@ def wide_heads(draw):
 def test_projected_heads_are_admissible_to_every_reader(case):
     config, flat = case
     vector = flat.vector.copy()
-    train._project(config, vector)
+    train._project(head_of(config, vector))
     head = head_of(config, vector)
-    u, _ = classify._head(head, origin_row(config))
+    u, _ = head_kernel(head, origin_row(config))
     assert np.all(np.isfinite(u))
     assert all(classify.Separator(a, b, w).admissible
                for a, b, w in zip(head["alpha"], head["beta"], head["w"]))
-    assert np.all(train._margins(config, vector) > 0)
+    assert np.all(train._margins(head) > 0)
 
 
 def test_a_nan_margin_is_refused_by_every_reader():

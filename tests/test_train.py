@@ -9,7 +9,7 @@ import pytest
 from cartannet import classify, homo, isometry, net, spaces, train
 from cartannet.spaces import SolvCoords, SpaceId
 from central_difference import central_difference_gradient
-from oracles import replay_train_loop, save_csv_writer
+from oracles import head_kernel, replay_train_loop, save_csv_writer
 
 H3 = SpaceId.so(1, 2)
 H5 = SpaceId.so(1, 4)
@@ -149,7 +149,7 @@ class TestProjection:
         cfg = small_config("binary")
         flat = net.flatten(cfg, net.init_params(cfg, seed=13))
         vector = flat.vector.copy()
-        assert train._project(cfg, vector) == 0
+        assert train._project(net.unflatten(cfg, vector).head) == 0
         assert np.array_equal(vector, flat.vector)
 
     def test_inadmissible_projected(self):
@@ -159,7 +159,7 @@ class TestProjection:
         params.head["alpha"][0] = 2.0
         params.head["beta"][0] = 2.0
         vector = net.flatten(cfg, params).vector
-        assert train._project(cfg, vector) == 1
+        assert train._project(net.unflatten(cfg, vector).head) == 1
         fixed = net.unflatten(cfg, vector)
         sep = classify.Separator(fixed.head["alpha"][0],
                                  fixed.head["beta"][0], fixed.head["w"][0])
@@ -337,17 +337,17 @@ class TestTrainLoop:
         params.head["alpha"][0] = alpha
         params.head["beta"][0] = beta
         vector = net.flatten(cfg, params).vector
-        assert train._project(cfg, vector) == 1
-        assert train._margins(cfg, vector)[0] > 0
+        assert train._project(net.unflatten(cfg, vector).head) == 1
+        assert train._margins(net.unflatten(cfg, vector).head)[0] > 0
         head = net.unflatten(cfg, vector).head
-        u, _ = classify._head(head, np.array([[1.0, 0.0, 0.0]]))
+        u, _ = head_kernel(head, np.array([[1.0, 0.0, 0.0]]))
         assert np.all(np.isfinite(u))
 
     def test_projection_keeps_admissible_input(self):
         cfg = small_config("multiclass", K=3)
         flat = net.flatten(cfg, net.init_params(cfg, seed=15))
         vector = flat.vector.copy()
-        assert train._project(cfg, vector) == 0
+        assert train._project(net.unflatten(cfg, vector).head) == 0
         assert vector.tobytes() == flat.vector.tobytes()
 
     def test_divergence_guard_returns_finite(self):
@@ -421,6 +421,13 @@ class TestSynthetic:
         b = train.gen_synthetic("arcs", n=40, dim=2, seed=2)
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
+
+    @pytest.mark.parametrize("kind, classes", [
+        ("blobs", 1), ("blobs", 0), ("arcs", 1), ("arcs", 4)])
+    def test_refuses_classes_it_cannot_make(self, kind, classes):
+        # arcs always makes two classes
+        with pytest.raises(ValueError):
+            train.gen_synthetic(kind, n=20, dim=2, classes=classes)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

@@ -75,9 +75,9 @@ class TestTurnedHeadScores:
         def check(case):
             config, params, X = case
             last = list(net.stages(config, params, X))[-1]
-            turned, _ = isometry._turn_head(classify._coefs(params.head),
-                                            last.angles)
-            u, _ = classify._scaled_h(turned, classify._norm(params.head),
+            coefs, margins = classify._read_head(params.head)
+            turned, _ = isometry._turn_head(coefs, last.angles)
+            u, _ = classify._scaled_h(turned, classify._norms(margins),
                                       last.rows)
             points = net.forward_batch(config, params, X)
             bank = bank_of(params.head)
@@ -112,12 +112,13 @@ class TestTurnPullback:
         head, angles, grads = case
 
         def loss(head, angles):
-            turned, _ = isometry._turn_head(classify._coefs(head), angles)
-            return np.sum(classify._coefs(grads) * turned)
+            turned, _ = isometry._turn_head(classify._read_head(head)[0],
+                                            angles)
+            return np.sum(classify._read_head(grads)[0] * turned)
 
         got_coefs, got_angles = isometry._turn_head_pullback(
-            isometry._turn_head(classify._coefs(head), angles)[1],
-            classify._coefs(grads))
+            isometry._turn_head(classify._read_head(head)[0], angles)[1],
+            classify._read_head(grads)[0])
         got_head = classify._head_of(got_coefs)
         for name, value in head.items():
             want = np.empty(value.shape)
@@ -161,7 +162,7 @@ class TestChecksOfTheUnturnedHead:
             {"w": [[0.6, 0.8]], "alpha": [1e6],
              "beta": [(1.0 - 2.0 ** -40) / 1e6]})
         turned = classify._head_of(isometry._turn_head(
-            classify._coefs(params.head), params.lam)[0])
+            classify._read_head(params.head)[0], params.lam)[0])
         assert not classify._margin(turned["alpha"], turned["beta"],
                                     turned["w"])[0] > 0
         X = np.random.default_rng(0).uniform(-1.0, 1.0, (6, 2))
