@@ -50,7 +50,7 @@ class SystemExit2(Exception):
 def _integer(value, name):
     """``value`` if it is a JSON integer.  Floats, null, strings and bools
     are refused with exit code 2 rather than coerced."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not spaces._is_integer(value):
         raise SystemExit2(f"{name} must be an integer, got {value!r}")
     return value
 

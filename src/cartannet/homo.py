@@ -207,6 +207,17 @@ class ConstraintSystem:
         return pairs
 
     @functools.cached_property
+    def _pair_index(self):
+        """Flat indices (i d1 + b) d1 + c of the residual entries (i, b < c)
+        in a (d2, d1, d1) tensor, row-major in (i, b < c)."""
+        d1 = self.source.d
+        iu0, iu1 = self._pairs
+        index = (np.arange(self.target.d)[:, None] * d1 + iu0) * d1 + iu1
+        index = index.reshape(-1)
+        spaces._read_only(index)
+        return index
+
+    @functools.cached_property
     def _linear_jacobian(self):
         """The W-independent part delta^i_m g^d_bc of the Jacobian, (m, n)."""
         d2, d1 = self.shape
@@ -216,6 +227,28 @@ class ConstraintSystem:
         J = J.reshape(-1, d2 * d1)
         spaces._read_only(J)
         return J
+
+    @functools.cached_property
+    def _jacobian_index(self):
+        """Where :meth:`jacobian_stack` subtracts T1 and T2: flat indices
+        ``target`` into one Jacobian (m n), ``source`` into T1 (d2, d2, d1)
+        followed by T2 (d1, d2, d2), and ``linear``, the linear part at
+        ``target``.  Entry (i, p, m, d) takes T1^i_{m c_p} at d = b_p and
+        T2^i_{m b_p} at d = c_p, for the pair p = (b_p, c_p)."""
+        d2, d1 = self.shape
+        iu0, iu1 = self._pairs
+        i = np.arange(d2)[:, None, None]
+        p = np.arange(len(iu0))[:, None]
+        m = np.arange(d2)
+        b, c = iu0[:, None], iu1[:, None]
+        row = ((i * len(iu0) + p) * d2 + m) * d1
+        target = np.concatenate([(row + b).reshape(-1), (row + c).reshape(-1)])
+        source = np.concatenate([
+            ((i * d2 + m) * d1 + c).reshape(-1),
+            (d2 * d2 * d1 + (b * d2 + i) * d2 + m).reshape(-1)])
+        linear = self._linear_jacobian.reshape(-1)[target]
+        spaces._read_only(target, source, linear)
+        return target, source, linear
 
     def _stack(self, W) -> np.ndarray:
         W = np.asarray(W)
@@ -240,30 +273,32 @@ class ConstraintSystem:
 
     def residual_stack(self, W) -> np.ndarray:
         """Residual vectors (S, m) of a stack (S, d2, d1), row-major in
-        (i, b < c)."""
+        (i, b < c): one ``take`` of the flat pair indices from each full
+        residual tensor."""
         W = self._stack(W)
-        iu0, iu1 = self._pairs
-        R = self._tensor_stack(W)[:, :, iu0, iu1]
-        return R.reshape(len(W), self.target.d * len(iu0))
+        d2, d1 = self.shape
+        R = self._tensor_stack(W).reshape(len(W), d2 * d1 * d1)
+        return R.take(self._pair_index, axis=1)
 
     def jacobian_stack(self, W) -> np.ndarray:
         """Exact Jacobians (S, m, n) of :meth:`residual_stack` with respect
         to W.reshape(S, -1).  dR^i_bc / dW^m_d = delta^i_m g^d_bc
         - T1^i_mc delta_db - T2^i_mb delta_dc, with T1^i_mc = f^i_mk W^k_c
-        and T2^i_mb = f^i_jm W^j_b scattered at the pair indices; memory
-        stays O(S m n)."""
+        and T2^i_mb = f^i_jm W^j_b: each Jacobian is the linear part, and
+        at the flat positions of the cached index tables, the linear part
+        minus one ``take`` of T1 and T2; memory stays O(S m n)."""
         W = self._stack(W)
         d2, d1 = self.shape
-        iu0, iu1 = self._pairs
-        npairs = len(iu0)
-        T1 = (self.target.f.reshape(d2 * d2, d2) @ W).reshape(-1, d2, d2, d1)
-        T2 = self._first_factor(W)
-        J = np.empty((len(W), *self._linear_jacobian.shape), dtype=W.dtype)
-        J[:] = self._linear_jacobian
-        J5 = J.reshape(len(W), d2, npairs, d2, d1)
-        p = np.arange(npairs)
-        J5[:, :, p, :, iu0] -= np.moveaxis(T1[..., iu1], -1, 0)
-        J5[:, :, p, :, iu1] -= np.moveaxis(T2[:, iu0], 1, 0)
+        S, size = len(W), d2 * d2 * d1
+        target, source, linear = self._jacobian_index
+        T = np.concatenate([
+            (self.target.f.reshape(d2 * d2, d2) @ W).reshape(S, size),
+            self._first_factor(W).reshape(S, size)], axis=1)
+        T = T.take(source, axis=1)
+        lin = self._linear_jacobian
+        J = np.empty((S, *lin.shape), dtype=W.dtype)
+        J[:] = lin
+        J.reshape(S, lin.size)[:, target] = np.subtract(linear, T, out=T)
         return J
 
 
@@ -293,7 +328,7 @@ def tag_branch(W: np.ndarray, tol: float = 1e-6) -> str:
     if W.shape == _INJ_SHAPE:
         a, b, g = W[0, 0], W[1, 0], W[2, 0]
         if (
-            np.max(np.abs(W[3:6, 1:])) <= tol
+            np.abs(W[3:6, 1:]).max() <= tol
             and abs(a + b) <= tol
             and abs(g - a + 1.0) <= tol
         ):
@@ -302,14 +337,14 @@ def tag_branch(W: np.ndarray, tol: float = 1e-6) -> str:
             abs(a) <= tol
             and abs(b) <= tol
             and abs(g + 1.0) <= tol
-            and np.max(np.abs(W[4])) <= tol
+            and np.abs(W[4]).max() <= tol
         ):
             return "branch-12"
         return "untagged"
     if W.shape == _REST_SHAPE:
         mask = np.ones(9, dtype=bool)
         mask[2] = False
-        if np.max(np.abs(W[:, mask])) <= tol and np.max(np.abs(W[:, 2])) > tol:
+        if np.abs(W[:, mask]).max() <= tol and np.abs(W[:, 2]).max() > tol:
             return "cartan-column-3"
     return "untagged"
 
@@ -379,16 +414,30 @@ def _min_norm_steps(J: np.ndarray, r: np.ndarray, m: int) -> np.ndarray:
 def _steps(system: ConstraintSystem, X, R, masks, group) -> np.ndarray:
     """Gauss-Newton steps for the rows of X (S, n) with residuals R: the
     min-norm step over each row's free entries masks[group[row]], zero on
-    the fixed ones.  Rows that share a mask share one batched SVD."""
+    the fixed ones.  One batched Jacobian serves every row; rows that share
+    a mask share one batched SVD, on their Jacobians cut to the live rows,
+    those not zero throughout the group's free columns, and to those
+    columns.  The live rows are found without copying the group's
+    Jacobians; the cut is a ``take`` of the group, one of the live rows
+    and an index on the last axis, which numpy does faster than a
+    ``take`` there and whose column-major result the SVD copies faster."""
     J = system.jacobian_stack(X.reshape(len(X), *system.shape))
-    nonzero = J != 0
     dX = np.zeros_like(X)
     for g in np.unique(group):
-        rows, free = np.flatnonzero(group == g), masks[g]
-        live = np.flatnonzero(nonzero[rows][:, :, free].any(axis=(0, 2)))
-        dX[np.ix_(rows, free)] = _min_norm_steps(
-            J[np.ix_(rows, live, free)], R[np.ix_(rows, live)], J.shape[1])
+        ours = group == g
+        rows, free = np.flatnonzero(ours), np.flatnonzero(masks[g])
+        live = np.flatnonzero(
+            J.any(axis=0, where=ours[:, None, None])[:, free].any(axis=1))
+        dX[rows[:, None], free] = _min_norm_steps(
+            J.take(rows, axis=0).take(live, axis=1)[:, :, free],
+            R.take(rows, axis=0).take(live, axis=1), J.shape[1])
     return dX
+
+
+def _row_norms(R: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of a real R (S, m): what
+    ``np.linalg.norm(R, axis=1)`` computes, without its wrapper."""
+    return np.sqrt(np.add.reduce(R * R, axis=1))
 
 
 def _lockstep_gauss_newton(system: ConstraintSystem, X0: np.ndarray,
@@ -408,11 +457,16 @@ def _lockstep_gauss_newton(system: ConstraintSystem, X0: np.ndarray,
     def residuals(X):
         return system.residual_stack(X.reshape(len(X), *system.shape))
 
-    masks, group = np.unique(free, axis=0, return_inverse=True)
-    group = group.reshape(-1)
+    # the distinct masks, sorted as np.unique(free, axis=0) sorts them, by
+    # one 1-D unique of the rows as bytes: the axis form costs ten times
+    # as much
+    S, n = free.shape
+    rows = np.ascontiguousarray(free).view(np.dtype((np.void, n)))
+    keys, group = np.unique(rows.reshape(S), return_inverse=True)
+    masks = keys.view(bool).reshape(len(keys), n)
     X = _quantize(X0, _QUANTUM)
     R = residuals(X)
-    norms = np.linalg.norm(R, axis=1)
+    norms = _row_norms(R)
     active = np.arange(len(X))
     converged = []
     for _ in range(200):
@@ -428,7 +482,7 @@ def _lockstep_gauss_newton(system: ConstraintSystem, X0: np.ndarray,
             rows = active[pending]
             Xn = _quantize(X[rows] + alpha * dX[pending], _QUANTUM)
             Rn = residuals(Xn)
-            nn = np.linalg.norm(Rn, axis=1)
+            nn = _row_norms(Rn)
             better = nn < norms[rows]
             won = rows[better]
             X[won], R[won], norms[won] = Xn[better], Rn[better], nn[better]
@@ -440,7 +494,7 @@ def _lockstep_gauss_newton(system: ConstraintSystem, X0: np.ndarray,
     # full-precision polish (quadratic convergence from a quantized
     # point); a step below the floor lowers nothing
     for _ in range(4):
-        live = np.flatnonzero(np.linalg.norm(Rc, axis=1) > _POLISH_FLOOR)
+        live = np.flatnonzero(_row_norms(Rc) > _POLISH_FLOOR)
         if not len(live):
             break
         Xc[live] += _steps(system, Xc[live], Rc[live], masks,
@@ -448,7 +502,7 @@ def _lockstep_gauss_newton(system: ConstraintSystem, X0: np.ndarray,
         Rc[live] = residuals(Xc[live])
     # + 0.0 turns a -0.0 into 0.0, whatever steps a row took
     Xc = _quantize(Xc, 1e-12) + 0.0
-    return Xc[np.linalg.norm(residuals(Xc), axis=1) <= 1e-10]
+    return Xc[_row_norms(residuals(Xc)) <= 1e-10]
 
 
 def solve_numeric(system: ConstraintSystem, seeds: int, seed: int = 0):
@@ -460,10 +514,22 @@ def solve_numeric(system: ConstraintSystem, seeds: int, seed: int = 0):
     its own mask of free entries.  All starts advance in lockstep as one
     (S, n) stack through damped Gauss-Newton (see
     :func:`_lockstep_gauss_newton`): each iteration takes one batched
-    residual, one batched Jacobian and one batched SVD min-norm step per
-    group of starts sharing a mask."""
+    Jacobian of the active starts, gathers each mask group's rows, live
+    rows and free columns from it for one batched SVD min-norm step per
+    group (:func:`_steps`), and one batched residual per step length it
+    tries; the kernels pick their entries through cached read-only index
+    tables.  The solutions kept after deduplication get their residual
+    norms from one more batched residual.
+
+    Refuses (ValueError) ``seeds`` or ``seed`` that are not integers (bools
+    included), ``seeds`` < 1 and ``seed`` < 0."""
+    if not (spaces._is_integer(seeds) and spaces._is_integer(seed)):
+        raise ValueError(f"seeds and seed must be integers, got {seeds!r} "
+                         f"and {seed!r}")
     if seeds < 1:
         raise ValueError("seeds must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     rng = np.random.default_rng(seed)
     d2, d1 = system.shape
     n = d1 * d2
@@ -479,15 +545,14 @@ def solve_numeric(system: ConstraintSystem, seeds: int, seed: int = 0):
     found = found[np.lexsort(np.round(found, 6).T[::-1])]
     kept = []
     for i, x in enumerate(found):
-        if not kept or np.max(np.abs(found[kept] - x), axis=1).min() > 1e-6:
+        if not kept or np.abs(found[kept] - x).max(axis=1).min() > 1e-6:
             kept.append(i)
+    Ws = found[kept].reshape(-1, d2, d1)
+    # each residual is the norm residual() takes, sqrt(r . r), of its row
     return [
-        HomoMatrix(
-            W=W,
-            residual=residual(W, system),
-            branch_tag=tag_branch(W),
-        )
-        for W in found[kept].reshape(-1, d2, d1)
+        HomoMatrix(W=W, residual=float(np.sqrt(r.dot(r))),
+                   branch_tag=tag_branch(W))
+        for W, r in zip(Ws, system.residual_stack(Ws))
     ]
 
 
@@ -723,7 +788,11 @@ def integrate_coordinate_map(W: HomoMatrix, source_coords: SolvCoords) -> SolvCo
 
 
 def space_for_name(name: str) -> SpaceId:
-    """Space id for an algebra name: r1(q), borel_sl(N) or solv_so(r,q)."""
+    """Space id for an algebra name: r1(q), borel_sl(N) or solv_so(r,q).
+    Refuses (ValueError) any other name, one that is not a string included,
+    and a solv_so with other than two numbers."""
+    if not isinstance(name, str):
+        raise ValueError(f"an algebra name must be a string, got {name!r}")
     name = name.strip().lower().replace(" ", "")
     if name.startswith("r1(") and name.endswith(")"):
         q = int(name[3:-1])
@@ -732,8 +801,9 @@ def space_for_name(name: str) -> SpaceId:
         return SpaceId.sl(int(name[9:-1]))
     if name.startswith("solv_so(") and name.endswith(")"):
         parts = name[8:-1].split(",")
-        r, total = int(parts[0]), int(parts[1])
-        return SpaceId.so(r, total - r)
+        if len(parts) == 2:
+            r, total = int(parts[0]), int(parts[1])
+            return SpaceId.so(r, total - r)
     raise ValueError(f"unsupported algebra name: {name!r}")
 
 

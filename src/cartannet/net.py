@@ -66,11 +66,6 @@ class LayerSpec:
         self.space._require_r1()
 
 
-def _is_integer(value) -> bool:
-    """Whether ``value`` is an int or a numpy integer, a bool excluded."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 @dataclasses.dataclass(frozen=True)
 class NetworkConfig:
     """Architecture: input width, ordered layers, and task head.  Refuses
@@ -84,8 +79,8 @@ class NetworkConfig:
     K: int | None = None
 
     def __post_init__(self):
-        if not (_is_integer(self.input_dim)
-                and (self.K is None or _is_integer(self.K))):
+        if not (spaces._is_integer(self.input_dim)
+                and (self.K is None or spaces._is_integer(self.K))):
             raise ValueError("input_dim and K must be integers")
         if self.input_dim < 1:
             raise ValueError("input_dim must be >= 1")

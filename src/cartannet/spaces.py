@@ -208,6 +208,11 @@ class CosetPoint:
 # ---------------------------------------------------------------------------
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an int or a numpy integer, a bool excluded."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _read_only(*arrays):
     """Freezes arrays a per-process cache hands out: one in-place write
     would corrupt every later call."""

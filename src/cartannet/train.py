@@ -105,7 +105,7 @@ class TrainConfig:
     def __post_init__(self):
         if not (self.learning_rate > 0 and np.isfinite(self.learning_rate)):
             raise ValueError("learning rate must be positive and finite")
-        if not all(map(net._is_integer,
+        if not all(map(spaces._is_integer,
                        (self.epochs, self.batch_size, self.seed))):
             raise ValueError("epochs, batch_size and seed must be integers")
         if self.epochs < 0:

@@ -3,8 +3,9 @@ package: the invariant metric of an r=1 space, the separator's defining
 function h, a witness point on a separator, the logistic function, the
 classification of an isometry-group element, the cotangent chart
 change the pullbacks invert, the numeric block peel that the polynomial
-table of sigma_inv is built from, a replay of the training loop and the
-``csv.writer`` form of a dataset file.
+table of sigma_inv is built from, a replay of the training loop, the
+``csv.writer`` form of a dataset file, and the fancy-index forms of the
+constraint kernels and of the Gauss-Newton step's gathers.
 They call the package's private kernels, so what they check is the code
 the package runs."""
 
@@ -12,7 +13,7 @@ import csv
 
 import numpy as np
 
-from cartannet import classify, isometry, net, spaces, train
+from cartannet import classify, homo, isometry, net, spaces, train
 from cartannet.spaces import SQRT2, SolvCoords, SpaceId
 
 
@@ -213,3 +214,45 @@ def save_csv_writer(path, dataset: train.Dataset):
             token = (str(int(y)) if isinstance(y, (int, np.integer))
                      else repr(float(y)))
             writer.writerow([repr(float(v)) for v in x] + [token])
+
+
+def reference_residual_stack(system: homo.ConstraintSystem, W) -> np.ndarray:
+    """``residual_stack`` by fancy indexing of the full residual tensors at
+    the pairs b < c."""
+    W = system._stack(W)
+    iu0, iu1 = system._pairs
+    R = system._tensor_stack(W)[:, :, iu0, iu1]
+    return R.reshape(len(W), system.target.d * len(iu0))
+
+
+def reference_jacobian_stack(system: homo.ConstraintSystem, W) -> np.ndarray:
+    """``jacobian_stack`` by subtracting T1 and T2 from the linear part
+    through 5-D advanced indexing at the pair indices."""
+    W = system._stack(W)
+    d2, d1 = system.shape
+    iu0, iu1 = system._pairs
+    npairs = len(iu0)
+    T1 = (system.target.f.reshape(d2 * d2, d2) @ W).reshape(-1, d2, d2, d1)
+    T2 = system._first_factor(W)
+    J = np.empty((len(W), *system._linear_jacobian.shape), dtype=W.dtype)
+    J[:] = system._linear_jacobian
+    J5 = J.reshape(len(W), d2, npairs, d2, d1)
+    p = np.arange(npairs)
+    J5[:, :, p, :, iu0] -= np.moveaxis(T1[..., iu1], -1, 0)
+    J5[:, :, p, :, iu1] -= np.moveaxis(T2[:, iu0], 1, 0)
+    return J
+
+
+def reference_steps(system: homo.ConstraintSystem, X, R, masks,
+                    group) -> np.ndarray:
+    """``homo._steps`` on the reference Jacobian, gathering each group's
+    rows, live rows and free columns with ``np.ix_`` broadcasts."""
+    J = reference_jacobian_stack(system, X.reshape(len(X), *system.shape))
+    nonzero = J != 0
+    dX = np.zeros_like(X)
+    for g in np.unique(group):
+        rows, free = np.flatnonzero(group == g), masks[g]
+        live = np.flatnonzero(nonzero[rows][:, :, free].any(axis=(0, 2)))
+        dX[np.ix_(rows, free)] = homo._min_norm_steps(
+            J[np.ix_(rows, live, free)], R[np.ix_(rows, live)], J.shape[1])
+    return dX

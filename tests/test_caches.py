@@ -46,8 +46,12 @@ CASES = {
     "homo._map_plan": map_plans,
     "homo.ConstraintSystem._pairs": lambda: [
         c._pairs for c in constraint_systems()],
+    "homo.ConstraintSystem._pair_index": lambda: [
+        c._pair_index for c in constraint_systems()],
     "homo.ConstraintSystem._linear_jacobian": lambda: [
         c._linear_jacobian for c in constraint_systems()],
+    "homo.ConstraintSystem._jacobian_index": lambda: [
+        c._jacobian_index for c in constraint_systems()],
     "isometry._givens_tables": lambda: [isometry._givens_tables(f)
                                         for f in (0, 1, 4)],
     "isometry._rotation_plan": rotation_plans,

@@ -103,9 +103,11 @@ class TestSolveHomo:
         assert all(s["residual"] <= 1e-10 for s in doc["solutions"])
 
     def test_bad_algebra_exit_2(self, tmp_path):
-        cfg = write_json(tmp_path / "c.json",
-                         {"source": "sp(4)", "target": "r1(1)"})
-        assert run(["solve-homo", "--config", cfg]) == 2
+        for name in ("sp(4)", 5, None, ["r1(1)"], "solv_so(1)"):
+            for key in ("source", "target"):
+                doc = {"source": "r1(1)", "target": "r1(1)", key: name}
+                cfg = write_json(tmp_path / "c.json", doc)
+                assert run(["solve-homo", "--config", cfg]) == 2, doc
 
     def test_missing_config_exit_2(self):
         assert run(["solve-homo"]) == 2

@@ -1,13 +1,18 @@
 """Batched Maurer-Cartan constraint kernels: residual and Jacobian stacks
-against complex-step derivatives and one-W stacks, and the batched
-min-norm Gauss-Newton step against ``np.linalg.lstsq``."""
+against complex-step derivatives and one-W stacks, the batched min-norm
+Gauss-Newton step against ``np.linalg.lstsq``, and the kernels' gathers
+through cached index tables against the fancy indexing of
+``tests/oracles.py``, bit for bit."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from cartannet import homo
+from oracles import (reference_jacobian_stack, reference_residual_stack,
+                     reference_steps)
 
 SYSTEMS = {
     name: homo.build_constraints(homo.mc_for_name(src), homo.mc_for_name(tgt))
@@ -120,3 +125,56 @@ class TestMinNormStep:
         for dx, Jg, rg in zip(got, J, r):
             want, *_ = np.linalg.lstsq(Jg, -rg, rcond=None)
             assert np.linalg.norm(dx - want) <= 1e-9 * max(1.0, np.linalg.norm(want))
+
+
+def reference_stack(system, size):
+    """(S, d2, d1) draws in [-2, 2] with every third entry 0, so that some
+    Jacobian rows vanish."""
+    d2, d1 = system.shape
+    W = np.random.default_rng(size).uniform(-2.0, 2.0, (size, d2 * d1))
+    W[:, ::3] = 0.0
+    return W.reshape(size, d2, d1)
+
+
+class TestAgainstReferences:
+    """The ``take`` gathers and flat index tables give the bits of the
+    fancy indexing they replaced, at S = 0 too."""
+
+    @pytest.mark.parametrize("size", [0, 1, 5])
+    @pytest.mark.parametrize("name", sorted(SYSTEMS))
+    def test_residual_and_jacobian_stacks(self, name, size):
+        system = SYSTEMS[name]
+        W = reference_stack(system, size)
+        for stack in (W, W + 1e-30j * np.cos(W)):
+            got = system.residual_stack(stack)
+            want = reference_residual_stack(system, stack)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+            got = system.jacobian_stack(stack)
+            want = reference_jacobian_stack(system, stack)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("size", [0, 1, 5])
+    @pytest.mark.parametrize("name", sorted(SYSTEMS))
+    def test_steps(self, name, size):
+        """Masks: all free, none free, every other entry free and one entry
+        free, which leaves Jacobian rows zero throughout its columns; the
+        last mask has no rows."""
+        system = SYSTEMS[name]
+        W = reference_stack(system, size)
+        X = W.reshape(size, W.shape[1] * W.shape[2])
+        R = system.residual_stack(W)
+        masks = np.zeros((5, W.shape[1] * W.shape[2]), dtype=bool)
+        masks[0] = True
+        masks[2, ::2] = True
+        masks[3, 1] = True
+        masks[4] = True
+        group = np.arange(size) % 4
+        if size:
+            J = system.jacobian_stack(W[group == 3])
+            assert not J[:, :, 1].any(axis=0).all()
+        got = homo._steps(system, X, R, masks, group)
+        want = reference_steps(system, X, R, masks, group)
+        assert got.shape == want.shape == X.shape
+        assert got.tobytes() == want.tobytes()

@@ -13,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 from cartannet import fixtures, homo, spaces
 from cartannet.spaces import SolvCoords, SpaceId
+from oracles import reference_residual_stack, reference_steps
 
 H3 = SpaceId.so(1, 2)
 SL4 = SpaceId.sl(4)
@@ -210,6 +211,58 @@ class TestSolveNumeric:
             tracemalloc.stop()
         assert peak < 64 * 2**20
         assert any(np.array_equal(s.W, np.eye(mc.d)) for s in sols)
+
+    def test_many_starts_memory(self):
+        # 600 starts give 301 distinct solutions; the dedupe compares each
+        # with the ones kept before it, O(F n), where a pairwise distance
+        # tensor alone would take 301 x 301 x 9 doubles (6.5 MB)
+        mc = homo.r1_mc(1)
+        system = homo.build_constraints(mc, mc)
+        tracemalloc.start()
+        try:
+            sols = homo.solve_numeric(system, seeds=300, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(sols) == 301
+        assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize("names, seeds", [
+        (("r1(1)", "borel_sl(4)"), 8),
+        (("borel_sl(4)", "r1(1)"), 8),
+        (("r1(2)", "r1(2)"), 3),
+        (("borel_sl(3)", "borel_sl(3)"), 3),
+    ])
+    def test_same_bits_as_reference_kernels(self, monkeypatch, names, seeds):
+        # the step's gathers and the residual's pick through index tables,
+        # against the fancy indexing they replaced; each residual is also
+        # the one residual() gives its W alone
+        system = homo.build_constraints(*map(homo.mc_for_name, names))
+        got = homo.solve_numeric(system, seeds=seeds, seed=0)
+        with monkeypatch.context() as patch:
+            patch.setattr(homo, "_steps", reference_steps)
+            patch.setattr(homo.ConstraintSystem, "residual_stack",
+                          reference_residual_stack)
+            want = homo.solve_numeric(system, seeds=seeds, seed=0)
+        assert len(got) == len(want) > 0
+        for s, t in zip(got, want):
+            assert s.W.tobytes() == t.W.tobytes()
+            assert s.residual == t.residual == homo.residual(s.W, system)
+            assert s.branch_tag == t.branch_tag
+
+    @pytest.mark.parametrize("seeds, seed", [
+        (True, 0), (2.5, 0), ("3", 0), (None, 0), (np.float64(3.0), 0),
+        (0, 0), (-2, 0), (3, 2.5), (3, True), (3, "0"), (3, -1),
+    ])
+    def test_refuses_bad_arguments(self, seeds, seed):
+        with pytest.raises(ValueError):
+            homo.solve_numeric(restriction_system(), seeds=seeds, seed=seed)
+
+    def test_accepts_numpy_integers(self):
+        got = homo.solve_numeric(restriction_system(), seeds=np.int64(2),
+                                 seed=np.uint8(1))
+        want = homo.solve_numeric(restriction_system(), seeds=2, seed=1)
+        assert [s.W.tobytes() for s in got] == [s.W.tobytes() for s in want]
 
 
 class TestHomomorphismLaw:
@@ -657,3 +710,10 @@ class TestNaming:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             homo.space_for_name("sp(4)")
+
+    @pytest.mark.parametrize("name", [
+        5, None, True, ["r1(1)"], "solv_so(1)", "solv_so(1,2,3)", "r1()",
+    ])
+    def test_malformed_name(self, name):
+        with pytest.raises(ValueError):
+            homo.space_for_name(name)
