@@ -417,7 +417,7 @@ def cmd_eval(args):
     try:
         config, params = net.load_model(_path(cfg["model"], "model"))
         dataset = train.load_csv(_path(cfg["dataset"], "dataset"))
-        train.check_labels(config, dataset.labels)
+        train.check_data(config, dataset)
     except (KeyError, ValueError, OSError) as exc:
         raise SystemExit2(f"bad eval config: {exc}")
     metrics = train.evaluate(config, params, dataset)

@@ -6,22 +6,21 @@ transition by the closed-form group homomorphism (matrix W and translation
 b) and a product of compact fiber rotations.  There is no pointwise
 activation; all nonlinearity comes from the group structure.
 
-One chain, :func:`stages`, runs a batch layer by layer for
-:func:`forward_batch` and for the reverse gradient in ``train``, which
-reads the last layer's rows before its fiber stage and turns the head
-instead, so the chain runs a layer's fiber stage only when the next layer
-or the caller reads its output.  It runs
-in the chart (T, Y2) with T = e^{-Y1}, where both stages have closed
-forms: the homomorphism ``homo._homomorphism_forward`` is affine,
+One chain, :func:`stages`, runs a batch layer by layer, in the chart
+(T, Y2) with T = e^{-Y1}, where both stages have closed forms: the
+homomorphism ``homo._homomorphism_forward`` is affine,
 (T, Y2) -> (T, W Y2 + (1 - T) b), and a layer's fiber rotations
 ``isometry._fiber_forward`` act on its hyperboloid vector as one rotation
 matrix, built from the angles alone and applied to the batch by one
 matrix product.  Each fiber stage checks the Cartan bound of its input.
-The injection takes the one exp, T = e^{-(Q x)_0}, and
-:func:`forward_batch` the one log, Y1 = -log T, of a forward pass.  A
-batch travels the chain as contiguous columns (d, B) from the injection
-``Q @ X.T`` on; every stage takes and returns rows that are views of
-them.
+The chain rotates a layer's rows only when the next layer or the caller
+reads them: :func:`forward_batch` rotates the last layer's and returns
+coordinates, and ``train`` reads the last layer's rows unrotated and
+turns the separator head instead.  The injection takes the one exp,
+T = e^{-(Q x)_0}, and :func:`forward_batch` the one log, Y1 = -log T, of
+a forward pass.  A batch travels the chain as contiguous columns (d, B)
+from the injection ``Q @ X.T`` on; every stage takes and returns rows
+that are views of them.
 """
 
 from __future__ import annotations
@@ -255,13 +254,11 @@ class Stage:
 
 def stages(config: NetworkConfig, params: ParamSet, X: np.ndarray):
     """Yield, per layer, its :class:`Stage` for a batch of inputs.  The
-    chain rotates a layer's rows when the next layer needs them, so the
-    last layer's fiber stage runs only when its ``rotated`` is read: a
-    caller that reads the last ``rows`` alone, as the reverse gradient
-    does, never rotates them.  The chain lets go of each stage before the
-    next layer's homomorphism runs, so a caller that does too, as
-    :func:`forward_batch` does, frees the stage's input and tape there.
-    Complex inputs propagate analytically, for complex step."""
+    last layer's fiber stage runs only when its ``rotated`` is read.  The
+    chain lets go of each stage before the next layer's homomorphism
+    runs, so a caller that does too, as :func:`forward_batch` does, frees
+    the stage's input and tape there.  Complex inputs propagate
+    analytically, for complex step."""
     X = np.asarray(X)
     if not np.isfinite(X.real).all():
         raise ValueError("non-finite network input")

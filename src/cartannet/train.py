@@ -1,37 +1,29 @@
 """Losses, gradients, SGD training, and synthetic data generation.
 
-Every task has one separator head: ``classify._read_head`` reads the
-stacked arrays of ``params.head`` (no separator objects are built) into
-covectors and margins, and the head kernel ``classify._scaled_h`` gives
-from them the class scores, the K signed distances d, or (0, d) for a
-head of one separator.  The tasks differ only in the loss on those
-scores: the softmax NLL for classification (for one separator, softmax
-over (0, d) is sigmoid(d)), and for regression the mean squared error of
-the prediction d, the signed distance to the one separator.
+Every task has one separator head, read by one route (:func:`_head`): at
+the rows the last layer's fiber stage reads, unrotated, by the head's
+covectors turned by that stage's rotation (``isometry._turn_head``).  The
+rotation is an isometry, so the turned head gives there the scores the
+head gives at the rotated rows, with the norms and the admissibility
+check of the unturned head.  The scores are the K signed distances d, or
+(0, d) for a head of one separator, and the tasks differ only in their
+loss: the softmax NLL for classification (for one separator, softmax over
+(0, d) is sigmoid(d)), and for regression the mean squared error of d.
+The gradient, the epoch records and :func:`evaluate` all read the head
+so; only :func:`loss_flat`, the oracle the tests differentiate by complex
+step and central differences, rotates the batch through the last layer.
 
-The gradient is reverse mode: one forward pass through ``net.stages``,
-the chain ``net.forward_batch`` runs, keeping each layer's output and fiber
-tape, but the last layer's fiber rotation G is an isometry, so it turns
-the head's K separators (``isometry._turn_head``) instead of the B points:
-the head reads that layer's unrotated rows, with the norms and the
-admissibility check of the unturned head.  Then one hand-written pullback
-per stage in reverse order: the head's (``classify._scaled_h_vjp`` of the
-NLL's or the MSE's gradient, which reuses the head kernel's own forward,
-then ``isometry._turn_head_pullback`` and ``classify._margin_vjp``), the
-homomorphism pullback ``homo._homomorphism_pullback``, the fiber pullback
-``isometry._fiber_pullback`` and the injection's.  :func:`loss_flat`,
-:func:`evaluate` and the epoch record's pass rotate the points through
-every layer; that pass takes the train rows and the test rows through the
-chain together, once per epoch.  The tests check the gradient against
-complex-step differentiation of :func:`loss_flat` (every stage is
-complex-analytic) and against its central differences.
-Labels are checked where data enters (``Dataset``, :func:`check_labels`):
-:func:`gradient` checks its batch, and :func:`train_loop` checks the
-dataset once, so its steps do not.  A run trains in place: it holds one
-parameter vector and one gradient vector, each unpacked once into views,
-and a step writes the pullbacks into the gradient's views, subtracts the
-gradient from the parameters and projects the separators of the views
-in ``params.head``."""
+The gradient is reverse mode: one forward pass through ``net.stages``
+that keeps each layer's output and fiber tape, then one hand-written
+pullback per stage in reverse order: the head's (:func:`_head_vjp`), the
+homomorphism's, the fiber stage's and the injection's.  An epoch record
+takes the train rows and the test rows through the chain together, once.
+Data is checked where it enters (``Dataset``, :func:`check_data`):
+:func:`gradient` checks its batch's labels, and :func:`train_loop` its
+dataset once, so its steps do not.  A run trains in place: one parameter
+vector and one gradient vector, each unpacked once into views; a step
+writes the pullbacks into the gradient's views, subtracts the gradient
+from the parameters and projects the separators in ``params.head``."""
 
 from __future__ import annotations
 
@@ -49,6 +41,7 @@ __all__ = [
     "TrainConfig",
     "DivergenceError",
     "check_labels",
+    "check_data",
     "check_dataset",
     "loss_flat",
     "gradient",
@@ -135,54 +128,76 @@ def check_labels(config: net.NetworkConfig, labels):
         labels, classify._n_classes(config.n_separators))
 
 
-def check_dataset(config: net.NetworkConfig, dataset: Dataset):
-    """Refuses with ValueError a dataset :func:`train_loop` cannot train
-    on: one without training rows, or with labels the head cannot read
-    (:func:`check_labels`)."""
-    if not np.any(dataset.split == "train"):
-        raise ValueError("dataset has no training split")
+def check_data(config: net.NetworkConfig, dataset: Dataset):
+    """Refuses with ValueError a dataset the network cannot read: rows
+    that are not ``config.input_dim`` features wide, or labels the head
+    cannot read (:func:`check_labels`)."""
+    if dataset.features.shape[1:] != (config.input_dim,):
+        raise ValueError(f"the network reads {config.input_dim} features "
+                         f"per row, not rows of shape "
+                         f"{dataset.features.shape[1:]}")
     check_labels(config, dataset.labels)
 
 
-def _head_loss(config: net.NetworkConfig, params: net.ParamSet,
-               t, labels):
-    """Loss of the head at the points of the last layer, as rows t of the
-    chart (T, Y2) of the stage chain, and the class scores it came from:
-    for regression the mean squared error of the last score, the signed
-    distance d, else the NLL."""
-    coefs, margins = classify._read_head(params.head)
-    scores = classify._scores(classify._scaled_h(
-        coefs, classify._norms(margins), t)[0])
-    if config.task == "regression":
-        labels = classify._batch_labels(labels, scores.shape[:-1])
-        resid = scores[:, -1] - labels
-        return np.add.reduce(resid * resid, axis=None) / len(labels), scores
-    return classify._nll(scores, labels), scores
+def check_dataset(config: net.NetworkConfig, dataset: Dataset):
+    """Refuses with ValueError a dataset :func:`train_loop` cannot train
+    on: one without training rows, or one the network cannot read
+    (:func:`check_data`)."""
+    if not np.any(dataset.split == "train"):
+        raise ValueError("dataset has no training split")
+    check_data(config, dataset)
 
 
-def loss_flat(config: net.NetworkConfig, vector, features, labels):
-    """Task loss of a batch as a function of the flat parameter vector
-    (any dtype): the separator head's NLL, or its MSE for regression."""
-    params = net.unflatten(config, np.asarray(vector))
-    for stage in net.stages(config, params, features):
-        pass
-    return _head_loss(config, params, stage.rotated[0], labels)[0]
-
-
-def _head_vjp(config: net.NetworkConfig, params: net.ParamSet,
-              stage: net.Stage, labels):
-    """Gradient of ``_head_loss`` at the last layer's output with respect
-    to the rows its fiber stage reads, ``stage.rows``, to the head
-    parameters (a dict shaped like ``params.head``) and to that stage's
-    angles, at labels checked by :func:`check_labels`.  The head's
-    covectors turned by the stage's rotation (``isometry._turn_head``)
-    give the same h at ``stage.rows`` as the head at the rotated rows, so
-    the batch is not rotated; the norms, and the margins they pull back
-    to, are the head's own (``classify._read_head``)."""
+def _head(params: net.ParamSet, stage: net.Stage):
+    """The one reading of the separator head: u = h / norm (B, K) of its
+    covectors turned by the rotation of the last layer's fiber stage, at
+    the rows ``stage.rows`` that stage reads, whose Cartan bound it checks
+    as the stage would, over the unturned head's norms.  Also returns what
+    :func:`_head_vjp` reuses: the head kernel's saved arrays, the turn's
+    tape and the unturned covectors."""
+    spaces._check_t_bound(stage.rows.T[0])
     coefs, margins = classify._read_head(params.head)
     turned, turn = isometry._turn_head(coefs, stage.angles)
     u, saved = classify._scaled_h(turned, classify._norms(margins),
                                   stage.rows)
+    return u, (saved, turn, coefs)
+
+
+def _head_loss(config: net.NetworkConfig, u, labels):
+    """Loss of the head's u = h / norm (B, K), and the accuracy of its
+    class scores' argmax: for regression the mean squared error of the
+    last score, the signed distance d, and no accuracy, else the NLL."""
+    scores = classify._scores(u)
+    if config.task == "regression":
+        labels = classify._batch_labels(labels, scores.shape[:-1])
+        resid = scores[:, -1] - labels
+        return np.add.reduce(resid * resid, axis=None) / len(labels), None
+    value = classify._nll(scores, labels)
+    return value, float(np.mean(np.argmax(scores.real, axis=-1) == labels))
+
+
+def loss_flat(config: net.NetworkConfig, vector, features, labels):
+    """Task loss of a batch as a function of the flat parameter vector
+    (any dtype): the separator head's NLL, or its MSE for regression.  The
+    gradient's oracle, so it takes its own route: it rotates the batch
+    through the last layer's fiber stage and reads the unturned head."""
+    params = net.unflatten(config, np.asarray(vector))
+    for stage in net.stages(config, params, features):
+        pass
+    coefs, margins = classify._read_head(params.head)
+    u = classify._scaled_h(coefs, classify._norms(margins),
+                           stage.rotated[0])[0]
+    return _head_loss(config, u, labels)[0]
+
+
+def _head_vjp(config: net.NetworkConfig, params: net.ParamSet,
+              stage: net.Stage, labels):
+    """Gradient of the loss of :func:`_head` at the last layer's
+    :class:`net.Stage` with respect to the rows its fiber stage reads,
+    ``stage.rows``, to the head parameters (a dict shaped like
+    ``params.head``) and to that stage's angles, at labels checked by
+    :func:`check_labels`."""
+    u, (saved, turn, coefs) = _head(params, stage)
     if config.task == "regression":
         g_d = 2.0 * (np.arcsinh(u) - labels[:, None]) / len(labels)
     else:
@@ -213,18 +228,11 @@ def _gradient(config: net.NetworkConfig, params: net.ParamSet,
               X, labels, grads: net.ParamSet):
     """:func:`gradient` at float rows X (B, n) and labels already
     checked, as ints for a separator head, written into ``grads``, views
-    of a gradient vector
-    (:func:`net.unflatten`), in reverse mode, all in the chart (T, Y2) of
-    the chain: one forward pass through ``net.stages`` that stops at the
-    last layer's unrotated rows, whose Cartan bound it checks as that
-    layer's fiber stage would, and keeps every other layer's output and
-    fiber tape; then :func:`_head_vjp`, which turns the head by the last
-    layer's rotation instead of rotating the batch, and the pullbacks of
-    the other stages in reverse order.  The injection's own pullback turns
-    g_T into g_Y1 = -T g_T."""
+    of a gradient vector (:func:`net.unflatten`), in the chart (T, Y2) of
+    the chain.  The injection's own pullback turns g_T into
+    g_Y1 = -T g_T."""
     chain = list(net.stages(config, params, X))
     g_angles = [grads.lam, *grads.psis]
-    spaces._check_t_bound(chain[-1].rows.T[0])
     g, head, g_angles[-1][...] = _head_vjp(config, params, chain[-1],
                                            labels)
     for name, value in head.items():
@@ -283,55 +291,38 @@ def _project(head) -> int:
 
 def _scores(config: net.NetworkConfig, params: net.ParamSet,
             features, labels) -> tuple:
-    """Loss and accuracy (None for regression) from one forward pass and
-    one run of the head kernel, whose class scores give both."""
-    return _scores_at(config, params,
-                      net.forward_batch(config, params, features), labels)
-
-
-def _scores_at(config: net.NetworkConfig, params: net.ParamSet,
-               points, labels) -> tuple:
-    """:func:`_scores` at the last layer's coordinates ``points``."""
-    # from coordinates, as the public heads read them, so that evaluate
-    # gives their numbers bit for bit
-    value, scores = _head_loss(config, params, spaces._to_t_chart(points),
-                               labels)
-    if config.task == "regression":
-        return float(value.real), None
-    pred = np.argmax(scores.real, axis=-1)
-    return float(value.real), float(np.mean(pred == labels))
+    """Loss and accuracy (None for regression) from one forward pass to
+    the last layer's stage and one reading of the head (:func:`_head`)."""
+    for stage in net.stages(config, params, features):
+        pass
+    value, accuracy = _head_loss(config, _head(params, stage)[0], labels)
+    return float(value.real), accuracy
 
 
 def train_loop(tc: TrainConfig, config: net.NetworkConfig, dataset: Dataset,
                init: net.ParamSet | None = None):
     """Seeded mini-batch SGD; returns (params, history).
 
-    A run steps a private copy of ``init``'s vector in place, by one
-    gradient vector that :func:`_gradient` fills, and returns its views.
-
-    History records one JSON-serializable dict per epoch, with the
-    largest 2-norm of a batch gradient in the epoch (``grad_norm``), the
-    number of separators :func:`_project` moved in the epoch
-    (``projected``), per layer the largest |Y1| of its output on the
-    train split over ``CARTAN_BOUND`` (``cartan_fraction``, from the pass
-    that gives ``train_loss``), the smallest admissibility margin
-    |w|^2 - alpha beta after the epoch (``min_margin``) and, when the
-    dataset has test rows, ``test_loss`` and ``accuracy`` (none for
-    regression).  A record runs the chain once, on the train rows
-    followed by the test rows (stacked once per run): ``cartan_fraction``
-    and ``train_loss`` read the train rows of each stage's output, and
-    the test scores read the rest through the coordinates, as
-    :func:`evaluate` does, to its bits.  The loop stops early, and
-    restores the parameters from the start of the failing epoch, when
-    the gradient or the loss diverges, a stage input, of a train or a
-    test row, leaves the Cartan bound, or a separator is evaluated
-    outside admissibility.
-    Every step ends in :func:`_project`, whose margins are the head
-    kernel's, so only an inadmissible ``init`` reaches the last case: its
-    first gradient stops the loop with an empty history.  Labels the head
-    cannot read are refused (:func:`check_dataset`) before the first step,
-    as is a dataset without training rows; the steps do not check the
-    labels again."""
+    A run steps a private copy of ``init``'s vector in place by the
+    gradient :func:`_gradient` fills, and returns its views.  History
+    holds one JSON-serializable record per epoch: ``train_loss``; the
+    largest 2-norm of a batch gradient (``grad_norm``); the number of
+    separators :func:`_project` moved (``projected``); per layer, the
+    largest |Y1| over the train split of the rows its fiber stage reads,
+    as a fraction of ``CARTAN_BOUND`` (``cartan_fraction``, what the
+    bound's guards check); the smallest margin |w|^2 - alpha beta after
+    the epoch (``min_margin``); and, when the dataset has test rows,
+    ``test_loss`` and ``accuracy`` (none for regression), read as
+    :func:`evaluate` reads them.  A record runs the chain once, on the
+    train rows followed by the test rows, and reads the head once.  The
+    loop stops early, and restores the parameters from the start of the
+    failing epoch, when a step is not finite or its squares overflow, the
+    loss diverges, a stage input, of a train or a test row, leaves the
+    Cartan bound, or a separator is evaluated outside admissibility.
+    Every step ends in :func:`_project`, so only an inadmissible ``init``
+    reaches the last case.  A dataset the network cannot read, or without
+    training rows, is refused (:func:`check_dataset`) before the first
+    step."""
     check_dataset(config, dataset)
     train = dataset.subset("train")
     test = dataset.subset("test")
@@ -356,30 +347,31 @@ def train_loop(tc: TrainConfig, config: net.NetworkConfig, dataset: Dataset,
                 idx = order[start : start + tc.batch_size]
                 _gradient(config, params, train.features[idx], labels[idx],
                           grads)
-                if not np.isfinite(gradient).all():
-                    raise DivergenceError("non-finite gradient")
-                # the 2-norm as np.linalg.norm takes it
-                grad_norm = max(grad_norm,
-                                math.sqrt(gradient.dot(gradient)))
-                vector -= tc.learning_rate * gradient
+                with np.errstate(over="ignore", invalid="ignore"):
+                    # the 2-norm as np.linalg.norm takes it
+                    grad_norm = max(grad_norm,
+                                    math.sqrt(gradient.dot(gradient)))
+                    vector -= tc.learning_rate * gradient
+                    # a non-finite gradient or step, or a step to squares
+                    # that overflow, as |w|^2 in the margins would
+                    if not math.isfinite(vector.dot(vector)):
+                        raise DivergenceError("non-finite step")
                 projected += _project(params.head)
-            cartan_fraction = []
+            starts = []
             for stage in net.stages(config, params, scored):
-                t = stage.rotated[0][:n]
-                # max |Y1| = max |log T|, from the extremes of T
-                cartan_fraction.append(float(max(
-                    np.log(np.maximum.reduce(t[:, 0])),
-                    -np.log(np.minimum.reduce(t[:, 0])))) / CARTAN_BOUND)
-            rows = stage.rotated[0]
-            train_loss = float(_head_loss(config, params, rows[:n],
+                starts.append(stage.rows[:n, 0])
+            u = _head(params, stage)[0]
+            # max |Y1| = max |log T| of each stage's input, from the
+            # extremes of T, read once every bound is checked
+            cartan_fraction = [float(max(
+                np.log(np.maximum.reduce(t)), -np.log(np.minimum.reduce(t))))
+                / CARTAN_BOUND for t in starts]
+            train_loss = float(_head_loss(config, u[:n],
                                           train.labels)[0].real)
             if not np.isfinite(train_loss) or train_loss > DIVERGENCE_LIMIT:
                 raise DivergenceError(f"loss diverged at epoch {epoch}")
             if len(test):
-                # the coordinates forward_batch would give, in place
-                scores = _scores_at(config, params,
-                                    spaces._from_t_chart(rows[n:]),
-                                    test.labels)
+                value, accuracy = _head_loss(config, u[n:], test.labels)
         except (DivergenceError, CartanBoundError,
                 classify.DegenerateSeparatorError):
             vector[:] = last_good
@@ -389,7 +381,7 @@ def train_loop(tc: TrainConfig, config: net.NetworkConfig, dataset: Dataset,
                   "cartan_fraction": cartan_fraction,
                   "min_margin": float(np.min(_margins(params.head)))}
         if len(test):
-            record["test_loss"], accuracy = scores
+            record["test_loss"] = float(value.real)
             if accuracy is not None:
                 record["accuracy"] = accuracy
         history.append(record)
@@ -418,9 +410,13 @@ def gen_synthetic(kind: str, n: int, dim: int, seed: int = 0,
                   classes: int = 2, spread: float = 0.6) -> Dataset:
     """Seeded synthetic classification data with balanced classes and a
     deterministic 80/20 train/test split.  ``"arcs"`` makes two classes
-    and takes no other ``classes``."""
+    and takes no other ``classes``.  ``spread``, the standard deviation of
+    a blob around its mean, must be finite and >= 0, and a spread whose
+    blob features overflow to infinity is refused too (ValueError)."""
     if n < 2 or dim < 2:
         raise ValueError("need n >= 2 and dim >= 2")
+    if not 0.0 <= spread < np.inf:
+        raise ValueError(f"need a finite spread >= 0, got {spread!r}")
     if classes < 2 or (kind == "arcs" and classes != 2):
         raise ValueError(
             f"need classes >= 2, exactly 2 for arcs; got {classes}")
@@ -431,10 +427,13 @@ def gen_synthetic(kind: str, n: int, dim: int, seed: int = 0,
         counts = [n // classes + (1 if k < n % classes else 0)
                   for k in range(classes)]
         feats, labels = [], []
-        for k, ck in enumerate(counts):
-            feats.append(means[k] + spread * rng.normal(size=(ck, dim)))
-            labels.append(np.full(ck, k, dtype=int))
+        with np.errstate(over="ignore"):
+            for k, ck in enumerate(counts):
+                feats.append(means[k] + spread * rng.normal(size=(ck, dim)))
+                labels.append(np.full(ck, k, dtype=int))
         X = np.concatenate(feats)
+        if not np.isfinite(X).all():
+            raise ValueError(f"spread {spread!r} overflows the features")
         y = np.concatenate(labels)
     elif kind == "arcs":
         half = n // 2

@@ -145,11 +145,12 @@ def sigma_inv_peel(space: SpaceId, L) -> np.ndarray:
 
 def replay_train_loop(tc: train.TrainConfig, config, dataset):
     """``train.train_loop`` step by step from public pieces: the public
-    ``train.gradient``, the pure step v - lr g and ``train._project`` on
-    the new vector.  ``projected`` counts the separators whose alpha,
-    beta or w the projection changed, and ``train_loss`` and
-    ``cartan_fraction`` come from ``loss_flat`` and a pass of
-    ``net.stages`` of their own.  Returns (params, history)."""
+    ``train.gradient``, the pure step v - lr g, refused unless its 2-norm
+    is finite, and ``train._project`` on the new vector.  ``projected``
+    counts the separators whose alpha, beta or w the projection changed,
+    ``train_loss`` comes from ``train._scores`` at the train split alone
+    and ``cartan_fraction`` from the rows each fiber stage reads in a pass
+    of ``net.stages`` of its own.  Returns (params, history)."""
     tr, test = dataset.subset("train"), dataset.subset("test")
     v = net.flatten(config, net.init_params(config, seed=tc.seed)).vector
     layout = net.layout_for(config)
@@ -165,7 +166,10 @@ def replay_train_loop(tc: train.TrainConfig, config, dataset):
                 g = train.gradient(config, net.FlatParams(v, layout),
                                    tr.features[idx], tr.labels[idx])
                 grad_norm = max(grad_norm, float(np.linalg.norm(g)))
-                stepped = v - tc.learning_rate * g
+                with np.errstate(over="ignore"):
+                    stepped = v - tc.learning_rate * g
+                    if not np.isfinite(np.linalg.norm(stepped)):
+                        raise train.DivergenceError("non-finite step")
                 v = stepped.copy()
                 train._project(net.unflatten(config, v).head)
                 old, new = (net.unflatten(config, u).head
@@ -175,12 +179,12 @@ def replay_train_loop(tc: train.TrainConfig, config, dataset):
                             for key in ("alpha", "beta", "w"))
                     for k in range(config.n_separators))
             params = net.unflatten(config, v)
+            train_loss = train._scores(config, params, tr.features,
+                                       tr.labels)[0]
             fractions = [
-                float(np.max(np.abs(np.log(stage.rotated[0][:, 0]))))
+                float(np.max(np.abs(np.log(stage.rows[:, 0]))))
                 / spaces.CARTAN_BOUND
                 for stage in net.stages(config, params, tr.features)]
-            train_loss = float(np.real(
-                train.loss_flat(config, v, tr.features, tr.labels)))
             if not train_loss <= train.DIVERGENCE_LIMIT:
                 raise train.DivergenceError(f"loss diverged at {epoch}")
         except (train.DivergenceError, spaces.CartanBoundError,

@@ -2,7 +2,8 @@
 reads every margin once from the head's views and reports how many
 separators it moved, the scores of a split come from one run of the
 separator head, and an epoch record takes the train and the test rows
-through the chain in one pass, inside the loop's guard."""
+through the chain in one pass, inside the loop's guard, and reads the
+head turned by the last layer's rotation, as ``evaluate`` does."""
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cartannet import classify, net, spaces, train
+from cartannet import classify, isometry, net, spaces, train
 
 PROPERTY = settings(max_examples=40)
 SLACK = train._ADMISSIBLE_SLACK
@@ -178,3 +179,63 @@ class TestOneRecordPass:
         assert history == []
         assert (net.flatten(config, params).vector.tobytes()
                 == start.vector.tobytes())
+
+
+class TestOneScoringRoute:
+    """The epoch record and ``evaluate`` read the head as the gradient
+    does: turned by the last layer's rotation, at that layer's unrotated
+    rows."""
+
+    @staticmethod
+    def chain_config(*layers):
+        return net.NetworkConfig(
+            input_dim=4,
+            layers=tuple(net.LayerSpec(spaces.hyperbolic(n)) for n in layers),
+            task="multiclass", K=4)
+
+    def test_the_record_is_evaluate_bit_for_bit(self, tmp_path):
+        # the train-blobs4 run: 400 rows through the CSV round trip, 80 of
+        # them test rows, H5 -> H3 with K = 4
+        path = tmp_path / "blobs4.csv"
+        train.save_csv(path, train.gen_synthetic("blobs", n=400, dim=4,
+                                                 seed=0, classes=4))
+        ds = train.load_csv(path)
+        config = self.chain_config(5, 3)
+        tc = train.TrainConfig(learning_rate=0.003, epochs=2, batch_size=32)
+        params, history = train.train_loop(tc, config, ds)
+        assert len(history) == 2
+        got = train.evaluate(config, params, ds)
+        assert got["n"] == 80
+        assert got["accuracy"] == history[-1]["accuracy"]
+        assert got["nll"] == history[-1]["test_loss"] / 80
+
+    @pytest.mark.parametrize("lr", [0.003, 0.3, 3.0])
+    def test_cartan_fractions_are_within_the_bound(self, lr):
+        # each completed record read its fractions at rows the bound's
+        # guards accepted; lr 3 stops in the second epoch
+        ds = train.gen_synthetic("blobs", n=80, dim=4, seed=2, classes=4)
+        config = self.chain_config(5, 3)
+        tc = train.TrainConfig(learning_rate=lr, epochs=3, batch_size=16)
+        _, history = train.train_loop(tc, config, ds)
+        assert history
+        for record in history:
+            assert len(record["cartan_fraction"]) == len(config.layers)
+            assert all(0.0 <= f <= 1.0 for f in record["cartan_fraction"])
+
+    def test_the_last_layer_is_never_rotated(self, monkeypatch):
+        ds = train.gen_synthetic("blobs", n=80, dim=4, seed=0, classes=4)
+        config = self.chain_config(9, 5, 3)
+        rotated = []
+        original = isometry._fiber_forward
+        monkeypatch.setattr(isometry, "_fiber_forward",
+                            lambda *a: rotated.append(a[0]) or original(*a))
+        tc = train.TrainConfig(learning_rate=0.01, epochs=1, batch_size=16)
+        params, history = train.train_loop(tc, config, ds)
+        assert len(history) == 1
+        steps = -(-len(ds.subset("train")) // tc.batch_size)
+        inner = [layer.space for layer in config.layers[:-1]]
+        # a gradient per step, then the record's one pass
+        assert rotated == inner * (steps + 1)
+        rotated.clear()
+        train.evaluate(config, params, ds)
+        assert rotated == inner

@@ -38,14 +38,14 @@ def loss(config, params, features, labels):
                            features, labels)
 
 
-def layer_points(params, x):
-    """Per-point oracle of the H5 -> H3 chain: each layer's output for one
-    input, by the coordinate maps ``fiber_rotate`` and ``r1_homomorphism``
-    one point at a time."""
-    p = SolvCoords(H5, isometry.fiber_rotate(H5, params.Q @ x, params.lam))
+def layer_inputs(params, x):
+    """Per-point oracle of the H5 -> H3 chain: the point each layer's
+    fiber stage reads for one input, by the coordinate maps
+    ``fiber_rotate`` and ``r1_homomorphism`` one point at a time."""
+    p = SolvCoords(H5, params.Q @ x)
     yield p
-    p = homo.r1_homomorphism(params.Ws[0], params.bs[0], p, H3)
-    yield SolvCoords(H3, isometry.fiber_rotate(H3, p.values, params.psis[0]))
+    p = SolvCoords(H5, isometry.fiber_rotate(H5, p.values, params.lam))
+    yield homo.r1_homomorphism(params.Ws[0], params.bs[0], p, H3)
 
 
 class TestDataset:
@@ -189,6 +189,18 @@ class TestTrainLoop:
         assert np.array_equal(net.flatten(cfg, p1).vector,
                               net.flatten(cfg, p2).vector)
 
+    def test_refuses_rows_of_another_width(self):
+        # checked with the labels, before the first step
+        cfg = small_config("binary")
+        wide = train.gen_synthetic("blobs", n=20, dim=3, seed=0)
+        for width in (1, 3):
+            ds = train.Dataset(wide.features[:, :width], wide.labels,
+                               wide.split)
+            with pytest.raises(ValueError, match="2 features per row"):
+                train.train_loop(train.TrainConfig(epochs=1), cfg, ds)
+            with pytest.raises(ValueError, match="2 features per row"):
+                train.check_data(cfg, ds)
+
     def test_history_records(self):
         ds = self.blob_dataset()
         cfg = small_config("binary")
@@ -214,9 +226,9 @@ class TestTrainLoop:
         assert rec["min_margin"] > 0 and rec["grad_norm"] > 0
 
     def test_history_cartan_fraction(self, monkeypatch):
-        # per layer, the largest |Y1| of its output over the train split
-        # as a fraction of CARTAN_BOUND, read off the forward pass that
-        # gives train_loss: every layer recomputed point by point
+        # per layer, the largest |Y1| of its fiber stage's input over the
+        # train split as a fraction of CARTAN_BOUND, read off the forward
+        # pass that gives train_loss: every layer recomputed point by point
         ds = train.gen_synthetic("blobs", n=60, dim=4, seed=2, classes=3)
         cfg = net.NetworkConfig(input_dim=4,
                                 layers=(net.LayerSpec(H5), net.LayerSpec(H3)),
@@ -234,14 +246,13 @@ class TestTrainLoop:
         monkeypatch.undo()
         tr = ds.subset("train")
         batches = -(-len(tr) // tc.batch_size)
-        # a gradient per batch, which rotates every layer but the last,
-        # then the train and the test split, stacked, once through every
-        # layer
-        assert len(stages) == (batches * (len(cfg.layers) - 1)
-                               + len(cfg.layers))
+        # a gradient per batch, and then the record's pass of the train
+        # and the test split, stacked: each rotates every layer but the
+        # last, whose head it turns instead
+        assert len(stages) == (batches + 1) * (len(cfg.layers) - 1)
         peaks = np.zeros(len(cfg.layers))
         for x in tr.features:
-            for i, p in enumerate(layer_points(params, x)):
+            for i, p in enumerate(layer_inputs(params, x)):
                 peaks[i] = max(peaks[i], abs(p.values[0]))
         assert np.allclose(rec["cartan_fraction"],
                            peaks / spaces.CARTAN_BOUND, rtol=1e-12, atol=0)
@@ -275,14 +286,17 @@ class TestTrainLoop:
     @pytest.mark.parametrize("lr, data_seed, epochs_run, task, split", [
         pytest.param(0.3, 0, 3, "multiclass", "both", id="0.3-0-3"),
         pytest.param(1000.0, 0, 0, "multiclass", "both", id="1000.0-0-0"),
+        pytest.param(1e300, 0, 0, "multiclass", "both", id="1e300-0-0"),
         pytest.param(3.0, 2, 1, "multiclass", "both", id="3.0-2-1"),
         pytest.param(0.01, 0, 3, "regression", "both", id="regression"),
         pytest.param(0.3, 0, 3, "multiclass", "train", id="no-test-rows")])
     def test_matches_the_replay_bit_for_bit(self, lr, data_seed, epochs_run,
                                             task, split):
         # lr 0.3 projects separators; lr 1000 fails in the first epoch and
-        # lr 3 in the second, each restoring the start of its epoch; a
-        # regression net, and a dataset whose rows are all train rows
+        # lr 3 in the second, each restoring the start of its epoch; lr
+        # 1e300 steps to a finite vector whose squares overflow, and stops
+        # at its first step; a regression net, and a dataset whose rows
+        # are all train rows
         ds = train.gen_synthetic("blobs", n=80, dim=4, seed=data_seed,
                                  classes=4)
         if task == "regression":
@@ -300,6 +314,9 @@ class TestTrainLoop:
         assert history == want
         assert (net.flatten(cfg, params).vector.tobytes()
                 == net.flatten(cfg, want_params).vector.tobytes())
+        if not epochs_run:
+            assert (net.flatten(cfg, params).vector.tobytes()
+                    == net.flatten(cfg, net.init_params(cfg)).vector.tobytes())
         if lr == 0.3:
             assert sum(r["projected"] for r in history) >= 1
         assert all(("test_loss" in r) == (split == "both") for r in history)
@@ -432,6 +449,16 @@ class TestSynthetic:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             train.gen_synthetic("spirals", n=10, dim=2)
+
+    @pytest.mark.parametrize("spread", [-1.0, -1e-300, np.nan, np.inf, 1e308])
+    def test_refuses_a_negative_or_overflowing_spread(self, spread):
+        # 1e308 times a normal draw overflows: refused, with no warning
+        with pytest.raises(ValueError, match="spread"):
+            train.gen_synthetic("blobs", n=20, dim=2, spread=spread)
+
+    def test_zero_spread_is_the_means(self):
+        ds = train.gen_synthetic("blobs", n=20, dim=2, seed=1, spread=0.0)
+        assert len(np.unique(ds.features, axis=0)) == 2
 
     def test_blobs_separated_means(self):
         ds = train.gen_synthetic("blobs", n=200, dim=2, seed=4, classes=2)
