@@ -13,20 +13,21 @@ regression network's output is the d of its one separator.
 
 The head kernel reads the points in the chart (T, Y2), T = e^{-Y1}, the
 stage chain of ``net`` hands it, as their lift Phi = (T, Y2, up),
-up = (1 + |Y2|^2 / 4) / T, and each separator as its covector
-C = (alpha, w, beta) on it: h = C Phi needs no exp, and the K separators,
-stacked as the rows of C (K, d+1), give h at B points as one matrix
-product (K, d+1) @ (d+1, B).  Its pullback is g_C = g_h Phi^T and
-g_Phi = C^T g_h.  A map that acts linearly on v acts linearly on Phi, so
-a layer's fiber rotation turns the covectors instead of the points
-(``isometry._turn_head``).  The norms 2 sqrt(|w|^2 - alpha beta) and the
-admissibility check read the margins apart from h (:func:`_norms`), so
-training can take h from the turned head while the norms stay the head's
-own.  A head {alpha (K,), beta (K,), w (K, s)}, a bank's or a network's,
-has one reader, :func:`_read_head`, which gives its covectors and margins:
-a :class:`SeparatorBank` reads its head once, training reads the
-network's at each call, and both enter the kernel (:func:`_scaled_h`)
-with covectors and norms.  The public functions take coordinates
+up = (1 + |Y2|^2 / 4) / T (``spaces._lift``, the lift the fiber stage
+reads too), and each separator as its covector C = (alpha, w, beta) on
+it: h = C Phi needs no exp, and the K separators, stacked as the rows of
+C (K, d+1), give h at B points as one matrix product (K, d+1) @ (d+1, B).
+Its pullback is g_C = g_h Phi^T and g_Phi = C^T g_h.  A layer's fiber
+rotation is one matrix A on Phi (``isometry._rotation``), so it turns the
+covectors to C A instead of moving the points (``isometry._turn_head``).
+The norms 2 sqrt(|w|^2 - alpha beta) and the admissibility check read
+the margins apart from h (:func:`_norms`), so training can take h from
+the turned head while the norms stay the head's own.  A head
+{alpha (K,), beta (K,), w (K, s)}, a bank's or a network's, has one
+reader, :func:`_read_head`, which gives its covectors and margins: a
+:class:`SeparatorBank` reads its head once, training reads the network's
+at each call, and both enter the kernel (:func:`_scaled_h`) with
+covectors and norms.  The public functions take coordinates
 and build the lift from them with one copy, T = e^{-Y1} taken in place
 (:func:`_bank_head`).  The kernels compute on columns: Phi is (d+1, B), h
 and u are (K, B), one row per separator, and the class scores,
@@ -148,25 +149,6 @@ def _head_of(coefs):
     return {"alpha": coefs[:, 0], "beta": coefs[:, -1], "w": coefs[:, 1:-1]}
 
 
-def _stack(rows):
-    """Columns (d+1, ...), of at least float type, that hold rows (..., d)
-    in their first d rows, copied once with the transpose; the last row is
-    left for :func:`_lift`."""
-    rows = np.asarray(rows)
-    phi = np.empty((rows.shape[-1] + 1,) + rows.shape[-2::-1],
-                   np.result_type(rows, float))
-    phi[:-1] = rows.T
-    return phi
-
-
-def _lift(phi):
-    """Completes, in place, the lift Phi = (T, Y2, up) (d+1, ...) of
-    columns whose first d rows hold (T, Y2) (:func:`_stack`):
-    up = (1 + |Y2|^2 / 4) / T goes in the last row, so that h = C Phi."""
-    phi[-1] = (1.0 + 0.25 * spaces._sum_squares(phi[1:-1])) / phi[0]
-    return phi
-
-
 def _norms(margins):
     """The norms 2 sqrt(margins) (K,) of K separators' margins
     |w|^2 - alpha beta.  Raises :class:`DegenerateSeparatorError` unless
@@ -182,20 +164,20 @@ def _bank_head(bank: SeparatorBank, p):
     covectors and margins it holds.  The lift is built from the
     coordinate rows with one copy, T = e^{-Y1} taken in its row in place
     (``spaces._to_t_columns``)."""
-    phi = spaces._to_t_columns(_stack(
+    phi = spaces._to_t_columns(spaces._lift_stack(
         p.values if isinstance(p, spaces.SolvCoords) else p))
-    return _covector_h(bank.coefs, _norms(bank.margins), _lift(phi))
+    return _covector_h(bank.coefs, _norms(bank.margins), spaces._lift(phi))
 
 
 def _scaled_h(coefs, norm, t):
     """u = h / norm (..., K) for h = C Phi of the separators whose
     covectors are the rows of ``coefs`` C (K, d+1), at the lift Phi
-    (:func:`_lift`) of rows t (..., d) of the chart (T, Y2), over the norms
-    (K,) of :func:`_norms`: a head's own, or, for the head turned by a
-    layer's rotation (``isometry._turn_head``), those of the head before
+    (``spaces._lift``) of rows t (..., d) of the chart (T, Y2), over the
+    norms (K,) of :func:`_norms`: a head's own, or, for the head turned by
+    a layer's rotation (``isometry._turn_head``), those of the head before
     the turn.  Also returns what :func:`_scaled_h_vjp` reuses:
     (C, Phi, norm)."""
-    return _covector_h(coefs, norm, _lift(_stack(t)))
+    return _covector_h(coefs, norm, spaces._lift(spaces._lift_stack(t)))
 
 
 def _covector_h(coefs, norm, phi):
@@ -210,16 +192,12 @@ def _scaled_h_vjp(u, saved, g_d):
     d = arcsinh(u) that :func:`_scaled_h` computed at real rows t (B, d),
     with respect to t, to its covectors C (K, d+1) and to the margins
     |w|^2 - alpha beta (K,) its norms came from: g_C = g_h Phi^T, and t
-    gets g_Phi = C^T g_h through up = (1 + |Y2|^2 / 4) / T."""
+    gets g_Phi = C^T g_h through the lift (``spaces._lift_pullback``)."""
     coefs, phi, norm = saved
     u, g_d = u.T, g_d.T
     g_h = g_d / (norm[:, None] * np.sqrt(1.0 + u * u))
     g_n2 = -2.0 * np.add.reduce(g_h * u, axis=1) / norm
-    g_phi = coefs.T @ g_h
-    g_up = g_phi[-1] / phi[0]
-    g_t = g_phi[:-1]
-    g_t[0] -= g_up * phi[-1]
-    g_t[1:] += (0.5 * g_up) * phi[1:-1]
+    g_t = spaces._lift_pullback(phi, coefs.T @ g_h)
     return g_t.T, g_h @ phi.T, g_n2
 
 

@@ -304,16 +304,28 @@ def cmd_verify(args):
 # ---------------------------------------------------------------------------
 
 
+#: The most bytes a ``solve-homo`` config may ask for, as
+#: ``homo._solve_bytes`` estimates them from the algebras' dimensions and
+#: ``seeds``; a config beyond it exits 2 before anything is allocated.
+SOLVE_HOMO_BYTES = 2 ** 30
+
+
 def cmd_solve_homo(args):
     cfg = _load_config(args.config, ("source", "target", "seeds"))
-    try:
-        source = homo.mc_for_name(cfg["source"])
-        target = homo.mc_for_name(cfg["target"])
-    except (KeyError, ValueError) as exc:
-        raise SystemExit2(f"bad algebra spec: {exc}")
     seeds = cfg.get("seeds", 8)
     if _integer(seeds, "seeds") < 1:
         raise SystemExit2(f"seeds must be an integer >= 1, got {seeds!r}")
+    try:
+        need = homo._solve_bytes(cfg["source"], cfg["target"], seeds)
+    except (KeyError, ValueError) as exc:
+        raise SystemExit2(f"bad algebra spec: {exc}")
+    if need > SOLVE_HOMO_BYTES:
+        raise SystemExit2(
+            f"solving {cfg['source']} -> {cfg['target']} at {seeds} seeds "
+            f"needs about {need / 2**30:.3g} GiB, beyond the "
+            f"{SOLVE_HOMO_BYTES / 2**30:g} GiB budget")
+    source = homo.mc_for_name(cfg["source"])
+    target = homo.mc_for_name(cfg["target"])
     system = homo.build_constraints(source, target)
     sols = homo.solve_numeric(system, seeds=seeds, seed=args.seed)
     _write_json(args.out, {

@@ -807,6 +807,26 @@ def space_for_name(name: str) -> SpaceId:
     raise ValueError(f"unsupported algebra name: {name!r}")
 
 
+def _solve_bytes(source: str, target: str, seeds: int) -> int:
+    """An upper estimate of the bytes :func:`solve_numeric` asks for at
+    ``seeds`` rounds between the algebras named ``source`` and ``target``
+    (:func:`space_for_name`), from their dimensions alone, before either
+    is built: per algebra its structure tensor, d^3 doubles, and unless
+    r = 1 the commutators it is read from, 3 d^2 N^2; for the solve five
+    Jacobian stacks (S, m, n), the stack and the gathers of
+    :func:`_steps`, at S = 3 seeds starts (the most
+    :func:`_pattern_starts` adds per round is two),
+    m = d2 d1 (d1 - 1) / 2 and n = d2 d1."""
+    source, target = space_for_name(source), space_for_name(target)
+    d1, d2 = source.dim, target.dim
+    doubles = 15 * seeds * (d2 * d1 * (d1 - 1) // 2) * d2 * d1
+    for space in (source, target):
+        doubles += space.dim ** 3
+        if not space.is_r1:
+            doubles += 3 * space.dim ** 2 * space.N ** 2
+    return 8 * doubles
+
+
 def mc_for_name(name: str) -> MCStructure:
     """MC structure for a CLI algebra name."""
     return mc_structure(space_for_name(name))

@@ -14,20 +14,21 @@ oracle of the closed form.
 
 A fiber rotation of an r=1 space is one Givens rotation of v in the
 diagonal eta basis.  A layer's f fiber rotations are therefore one element
-G of SO(f+1), built from the angles alone and applied to a batch by one
-matrix product (:func:`fiber_rotate`).  Fixed angles fix G: the rotation
-plan (:func:`_rotation`) builds G and the partial rows its pullback reads
-once per angle vector, keyed by its contents, dtype and shape, and hands
-them out read-only, so a network evaluated on many batches with the same
-parameters builds each layer's rotation once, and angles rewritten in
-place, as a training step does, get their own.  The stage kernel runs in
-the chart (T, Y2), T = e^{-w1}, of the network's stage chain; the
-coordinate functions convert at their ends.  Like every batched r=1
-kernel it takes rows (..., d), computes on their contiguous columns
-(d, ...) and returns the transpose of a fresh column block.  The same
-plan turns a separator head instead of the batch (:func:`_turn_head`):
-the stage maps the lift (T, Y2, up) of the head kernel linearly, so it
-maps the separators' covectors linearly too.
+G of SO(f+1), built from the angles alone, and, since they act linearly
+on v, one matrix A on the lift Phi = (T, Y2, up), T = e^{-w1},
+up = (1 + |Y2|^2 / 4) / T (``spaces._lift``), of the chart of the
+network's stage chain.  The rotation plan (:func:`_rotation`) builds G, A
+and the partial rows the angle gradient reads once per angle vector,
+keyed by its contents, dtype and shape, and hands them out read-only.
+Every fiber computation reads A from it: the stage kernel
+:func:`_fiber_forward` takes a batch's lift to A Phi and reads T' back,
+and :func:`_turn_head` turns a separator head's covectors C to C A
+instead of rotating the batch; both pullbacks take dL/dA to the angles
+through one helper (:func:`_angle_gradient`).  :func:`fiber_rotate` is
+the stage kernel in coordinates, and :func:`_r1_action`, which forms v
+itself, its independent reference.  Like every batched r=1 kernel the
+stage takes rows (..., d), computes on their contiguous columns (d, ...)
+and returns the transpose of a fresh column block.
 """
 
 from __future__ import annotations
@@ -221,9 +222,10 @@ def fiber_rotate(space: SpaceId, values, angles) -> np.ndarray:
     the diagonal eta basis, scaled by sqrt2, its components are
     R = v_0 - v_{N-1} (invariant), P = v_0 + v_{N-1} and s, and angle j is
     the Givens rotation of (P, s_{1+j}); the kernel :func:`_fiber_forward`
-    applies all of them as one rotation matrix.  Only exp, log, cos and sin
-    are used: complex inputs and angles propagate analytically, which keeps
-    complex-step derivatives exact."""
+    applies all of them as one matrix on the lift of the rows.  Refuses
+    (ValueError) rows that are not ``space.dim`` wide.  Only exp, log, cos
+    and sin are used: complex inputs and angles propagate analytically,
+    which keeps complex-step derivatives exact."""
     return spaces._from_t_chart(_fiber_forward(
         space, spaces._to_t_chart(values), angles)[0])
 
@@ -267,38 +269,46 @@ def _givens_product(cos, sin):
 
 
 def _rotation(angles):
-    """(G, p) of :func:`_givens_product` at the cosines and sines of
-    ``angles`` (f,), an array, from the plan :func:`_rotation_plan`
-    keeps for their contents, dtype and shape: read-only, and built once
-    per angle vector."""
+    """The plan (G, p, A) of a layer's fiber ``angles`` (f,), an array:
+    G and p of :func:`_givens_product` at their cosines and sines, and
+    the stage matrix A (f+3, f+3) by which the rotation maps the lift
+    Phi = (T, s_0, ..., s_f, up) (``spaces._lift``) of a point to that
+    of its image.  Kept by :func:`_rotation_plan` for their contents,
+    dtype and shape: read-only, and built once per angle vector."""
     return _rotation_plan(angles.tobytes(), angles.dtype, angles.shape)
 
 
 @functools.lru_cache(maxsize=64)
 def _rotation_plan(data: bytes, dtype: np.dtype, shape: tuple):
-    """The rotation of the angle vector whose contents are ``data``, so
-    that equal angles reuse it and angles changed in place get their own;
-    the dtype keeps a complex vector apart from a real one of the same
-    bytes, so complex steps stay exact."""
+    """The plan of the angle vector whose contents are ``data``, so that
+    equal angles reuse it and angles changed in place get their own; the
+    dtype keeps a complex vector apart from a real one of the same bytes,
+    so complex steps stay exact.
+
+    With R = up + T and x = (P, s_1, ..., s_f), P = up - T, the rotation
+    keeps R and s_0 and maps x to G x = (P', s'_1, ..., s'_f), and
+    T' = (R - P') / 2, up' = (R + P') / 2; so A = A_0 + E_out G E_in for
+    the tables of :func:`_turn_tables`."""
     angles = np.frombuffer(data, dtype).reshape(shape)
     G, p = _givens_product(np.cos(angles), np.sin(angles))
-    spaces._read_only(G, p)
-    return G, p
+    E_in, E_out, A_0 = _turn_tables(len(p))
+    A = A_0 + E_out @ G @ E_in
+    spaces._read_only(G, p, A)
+    return G, p, A
 
 
 def _fiber_forward(space: SpaceId, t, angles):
     """The fiber stage of :func:`fiber_rotate` in the chart (T, Y2),
     T = e^{-w1}, of the stage chain: rows t (..., d) to rows (..., d).
 
-    With up = e^{w1} (1 + s.s/4) = (4 + s.s) / (4 T), R = up + T and
-    P = up - T, one matrix product applies G (:func:`_rotation`) to
-    the stack x = (P, s_1, ..., s_f).  T is read back as
-    (4 + s.s) / (2 (R + P)) where P > 0 and as (R - P) / 2 elsewhere
-    (R^2 - P^2 - s.s = 4), so neither form cancels.  Refuses
-    (CartanBoundError) an input with |w1| > CARTAN_BOUND.  Returns the
-    output and the tape its pullback :func:`_fiber_pullback` reads: None
-    without fibers, and else (G, the rows p_j of :func:`_givens_product`,
-    the input columns, up, x, the output columns, R + P, the mask P > 0)."""
+    One matrix product takes the lift Phi of the rows to A Phi, A of the
+    plan :func:`_rotation`, whose rows 1..d-1 are Y2'.  T' is read back as
+    (1 + |Y2'|^2 / 4) / up' where up' > T' and as row 0 of A Phi
+    elsewhere, so neither form cancels.  Refuses (ValueError) rows that
+    are not ``space.dim`` wide and (CartanBoundError) an input with
+    |w1| > CARTAN_BOUND.  Returns the output, a view of A Phi with T' in
+    row 0, and the tape its pullback :func:`_fiber_pullback` reads: None
+    without fibers, and else (the plan, Phi, A Phi, the mask up' > T')."""
     fibers = space.fiber_dim  # raises unless r = 1
     t = np.asarray(t)
     angles = np.asarray(angles)
@@ -307,107 +317,82 @@ def _fiber_forward(space: SpaceId, t, angles):
             f"expected {fibers} fiber angles for {space}, "
             f"got shape {angles.shape}"
         )
-    cols = spaces._columns(t)
-    cols = cols.reshape(len(cols), -1)
-    spaces._check_t_bound(cols[0].real)
+    if t.shape[-1:] != (space.dim,):
+        raise ValueError(f"expected rows of {space.dim} coordinates for "
+                         f"{space}, got shape {t.shape}")
+    spaces._check_t_bound(t[..., 0].real)
     if fibers == 0:
         return t, None
-    G, p = _rotation(angles)
-    T, s = cols[0], cols[1:]
-    up = (4.0 + spaces._sum_squares(s)) / (4.0 * T)
-    x = np.empty((fibers + 1, cols.shape[1]), np.result_type(T, G))
-    np.subtract(up, T, out=x[0])
-    x[1:] = s[1:]
-    out = np.empty(cols.shape, x.dtype)
-    np.matmul(G, x, out=out[1:])
-    P = out[1].copy()
-    out[1] = s[0]
-    R = up + T
-    upper = P.real > 0
-    RP = R + P
-    out[0] = (np.where(upper, 4.0 + spaces._sum_squares(out[1:]), R - P)
-              / np.where(upper, 2.0 * RP, 2.0))
-    return (out.reshape(t.T.shape).T,
-            (G, p, cols, up, x, out, RP, upper))
+    plan = _rotation(angles)
+    phi = spaces._lift(spaces._lift_stack(t).reshape(space.dim + 1, -1))
+    psi = plan[2] @ phi
+    up, mid = psi[-1], psi[1:-1]
+    upper = up.real > psi[0].real
+    psi[0] = np.where(upper, (1.0 + 0.25 * spaces._sum_squares(mid))
+                      / np.where(upper, up, 1.0), psi[0])
+    return psi[:-1].reshape(t.T.shape).T, (plan, phi, psi, upper)
 
 
 def _fiber_pullback(tape, grad):
     """Pullback of :func:`_fiber_forward` at real inputs: returns
     (grad @ d out/d t, grad @ d out/d angles) from its tape.
 
-    Backs through the read-back of T on the forward's branch, then through
-    the rotation: the input stack x gets g_x = G^T g for the output
-    stack's cotangent g, and with N = g_x x^T angle j gets
-    p_j (N - N^T) e_j, p_j the row 0 of G_{j-1} ... G_1.  Last it backs
-    through up, R and P to (T, s)."""
+    Backs through the read-back of T' on the forward's branch to the
+    cotangent g_psi of A Phi, then through the matrix: Phi gets A^T g_psi
+    and A gets g_psi Phi^T, which :func:`_angle_gradient` takes to the
+    angles; last through the lift (``spaces._lift_pullback``)."""
     grad = np.asarray(grad, dtype=float)
     if tape is None:
         return grad.copy(), np.zeros(0)
-    G, p, cols, up, x, out, RP, upper = tape
-    T, s = cols[0], cols[1:]
-    g_out = spaces._columns(grad).reshape(cols.shape)
+    plan, phi, psi, upper = tape
+    g_out = spaces._columns(grad).reshape(len(psi) - 1, -1)
     g_T = g_out[0]
-    # upper: T' = (4 + s'.s') / (2 (R + P')); else T' = (R - P') / 2
-    q = np.where(upper, g_T, 0.0) / np.where(upper, RP, 1.0)
-    g_R = np.where(upper, -q * out[0], 0.5 * g_T)
-    g_stack = np.empty(x.shape)
-    g_stack[0] = np.where(upper, g_R, -0.5 * g_T)
-    np.multiply(q, out[2:], out=g_stack[1:])
-    g_stack[1:] += g_out[2:]
-    g = np.empty(cols.shape)
-    np.matmul(G.T, g_stack, out=g[1:])  # row 1: x_0 = P's, then s_0's
-    g_angles = _angle_gradient(p, g[1:] @ x.T)
-    g_up = g_R + g[1]
-    g[0] = g_R - g[1] - g_up * up / T
-    g[1] = g_out[1] + q * s[0]
-    g[1:] += (0.5 * g_up / T) * s
-    return g.reshape(grad.T.shape).T, g_angles
+    # upper: T' = (1 + |Y2'|^2 / 4) / up'; else T' is row 0 of A Phi
+    q = np.where(upper, g_T, 0.0) / np.where(upper, psi[-1], 1.0)
+    g_psi = np.empty(psi.shape)
+    g_psi[0] = np.where(upper, 0.0, g_T)
+    np.multiply(0.5 * q, psi[1:-1], out=g_psi[1:-1])
+    g_psi[1:-1] += g_out[1:]
+    np.multiply(-q, psi[0], out=g_psi[-1])
+    g_t = spaces._lift_pullback(phi, plan[2].T @ g_psi)
+    return g_t.reshape(grad.T.shape).T, _angle_gradient(plan, g_psi @ phi.T)
 
 
-def _angle_gradient(p, N):
-    """Gradient of the angles of G = :func:`_givens_product` for a loss
-    with dL/dG = G N: angle j gets p_j (N - N^T) e_j, p_j the row 0 of
-    G_{j-1} ... G_1.  A stage that applies G to stacks x has
-    N = (G^T g) x^T for the cotangent g of G x."""
+def _angle_gradient(plan, g_A):
+    """Gradient of the angles of a plan (G, p, A) (:func:`_rotation`) for
+    a loss with dL/dA = g_A: A = A_0 + E_out G E_in gives
+    dL/dG = E_out^T g_A E_in^T, and with N = G^T dL/dG angle j gets
+    p_j (N - N^T) e_j, p_j the row 0 of G_{j-1} ... G_1."""
+    G, p, _ = plan
+    E_in, E_out, _ = _turn_tables(len(p))
+    N = G.T @ (E_out.T @ g_A @ E_in.T)
     return np.einsum("ji,ij->j", p, (N - N.T)[:, 1:])
 
 
 def _turn_head(coefs, angles):
-    """Separator covectors C (K, f+3) on the lift Phi = (T, s_0, s_1, ...,
-    s_f, up) of the head kernel (``classify._scaled_h``) turned by the
-    rotation G of a layer's f fiber ``angles``: the stage maps the lift of
-    its input rows to that of its output rows by one matrix, Phi' = A Phi,
-    so C A gives at a stage's input rows the h that C gives at its output
-    rows.
-
-    With R = up + T and x = (P, s_1, ..., s_f), P = up - T, the stage
-    keeps R and s_0 and maps x to G x = (P', s'_1, ..., s'_f), and
-    T' = (R - P') / 2, up' = (R + P') / 2; so A = A_0 + E_out G E_in for
-    the tables of :func:`_turn_tables`.  The turned margins equal the
-    head's but round at the size of (alpha + beta)^2 / 4, so they are read
-    from the head.  Returns C A and the tape of
+    """Separator covectors C (K, f+3) on the lift Phi of the head kernel
+    (``classify._scaled_h``) turned by a layer's f fiber ``angles``: the
+    stage maps the lift of its input rows to that of its output rows by
+    the plan's matrix A (:func:`_rotation`), so C A gives at a stage's
+    input rows the h that C gives at its output rows.  The turned margins
+    equal the head's but round at the size of (alpha + beta)^2 / 4, so
+    they are read from the head.  Returns C A and the tape of
     :func:`_turn_head_pullback`: C itself and None without fibers."""
     if not len(angles):
         return coefs, None
-    G, p = _rotation(angles)
-    tables = E_in, E_out, A_0 = _turn_tables(len(p))
-    A = A_0 + E_out @ G @ E_in
-    turned = coefs @ A
-    return turned, (p, A, turned, tables)
+    plan = _rotation(angles)
+    return coefs @ plan[2], (plan, coefs)
 
 
 def _turn_head_pullback(tape, g_turned):
     """Pullback of :func:`_turn_head` at real arguments: the gradients
     with respect to C and to the angles from ``g_turned``, that of C A.
-    C gets g_turned A^T.  Since A E_out = E_out G, the part of C A that G
-    moves is cf = (C A) E_out = (C E_out) G, with cotangent
-    g_cf = g_turned E_in^T, and the angles get :func:`_angle_gradient` of
-    N = cf^T g_cf."""
+    C gets g_turned A^T, and A gets C^T g_turned, which
+    :func:`_angle_gradient` takes to the angles."""
     if tape is None:
         return g_turned, np.zeros(0)
-    p, A, turned, (E_in, E_out, _) = tape
-    return g_turned @ A.T, _angle_gradient(
-        p, (turned @ E_out).T @ (g_turned @ E_in.T))
+    plan, coefs = tape
+    return g_turned @ plan[2].T, _angle_gradient(plan, coefs.T @ g_turned)
 
 
 @functools.cache

@@ -10,8 +10,8 @@ One chain, :func:`stages`, runs a batch layer by layer, in the chart
 (T, Y2) with T = e^{-Y1}, where both stages have closed forms: the
 homomorphism ``homo._homomorphism_forward`` is affine,
 (T, Y2) -> (T, W Y2 + (1 - T) b), and a layer's fiber rotations
-``isometry._fiber_forward`` act on its hyperboloid vector as one rotation
-matrix, built from the angles alone and applied to the batch by one
+``isometry._fiber_forward`` act on the lift (T, Y2, up) of its rows as
+one matrix, built from the angles alone and applied to the batch by one
 matrix product.  Each fiber stage checks the Cartan bound of its input.
 The chain rotates a layer's rows only when the next layer or the caller
 reads them: :func:`forward_batch` rotates the last layer's and returns
@@ -252,18 +252,28 @@ class Stage:
         return self._rotated
 
 
+def _check_width(config: NetworkConfig, X: np.ndarray):
+    """Refuses with ValueError rows X that are not ``config.input_dim``
+    features wide."""
+    if X.shape[1:] != (config.input_dim,):
+        raise ValueError(f"the network reads {config.input_dim} features "
+                         f"per row, not rows of shape {X.shape[1:]}")
+
+
 def stages(config: NetworkConfig, params: ParamSet, X: np.ndarray):
-    """Yield, per layer, its :class:`Stage` for a batch of inputs.  The
-    last layer's fiber stage runs only when its ``rotated`` is read.  The
-    chain lets go of each stage before the next layer's homomorphism
-    runs, so a caller that does too, as :func:`forward_batch` does, frees
-    the stage's input and tape there.  Complex inputs propagate
-    analytically, for complex step."""
+    """Yield, per layer, its :class:`Stage` for a batch of inputs (B, n)
+    or one input (n,), refused (:func:`_check_width`) unless
+    n = ``config.input_dim``.  The last layer's fiber stage runs only when
+    its ``rotated`` is read.  The chain lets go of each stage before the
+    next layer's homomorphism runs, so a caller that does too, as
+    :func:`forward_batch` does, frees the stage's input and tape there.
+    Complex inputs propagate analytically, for complex step."""
     X = np.asarray(X)
-    if not np.isfinite(X.real).all():
-        raise ValueError("non-finite network input")
     if X.ndim == 1:
         X = X[None, :]
+    _check_width(config, X)
+    if not np.isfinite(X.real).all():
+        raise ValueError("non-finite network input")
     rows = spaces._to_t_columns(params.Q @ X.T).T
     for i, layer in enumerate(config.layers):
         if i:
@@ -321,13 +331,25 @@ def save_model(path, config: NetworkConfig, params: ParamSet):
 
 def load_model(path):
     """Read a model JSON document; returns (config, params).  Refuses
-    (ValueError) another format version, a layout that does not match the
-    config and parameters that are not finite (JSON NaN or Infinity)."""
+    (ValueError) a document of the wrong structure (a top level or
+    ``config`` that is not an object, ``layers``, ``layout`` or
+    ``flat_params`` that are not lists), another format version, a layout
+    that does not match the config and parameters that are not finite
+    (JSON NaN or Infinity)."""
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("a model document is a JSON object")
     if doc.get("format_version") != FORMAT_VERSION:
         raise ValueError("unsupported model format version")
-    config = _config_from_doc(doc["config"])
+    config_doc = doc.get("config")
+    if not (isinstance(config_doc, dict) and all(
+            isinstance(value, list) for value in (
+                config_doc.get("layers"), doc.get("layout"),
+                doc.get("flat_params")))):
+        raise ValueError("a model document needs a config object with a "
+                         "layers list, and layout and flat_params lists")
+    config = _config_from_doc(config_doc)
     layout = tuple((name, tuple(shape)) for name, shape in doc["layout"])
     if layout != layout_for(config):
         raise ValueError("model layout inconsistent with its config")

@@ -423,6 +423,39 @@ def _cotangent_from_t_chart(t, g) -> np.ndarray:
     return g
 
 
+def _lift_stack(rows) -> np.ndarray:
+    """Columns (d+1, ...), of at least float type, that hold rows (..., d)
+    in their first d rows, copied once with the transpose; the last row is
+    left for :func:`_lift`."""
+    rows = np.asarray(rows)
+    phi = np.empty((rows.shape[-1] + 1,) + rows.shape[-2::-1],
+                   np.result_type(rows, float))
+    phi[:-1] = rows.T
+    return phi
+
+
+def _lift(phi) -> np.ndarray:
+    """Completes, in place, the lift Phi = (T, Y2, up) (d+1, ...) of r=1
+    columns whose first d rows hold the chart (T, Y2)
+    (:func:`_lift_stack`): up = (1 + |Y2|^2 / 4) / T goes in the last
+    row.  On the lift a separator is a covector and a fiber rotation one
+    matrix."""
+    phi[-1] = (1.0 + 0.25 * _sum_squares(phi[1:-1])) / phi[0]
+    return phi
+
+
+def _lift_pullback(phi, g_phi) -> np.ndarray:
+    """The cotangent (d, ...) of the chart (T, Y2) for a cotangent g_phi
+    (d+1, ...) of its lift Phi (:func:`_lift`), written into the first d
+    rows of g_phi: up = (1 + |Y2|^2 / 4) / T adds -g_up up / T to g_T and
+    g_up Y2 / (2 T) to g_Y2."""
+    g_up = g_phi[-1] / phi[0]
+    g_t = g_phi[:-1]
+    g_t[0] -= g_up * phi[-1]
+    g_t[1:] += (0.5 * g_up) * phi[1:-1]
+    return g_t
+
+
 def exp_factors(space: SpaceId, values) -> np.ndarray:
     """Exponents a of the chart as an ordered product of one-parameter
     subgroups: sigma(x) = prod_k expm(a_k T_k) over

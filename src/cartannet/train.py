@@ -132,10 +132,7 @@ def check_data(config: net.NetworkConfig, dataset: Dataset):
     """Refuses with ValueError a dataset the network cannot read: rows
     that are not ``config.input_dim`` features wide, or labels the head
     cannot read (:func:`check_labels`)."""
-    if dataset.features.shape[1:] != (config.input_dim,):
-        raise ValueError(f"the network reads {config.input_dim} features "
-                         f"per row, not rows of shape "
-                         f"{dataset.features.shape[1:]}")
+    net._check_width(config, dataset.features)
     check_labels(config, dataset.labels)
 
 

@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from cartannet import cli, net, train
+from cartannet import cli, homo, net, train
 from cartannet.spaces import hyperbolic
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -35,6 +35,26 @@ def eval_case(tmp_path, input_dim, dim):
     return {"model": str(model), "dataset": blobs(tmp_path / "data.csv", dim)}
 
 
+def bad_model_case(tmp_path, edit):
+    """An eval config whose model document ``edit`` turned from a saved
+    model's into one of the wrong structure."""
+    case = eval_case(tmp_path, input_dim=4, dim=4)
+    with open(case["model"]) as fh:
+        doc = edit(json.load(fh))
+    with open(case["model"], "w") as fh:
+        json.dump(doc, fh)
+    return case
+
+
+def with_entry(doc, key, value, inside=None):
+    (doc[inside] if inside else doc)[key] = value
+    return doc
+
+
+def solve_case(source, target, seeds):
+    return {"source": source, "target": target, "seeds": seeds}
+
+
 def gen_case(spread):
     return {"kind": "blobs", "n": 20, "dim": 3, "spread": spread}
 
@@ -49,15 +69,43 @@ CASES = {
     # the model it started from
     "train-lr-1e300": ("train", 0, lambda p: train_case(
         p, input_dim=4, dim=4, learning_rate=1e300)),
+    # model documents of the wrong structure
+    "eval-model-list": ("eval", 2, lambda p: bad_model_case(
+        p, lambda doc: [])),
+    "eval-config-list": ("eval", 2, lambda p: bad_model_case(
+        p, lambda doc: with_entry(doc, "config", []))),
+    "eval-layout-number": ("eval", 2, lambda p: bad_model_case(
+        p, lambda doc: with_entry(doc, "layout", 5))),
+    "eval-layers-number": ("eval", 2, lambda p: bad_model_case(
+        p, lambda doc: with_entry(doc, "layers", 7, inside="config"))),
+    "eval-flat-params-object": ("eval", 2, lambda p: bad_model_case(
+        p, lambda doc: with_entry(doc, "flat_params", {}))),
+    # solves beyond the byte budget: an r1(1000) structure tensor alone is
+    # about 8 GB, one r1(60) -> r1(60) Jacobian about 3.6 GB, and the
+    # Jacobian stack of a million rounds of the README's system (three
+    # starts each) about 17 GB
+    "solve-homo-large-algebra": ("solve-homo", 2, lambda p: solve_case(
+        "r1(1)", "r1(1000)", 1)),
+    "solve-homo-large-jacobian": ("solve-homo", 2, lambda p: solve_case(
+        "r1(60)", "r1(60)", 1)),
+    "solve-homo-many-seeds": ("solve-homo", 2, lambda p: solve_case(
+        "r1(1)", "borel_sl(4)", 10 ** 6)),
     "gen-data-negative-spread": ("gen-data", 2, lambda p: gen_case(-1)),
     "gen-data-overflowing-spread": ("gen-data", 2,
                                     lambda p: gen_case(1e308)),
 }
 
 
+def refuse_to_allocate(*args, **kwargs):
+    raise AssertionError("a solve beyond the budget reached the solver")
+
+
 @pytest.mark.parametrize("name", list(CASES))
-def test_exit_code_and_outputs(tmp_path, capsys, name):
+def test_exit_code_and_outputs(tmp_path, capsys, monkeypatch, name):
     command, code, make = CASES[name]
+    if command == "solve-homo":  # a refusal that fails must not allocate
+        for stage in ("mc_for_name", "solve_numeric"):
+            monkeypatch.setattr(homo, stage, refuse_to_allocate)
     config = tmp_path / "config.json"
     config.write_text(json.dumps(make(tmp_path)))
     out = tmp_path / "out.json"

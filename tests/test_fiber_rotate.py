@@ -371,6 +371,18 @@ class TestInputChecks:
         with pytest.raises(ValueError):
             isometry.fiber_rotate(spaces.SpaceId.sl(3), np.zeros(5), [])
 
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("width", [-1, 1])
+    @pytest.mark.parametrize("rows", [(2,), ()])
+    def test_row_width(self, n, width, rows):
+        # rows one coordinate short of H^n or one too wide, a batch or one
+        # point
+        space = spaces.hyperbolic(n)
+        values = np.zeros(rows + (n + width,))
+        with pytest.raises(ValueError, match=f"rows of {n} coordinates"):
+            isometry.fiber_rotate(space, values,
+                                  np.zeros(space.fiber_dim))
+
 
 def relative_error(got, want):
     return np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300)

@@ -230,6 +230,29 @@ class TestSolveNumeric:
     @pytest.mark.parametrize("names, seeds", [
         (("r1(1)", "borel_sl(4)"), 8),
         (("borel_sl(4)", "r1(1)"), 8),
+        (("r1(2)", "r1(4)"), 4),
+        (("borel_sl(3)", "borel_sl(3)"), 3),
+    ])
+    def test_solve_bytes_bounds_the_peak(self, names, seeds):
+        # the estimate solve-homo's budget reads is above what building
+        # the algebras and solving allocate, once the process has paid
+        # its one-time costs (numpy's lazy imports, about 2 MB)
+        def solve():
+            homo.solve_numeric(homo.build_constraints(
+                *map(homo.mc_for_name, names)), seeds=seeds, seed=0)
+
+        solve()
+        tracemalloc.start()
+        try:
+            solve()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= homo._solve_bytes(*names, seeds)
+
+    @pytest.mark.parametrize("names, seeds", [
+        (("r1(1)", "borel_sl(4)"), 8),
+        (("borel_sl(4)", "r1(1)"), 8),
         (("r1(2)", "r1(2)"), 3),
         (("borel_sl(3)", "borel_sl(3)"), 3),
     ])

@@ -318,7 +318,7 @@ class TestStageChain:
             live.append(sum(ref() is not None for ref in tapes))
             out = original(space, values, angles)
             calls.append(space)
-            if out[1] is not None:  # up, an array only the tape holds
+            if out[1] is not None:  # the mask, an array only the tape holds
                 tapes.append(weakref.ref(out[1][3]))
             return out
 

@@ -30,7 +30,7 @@ def network(seed=0):
 
 class TestRotationPlan:
     def test_read_only(self):
-        G, p = isometry._rotation(np.array([0.3, -1.2, 2.0]))
+        G, p, _ = isometry._rotation(np.array([0.3, -1.2, 2.0]))
         for array in (G, p):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
@@ -50,7 +50,7 @@ class TestRotationPlan:
         z = real.view(complex_type)
         assert z.tobytes() == real.tobytes()
         for angles in (real, z, real):
-            G, p = isometry._rotation(angles)
+            G, p, _ = isometry._rotation(angles)
             want = direct(angles)
             assert G.dtype == want[0].dtype
             assert np.array_equal(G, want[0]) and np.array_equal(p, want[1])

@@ -201,6 +201,25 @@ class TestTrainLoop:
             with pytest.raises(ValueError, match="2 features per row"):
                 train.check_data(cfg, ds)
 
+    @pytest.mark.parametrize("width", [1, 3])
+    @pytest.mark.parametrize("entry", ["stages", "forward_batch", "gradient",
+                                       "loss_flat"])
+    def test_batch_entry_points_refuse_another_width(self, entry, width):
+        # where a batch enters, with check_data's wording
+        cfg = small_config("binary")
+        params = net.init_params(cfg)
+        flat = net.flatten(cfg, params)
+        X, y = np.zeros((4, width)), np.zeros(4, dtype=int)
+        call = {
+            "stages": lambda: list(net.stages(cfg, params, X)),
+            "forward_batch": lambda: net.forward_batch(cfg, params, X),
+            "gradient": lambda: train.gradient(cfg, flat, X, y),
+            "loss_flat": lambda: train.loss_flat(cfg, flat.vector, X, y),
+        }[entry]
+        with pytest.raises(ValueError, match="reads 2 features per row, "
+                           rf"not rows of shape \({width},\)"):
+            call()
+
     def test_history_records(self):
         ds = self.blob_dataset()
         cfg = small_config("binary")
